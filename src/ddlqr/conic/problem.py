@@ -8,8 +8,10 @@ Two construction styles share one internal representation:
 * the dense style, ``add_block([F0, F1, ..., Fk])``, convenient for small
   hand-written problems and tests;
 * a structured style (``new_block`` plus per-entry, column-family, and
-  slack-corner declarations) that records where coefficients live, so the
-  solver can assemble its Schur complement in closed form for large blocks.
+  slack-corner declarations) that records where coefficients live: entries
+  are compiled into one dense coefficient stack per block, families and the
+  corner keep their closed forms, so the solver never builds an operator of
+  the size of a column family or a corner.
 
 Symmetric matrix variables are packed in scaled upper-triangle order
 (off-diagonals multiplied by sqrt(2)), which makes the packing an isometry
@@ -19,6 +21,7 @@ for the trace inner product. ``svec``/``smat`` implement that convention.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,13 +52,23 @@ def svec_index(i: int, j: int, d: int) -> int:
     return i * d - i * (i + 1) // 2 + j
 
 
+@lru_cache(maxsize=64)
+def _triu(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and off-diagonal mask of the upper triangle (read-only:
+    the cache hands the same arrays to every caller)."""
+    iu, ju = np.triu_indices(d)
+    out = (iu, ju, iu != ju)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 def svec(S: np.ndarray) -> np.ndarray:
     """Pack a symmetric matrix; off-diagonals scaled by sqrt(2)."""
     S = np.asarray(S, dtype=float)
-    d = S.shape[0]
-    iu, ju = np.triu_indices(d)
-    out = S[iu, ju].copy()
-    out[iu != ju] *= SQRT2
+    iu, ju, off = _triu(S.shape[0])
+    out = S[iu, ju]
+    out[off] *= SQRT2
     return out
 
 
@@ -65,9 +78,8 @@ def smat(v: np.ndarray, d: int) -> np.ndarray:
     if v.shape != (svec_len(d),):
         raise DimensionMismatch(f"svec vector length {v.shape} does not match dim {d}")
     S = np.zeros((d, d))
-    iu, ju = np.triu_indices(d)
-    vals = v.copy()
-    vals[iu != ju] /= SQRT2
+    iu, ju, off = _triu(d)
+    vals = np.where(off, v / SQRT2, v)
     S[iu, ju] = vals
     S[ju, iu] = vals
     return S
@@ -107,58 +119,52 @@ class _Block:
 
 
 class _CompiledBlock:
-    """Frozen per-block arrays the solver consumes."""
+    """Frozen per-block arrays the solver consumes.
 
-    def __init__(self, blk: _Block, num_vars: int):
+    The entry coefficients become one dense stack: F[k] is the full d x d
+    coefficient of variable lv[k], with duplicate coordinates summed. The
+    block's ordinary variables are gv = lv followed by each family's varmat
+    in row-major order (at fam_slices of gv); they must be distinct, so every
+    coupling of the block lands at its own position of the Schur complement.
+    """
+
+    def __init__(self, blk: _Block):
         d = blk.dim
         self.dim = d
         self.F0 = blk.F0
         self.corner = blk.corner
         self.families = blk.families
 
-        # Merge duplicate (var, i, j) coordinates.
-        coords: dict[tuple[int, int, int], float] = {}
-        for v, i, j, val in zip(blk.ent_var, blk.ent_i, blk.ent_j, blk.ent_val):
-            if not (0 <= v < num_vars):
-                raise DimensionMismatch(f"variable index {v} out of range")
-            if not (0 <= i < d and 0 <= j < d):
-                raise DimensionMismatch(f"entry position ({i}, {j}) outside block dim {d}")
-            key = (v, min(i, j), max(i, j))
-            coords[key] = coords.get(key, 0.0) + val
-        items = sorted(coords.items())
-        self.ent_var = np.array([k[0] for k, _ in items], dtype=np.intp)
-        self.ent_i = np.array([k[1] for k, _ in items], dtype=np.intp)
-        self.ent_j = np.array([k[2] for k, _ in items], dtype=np.intp)
-        self.ent_val = np.array([v for _, v in items], dtype=float)
+        var = np.asarray(blk.ent_var, dtype=np.intp)
+        ii = np.asarray(blk.ent_i, dtype=np.intp)
+        jj = np.asarray(blk.ent_j, dtype=np.intp)
+        val = np.asarray(blk.ent_val, dtype=float)
+        self.lv, loc = np.unique(var, return_inverse=True)
+        off = ii != jj
+        flat = np.concatenate([(loc * d + ii) * d + jj, ((loc * d + jj) * d + ii)[off]])
+        weights = np.concatenate([val, val[off]])
+        self.F_flat = np.bincount(flat, weights, self.lv.size * d * d).reshape(-1, d * d)
+        self.F = self.F_flat.reshape(-1, d, d)
 
-        # Corner coefficients materialized as entries, used only by the
-        # apply/adjoint paths (the Schur path eliminates the corner).
-        if blk.corner is not None:
-            dc, v0 = blk.corner.dc, blk.corner.var_start
-            iu, ju = np.triu_indices(dc)
-            self.cor_var = v0 + np.arange(iu.size, dtype=np.intp)
-            self.cor_i = iu.astype(np.intp)
-            self.cor_j = ju.astype(np.intp)
-            self.cor_val = np.where(iu == ju, 1.0, 1.0 / SQRT2)
-        else:
-            self.cor_var = np.empty(0, dtype=np.intp)
-            self.cor_i = np.empty(0, dtype=np.intp)
-            self.cor_j = np.empty(0, dtype=np.intp)
-            self.cor_val = np.empty(0, dtype=float)
+        self.gv = np.concatenate([self.lv] + [f.varmat.ravel() for f in self.families])
+        ends = self.lv.size + np.cumsum([f.varmat.size for f in self.families], dtype=int)
+        self.fam_slices = [slice(e - f.varmat.size, e) for f, e in zip(self.families, ends)]
+        if np.unique(self.gv).size != self.gv.size:
+            raise DimensionMismatch(
+                "a variable appears twice among one block's entries and column families"
+            )
 
     def vars_touched(self) -> np.ndarray:
-        parts = [self.ent_var, self.cor_var]
-        for fam in self.families:
-            parts.append(fam.varmat.ravel())
-        return np.unique(np.concatenate(parts)) if parts else np.empty(0, dtype=np.intp)
+        if self.corner is None:
+            return self.gv
+        c = self.corner
+        return np.concatenate([self.gv, c.var_start + np.arange(svec_len(c.dc))])
 
-    def apply(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def apply(self, y: np.ndarray) -> np.ndarray:
         """F0 + sum_i y_i F_i as a dense symmetric matrix."""
-        S = self.apply_lin(y, out=out)
-        S += self.F0
-        return S
+        return self.apply_lin(y) + self.F0
 
-    def apply_lin(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def apply_lin(self, y: np.ndarray) -> np.ndarray:
         """sum_i y_i F_i without the constant term.
 
         Search directions must use this form: going through apply() and
@@ -166,54 +172,36 @@ class _CompiledBlock:
         orders of magnitude smaller, and the scaled-space congruence
         amplifies that noise by |W|^2.
         """
-        if out is None:
-            S = np.zeros((self.dim, self.dim), dtype=float)
-        else:
-            S = out
-            S[:] = 0.0
-        for var, ii, jj, val in (
-            (self.ent_var, self.ent_i, self.ent_j, self.ent_val),
-            (self.cor_var, self.cor_i, self.cor_j, self.cor_val),
-        ):
-            if var.size == 0:
-                continue
-            contrib = val * y[var]
-            off = ii != jj
-            np.add.at(S, (ii[off], jj[off]), contrib[off])
-            np.add.at(S, (jj[off], ii[off]), contrib[off])
-            np.add.at(S, (ii[~off], jj[~off]), contrib[~off])
+        S = (y[self.lv] @ self.F_flat).reshape(self.dim, self.dim)
         for fam in self.families:
-            T, nq = fam.varmat.shape
+            nq = fam.varmat.shape[1]
             CY = fam.C @ y[fam.varmat]  # (d, nq)
             S[:, fam.col0 : fam.col0 + nq] += CY
             S[fam.col0 : fam.col0 + nq, :] += CY.T
+        if self.corner is not None:
+            dc, v0 = self.corner.dc, self.corner.var_start
+            S[:dc, :dc] += smat(y[v0 : v0 + svec_len(dc)], dc)
         return S
 
     def adjoint(self, Z: np.ndarray, g: np.ndarray) -> None:
         """g_i += tr(F_i Z) for this block's coefficients; Z symmetric."""
-        for var, ii, jj, val in (
-            (self.ent_var, self.ent_i, self.ent_j, self.ent_val),
-            (self.cor_var, self.cor_i, self.cor_j, self.cor_val),
-        ):
-            if var.size == 0:
-                continue
-            w = np.where(ii == jj, 1.0, 2.0)
-            np.add.at(g, var, val * w * Z[ii, jj])
+        g[self.lv] += self.F_flat @ Z.ravel()
         for fam in self.families:
-            T, nq = fam.varmat.shape
-            CtZ = fam.C.T @ Z[:, fam.col0 : fam.col0 + nq]  # (T, nq)
-            np.add.at(g, fam.varmat.ravel(), 2.0 * CtZ.ravel())
+            nq = fam.varmat.shape[1]
+            g[fam.varmat.ravel()] += 2.0 * (fam.C.T @ Z[:, fam.col0 : fam.col0 + nq]).ravel()
+        if self.corner is not None:
+            dc, v0 = self.corner.dc, self.corner.var_start
+            g[v0 : v0 + svec_len(dc)] += svec(Z[:dc, :dc])
 
 
 class LmiProblem:
     """Container for min c.T y subject to F0_b + sum_i y_i F_{b,i} >= 0."""
 
-    def __init__(self, num_vars: int, var_names: list[str] | None = None):
+    def __init__(self, num_vars: int):
         if num_vars < 0:
             raise DimensionMismatch("num_vars must be non-negative")
         self.num_vars = int(num_vars)
         self.objective = np.zeros(self.num_vars)
-        self.var_names = var_names
         self._blocks: list[_Block] = []
         self._compiled: list[_CompiledBlock] | None = None
 
@@ -344,7 +332,7 @@ class LmiProblem:
 
     def compiled(self) -> list[_CompiledBlock]:
         if self._compiled is None:
-            self._compiled = [_CompiledBlock(b, self.num_vars) for b in self._blocks]
+            self._compiled = [_CompiledBlock(b) for b in self._blocks]
             self._validate_corners(self._compiled)
         return self._compiled
 
@@ -361,10 +349,7 @@ class LmiProblem:
         if not corner_vars:
             return
         for cb in compiled:
-            ordinary = set(cb.ent_var.tolist())
-            for fam in cb.families:
-                ordinary.update(fam.varmat.ravel().tolist())
-            bad = ordinary & corner_vars
+            bad = set(cb.gv.tolist()) & corner_vars
             if bad:
                 raise DimensionMismatch(
                     f"corner variables {sorted(bad)[:4]} also appear as ordinary coefficients"
@@ -410,5 +395,5 @@ class LmiProblem:
         return cb.apply_lin(y)
 
 
-def new_problem(num_vars: int, var_names: list[str] | None = None) -> LmiProblem:
-    return LmiProblem(num_vars, var_names)
+def new_problem(num_vars: int) -> LmiProblem:
+    return LmiProblem(num_vars)

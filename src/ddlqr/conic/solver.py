@@ -6,11 +6,15 @@ slack of every block is an independent iterate, so equality rows encoded as
 paired one-dimensional blocks (whose feasible set has empty interior) need
 no special handling.
 
-Schur-complement assembly exploits the structure recorded by the problem
-builder: per-entry coefficients and column families have closed-form pairwise
-contributions, and a declared slack corner (whose packed coefficients form an
-identity) is eliminated analytically through congruences with the corner of
-the scaling matrix, never materializing the corner-corner operator.
+The Schur complement M_ij = sum_b tr(F_bi W_b F_bj W_b) is assembled per
+block from dense BLAS products, in the forms of SDPT3 (Toh, Todd & Tutuncu,
+1999) and CVXOPT (Vandenberghe, 2010). Entry coefficients live in one dense
+stack F per block, so their couplings are F_flat @ (W F W)_flat.T, and column
+families keep closed-form pairwise terms. A declared slack corner, whose
+packed coefficients form an identity, is eliminated analytically: with
+Li = chol(W_cc)^-1 the correction is the Gram matrix of the whitened
+couplings Y_i = Li (W F_i W)_cc Li.T, rank 2 for every family variable, and
+the corner-corner operator is never formed.
 """
 
 from __future__ import annotations
@@ -113,25 +117,96 @@ def _boundary_step(lam: np.ndarray, D_scaled: np.ndarray) -> float:
     return 1.0 / (-m)
 
 
+def _pair_terms(A, B, C, D):
+    """2 [A_ts B_qr + C_tr D_qs] at row (t, q), column (s, r): the coupling
+    of two column families in row-major variable order."""
+    T1, nq1, T2, nq2 = A.shape[0], B.shape[0], A.shape[1], B.shape[1]
+    out = np.einsum("ts,qr->tqsr", A, B) + np.einsum("tr,qs->tqsr", C, D)
+    return 2.0 * out.reshape(T1 * nq1, T2 * nq2)
+
+
+class _CornerCoupling:
+    """Whitened coupling of one block's ordinary variables to its slack corner.
+
+    With Li = chol(W_cc)^-1 and W^ = W[:, :dc] Li.T, ordinary variable i
+    couples to the corner through Y_i = W^.T F_i W^. Entry variables keep
+    Y explicitly; a family variable (t, q) has the rank-2 form
+    p_t h_q.T + h_q p_t.T with P = W^.T C and H = W^[col0:col0 + nq].T.
+    The corner's Schur correction is then the Gram matrix <Y_i, Y_j>.
+    """
+
+    def __init__(self, cb, W, G, gp):
+        dc = cb.corner.dc
+        try:
+            Lc = np.linalg.cholesky(W[:dc, :dc])
+        except np.linalg.LinAlgError as exc:
+            raise _FactorError(f"corner scaling not positive definite: {exc}") from None
+        self.Li = scipy.linalg.solve_triangular(Lc, np.eye(dc), lower=True)
+        Wh = W[:, :dc] @ self.Li.T
+        self.Y = self.Li @ G[:, :dc, :dc] @ self.Li.T
+        self.Yf = self.Y.reshape(cb.lv.size, dc * dc)
+        self.PH = [
+            (Wh.T @ f.C, Wh[f.col0 : f.col0 + f.varmat.shape[1]].T) for f in cb.families
+        ]
+        self.ne, self.sls = cb.lv.size, cb.fam_slices
+        self.gp = gp
+        self.dc, self.v0 = dc, cb.corner.var_start
+
+    def reduce(self, Mb: np.ndarray) -> None:
+        """Subtract the corner's Schur correction <Y_i, Y_j> from Mb."""
+        ne = self.ne
+        Mb[:ne, :ne] -= self.Yf @ self.Yf.T
+        for sl, (P, H) in zip(self.sls, self.PH):
+            EF = 2.0 * (P.T @ self.Y @ H).reshape(ne, sl.stop - sl.start)
+            Mb[:ne, sl] -= EF
+            Mb[sl, :ne] -= EF.T
+            for sl2, (P2, H2) in zip(self.sls, self.PH):
+                Mb[sl, sl2] -= _pair_terms(P.T @ P2, H.T @ H2, P.T @ H2, H.T @ P2)
+
+    def project(self, Th: np.ndarray) -> np.ndarray:
+        """<Y_i, Th> for every ordinary variable i."""
+        out = [self.Yf @ Th.ravel()]
+        out += [2.0 * (P.T @ Th @ H).ravel() for P, H in self.PH]
+        return np.concatenate(out)
+
+    def combine(self, x: np.ndarray) -> np.ndarray:
+        """sum_i x_i Y_i."""
+        S = (x[: self.ne] @ self.Yf).reshape(self.dc, self.dc)
+        for sl, (P, H) in zip(self.sls, self.PH):
+            PD = P @ x[sl].reshape(P.shape[1], H.shape[1]) @ H.T
+            S += PD + PD.T
+        return S
+
+
 class _Factorization:
-    """One iteration's Schur complement, reduced over declared slack corners."""
+    """One iteration's Schur complement M_ij = sum_b tr(F_i W_b F_j W_b)
+    over the ordinary variables, with every declared slack corner eliminated.
+
+    Each block contributes one dense local matrix over its variables gv,
+    added once at M[gp, gp]: entry pairs come from the coefficient stack as
+    F_flat @ (W F W)_flat.T, pairs involving a column family from its closed
+    forms, and a corner subtracts the Gram matrix of its whitened couplings.
+    """
 
     def __init__(self, compiled, Wms, oidx, pos_of, num_vars):
         self.compiled = compiled
         self.Wms = Wms
         self.oidx = oidx
-        self.pos_of = pos_of
         self.num_vars = num_vars
         ko = oidx.size
         M = np.zeros((ko, ko))
-        self.corner_data = []
+        self.corners = []
 
-        for cb, Wm in zip(compiled, Wms):
-            self._accumulate(M, cb, Wm)
+        for cb, W in zip(compiled, Wms):
+            gp = pos_of[cb.gv]
+            G = W @ cb.F @ W
+            Mb = self._block_schur(cb, W, G)
             if cb.corner is not None:
-                self.corner_data.append(self._corner_reduce(M, cb, Wm))
+                cc = _CornerCoupling(cb, W, G, gp)
+                cc.reduce(Mb)
+                self.corners.append(cc)
+            M[np.ix_(gp, gp)] += Mb
 
-        self.M_true = M
         scale = float(np.max(np.diag(M))) if ko else 1.0
         if not np.isfinite(scale) or scale <= 0.0:
             scale = 1.0
@@ -147,143 +222,58 @@ class _Factorization:
         if self.factor is None:
             raise _FactorError("Schur complement not positive definite after jitter")
 
-    # -- assembly -------------------------------------------------------------
-
-    def _accumulate(self, M, cb, Wm):
-        pos_of = self.pos_of
-        a, b, vals = cb.ent_i, cb.ent_j, cb.ent_val
-        ns = vals.size
-
-        if cb.dim == 1 and not cb.families and cb.corner is None:
-            if ns:
-                p = pos_of[cb.ent_var]
-                w = Wm[0, 0]
-                M[np.ix_(p, p)] += (w * w) * np.outer(vals, vals)
-            return
-
-        if ns:
-            ubar = np.where(a == b, 0.5 * vals, vals)
-            Waa = Wm[np.ix_(a, a)]
-            Wbb = Wm[np.ix_(b, b)]
-            Wab = Wm[np.ix_(a, b)]
-            delta = 2.0 * np.outer(ubar, ubar) * (Waa * Wbb + Wab * Wab.T)
-            p = pos_of[cb.ent_var]
-            np.add.at(M, (p[:, None], p[None, :]), delta)
-
-        fams = cb.families
-        if not fams:
-            return
-        Us = [Wm @ f.C for f in fams]
-
-        for f1, U1 in zip(fams, Us):
-            nq1 = f1.varmat.shape[1]
-            v1 = pos_of[f1.varmat].ravel()
-            for f2, U2 in zip(fams, Us):
-                nq2 = f2.varmat.shape[1]
-                v2 = pos_of[f2.varmat].ravel()
-                H12 = f1.C.T @ U2
-                Wee = Wm[f1.col0 : f1.col0 + nq1, f2.col0 : f2.col0 + nq2]
-                A_ = U2[f1.col0 : f1.col0 + nq1, :]  # (nq1, T2)
-                B_ = U1[f2.col0 : f2.col0 + nq2, :]  # (nq2, T1)
-                term1 = np.einsum("ac,db->bacd", A_, B_)
-                term2 = np.einsum("ad,bc->bacd", Wee, H12)
-                delta = 2.0 * (term1 + term2)
-                np.add.at(
-                    M,
-                    (v1[:, None], v2[None, :]),
-                    delta.reshape(v1.size, v2.size),
-                )
-
-        if ns:
-            p = pos_of[cb.ent_var]
-            ubar = np.where(a == b, 0.5 * vals, vals)
-            for f, U in zip(fams, Us):
-                nq = f.varmat.shape[1]
-                cols = np.arange(f.col0, f.col0 + nq)
-                Wbc = Wm[np.ix_(b, cols)]  # (ns, nq)
-                Wac = Wm[np.ix_(a, cols)]
-                Ua = U[a, :]  # (ns, T)
-                Ub = U[b, :]
-                delta = 2.0 * ubar[:, None, None] * (
-                    np.einsum("st,sq->stq", Ua, Wbc) + np.einsum("st,sq->stq", Ub, Wac)
-                )
-                pf = pos_of[f.varmat].ravel()
-                flat = delta.reshape(ns, pf.size)
-                np.add.at(M, (p[:, None], pf[None, :]), flat)
-                np.add.at(M, (pf[:, None], p[None, :]), flat.T)
-
-    def _corner_reduce(self, M, cb, Wm):
-        """Build the corner-coupling matrices of one block and subtract the
-        corner's Schur correction from M in place."""
-        dc = cb.corner.dc
-        v0 = cb.corner.var_start
-        Wd = Wm[:dc, :dc]
-        cf = scipy.linalg.cho_factor(Wd, lower=True)
-        Wdinv = scipy.linalg.cho_solve(cf, np.eye(dc))
-        Wdinv = 0.5 * (Wdinv + Wdinv.T)
-
-        loc = {}
-        for v in cb.ent_var:
-            loc.setdefault(int(v), len(loc))
-        for f in cb.families:
-            for v in f.varmat.ravel():
-                loc.setdefault(int(v), len(loc))
-        n_loc = len(loc)
-        loc_glob = np.array(sorted(loc, key=loc.get), dtype=np.intp)
-        X = np.zeros((n_loc, dc, dc))
-
-        if cb.ent_var.size:
-            a, b, vals = cb.ent_i, cb.ent_j, cb.ent_val
-            ubar = np.where(a == b, 0.5 * vals, vals)
-            A1 = Wm[:dc, a]  # (dc, ns)
-            B1 = Wm[:dc, b]
-            OP = np.einsum("s,is,js->sij", ubar, A1, B1)
-            lp = np.array([loc[int(v)] for v in cb.ent_var], dtype=np.intp)
-            np.add.at(X, lp, OP + OP.transpose(0, 2, 1))
-        for f in cb.families:
-            U = Wm @ f.C
-            nq = f.varmat.shape[1]
-            cols = np.arange(f.col0, f.col0 + nq)
-            OPf = np.einsum("it,jq->tqij", U[:dc, :], Wm[:dc, cols])
-            OPf = OPf.reshape(-1, dc, dc)
-            lp = np.array([loc[int(v)] for v in f.varmat.ravel()], dtype=np.intp)
-            np.add.at(X, lp, OPf + OPf.transpose(0, 2, 1))
-
-        SKX = np.matmul(Wdinv, np.matmul(X, Wdinv))
-        gp = self.pos_of[loc_glob]
-        M[np.ix_(gp, gp)] -= np.tensordot(X, SKX, axes=([1, 2], [1, 2]))
-        return {"dc": dc, "v0": v0, "Wdinv": Wdinv, "X": X, "gp": gp}
-
-    # -- solves ---------------------------------------------------------------
+    @staticmethod
+    def _block_schur(cb, W, G) -> np.ndarray:
+        """tr(F_i W F_j W) over the block's ordinary variables gv."""
+        ne = cb.lv.size
+        Mb = np.empty((cb.gv.size, cb.gv.size))
+        Mb[:ne, :ne] = cb.F_flat @ G.reshape(ne, cb.dim * cb.dim).T
+        Us = [W @ f.C for f in cb.families]
+        for f1, sl1, U1 in zip(cb.families, cb.fam_slices, Us):
+            c1 = slice(f1.col0, f1.col0 + f1.varmat.shape[1])
+            EF = 2.0 * (G[:, c1, :] @ f1.C).transpose(0, 2, 1).reshape(ne, f1.varmat.size)
+            Mb[:ne, sl1] = EF
+            Mb[sl1, :ne] = EF.T
+            for f2, sl2, U2 in zip(cb.families, cb.fam_slices, Us):
+                c2 = slice(f2.col0, f2.col0 + f2.varmat.shape[1])
+                Mb[sl1, sl2] = _pair_terms(f1.C.T @ U2, W[c1, c2], U1[c2].T, U2[c1])
+        return Mb
 
     def solve_kkt(self, E_list, rd):
-        """Solve M dy = A*(E) - rd, with corner back-substitution."""
+        """Solve M dy = A*(E) - rd, with corner back-substitution and one
+        step of iterative refinement.
+
+        The refinement residual comes from the operator itself,
+        sum_b A_b*(W_b A_b(dy) W_b), not from the assembled M: the residuals
+        that decide convergence are measured through the same apply and
+        adjoint, so dy is made consistent with them to working precision.
+        """
         g = np.zeros(self.num_vars)
         for cb, E in zip(self.compiled, E_list):
             cb.adjoint(E, g)
         full_rhs = g - rd
+        dy = self._reduced_solve(full_rhs)
+        g[:] = 0.0
+        for cb, W in zip(self.compiled, self.Wms):
+            cb.adjoint(W @ cb.apply_lin(dy) @ W, g)
+        return dy + self._reduced_solve(full_rhs - g)
 
+    def _reduced_solve(self, full_rhs):
+        # Corner rows of the full system read M_cc dW + M_co dy = rhs_c with
+        # M_cc dW = W_cc dW W_cc, so dW = Li.T (Th - sum_i dy_i Y_i) Li.
         r = full_rhs[self.oidx].copy()
-        corner_rw = []
-        for data in self.corner_data:
-            dc, v0 = data["dc"], data["v0"]
-            Trw = smat(full_rhs[v0 : v0 + svec_len(dc)], dc)
-            TE = data["Wdinv"] @ Trw @ data["Wdinv"]
-            r[data["gp"]] -= np.tensordot(data["X"], TE, axes=([1, 2], [0, 1]))
-            corner_rw.append(Trw)
-
+        Ths = []
+        for cc in self.corners:
+            Trw = smat(full_rhs[cc.v0 : cc.v0 + svec_len(cc.dc)], cc.dc)
+            Th = cc.Li @ Trw @ cc.Li.T
+            r[cc.gp] -= cc.project(Th)
+            Ths.append(Th)
         sol = scipy.linalg.cho_solve(self.factor, r)
-        for _ in range(2):
-            resid = r - self.M_true @ sol
-            sol = sol + scipy.linalg.cho_solve(self.factor, resid)
-
         dy = np.zeros(self.num_vars)
         dy[self.oidx] = sol
-        for data, Trw in zip(self.corner_data, corner_rw):
-            dc, v0 = data["dc"], data["v0"]
-            Mwo_dy = np.tensordot(sol[data["gp"]], data["X"], axes=1)
-            dW = data["Wdinv"] @ (Trw - Mwo_dy) @ data["Wdinv"]
-            dy[v0 : v0 + svec_len(dc)] = svec(0.5 * (dW + dW.T))
+        for cc, Th in zip(self.corners, Ths):
+            dW = cc.Li.T @ (Th - cc.combine(sol[cc.gp])) @ cc.Li
+            dy[cc.v0 : cc.v0 + svec_len(cc.dc)] = svec(0.5 * (dW + dW.T))
         return dy
 
 

@@ -202,7 +202,9 @@ def solve_dare(A, B, Q, R, max_iters: int = 10000) -> tuple[np.ndarray, np.ndarr
 
     Returns (K, S): the optimal state feedback u = K x and the cost matrix S.
     Iterates S <- A.T S A - A.T S B (R + B.T S B)^-1 B.T S A + Q from S = Q
-    until the relative Frobenius change drops below 1e-12.
+    until the relative Frobenius change drops below 1e-12. For a pair that is
+    not stabilizable the iterate grows without bound; NoConvergence is raised
+    at the first step that would overflow, before any non-finite value.
     """
     A = as_matrix(A, "A")
     B = as_matrix(B, "B")
@@ -218,16 +220,22 @@ def solve_dare(A, B, Q, R, max_iters: int = 10000) -> tuple[np.ndarray, np.ndarr
         raise DimensionMismatch("Q/R dimensions do not match A/B")
 
     S = Q.copy()
-    for _ in range(max_iters):
-        BtS = B.T @ S
-        gain = np.linalg.solve(R + BtS @ B, BtS @ A)
-        S_next = sym(A.T @ S @ A - (BtS @ A).T @ gain + Q)
-        delta = np.linalg.norm(S_next - S, "fro")
-        S = S_next
-        if delta <= 1e-12 * np.linalg.norm(S, "fro"):
-            break
-    else:
-        raise NoConvergence(f"Riccati iteration did not converge in {max_iters} steps")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for it in range(max_iters):
+                BtS = B.T @ S
+                gain = np.linalg.solve(R + BtS @ B, BtS @ A)
+                S_next = sym(A.T @ S @ A - (BtS @ A).T @ gain + Q)
+                delta = np.linalg.norm(S_next - S, "fro")
+                S = S_next
+                if delta <= 1e-12 * np.linalg.norm(S, "fro"):
+                    break
+            else:
+                raise NoConvergence(f"Riccati iteration did not converge in {max_iters} steps")
+    except FloatingPointError:
+        raise NoConvergence(
+            f"Riccati iterate diverged at step {it}: (A, B) is not stabilizable"
+        ) from None
 
     BtS = B.T @ S
     K = -np.linalg.solve(R + BtS @ B, BtS @ A)

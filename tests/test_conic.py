@@ -387,3 +387,125 @@ def test_solution_metadata():
     assert sol.wall_time >= 0.0
     assert sol.y.shape == (random_feasible_problem(0).num_vars,)
     assert sol.optimal
+
+
+def test_family_variables_must_be_distinct_within_a_block():
+    p = new_problem(3)
+    bid = p.new_block(3)
+    p.add_entry(bid, 0, 0, 0, 1.0)
+    p.add_column_family(bid, np.ones((3, 1)), 2, np.array([[0]]))  # var 0 is also an entry
+    with pytest.raises(DimensionMismatch):
+        p.compiled()
+
+
+# -- Schur assembly against brute force -----------------------------------------
+
+
+def structured_problem_with_dense_twin(seed):
+    """Random problem mixing a 1-D block, an entry block with duplicate
+    coordinates, a block with two column families, and a corner block holding
+    entries and a family (the shape of the baseline W block). Returns the
+    problem, the corner variables and the explicit coefficient F_{b,i} of
+    every variable in every block, built apart from the problem's own code."""
+    rng = np.random.default_rng(seed)
+    dc, nq = 3, 2
+    ncv = svec_len(dc)
+    k = ncv + 16
+    ordinary = list(range(ncv, k))
+    p = new_problem(k)
+    dense = []
+
+    def block(dim):
+        bid = p.new_block(dim)
+        G0 = rng.standard_normal((dim, dim))
+        p.set_block_const(bid, 0.5 * (G0 + G0.T))
+        dense.append(np.zeros((k, dim, dim)))
+        return bid
+
+    def entry(bid, var, i, j, val):
+        p.add_entry(bid, var, i, j, val)
+        dense[bid][var, i, j] += val
+        if i != j:
+            dense[bid][var, j, i] += val
+
+    def family(bid, C, col0, varmat):
+        p.add_column_family(bid, C, col0, varmat)
+        for (t, q), var in np.ndenumerate(varmat):
+            e = np.zeros(C.shape[0])
+            e[col0 + q] = 1.0
+            dense[bid][var] += np.outer(C[:, t], e) + np.outer(e, C[:, t])
+
+    bid = block(1)
+    for var in rng.choice(ordinary, 5, replace=False):
+        entry(bid, int(var), 0, 0, rng.standard_normal())
+        entry(bid, int(var), 0, 0, rng.standard_normal())
+
+    bid = block(4)
+    for var in ordinary:
+        for _ in range(3):
+            i, j = (int(v) for v in rng.integers(0, 4, 2))
+            entry(bid, var, i, j, rng.standard_normal())
+            entry(bid, var, j, i, rng.standard_normal())
+
+    bid = block(6)
+    fam_vars = rng.permutation(ordinary)
+    family(bid, rng.standard_normal((6, 2)), 4, fam_vars[:4].reshape(2, 2))
+    family(bid, rng.standard_normal((6, 3)), 1, fam_vars[4:7].reshape(3, 1))
+    for var in fam_vars[7:10]:
+        entry(bid, int(var), int(rng.integers(0, 6)), int(rng.integers(0, 6)), rng.standard_normal())
+
+    bid = block(dc + nq)
+    p.add_corner_slack(bid, dc, 0)
+    for kk, (i, j) in enumerate(zip(*np.triu_indices(dc))):
+        dense[bid][kk, i, j] = dense[bid][kk, j, i] = 1.0 if i == j else 1.0 / np.sqrt(2.0)
+    C = np.zeros((dc + nq, 3))
+    C[:dc] = rng.standard_normal((dc, 3))
+    fam_vars = rng.permutation(ordinary)
+    family(bid, C, dc, fam_vars[:6].reshape(3, nq))
+    for var in fam_vars[6:9]:
+        entry(bid, int(var), dc + int(rng.integers(0, nq)), int(rng.integers(0, dc + nq)), 1.0)
+    p.set_objective(rng.standard_normal(k))
+    return p, np.arange(ncv), dense
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_schur_assembly_matches_brute_force(seed):
+    from ddlqr.conic.solver import _Factorization
+
+    p, corner, dense = structured_problem_with_dense_twin(seed)
+    k = p.num_vars
+    rng = np.random.default_rng(100 + seed)
+
+    y = rng.standard_normal(k)
+    Zs = [0.5 * (G + G.T) for G in (rng.standard_normal((d, d)) for d in p.block_dims())]
+    for S, Fd, cb in zip(p.evaluate_blocks(y), dense, p.compiled()):
+        assert np.abs(S - cb.F0 - np.tensordot(y, Fd, 1)).max() <= 1e-12
+    adj = sum(np.array([np.vdot(F, Z) for F in Fd]) for Fd, Z in zip(dense, Zs))
+    assert np.abs(p.adjoint(Zs) - adj).max() <= 1e-12
+
+    Ws = []
+    for d in p.block_dims():
+        A = rng.standard_normal((d, d))
+        Ws.append(A @ A.T + d * np.eye(d))
+    M = np.zeros((k, k))
+    for Fd, W in zip(dense, Ws):
+        for i in range(k):
+            for j in range(k):
+                M[i, j] += np.trace(Fd[i] @ W @ Fd[j] @ W)
+    o = np.setdiff1d(np.arange(k), corner)
+    M_red = M[np.ix_(o, o)] - M[np.ix_(o, corner)] @ np.linalg.solve(
+        M[np.ix_(corner, corner)], M[np.ix_(corner, o)]
+    )
+
+    pos_of = np.full(k, -1, dtype=np.intp)
+    pos_of[o] = np.arange(o.size)
+    fact = _Factorization(p.compiled(), Ws, o, pos_of, k)
+    L = np.tril(fact.factor[0])
+    assert np.abs(L @ L.T - M_red).max() <= 1e-9 * np.abs(M_red).max()
+
+    E_list = [0.5 * (G + G.T) for G in (rng.standard_normal((d, d)) for d in p.block_dims())]
+    rd = rng.standard_normal(k)
+    rhs = sum(np.array([np.vdot(F, E) for F in Fd]) for Fd, E in zip(dense, E_list)) - rd
+    dy_ref = np.linalg.solve(M, rhs)
+    dy = fact.solve_kkt(E_list, rd)
+    assert np.abs(dy - dy_ref).max() <= 1e-9 * np.abs(dy_ref).max()
