@@ -1,9 +1,12 @@
 """Experiment data containers and the statistics derived from them.
 
 A Dataset holds one rollout of state/input/successor samples laid out
-column-per-time-step. DataStats derives everything downstream consumers
-need: least-squares fits, residuals, sample covariances, and the
-projector onto the null space of the stacked state-input data.
+column-per-time-step. DataStats holds what the reduced programs and the
+closed-form effects need: least-squares fits and sample covariances, all
+of a size fixed by n and m and read off one triangular factor of the
+stacked record. The ell x ell kernel projector, which only the
+trajectory-sized programs and the oracle use, is formed on request by
+kernel_projector.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .errors import (
     DimensionMismatch,
@@ -19,7 +23,7 @@ from .errors import (
     ParseError,
     StateRankViolation,
 )
-from .matlin import RANK_TOL, as_matrix, pinv
+from .matlin import RANK_TOL, as_matrix
 
 __all__ = [
     "DataStats",
@@ -27,7 +31,9 @@ __all__ = [
     "RankReport",
     "check_excitation",
     "compute_stats",
+    "kernel_projector",
     "load_dataset",
+    "row_space_basis",
     "save_dataset",
 ]
 
@@ -92,6 +98,42 @@ class RankReport:
     singular_values: np.ndarray
 
 
+def _stack_factor(d: Dataset) -> np.ndarray:
+    """R of the thin QR factorization of [x0; u0; x1]^T.
+
+    R is (2n+m) x (2n+m), padded with zero rows when ell < 2n+m, and
+    R^T R = D D^T for the stacked data D. Each leading block R[:j, :j] is
+    the R factor of the first j rows of D alone, so one factor serves the
+    state, state-input and full stacks.
+    """
+    w = 2 * d.n + d.m
+    r = np.linalg.qr(d.data_full().T, mode="r")
+    if r.shape[0] < w:
+        r = np.vstack([r, np.zeros((w - r.shape[0], w))])
+    return r
+
+
+def _numerical_rank(sv: np.ndarray, rank_tol: float) -> int:
+    return int(np.sum(sv > rank_tol * sv[0])) if sv.size and sv[0] > 0 else 0
+
+
+def _rank_report(d: Dataset, r: np.ndarray, rank_tol: float) -> RankReport:
+    k = d.n + d.m
+    # Singular values of R and of its leading block equal those of the
+    # full and of the state-input stacks; nothing is squared.
+    sv0 = np.linalg.svd(r[:k, :k], compute_uv=False)
+    sv = np.linalg.svd(r[: min(d.ell, r.shape[0])], compute_uv=False)
+    rank_data0 = _numerical_rank(sv0, rank_tol)
+    rank_full = _numerical_rank(sv, rank_tol)
+    return RankReport(
+        rank_data0=rank_data0,
+        rank_full=rank_full,
+        pe_holds=rank_data0 == k,
+        full_rank_holds=rank_full == 2 * d.n + d.m,
+        singular_values=_frozen(sv),
+    )
+
+
 def check_excitation(d: Dataset, rank_tol: float = RANK_TOL) -> RankReport:
     """Rank diagnostics for the stacked data matrices.
 
@@ -101,26 +143,17 @@ def check_excitation(d: Dataset, rank_tol: float = RANK_TOL) -> RankReport:
     full row rank, which noise generically produces and which makes the
     residual covariance positive definite.
     """
-    sv0 = np.linalg.svd(d.data0(), compute_uv=False)
-    sv = np.linalg.svd(d.data_full(), compute_uv=False)
-    rank_data0 = int(np.sum(sv0 > rank_tol * sv0[0])) if sv0.size and sv0[0] > 0 else 0
-    rank_full = int(np.sum(sv > rank_tol * sv[0])) if sv.size and sv[0] > 0 else 0
-    return RankReport(
-        rank_data0=rank_data0,
-        rank_full=rank_full,
-        pe_holds=rank_data0 == d.n + d.m,
-        full_rank_holds=rank_full == 2 * d.n + d.m,
-        singular_values=_frozen(sv),
-    )
+    return _rank_report(d, _stack_factor(d), rank_tol)
 
 
 @dataclass(frozen=True)
 class DataStats:
-    """Least-squares fits and sample statistics of one Dataset.
+    """Least-squares fits and sample covariances of one Dataset.
 
-    Covariances use population normalization 1/ell throughout. Residual
-    covariances are stored as computed, singular or not; consumers that
-    need an inverse decide how to fail.
+    Every field has a size fixed by n and m, whatever the record length
+    ell. Covariances use population normalization 1/ell throughout.
+    Residual covariances are stored as computed, singular or not;
+    consumers that need an inverse decide how to fail.
     """
 
     n: int
@@ -132,11 +165,8 @@ class DataStats:
     k_ls: np.ndarray
     cov_x0: np.ndarray
     cov_d0: np.ndarray
-    resid_x: np.ndarray
-    resid_u: np.ndarray
     cov_resid_x: np.ndarray
     cov_resid_u: np.ndarray
-    proj_perp: np.ndarray
     rank_report: RankReport = field(repr=False)
 
     def __post_init__(self):
@@ -147,54 +177,77 @@ class DataStats:
             "k_ls",
             "cov_x0",
             "cov_d0",
-            "resid_x",
-            "resid_u",
             "cov_resid_x",
             "cov_resid_u",
-            "proj_perp",
         ):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
 
 
 def compute_stats(d: Dataset, rank_tol: float = RANK_TOL) -> DataStats:
-    """Derive least-squares estimates, residuals, and covariances.
+    """Derive least-squares estimates and covariances.
 
-    Requires the stacked state-input data to have full row rank and the
-    state block alone to have rank n (needed for the least-squares gain).
+    Requires the state block x0 to have rank n (StateRankViolation) and the
+    stacked state-input data to have full row rank (ExcitationViolation).
+    Everything comes from the triangular factor R of [x0; u0; x1]^T, in
+    O(ell (2n+m)^2) time and O((2n+m)^2) memory beyond the record: with
+    k = n+m, the fits solve R[:k, :k] [A B]^T = R[:k, k:] and
+    R[:n, :n] K^T = R[:n, n:k], and the residual covariances are the
+    Gram matrices of the trailing blocks R[k:, k:] and R[n:k, n:k].
     """
-    report = check_excitation(d, rank_tol)
+    n, k = d.n, d.n + d.m
+    r = _stack_factor(d)
+    rx, r0 = r[:n, :n], r[:k, :k]
+    sx = np.linalg.svd(rx, compute_uv=False)
+    if _numerical_rank(sx, rank_tol) < n:
+        raise StateRankViolation(f"x0 has rank below {n}")
+    report = _rank_report(d, r, rank_tol)
     if not report.pe_holds:
         raise ExcitationViolation(
-            f"state-input stack has rank {report.rank_data0}, need {d.n + d.m}"
+            f"state-input stack has rank {report.rank_data0}, need {k}"
         )
-    sx = np.linalg.svd(d.x0, compute_uv=False)
-    if int(np.sum(sx > rank_tol * sx[0])) < d.n:
-        raise StateRankViolation(f"x0 has rank below {d.n}")
 
-    d0 = d.data0()
-    d0_pinv = pinv(d0, rank_tol=rank_tol)
-    ab_ls = d.x1 @ d0_pinv
-    k_ls = d.u0 @ pinv(d.x0, rank_tol=rank_tol)
-    resid_x = d.x1 - ab_ls @ d0
-    resid_u = d.u0 - k_ls @ d.x0
+    ab_ls = solve_triangular(r0, r[:k, k:]).T
+    k_ls = solve_triangular(rx, r[:n, n:k]).T
+    r_x, r_u = r[k:, k:], r[n:k, n:k]
     ell = float(d.ell)
     return DataStats(
-        n=d.n,
+        n=n,
         m=d.m,
         ell=d.ell,
-        a_ls=ab_ls[:, : d.n],
-        b_ls=ab_ls[:, d.n :],
+        a_ls=ab_ls[:, :n],
+        b_ls=ab_ls[:, n:],
         ab_ls=ab_ls,
         k_ls=k_ls,
-        cov_x0=d.x0 @ d.x0.T / ell,
-        cov_d0=d0 @ d0.T / ell,
-        resid_x=resid_x,
-        resid_u=resid_u,
-        cov_resid_x=resid_x @ resid_x.T / ell,
-        cov_resid_u=resid_u @ resid_u.T / ell,
-        proj_perp=np.eye(d.ell) - d0_pinv @ d0,
+        cov_x0=rx.T @ rx / ell,
+        cov_d0=r0.T @ r0 / ell,
+        cov_resid_x=r_x.T @ r_x / ell,
+        cov_resid_u=r_u.T @ r_u / ell,
         rank_report=report,
     )
+
+
+def row_space_basis(d: Dataset) -> np.ndarray:
+    """Orthonormal basis Q0 (ell x (n+m)) of the row space of the stacked
+    state-input data, from a thin QR of its transpose.
+
+    Requires the excitation condition, as compute_stats does; without it
+    the QR columns would span more than the row space.
+    """
+    q0, r0 = np.linalg.qr(d.data0().T)
+    if _numerical_rank(np.linalg.svd(r0, compute_uv=False), RANK_TOL) < d.n + d.m:
+        raise ExcitationViolation(
+            f"state-input stack is rank deficient, need rank {d.n + d.m}"
+        )
+    return q0
+
+
+def kernel_projector(d: Dataset) -> np.ndarray:
+    """The ell x ell orthogonal projector I - Q0 Q0^T onto the kernel of the
+    stacked state-input data. Only the trajectory-sized programs and the
+    oracle need it; anything that only applies it should use
+    row_space_basis instead."""
+    q0 = row_space_basis(d)
+    return np.eye(d.ell) - q0 @ q0.T
 
 
 def save_dataset(d: Dataset, path) -> None:

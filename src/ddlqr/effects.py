@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datamodel import Dataset, DataStats, compute_stats
+from .datamodel import Dataset, DataStats, compute_stats, kernel_projector, row_space_basis
 from .errors import (
     DimensionMismatch,
     InfeasibleConstraint,
@@ -139,22 +139,22 @@ def _check_square(M, n: int, name: str) -> np.ndarray:
     return M
 
 
-def eval_reg_gram(
-    G, P, lam: float, projected: bool, stats: DataStats
-) -> float:
+def eval_reg_gram(G, P, lam: float, projected: bool, d: Dataset) -> float:
     """Quadratic regularizer lam * |Pi G P^(1/2)|_F^2 on the raw variable.
 
     Pi is the orthogonal projector onto the kernel of the stacked
-    state-input data when projected, else the identity.
+    state-input data of d when projected, else the identity. It is applied
+    as M - Q0 (Q0^T M) with the row-space basis Q0, never formed.
     """
     G = as_matrix(G, "G")
-    if G.shape[0] != stats.ell:
-        raise DimensionMismatch(f"G must have {stats.ell} rows, got {G.shape[0]}")
+    if G.shape[0] != d.ell:
+        raise DimensionMismatch(f"G must have {d.ell} rows, got {G.shape[0]}")
     P = _check_square(P, G.shape[1], "P")
     half = sym_sqrt(P, "P")
     M = G @ half
     if projected:
-        M = stats.proj_perp @ M
+        q0 = row_space_basis(d)
+        M = M - q0 @ (q0.T @ M)
     return float(lam) * float(np.sum(M * M))
 
 
@@ -266,7 +266,7 @@ def param_effect_oracle(
         g_opt = pinv(D) @ rhs
         objective = lam * float(np.sum(g_opt * g_opt))
     else:
-        pi = stats.proj_perp
+        pi = kernel_projector(d)
         nl = stats.ell
         nc = D.shape[0]
         kkt = np.zeros((nl + nc, nl + nc))

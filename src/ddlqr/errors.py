@@ -69,8 +69,9 @@ class ExcitationViolation(RankDeficientData):
     """The stacked state-input data matrix is not full row rank."""
 
 
-class StateRankViolation(RankDeficientData):
-    """The initial-state matrix is not full row rank."""
+class StateRankViolation(ExcitationViolation):
+    """The initial-state matrix is not full row rank, so the stacked
+    state-input data cannot be either."""
 
 
 class ParseError(DdlqrError):

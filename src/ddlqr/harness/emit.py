@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -23,7 +22,6 @@ __all__ = [
     "emit_csv",
     "emit_solution_json",
     "emit_svg_phase_portrait",
-    "emit_svg_sweep",
 ]
 
 _SVG_NS = "http://www.w3.org/2000/svg"
@@ -227,88 +225,4 @@ def emit_svg_phase_portrait(a_cl: np.ndarray, trajectories, path, grid_points: i
                 "class": "trajectory",
             },
         )
-    ET.ElementTree(root).write(path, xml_declaration=True, encoding="unicode")
-
-
-def emit_svg_sweep(rows: list[SweepRow], metric: str, path) -> None:
-    """One polyline per case over log10(lambda); zero-lambda points are
-    dropped since they have no place on a log axis. Metric values spanning
-    several decades switch the value axis to log scale."""
-    if not rows:
-        raise DimensionMismatch("refusing to plot an empty sweep table")
-    if metric not in ("deviation", "dist_to_kls", "h2_on_truth", "objective"):
-        raise DimensionMismatch(f"unknown sweep metric {metric!r}")
-    series: dict[str, list[tuple[float, float]]] = {}
-    for r in rows:
-        if r.lam <= 0.0 or r.status != "Optimal":
-            continue
-        v = getattr(r, "h2_on_truth" if metric == "h2_on_truth" else metric)
-        if v is None:
-            continue
-        series.setdefault(r.case_label, []).append((math.log10(r.lam), float(v)))
-    if not series:
-        raise DimensionMismatch("no plottable points for this metric")
-    xs = [x for pts in series.values() for x, _ in pts]
-    vals = [v for pts in series.values() for _, v in pts]
-    log_y = min(vals) > 0.0 and max(vals) / min(vals) > 100.0
-    ys = [math.log10(v) for v in vals] if log_y else vals
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    x_spread = (x_hi - x_lo) or 1.0
-    y_spread = (y_hi - y_lo) or 1.0
-
-    def to_px(x: float, y: float) -> tuple[float, float]:
-        side = _VIEW - 2.0 * _PAD
-        return (
-            _PAD + (x - x_lo) / x_spread * side,
-            _PAD + (y_hi - y) / y_spread * side,
-        )
-
-    root = _svg_root()
-    frame_side = _VIEW - 2.0 * _PAD
-    ET.SubElement(
-        root,
-        "rect",
-        {
-            "x": f"{_PAD:g}",
-            "y": f"{_PAD:g}",
-            "width": f"{frame_side:g}",
-            "height": f"{frame_side:g}",
-            "fill": "none",
-            "stroke": "#888",
-            "stroke-width": "1",
-        },
-    )
-    for idx, (label, pts) in enumerate(series.items()):
-        pts.sort()
-        color = _PALETTE[idx % len(_PALETTE)]
-        coords = []
-        for x, v in pts:
-            y = math.log10(v) if log_y else v
-            coords.append("{:.2f},{:.2f}".format(*to_px(x, y)))
-        ET.SubElement(
-            root,
-            "polyline",
-            {
-                "points": " ".join(coords),
-                "fill": "none",
-                "stroke": color,
-                "stroke-width": "1.8",
-                "class": "case",
-            },
-        )
-        text = ET.SubElement(
-            root,
-            "text",
-            {"x": f"{_PAD + 8:.0f}", "y": f"{_PAD + 16 + 14 * idx:.0f}", "fill": color,
-             "font-size": "11", "font-family": "sans-serif"},
-        )
-        text.text = label
-    caption = ET.SubElement(
-        root,
-        "text",
-        {"x": f"{_VIEW / 2:.0f}", "y": f"{_VIEW - 10:.0f}", "fill": "#333",
-         "font-size": "11", "font-family": "sans-serif", "text-anchor": "middle"},
-    )
-    caption.text = f"log10(lambda) vs {'log10(' + metric + ')' if log_y else metric}"
     ET.ElementTree(root).write(path, xml_declaration=True, encoding="unicode")

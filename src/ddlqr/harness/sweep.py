@@ -248,41 +248,46 @@ def bench_scaling(
 
     Every timed run starts from the raw dataset: statistics, problem
     construction, and the solve all count, so the reduced programs are
-    charged for their covariance preprocessing. One untimed warmup per
-    (ell, program) keeps allocator and cache effects out of the means.
-    Runs are serial by construction.
+    charged for their covariance preprocessing. Programs are timed one
+    after another. For each, one untimed warmup per record length keeps
+    allocator and cache effects out of the means, and every repeat then
+    runs all record lengths in turn, so a slow phase of the host weighs on
+    all lengths alike instead of deciding one of them. A run never follows
+    another program's run: after a large baseline solve a reduced one
+    takes up to twice as long. Rows come out ell by ell. Runs are serial
+    by construction.
     """
     if repeats < 1:
         raise DimensionMismatch("repeats must be at least 1")
     if cfg is None:
         cfg = ReferenceExperimentConfig()
+    ells = [int(ell) for ell in ell_list]
+    data = [gen_reference_data(replace(cfg, ell=ell)) for ell in ells]
     rows: list[BenchRow] = []
-    for ell in ell_list:
-        d = gen_reference_data(replace(cfg, ell=int(ell)))
-        for baseline_kind, reduced_label in _BENCH_PROGRAMS:
-            for label, runner in (
-                (baseline_kind, _bench_baseline(d, cfg, lam, baseline_kind, settings)),
-                (reduced_label, _bench_reduced(d, cfg, lam, reduced_label, settings)),
-            ):
-                times = []
-                runner()
-                for _ in range(repeats):
+    for base, reduced in _BENCH_PROGRAMS:
+        for label, bench in ((base, _bench_baseline), (reduced, _bench_reduced)):
+            runners = [bench(d, cfg, lam, label, settings) for d in data]
+            sizes = [runner() for runner in runners]
+            times = [[] for _ in runners]
+            for _ in range(repeats):
+                for runner, t in zip(runners, times):
                     t0 = time.perf_counter()
-                    num_vars, max_dim = runner()
-                    times.append(time.perf_counter() - t0)
-                rows.append(
-                    BenchRow(
-                        ell=int(ell),
-                        program_label=label,
-                        repeats=repeats,
-                        mean_s=float(np.mean(times)),
-                        min_s=float(np.min(times)),
-                        max_s=float(np.max(times)),
-                        num_vars=num_vars,
-                        max_block_dim=max_dim,
-                    )
+                    runner()
+                    t.append(time.perf_counter() - t0)
+            rows += [
+                BenchRow(
+                    ell=ell,
+                    program_label=label,
+                    repeats=repeats,
+                    mean_s=float(np.mean(t)),
+                    min_s=float(np.min(t)),
+                    max_s=float(np.max(t)),
+                    num_vars=num_vars,
+                    max_block_dim=max_dim,
                 )
-    return rows
+                for ell, t, (num_vars, max_dim) in zip(ells, times, sizes)
+            ]
+    return sorted(rows, key=lambda r: ells.index(r.ell))
 
 
 def _bench_baseline(d, cfg, lam, kind, settings):

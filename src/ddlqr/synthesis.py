@@ -26,7 +26,7 @@ from .conic import (
     svec_index,
     svec_len,
 )
-from .datamodel import Dataset, DataStats
+from .datamodel import Dataset, DataStats, kernel_projector
 from .effects import RegWeights
 from .errors import (
     DimensionMismatch,
@@ -576,7 +576,7 @@ def build_baseline_gram_problem(
 
     bid = _slack_bound_block(p, lay, "W", ell, n)
     C = np.zeros((ell + n, ell))
-    C[:ell, :] = stats.proj_perp if projected else np.eye(ell)
+    C[:ell, :] = kernel_projector(d) if projected else np.eye(ell)
     p.add_column_family(bid, C, ell, ygrid)
 
     _p_floor_block(p, lay, n)

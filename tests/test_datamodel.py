@@ -1,5 +1,7 @@
 """Data container, rank checks, statistics, and CSV round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,18 @@ from ddlqr.datamodel import (
     Dataset,
     check_excitation,
     compute_stats,
+    kernel_projector,
     load_dataset,
+    row_space_basis,
     save_dataset,
 )
-from ddlqr.errors import DimensionMismatch, ExcitationViolation, ParseError
+from ddlqr.errors import (
+    DimensionMismatch,
+    ExcitationViolation,
+    ParseError,
+    StateRankViolation,
+)
+from ddlqr.matlin import RANK_TOL
 from ddlqr.harness import rng
 from ddlqr.harness.experiments import (
     ReferenceExperimentConfig,
@@ -35,6 +45,31 @@ def test_column_draws_are_prefix_stable():
     short = rng.normal_matrix(9, rng.STREAM_NOISE, 2, 30)
     long = rng.normal_matrix(9, rng.STREAM_NOISE, 2, 120)
     assert np.array_equal(short, long[:, :30])
+
+
+def philox_column(seed, stream, column, rows):
+    # One numpy Philox generator per column, then Box-Muller: the sampling
+    # format, written out independently of the vectorized implementation.
+    key = np.array([seed, 0x9E3779B97F4A7C15], dtype=np.uint64)
+    counter = np.array([0, 0, column, stream], dtype=np.uint64)
+    npairs = (rows + 1) // 2
+    u = np.random.Generator(np.random.Philox(counter=counter, key=key)).random(2 * npairs)
+    r = np.sqrt(-2.0 * np.log(1.0 - u[:npairs]))
+    z = np.empty(2 * npairs)
+    z[0::2] = r * np.cos(2.0 * np.pi * u[npairs:])
+    z[1::2] = r * np.sin(2.0 * np.pi * u[npairs:])
+    return z[:rows]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", [0, 2**31 - 1, 2**63 + 5])
+def test_draws_match_numpy_philox_bitwise(seed):
+    for stream in (rng.STREAM_STATE, rng.STREAM_INPUT, rng.STREAM_NOISE):
+        for rows in range(1, 10):
+            z = rng.normal_matrix(seed, stream, rows, 37)
+            ref = np.column_stack([philox_column(seed, stream, c, rows) for c in range(37)])
+            assert np.array_equal(z, ref)
+            assert np.array_equal(rng.column_normals(seed, stream, 36, rows), ref[:, 36])
 
 
 def test_streams_are_distinct_and_deterministic():
@@ -137,13 +172,137 @@ def test_least_squares_orthogonality_and_projector():
         d = noisy_dataset(seed)
         st = compute_stats(d)
         d0 = d.data0()
-        assert np.abs(st.resid_x @ d0.T).max() <= 1e-8
-        assert np.abs(st.resid_u @ d.x0.T).max() <= 1e-8
-        assert np.abs(st.proj_perp - st.proj_perp.T).max() <= 1e-10
-        assert np.abs(st.proj_perp @ st.proj_perp - st.proj_perp).max() <= 1e-10
-        assert np.abs(d0 @ st.proj_perp).max() <= 1e-10
+        resid_x = d.x1 - st.ab_ls @ d0
+        resid_u = d.u0 - st.k_ls @ d.x0
+        assert np.abs(resid_x @ d0.T).max() <= 1e-8
+        assert np.abs(resid_u @ d.x0.T).max() <= 1e-8
+        pi = kernel_projector(d)
+        assert np.abs(pi - pi.T).max() <= 1e-10
+        assert np.abs(pi @ pi - pi).max() <= 1e-10
+        assert np.abs(d0 @ pi).max() <= 1e-10
         pinv_right = d0 @ np.linalg.pinv(d0)
         assert np.abs(pinv_right - np.eye(d.n + d.m)).max() <= 1e-10
+
+
+def pinv_stats(d):
+    # The pseudoinverse/SVD formulas the statistics were once computed with.
+    d0 = d.data0()
+    ab = d.x1 @ np.linalg.pinv(d0, rcond=RANK_TOL)
+    k = d.u0 @ np.linalg.pinv(d.x0, rcond=RANK_TOL)
+    rx = d.x1 - ab @ d0
+    ru = d.u0 - k @ d.x0
+    sv = np.linalg.svd(d.data_full(), compute_uv=False)
+    sv0 = np.linalg.svd(d0, compute_uv=False)
+    stats = {
+        "ab_ls": ab,
+        "k_ls": k,
+        "cov_x0": d.x0 @ d.x0.T / d.ell,
+        "cov_d0": d0 @ d0.T / d.ell,
+        "cov_resid_x": rx @ rx.T / d.ell,
+        "cov_resid_u": ru @ ru.T / d.ell,
+    }
+    ranks = (int(np.sum(sv0 > RANK_TOL * sv0[0])), int(np.sum(sv > RANK_TOL * sv[0])))
+    return stats, ranks, sv
+
+
+def random_plant_dataset(seed, n, m, ell):
+    gen = np.random.default_rng(seed)
+    M = gen.standard_normal((n, n))
+    cfg = ReferenceExperimentConfig(
+        a=0.9 * M / np.max(np.abs(np.linalg.eigvals(M))),
+        b=gen.standard_normal((n, m)),
+        q=np.eye(n),
+        r=np.eye(m),
+        ell=ell,
+        v=np.zeros(n),
+        offset_scale=0.0,
+        k_expl=gen.standard_normal((m, n)),
+        seed=seed,
+    )
+    return gen_reference_data(cfg)
+
+
+@pytest.mark.parametrize(
+    "n,m,ell", [(2, 1, 30), (2, 1, 500), (4, 2, 18), (4, 2, 400), (10, 4, 42), (10, 4, 400)]
+)
+def test_stats_match_pseudoinverse_formulas(n, m, ell):
+    # n = 2 is the reference plant, larger n seeded random stable plants
+    for seed in range(4):
+        d = noisy_dataset(seed, ell) if n == 2 else random_plant_dataset(seed, n, m, ell)
+        st = compute_stats(d)
+        ref, ranks, sv = pinv_stats(d)
+        for name, val in ref.items():
+            got = getattr(st, name)
+            assert np.abs(got - val).max() <= 1e-10 * np.abs(val).max(), name
+        assert np.array_equal(st.a_ls, st.ab_ls[:, : d.n])
+        assert np.array_equal(st.b_ls, st.ab_ls[:, d.n :])
+        assert (st.rank_report.rank_data0, st.rank_report.rank_full) == ranks
+        assert np.abs(st.rank_report.singular_values - sv).max() <= 1e-10 * sv[0]
+
+
+def test_rank_deficient_data_raise_typed_errors():
+    d = noisy_dataset(3)
+    # input rows that repeat a state row: x0 alone still has rank n
+    twin = Dataset(x0=d.x0, u0=d.x0[1:] * 3.0, x1=d.x1)
+    with pytest.raises(ExcitationViolation) as exc:
+        compute_stats(twin)
+    assert not isinstance(exc.value, StateRankViolation)
+    assert not check_excitation(twin).pe_holds
+    # one state row a multiple of the other: x0 itself is rank deficient
+    flat = Dataset(x0=np.vstack([d.x0[0], -2.0 * d.x0[0]]), u0=d.u0, x1=d.x1)
+    with pytest.raises(StateRankViolation):
+        compute_stats(flat)
+    for bad in (twin, flat):
+        with pytest.raises(ExcitationViolation):
+            row_space_basis(bad)
+
+
+def test_rank_cutoff_applies_to_singular_values_not_their_squares():
+    # an input that is a state row plus a 1e-7 dither: the stack has a
+    # singular-value ratio near 1e-7, above the 1e-10 cutoff, while its
+    # square would fall below it
+    d = noisy_dataset(5)
+    gen = np.random.default_rng(5)
+    for scale, exciting in ((1e-7, True), (1e-13, False)):
+        u0 = d.x0[:1] + scale * gen.standard_normal((1, d.ell))
+        near = Dataset(x0=d.x0, u0=u0, x1=d.x1)
+        rep = check_excitation(near)
+        assert rep.pe_holds is exciting
+        if exciting:
+            assert compute_stats(near).rank_report.rank_data0 == 3
+        else:
+            with pytest.raises(ExcitationViolation):
+                compute_stats(near)
+
+
+@pytest.mark.parametrize("ell", [3, 4])
+def test_records_shorter_than_full_stack(ell):
+    # 2n+m = 5 > ell >= n+m = 3: the full stack cannot have full row rank,
+    # and the successor residuals keep ell - (n+m) degrees of freedom
+    d = noisy_dataset(8, ell=ell)
+    st = compute_stats(d)
+    ref, ranks, sv = pinv_stats(d)
+    scale = np.abs(ref["cov_d0"]).max()
+    for name, val in ref.items():
+        assert np.abs(getattr(st, name) - val).max() <= 1e-10 * max(scale, np.abs(val).max())
+    assert (st.rank_report.rank_data0, st.rank_report.rank_full) == ranks == (3, ell)
+    assert st.rank_report.singular_values.shape == (ell,)
+    assert not st.rank_report.full_rank_holds
+    assert np.linalg.matrix_rank(st.cov_resid_x, tol=1e-10 * scale) == ell - 3
+
+
+def test_stats_memory_does_not_grow_with_record_length():
+    ell = 50_000
+    d = noisy_dataset(1, ell=ell)
+    tracemalloc.start()
+    try:
+        st = compute_stats(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert st.ell == ell
+    assert np.linalg.norm(st.k_ls - ReferenceExperimentConfig().k_expl) <= 0.05
 
 
 def test_ls_fit_is_a_strict_minimum():

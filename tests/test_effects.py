@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ddlqr.datamodel import Dataset, compute_stats
+from ddlqr.datamodel import Dataset, compute_stats, kernel_projector
 from ddlqr.effects import (
     EffectBreakdown,
     OracleCertificate,
@@ -88,18 +88,18 @@ def test_weights_defaults_and_labels():
 
 
 def test_reg_gram_zero_matrix():
-    stats = compute_stats(noisy_dataset(0))
-    G = np.zeros((stats.ell, stats.n))
-    assert eval_reg_gram(G, np.eye(stats.n), 3.0, False, stats) == 0.0
-    assert eval_reg_gram(G, np.eye(stats.n), 3.0, True, stats) == 0.0
+    d = noisy_dataset(0)
+    G = np.zeros((d.ell, d.n))
+    assert eval_reg_gram(G, np.eye(d.n), 3.0, False, d) == 0.0
+    assert eval_reg_gram(G, np.eye(d.n), 3.0, True, d) == 0.0
 
 
 def test_reg_gram_unit_norm_identity():
-    stats = compute_stats(noisy_dataset(1))
+    d = noisy_dataset(1)
     rng = np.random.default_rng(7)
-    G = rng.standard_normal((stats.ell, stats.n))
+    G = rng.standard_normal((d.ell, d.n))
     G /= np.linalg.norm(G)
-    val = eval_reg_gram(G, np.eye(stats.n), 2.0, False, stats)
+    val = eval_reg_gram(G, np.eye(d.n), 2.0, False, d)
     assert val == pytest.approx(2.0, rel=1e-12)
 
 
@@ -110,20 +110,19 @@ def test_reg_gram_projected_annihilates_row_space():
     C = rng.standard_normal((stats.n + stats.m, stats.n))
     G = pinv(d.data0()) @ C
     P = rand_spd(rng, stats.n)
-    assert eval_reg_gram(G, P, 3.0, True, stats) <= 1e-10
-    assert eval_reg_gram(G, P, 3.0, False, stats) > 1e-6
+    assert eval_reg_gram(G, P, 3.0, True, d) <= 1e-10
+    assert eval_reg_gram(G, P, 3.0, False, d) > 1e-6
 
 
 def test_reg_gram_direct_trace_crosscheck():
     d = noisy_dataset(3)
-    stats = compute_stats(d)
     rng = np.random.default_rng(13)
-    G = rng.standard_normal((stats.ell, stats.n))
-    P = rand_spd(rng, stats.n)
+    G = rng.standard_normal((d.ell, d.n))
+    P = rand_spd(rng, d.n)
     for projected in (False, True):
-        M = stats.proj_perp @ G if projected else G
+        M = kernel_projector(d) @ G if projected else G
         direct = 1.7 * float(np.trace(M @ P @ M.T))
-        val = eval_reg_gram(G, P, 1.7, projected, stats)
+        val = eval_reg_gram(G, P, 1.7, projected, d)
         assert val == pytest.approx(direct, rel=1e-12)
 
 
@@ -265,13 +264,14 @@ def test_oracle_minimizer_beats_feasible_perturbations():
         lam = 10.0 ** rng.uniform(-1.0, 1.0)
         D = d.data_full()
         kernel = np.eye(stats.ell) - pinv(D) @ D
+        pi = kernel_projector(d)
         for kind in ("full_gram", "projected_gram"):
             cert = param_effect_oracle(K, A_cl, P, d, lam, kind)
             base = np.sqrt(cert.objective)
             for _ in range(50):
                 g = cert.g_opt + kernel @ rng.standard_normal((stats.ell, stats.n))
                 assert np.max(np.abs(D @ g - D @ cert.g_opt)) <= 1e-8
-                M = stats.proj_perp @ g if kind == "projected_gram" else g
+                M = pi @ g if kind == "projected_gram" else g
                 perturbed = np.sqrt(lam) * np.linalg.norm(M)
                 assert base <= perturbed * (1.0 + 1e-9) + 1e-12
 
@@ -366,7 +366,7 @@ def test_shape_validation():
     d = noisy_dataset(16)
     stats = compute_stats(d)
     with pytest.raises(DimensionMismatch):
-        eval_reg_gram(np.zeros((stats.ell + 1, stats.n)), np.eye(stats.n), 1.0, False, stats)
+        eval_reg_gram(np.zeros((d.ell + 1, d.n)), np.eye(d.n), 1.0, False, d)
     with pytest.raises(DimensionMismatch):
         eval_reg_covar(np.zeros((stats.m, stats.n + 1)), np.eye(stats.n), 1.0, stats)
     with pytest.raises(DimensionMismatch):

@@ -15,7 +15,6 @@ from ddlqr.harness.emit import (
     emit_csv,
     emit_solution_json,
     emit_svg_phase_portrait,
-    emit_svg_sweep,
 )
 from ddlqr.harness.experiments import ReferenceExperimentConfig, gen_reference_data
 from ddlqr.harness.sweep import (
@@ -261,24 +260,6 @@ def test_svg_portrait_structure(tmp_path):
         emit_svg_phase_portrait(np.eye(3), [], tmp_path / "bad.svg")
     with pytest.raises(DimensionMismatch):
         emit_svg_phase_portrait(a_cl, [np.zeros((3, 4))], tmp_path / "bad2.svg")
-
-
-def test_svg_sweep_structure(tmp_path):
-    rows = [fake_row(case="{2}", lam=lam) for lam in (0.0, 0.1, 1.0, 10.0)]
-    rows += [fake_row(case="{2,3}", lam=lam) for lam in (0.1, 1.0, 10.0)]
-    path = tmp_path / "sweep.svg"
-    emit_svg_sweep(rows, "dist_to_kls", path)
-    root = ET.fromstring(path.read_text())
-    polys = [e for e in root.iter(f"{SVG}polyline") if e.get("class") == "case"]
-    assert len(polys) == 2
-    assert all(len(p.get("points").split()) == 3 for p in polys)
-    with pytest.raises(DimensionMismatch):
-        emit_svg_sweep(rows, "nonsense", tmp_path / "no.svg")
-    with pytest.raises(DimensionMismatch):
-        emit_svg_sweep([], "deviation", tmp_path / "no2.svg")
-    only_zero = [fake_row(lam=0.0)]
-    with pytest.raises(DimensionMismatch):
-        emit_svg_sweep(only_zero, "deviation", tmp_path / "no3.svg")
 
 
 # -- self-check pipeline ------------------------------------------------------
