@@ -369,31 +369,6 @@ class LmiProblem:
             cb.adjoint(Z, g)
         return g
 
-    def dump(self, path) -> None:
-        """Debug text dump: k, c, then coordinate lines `block_id i j value`
-        grouped per F-index."""
-        compiled = self.compiled()
-        with open(path, "w") as fh:
-            fh.write(f"k {self.num_vars}\n")
-            fh.write("c " + " ".join(f"{v:.17g}" for v in self.objective) + "\n")
-            for f_idx in range(self.num_vars + 1):
-                lines = []
-                for bid, cb in enumerate(compiled):
-                    F = self._coeff_dense(cb, f_idx)
-                    iu, ju = np.nonzero(np.triu(F))
-                    for i, j in zip(iu, ju):
-                        lines.append(f"{bid} {i} {j} {F[i, j]:.17g}")
-                if lines:
-                    fh.write(f"F {f_idx}\n")
-                    fh.write("\n".join(lines) + "\n")
-
-    def _coeff_dense(self, cb: _CompiledBlock, f_idx: int) -> np.ndarray:
-        if f_idx == 0:
-            return cb.F0
-        y = np.zeros(self.num_vars)
-        y[f_idx - 1] = 1.0
-        return cb.apply_lin(y)
-
 
 def new_problem(num_vars: int) -> LmiProblem:
     return LmiProblem(num_vars)

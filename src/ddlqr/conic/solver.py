@@ -19,7 +19,6 @@ the corner-corner operator is never formed.
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -28,8 +27,6 @@ import numpy as np
 import scipy.linalg
 
 from .problem import LmiProblem, smat, svec, svec_len
-
-logger = logging.getLogger(__name__)
 
 __all__ = ["SolverStatus", "SolverSettings", "ConicSolution", "solve"]
 
@@ -47,7 +44,6 @@ class SolverSettings:
     tol_gap: float = 1e-8
     tol_feas: float = 1e-8
     max_iters: int = 200
-    verbose: bool = False
 
     def __post_init__(self):
         if self.tol_gap <= 0 or self.tol_feas <= 0:
@@ -390,12 +386,6 @@ def solve(problem: LmiProblem, settings: SolverSettings | None = None) -> ConicS
         relgap = s_obj * gap / (1.0 + s_obj * abs(obj))
         merit = max(pres, dres, relgap)
 
-        if cfg.verbose:
-            logger.info(
-                "iter %3d obj % .6e pres %.3e dres %.3e relgap %.3e",
-                it, obj, pres, dres, relgap,
-            )
-
         if not np.isfinite(merit):
             status, message = SolverStatus.NUMERICAL_ERROR, "non-finite iterate"
             break
@@ -513,11 +503,6 @@ def solve(problem: LmiProblem, settings: SolverSettings | None = None) -> ConicS
 
         gamma = 0.9 + 0.09 * min(1.0, a_aff)
         alpha = min(1.0, gamma * a_max)
-        if cfg.verbose:
-            logger.info(
-                "        sigma %.4f a_aff %.5f alpha %.5f mu %.3e", sigma, a_aff, alpha, mu
-            )
-
         if alpha < 1e-10:
             tiny_steps += 1
             if tiny_steps >= 2:

@@ -54,18 +54,12 @@ _FEAS_TOL = 1e-6
 
 @dataclass(frozen=True)
 class RegWeights:
-    """Weights and bookkeeping for one regularizer configuration.
-
-    ell_scaling records whether composed totals carry the 1/ell factor;
-    it defaults by parameterization (gram: yes, covariance: no) and is kept
-    as an explicit flag so the scaling choice itself can be exercised.
-    """
+    """Weights and bookkeeping for one regularizer configuration."""
 
     lambda1: float = 0.0
     lambda2: float = 0.0
     lambda3: float = 0.0
     parameterization: str = "gram"
-    ell_scaling: bool | None = None
 
     def __post_init__(self):
         for name in ("lambda1", "lambda2", "lambda3"):
@@ -83,10 +77,11 @@ class RegWeights:
                 "the covariance parameterization has no closed-loop-deviation "
                 "term; lambda1 must be 0"
             )
-        if self.ell_scaling is None:
-            object.__setattr__(self, "ell_scaling", self.parameterization == "gram")
-        else:
-            object.__setattr__(self, "ell_scaling", bool(self.ell_scaling))
+
+    @property
+    def ell_scaling(self) -> bool:
+        """Whether composed totals carry the 1/ell factor: gram yes, covariance no."""
+        return self.parameterization == "gram"
 
     @property
     def case_label(self) -> str:

@@ -266,8 +266,9 @@ def bench_scaling(
     rows: list[BenchRow] = []
     for base, reduced in _BENCH_PROGRAMS:
         for label, bench in ((base, _bench_baseline), (reduced, _bench_reduced)):
-            runners = [bench(d, cfg, lam, label, settings) for d in data]
-            sizes = [runner() for runner in runners]
+            sizes, runners = zip(*(bench(d, cfg, lam, label, settings) for d in data))
+            for runner in runners:
+                runner()
             times = [[] for _ in runners]
             for _ in range(repeats):
                 for runner, t in zip(runners, times):
@@ -291,25 +292,22 @@ def bench_scaling(
 
 
 def _bench_baseline(d, cfg, lam, kind, settings):
+    """((num_vars, max_block_dim), timed run) for one baseline program."""
     projected = kind == "baseline-gram-proj"
+    p, _ = build_baseline_gram_problem(d, compute_stats(d), cfg.q, cfg.r, lam, projected)
 
     def run():
-        stats = compute_stats(d)
-        p, _ = build_baseline_gram_problem(d, stats, cfg.q, cfg.r, lam, projected)
-        synth_baseline_gram(d, stats, cfg.q, cfg.r, lam, projected=projected, settings=settings)
-        return p.num_vars, max(p.block_dims())
+        synth_baseline_gram(d, compute_stats(d), cfg.q, cfg.r, lam, projected, settings)
 
-    return run
+    return (p.num_vars, max(p.block_dims())), run
 
 
 def _bench_reduced(d, cfg, lam, label, settings):
-    case = reduced_case(label, "gram")
+    """((num_vars, max_block_dim), timed run) for one reduced gram program."""
+    w = reduced_case(label, "gram").weights_at(lam)
+    p, _ = build_reduced_gram_problem(compute_stats(d), cfg.q, cfg.r, w)
 
     def run():
-        stats = compute_stats(d)
-        w = case.weights_at(lam)
-        p, _ = build_reduced_gram_problem(stats, cfg.q, cfg.r, w)
-        synth_reduced_gram(stats, cfg.q, cfg.r, w, settings=settings)
-        return p.num_vars, max(p.block_dims())
+        synth_reduced_gram(compute_stats(d), cfg.q, cfg.r, w, settings)
 
-    return run
+    return (p.num_vars, max(p.block_dims())), run

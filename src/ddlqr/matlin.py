@@ -1,8 +1,9 @@
 """Dense linear-algebra kernels used by every other module.
 
 All matrices are plain float64 numpy arrays. Factorizations are delegated to
-numpy's LAPACK bindings; the tolerance checks, clamping rules, and the
-Lyapunov/Riccati solvers are implemented here.
+numpy's LAPACK bindings and the Lyapunov/Riccati equations to scipy.linalg;
+the input validation, tolerance checks, clamping rules and the stability and
+residual checks on their results are implemented here.
 
 Tolerance conventions
 ---------------------
@@ -15,6 +16,7 @@ to this constant.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     AsymmetricInput,
@@ -177,9 +179,9 @@ def spectral_radius(A) -> float:
 def solve_dlyap(A_cl) -> np.ndarray:
     """Solve P = A_cl P A_cl.T + I for the closed-loop Gramian P.
 
-    The spectral radius must sit below 1 - 1e-9. Solved directly through the
-    n^2 x n^2 Kronecker system; the residual is verified to 1e-9 before the
-    symmetrized P is returned.
+    The spectral radius must sit below 1 - 1e-9. The equation goes to
+    scipy.linalg.solve_discrete_lyapunov; the residual is verified to 1e-9
+    before the symmetrized P is returned.
     """
     A = as_matrix(A_cl, "A_cl")
     n = A.shape[0]
@@ -188,23 +190,22 @@ def solve_dlyap(A_cl) -> np.ndarray:
     rho = spectral_radius(A)
     if rho >= 1.0 - 1e-9:
         raise UnstableMatrix(f"spectral radius {rho:.12f} not below 1 - 1e-9")
-    lhs = np.eye(n * n) - np.kron(A, A)
-    vec_p = np.linalg.solve(lhs, np.eye(n).reshape(-1))
-    P = sym(vec_p.reshape(n, n))
+    # "direct" at every size: the bilinear method scipy picks from n = 10 on
+    # loses about three digits, enough to fail the residual check near rho = 1.
+    P = sym(scipy.linalg.solve_discrete_lyapunov(A, np.eye(n), method="direct"))
     resid = float(np.linalg.norm(A @ P @ A.T - P + np.eye(n), "fro"))
     if resid > 1e-9:
         raise NumericalError(f"Lyapunov residual {resid:.3e} exceeds 1e-9")
     return P
 
 
-def solve_dare(A, B, Q, R, max_iters: int = 10000) -> tuple[np.ndarray, np.ndarray]:
-    """Discrete-time LQR via fixed-point iteration on the Riccati map.
+def solve_dare(A, B, Q, R) -> tuple[np.ndarray, np.ndarray]:
+    """Discrete-time LQR through scipy.linalg.solve_discrete_are.
 
-    Returns (K, S): the optimal state feedback u = K x and the cost matrix S.
-    Iterates S <- A.T S A - A.T S B (R + B.T S B)^-1 B.T S A + Q from S = Q
-    until the relative Frobenius change drops below 1e-12. For a pair that is
-    not stabilizable the iterate grows without bound; NoConvergence is raised
-    at the first step that would overflow, before any non-finite value.
+    Returns (K, S): the optimal state feedback u = K x and the cost matrix S
+    solving S = A.T S A - A.T S B (R + B.T S B)^-1 B.T S A + Q. A pair that
+    is not stabilizable raises NoConvergence, whether scipy finds no finite
+    solution or returns a gain that leaves rho(A + B K) >= 1.
     """
     A = as_matrix(A, "A")
     B = as_matrix(B, "B")
@@ -219,24 +220,10 @@ def solve_dare(A, B, Q, R, max_iters: int = 10000) -> tuple[np.ndarray, np.ndarr
     if Q.shape[0] != n or R.shape[0] != m:
         raise DimensionMismatch("Q/R dimensions do not match A/B")
 
-    S = Q.copy()
     try:
-        with np.errstate(over="raise", invalid="raise"):
-            for it in range(max_iters):
-                BtS = B.T @ S
-                gain = np.linalg.solve(R + BtS @ B, BtS @ A)
-                S_next = sym(A.T @ S @ A - (BtS @ A).T @ gain + Q)
-                delta = np.linalg.norm(S_next - S, "fro")
-                S = S_next
-                if delta <= 1e-12 * np.linalg.norm(S, "fro"):
-                    break
-            else:
-                raise NoConvergence(f"Riccati iteration did not converge in {max_iters} steps")
-    except FloatingPointError:
-        raise NoConvergence(
-            f"Riccati iterate diverged at step {it}: (A, B) is not stabilizable"
-        ) from None
-
+        S = scipy.linalg.solve_discrete_are(A, B, Q, R)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise NoConvergence(f"no stabilizing Riccati solution: {exc}") from None
     BtS = B.T @ S
     K = -np.linalg.solve(R + BtS @ B, BtS @ A)
     rho = spectral_radius(A + B @ K)

@@ -2,10 +2,12 @@
 
 Every program minimizes the lifted H2 cost tr(QP) + tr(RL) in the shared
 variables (P, K tilde = K P, ...) plus a program-specific regularization
-term, subject to the stability LMI and P >= I. The reduced programs have
-size independent of the data length; the baseline programs carry the raw
-data matrices and an ell x ell slack, which is what makes them scale badly.
-Extraction always goes through P^{-1}, well conditioned because P >= I.
+term, subject to the stability LMI [[P - I, *], [*^T, P]] >= 0. P >= I
+needs no block of its own: P - I is the leading principal block of that LMI.
+The reduced programs have size independent of the data length; the baseline
+programs carry the raw data matrices and an ell x ell slack, which is what
+makes them scale badly. Extraction always goes through P^{-1}, well
+conditioned because P >= I.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .errors import (
 from .matlin import (
     RANK_TOL,
     as_matrix,
+    h2norm_sq,
     inv_pd,
     require_symmetric,
     solve_dare,
@@ -84,14 +87,7 @@ class PlantModel:
             raise DimensionMismatch(f"A must be square, got {A.shape}")
         if B.shape[0] != n:
             raise DimensionMismatch(f"B has {B.shape[0]} rows, expected {n}")
-        Q = require_symmetric(self.Q, "Q")
-        R = require_symmetric(self.R, "R")
-        if Q.shape[0] != n or R.shape[0] != B.shape[1]:
-            raise DimensionMismatch("Q/R dimensions do not match A/B")
-        for M, name in ((Q, "Q"), (R, "R")):
-            w = np.linalg.eigvalsh(M)
-            if float(np.min(w)) <= 1e-12 * float(np.trace(M)):
-                raise NotPositiveDefinite(f"{name} must be positive definite")
+        Q, R = _check_qr(n, B.shape[1], self.Q, self.R)
         for name, val in (("A", A), ("B", B), ("Q", Q), ("R", R)):
             object.__setattr__(self, name, val)
 
@@ -269,14 +265,6 @@ def _stability_block(p: LmiProblem, lay: SdpLayout, dim_n: int) -> int:
     return bid
 
 
-def _p_floor_block(p: LmiProblem, lay: SdpLayout, dim_n: int) -> int:
-    """P - I >= 0."""
-    bid = p.new_block(dim_n)
-    p.set_block_const(bid, -np.eye(dim_n))
-    _place_sym_diag(p, lay, bid, "P", 0)
-    return bid
-
-
 def _slack_bound_block(
     p: LmiProblem, lay: SdpLayout, slack: str, dc: int, dim_n: int
 ) -> int:
@@ -298,11 +286,12 @@ def _require_pd_cov(cov: np.ndarray, name: str, definite: bool) -> None:
         raise NotPositiveDefinite(f"{name} must be positive definite")
 
 
-def _check_qr(stats_n: int, stats_m: int, Q, R) -> tuple[np.ndarray, np.ndarray]:
+def _check_qr(n: int, m: int, Q, R) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric positive definite Q (n x n) and R (m x m)."""
     Q = require_symmetric(Q, "Q")
     R = require_symmetric(R, "R")
-    if Q.shape[0] != stats_n or R.shape[0] != stats_m:
-        raise DimensionMismatch("Q/R dimensions do not match the data")
+    if Q.shape[0] != n or R.shape[0] != m:
+        raise DimensionMismatch(f"Q/R dimensions do not match n={n}, m={m}")
     for M, name in ((Q, "Q"), (R, "R")):
         w = np.linalg.eigvalsh(M)
         if float(np.min(w)) <= 1e-12 * float(np.trace(M)):
@@ -360,8 +349,6 @@ def build_model_lqr_problem(pm: PlantModel) -> tuple[LmiProblem, SdpLayout]:
 
     bid = _slack_bound_block(p, lay, "L", m, n)
     _place_prod_full(p, lay, bid, "Kt", np.eye(m), 0, m)
-
-    _p_floor_block(p, lay, n)
 
     c = np.zeros(lay.num_vars)
     lay.add_sym_cost(c, "P", pm.Q)
@@ -435,8 +422,6 @@ def build_reduced_gram_problem(
         _place_prod_sym(p, lay, bid, "P", -stats.a_ls, 0, n)
         _place_prod_full(p, lay, bid, "Kt", -stats.b_ls, 0, n)
 
-    _p_floor_block(p, lay, n)
-
     scale = 1.0 / stats.ell if w.ell_scaling else 1.0
     c = np.zeros(lay.num_vars)
     qp = Q if inv_x0 is None else Q + w.lambda3 * scale * inv_x0
@@ -498,8 +483,6 @@ def build_reduced_covar_problem(
         bid = _slack_bound_block(p, lay, "N", m, n)
         _place_prod_full(p, lay, bid, "Kt", np.eye(m), 0, m)
         _place_prod_sym(p, lay, bid, "P", -stats.k_ls, 0, m)
-
-    _p_floor_block(p, lay, n)
 
     scale = 1.0 / stats.ell if w.ell_scaling else 1.0
     c = np.zeros(lay.num_vars)
@@ -579,8 +562,6 @@ def build_baseline_gram_problem(
     C[:ell, :] = kernel_projector(d) if projected else np.eye(ell)
     p.add_column_family(bid, C, ell, ygrid)
 
-    _p_floor_block(p, lay, n)
-
     c = np.zeros(lay.num_vars)
     lay.add_sym_cost(c, "P", Q)
     lay.add_sym_cost(c, "L", R)
@@ -647,8 +628,6 @@ def build_baseline_covar_problem(
     _place_prod_sym(p, lay, bid, "P", np.eye(n), 0, n + m)
     _place_prod_full(p, lay, bid, "Kt", np.eye(m), n, n + m)
 
-    _p_floor_block(p, lay, n)
-
     c = np.zeros(lay.num_vars)
     lay.add_sym_cost(c, "P", Q)
     lay.add_sym_cost(c, "L", R)
@@ -695,8 +674,7 @@ def evaluate_on_truth(sol: LqrSolution, pm: PlantModel) -> TruthEvaluation:
     A_cl = pm.A + pm.B @ sol.K
     rho = spectral_radius(A_cl)
     try:
-        P = solve_dlyap(A_cl)
+        h2 = h2norm_sq(A_cl, sol.K, pm.Q, pm.R)
     except UnstableMatrix:
         return TruthEvaluation(rho=rho, h2_sq=None)
-    h2 = float(np.trace(pm.Q @ P) + np.trace(sol.K.T @ pm.R @ sol.K @ P))
     return TruthEvaluation(rho=rho, h2_sq=h2)

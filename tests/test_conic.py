@@ -364,24 +364,6 @@ def test_rejects_bad_indices():
         p.add_block([np.eye(2)])
 
 
-def test_dump_layout(tmp_path):
-    p = new_problem(2)
-    p.set_objective([1.0, -2.0])
-    p.add_block([np.diag([1.0, 2.0]), np.diag([1.0, 0.0]), np.array([[0.0, 0.5], [0.5, 0.0]])])
-    path = tmp_path / "problem.txt"
-    p.dump(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "k 2"
-    assert lines[1] == "c 1 -2"
-    assert "F 0" in lines and "F 1" in lines and "F 2" in lines
-    body = [ln for ln in lines if ln[0].isdigit()]
-    for ln in body:
-        bid, i, j, val = ln.split()
-        int(bid), int(i), int(j), float(val)
-    sec2 = lines[lines.index("F 2") + 1]
-    assert sec2 == "0 0 1 0.5"
-
-
 def test_solution_metadata():
     sol = solve(random_feasible_problem(0))
     assert sol.wall_time >= 0.0

@@ -83,8 +83,6 @@ def test_weights_defaults_and_labels():
     assert c.ell_scaling is False
     assert c.case_label == "{2}"
     assert RegWeights().case_label == "{}"
-    forced = RegWeights(lambda2=1.0, parameterization="covariance", ell_scaling=True)
-    assert forced.ell_scaling is True
 
 
 def test_reg_gram_zero_matrix():

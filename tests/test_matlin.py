@@ -172,6 +172,17 @@ def test_dlyap_matches_series_sum():
         assert np.min(np.linalg.eigvalsh(P)) >= 1.0 - 1e-8
 
 
+def test_dlyap_near_unit_radius_at_larger_sizes():
+    rng = np.random.default_rng(6)
+    for n in (10, 12, 20):
+        for _ in range(5):
+            A = rng.standard_normal((n, n))
+            A *= 0.999 / matlin.spectral_radius(A)
+            P = matlin.solve_dlyap(A)
+            resid = np.linalg.norm(A @ P @ A.T - P + np.eye(n), "fro")
+            assert resid <= 1e-13 * np.linalg.norm(P, "fro")
+
+
 def test_dlyap_rejects_unit_spectral_radius():
     with pytest.raises(UnstableMatrix):
         matlin.solve_dlyap(np.array([[1.0, 0.0], [0.0, 0.5]]))
@@ -224,9 +235,13 @@ def test_dare_matches_scipy_seeded():
     assert checked == 20
 
 
-def test_dare_iteration_cap():
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("b_scale", [0.0, 1e-17])
+def test_dare_rejects_unstabilizable_pair(b_scale):
+    # B = 0 leaves scipy without a finite solution; B = 1e-17 * 1 gets one
+    # whose gain cannot move the unstable modes, caught by the rho check.
     with pytest.raises(NoConvergence):
-        matlin.solve_dare(0.9 * np.eye(1), np.ones((1, 1)), np.eye(1), np.eye(1), max_iters=2)
+        matlin.solve_dare(2.0 * np.eye(2), b_scale * np.ones((2, 1)), np.eye(2), np.eye(1))
 
 
 # -- h2norm_sq ----------------------------------------------------------------

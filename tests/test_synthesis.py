@@ -18,6 +18,7 @@ from ddlqr.synthesis import (
     PlantModel,
     build_baseline_covar_problem,
     build_baseline_gram_problem,
+    build_model_lqr_problem,
     build_reduced_covar_problem,
     build_reduced_gram_problem,
     ce_lqr,
@@ -252,10 +253,18 @@ def test_problem_size_ell_independence():
 
 
 def test_solution_invariants_across_programs():
+    # No program carries a P - I block of its own; P >= I must follow from
+    # the stability LMI. lambda1 = 0 frees the closed loop, so P = I there.
     d, st = noisy(4)
     w = RegWeights(lambda1=0.3, lambda2=1.0, lambda3=0.1)
+    w_free = RegWeights(lambda2=1.0, lambda3=0.1)
     runs = [
+        (model_lqr_sdp(ref_plant()), build_model_lqr_problem(ref_plant())),
         (synth_reduced_gram(st, Q2, R1, w), build_reduced_gram_problem(st, Q2, R1, w)),
+        (
+            synth_reduced_gram(st, Q2, R1, w_free),
+            build_reduced_gram_problem(st, Q2, R1, w_free),
+        ),
         (
             synth_reduced_covar(st, Q2, R1, covar_weights(1.0, 0.1)),
             build_reduced_covar_problem(st, Q2, R1, covar_weights(1.0, 0.1)),
