@@ -36,7 +36,6 @@ __all__ = [
     "EffectBreakdown",
     "OracleCertificate",
     "RegWeights",
-    "effective_Q",
     "eval_reg_covar",
     "eval_reg_gram",
     "param_effect_closed",
@@ -281,19 +280,3 @@ def param_effect_oracle(
             f"loop: scaled residual {resid:.3e} exceeds {_FEAS_TOL:g}"
         )
     return OracleCertificate(g_opt=g_opt, objective=float(objective), constraint_residual=resid)
-
-
-def effective_Q(Q, w: RegWeights, ell: int, stats: DataStats) -> np.ndarray:
-    """State weight absorbed with the exploration term of the regularizer.
-
-    Returns Q + c * cov_x0^{-1} with c = lambda3 / ell under ell scaling
-    and c = lambda3 otherwise. lambda3 = 0 returns Q unchanged.
-    """
-    Q = _check_square(Q, stats.n, "Q")
-    require_symmetric(Q, "Q")
-    if ell <= 0:
-        raise DimensionMismatch(f"ell must be positive, got {ell}")
-    c = w.lambda3 / float(ell) if w.ell_scaling else w.lambda3
-    if c == 0.0:
-        return Q.copy()
-    return sym(Q + c * inv_pd(stats.cov_x0, "cov_x0"))

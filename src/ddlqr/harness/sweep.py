@@ -16,6 +16,7 @@ from ..synthesis import (
     build_baseline_gram_problem,
     build_reduced_gram_problem,
     evaluate_on_truth,
+    reduced_sdp,
     synth_baseline_covar,
     synth_baseline_gram,
     synth_reduced_covar,
@@ -119,7 +120,7 @@ def _solve_case(case: SweepCase, lam: float, d: Dataset, stats: DataStats, Q, R,
     if case.program == "reduced-gram" or case.program == "reduced-covar":
         w = case.weights_at(lam)
         fn = synth_reduced_gram if case.program == "reduced-gram" else synth_reduced_covar
-        return fn(stats, Q, R, w, settings=settings)
+        return fn(stats, Q, R, w)
     if case.program == "baseline-covar":
         return synth_baseline_covar(stats, Q, R, lam, settings=settings)
     projected = case.program == "baseline-gram-proj"
@@ -139,7 +140,9 @@ def run_sweep(
 
     Rows are ordered by the given case order, then ascending lambda. Solver
     failures become status labels on their row instead of raising, so one
-    bad point cannot take down a whole sweep.
+    bad point cannot take down a whole sweep. `settings` reaches the SDP
+    solves of the baseline programs; the reduced ones solve a Riccati
+    equation.
     """
     stats = compute_stats(d)
     if Q is None:
@@ -246,6 +249,10 @@ def bench_scaling(
 ) -> list[BenchRow]:
     """Time each baseline against its equivalent reduced program.
 
+    Both sides are solved as SDPs, the paper's formulations, so the rows
+    compare program sizes and interior-point cost; the Riccati path of
+    `synth_reduced_gram` would not show the reduced program's size.
+
     Every timed run starts from the raw dataset: statistics, problem
     construction, and the solve all count, so the reduced programs are
     charged for their covariance preprocessing. Programs are timed one
@@ -303,11 +310,11 @@ def _bench_baseline(d, cfg, lam, kind, settings):
 
 
 def _bench_reduced(d, cfg, lam, label, settings):
-    """((num_vars, max_block_dim), timed run) for one reduced gram program."""
+    """((num_vars, max_block_dim), timed run) for one reduced gram SDP."""
     w = reduced_case(label, "gram").weights_at(lam)
     p, _ = build_reduced_gram_problem(compute_stats(d), cfg.q, cfg.r, w)
 
     def run():
-        synth_reduced_gram(compute_stats(d), cfg.q, cfg.r, w, settings)
+        reduced_sdp(compute_stats(d), cfg.q, cfg.r, w, settings)
 
     return (p.num_vars, max(p.block_dims())), run

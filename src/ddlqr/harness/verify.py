@@ -20,6 +20,7 @@ from ..synthesis import (
     PlantModel,
     ce_lqr,
     model_lqr_sdp,
+    reduced_sdp,
     synth_baseline_covar,
     synth_baseline_gram,
     synth_reduced_covar,
@@ -131,33 +132,33 @@ def _check_model_program(cfg) -> CheckResult:
 
 
 def _check_triangle(cfg) -> CheckResult:
+    """Each baseline, its reduced SDP and the Riccati form of that SDP."""
     d = gen_reference_data(cfg)
     stats = compute_stats(d)
     worst = 0.0
     for lam in (1e-1, 1e1):
-        pairs = [
+        covar = RegWeights(lambda2=lam, lambda3=lam, parameterization="covariance")
+        triples = [
             (
-                synth_reduced_gram(
-                    stats, cfg.q, cfg.r, RegWeights(lambda1=lam, lambda2=lam, lambda3=lam)
-                ),
+                RegWeights(lambda1=lam, lambda2=lam, lambda3=lam),
+                synth_reduced_gram,
                 synth_baseline_gram(d, stats, cfg.q, cfg.r, lam, projected=False),
             ),
             (
-                synth_reduced_gram(stats, cfg.q, cfg.r, RegWeights(lambda1=lam)),
+                RegWeights(lambda1=lam),
+                synth_reduced_gram,
                 synth_baseline_gram(d, stats, cfg.q, cfg.r, lam, projected=True),
             ),
-            (
-                synth_reduced_covar(
-                    stats,
-                    cfg.q,
-                    cfg.r,
-                    RegWeights(lambda2=lam, lambda3=lam, parameterization="covariance"),
-                ),
-                synth_baseline_covar(stats, cfg.q, cfg.r, lam),
-            ),
+            (covar, synth_reduced_covar, synth_baseline_covar(stats, cfg.q, cfg.r, lam)),
         ]
-        for red, base in pairs:
-            worst = max(worst, float(np.linalg.norm(red.K - base.K)))
+        for w, riccati, base in triples:
+            gains = (
+                riccati(stats, cfg.q, cfg.r, w).K,
+                reduced_sdp(stats, cfg.q, cfg.r, w).K,
+                base.K,
+            )
+            for i in range(3):
+                worst = max(worst, float(np.linalg.norm(gains[i] - gains[i - 1])))
     return CheckResult("equivalence-triangle", worst <= 1e-5, f"worst |dK| {worst:.2e}")
 
 

@@ -199,13 +199,16 @@ def solve_dlyap(A_cl) -> np.ndarray:
     return P
 
 
-def solve_dare(A, B, Q, R) -> tuple[np.ndarray, np.ndarray]:
+def solve_dare(A, B, Q, R, cross=None) -> tuple[np.ndarray, np.ndarray]:
     """Discrete-time LQR through scipy.linalg.solve_discrete_are.
 
-    Returns (K, S): the optimal state feedback u = K x and the cost matrix S
-    solving S = A.T S A - A.T S B (R + B.T S B)^-1 B.T S A + Q. A pair that
-    is not stabilizable raises NoConvergence, whether scipy finds no finite
-    solution or returns a gain that leaves rho(A + B K) >= 1.
+    Minimizes the sum over time of x.T Q x + u.T R u + 2 x.T cross u, where
+    the n x m cross weight defaults to zero. Returns (K, S): the optimal state
+    feedback u = K x, K = -(R + B.T S B)^-1 (B.T S A + cross.T), and the cost
+    matrix S solving
+    S = A.T S A - (A.T S B + cross) (R + B.T S B)^-1 (B.T S A + cross.T) + Q.
+    A pair that is not stabilizable raises NoConvergence, whether scipy finds
+    no finite solution or returns a gain that leaves rho(A + B K) >= 1.
     """
     A = as_matrix(A, "A")
     B = as_matrix(B, "B")
@@ -219,13 +222,16 @@ def solve_dare(A, B, Q, R) -> tuple[np.ndarray, np.ndarray]:
     R = require_symmetric(R, "R")
     if Q.shape[0] != n or R.shape[0] != m:
         raise DimensionMismatch("Q/R dimensions do not match A/B")
+    cross = np.zeros((n, m)) if cross is None else as_matrix(cross, "cross")
+    if cross.shape != (n, m):
+        raise DimensionMismatch(f"cross must be {n} x {m}, got {cross.shape}")
 
     try:
-        S = scipy.linalg.solve_discrete_are(A, B, Q, R)
+        S = scipy.linalg.solve_discrete_are(A, B, Q, R, s=cross)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise NoConvergence(f"no stabilizing Riccati solution: {exc}") from None
     BtS = B.T @ S
-    K = -np.linalg.solve(R + BtS @ B, BtS @ A)
+    K = -np.linalg.solve(R + BtS @ B, BtS @ A + cross.T)
     rho = spectral_radius(A + B @ K)
     if rho >= 1.0:
         raise NoConvergence(f"Riccati gain does not stabilize (rho = {rho:.6f})")

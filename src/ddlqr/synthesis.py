@@ -1,4 +1,4 @@
-"""Controller synthesis programs over LMI blocks.
+"""Controller synthesis programs over LMI blocks, and their Riccati forms.
 
 Every program minimizes the lifted H2 cost tr(QP) + tr(RL) in the shared
 variables (P, K tilde = K P, ...) plus a program-specific regularization
@@ -8,6 +8,13 @@ The reduced programs have size independent of the data length; the baseline
 programs carry the raw data matrices and an ell x ell slack, which is what
 makes them scale badly. Extraction always goes through P^{-1}, well
 conditioned because P >= I.
+
+Each reduced program is also an LQR problem on the least-squares model with
+shifted weights (an H2 LMI is equivalent to a discrete algebraic Riccati
+equation), so `synth_reduced_gram` and `synth_reduced_covar` solve that
+equation and return the SDP's optimum without an interior-point solve.
+`reduced_sdp` solves the programs as SDPs, the paper's formulation, and
+serves as their independent check.
 """
 
 from __future__ import annotations
@@ -29,9 +36,10 @@ from .conic import (
     svec_len,
 )
 from .datamodel import Dataset, DataStats, kernel_projector
-from .effects import RegWeights
+from .effects import RegWeights, param_effect_closed
 from .errors import (
     DimensionMismatch,
+    NoConvergence,
     NotPositiveDefinite,
     SingularCovariance,
     SynthesisInfeasible,
@@ -46,6 +54,7 @@ from .matlin import (
     solve_dare,
     solve_dlyap,
     spectral_radius,
+    sym,
 )
 
 __all__ = [
@@ -61,6 +70,7 @@ __all__ = [
     "ce_lqr",
     "evaluate_on_truth",
     "model_lqr_sdp",
+    "reduced_sdp",
     "synth_baseline_covar",
     "synth_baseline_gram",
     "synth_reduced_covar",
@@ -371,6 +381,31 @@ def model_lqr_sdp(pm: PlantModel, settings: SolverSettings | None = None) -> Lqr
 # -- reduced data-driven programs ---------------------------------------------
 
 
+def _reduced_weights(stats: DataStats, Q, R, w: RegWeights, parameterization: str):
+    """Checked cost weights shared by a reduced program and its Riccati form.
+
+    Returns (Q, R, Q + c3 cov_x0^-1, c2 cov_resid_u^-1, c1 cov_resid_x^-1)
+    with c_i = lambda_i / ell under ell scaling and lambda_i otherwise. A weight
+    whose lambda is zero is a zero matrix, and its covariance is not read.
+    """
+    if w.parameterization != parameterization:
+        raise ValueError(
+            f"reduced {parameterization} program requires the {parameterization} parameterization"
+        )
+    n, m = stats.n, stats.m
+    Q, R = _check_qr(n, m, Q, R)
+    scale = 1.0 / stats.ell if w.ell_scaling else 1.0
+    q, du, dx = Q, np.zeros((m, m)), np.zeros((n, n))
+    if w.lambda1 > 0.0:
+        _require_pd_cov(stats.cov_resid_x, "cov_resid_x", stats.rank_report.full_rank_holds)
+        dx = w.lambda1 * scale * inv_pd(stats.cov_resid_x, "cov_resid_x")
+    if w.lambda2 > 0.0:
+        du = w.lambda2 * scale * inv_pd(stats.cov_resid_u, "cov_resid_u")
+    if w.lambda3 > 0.0:
+        q = Q + w.lambda3 * scale * inv_pd(stats.cov_x0, "cov_x0")
+    return Q, R, q, du, dx
+
+
 def build_reduced_gram_problem(
     stats: DataStats, Q, R, w: RegWeights
 ) -> tuple[LmiProblem, SdpLayout]:
@@ -381,18 +416,8 @@ def build_reduced_gram_problem(
     loop, when lambda1 > 0). Slack blocks for zero weights are omitted
     entirely.
     """
-    if w.parameterization != "gram":
-        raise ValueError("reduced gram program requires the gram parameterization")
+    _, R, qp, du, dx = _reduced_weights(stats, Q, R, w, "gram")
     n, m = stats.n, stats.m
-    Q, R = _check_qr(n, m, Q, R)
-    inv_dx = inv_du = inv_x0 = None
-    if w.lambda1 > 0.0:
-        _require_pd_cov(stats.cov_resid_x, "cov_resid_x", stats.rank_report.full_rank_holds)
-        inv_dx = inv_pd(stats.cov_resid_x, "cov_resid_x")
-    if w.lambda2 > 0.0:
-        inv_du = inv_pd(stats.cov_resid_u, "cov_resid_u")
-    if w.lambda3 > 0.0:
-        inv_x0 = inv_pd(stats.cov_x0, "cov_x0")
 
     lay = SdpLayout()
     lay.add_sym("P", n)
@@ -422,31 +447,15 @@ def build_reduced_gram_problem(
         _place_prod_sym(p, lay, bid, "P", -stats.a_ls, 0, n)
         _place_prod_full(p, lay, bid, "Kt", -stats.b_ls, 0, n)
 
-    scale = 1.0 / stats.ell if w.ell_scaling else 1.0
     c = np.zeros(lay.num_vars)
-    qp = Q if inv_x0 is None else Q + w.lambda3 * scale * inv_x0
     lay.add_sym_cost(c, "P", qp)
     lay.add_sym_cost(c, "L", R)
     if w.lambda2 > 0.0:
-        lay.add_sym_cost(c, "N", w.lambda2 * scale * inv_du)
+        lay.add_sym_cost(c, "N", du)
     if w.lambda1 > 0.0:
-        lay.add_sym_cost(c, "M", w.lambda1 * scale * inv_dx)
+        lay.add_sym_cost(c, "M", dx)
     p.set_objective(c)
     return p, lay
-
-
-def synth_reduced_gram(
-    stats: DataStats, Q, R, w: RegWeights, settings: SolverSettings | None = None
-) -> LqrSolution:
-    p, lay = build_reduced_gram_problem(stats, Q, R, w)
-
-    def extract(y, P, Kt):
-        Pinv_t = np.linalg.solve(P, np.eye(stats.n))
-        K = Kt @ Pinv_t
-        A_cl = lay.extract("At", y) @ Pinv_t
-        return K, A_cl
-
-    return _solve_and_extract(p, lay, "reduced-gram", settings, extract)
 
 
 def build_reduced_covar_problem(
@@ -457,12 +466,8 @@ def build_reduced_covar_problem(
     The closed loop is not a free variable: the stability LMI is written
     over A_LS P + B_LS K tilde directly.
     """
-    if w.parameterization != "covariance":
-        raise ValueError("reduced covariance program requires the covariance parameterization")
+    _, R, qp, du, _ = _reduced_weights(stats, Q, R, w, "covariance")
     n, m = stats.n, stats.m
-    Q, R = _check_qr(n, m, Q, R)
-    inv_du = inv_pd(stats.cov_resid_u, "cov_resid_u") if w.lambda2 > 0.0 else None
-    inv_x0 = inv_pd(stats.cov_x0, "cov_x0") if w.lambda3 > 0.0 else None
 
     lay = SdpLayout()
     lay.add_sym("P", n)
@@ -484,20 +489,32 @@ def build_reduced_covar_problem(
         _place_prod_full(p, lay, bid, "Kt", np.eye(m), 0, m)
         _place_prod_sym(p, lay, bid, "P", -stats.k_ls, 0, m)
 
-    scale = 1.0 / stats.ell if w.ell_scaling else 1.0
     c = np.zeros(lay.num_vars)
-    qp = Q if inv_x0 is None else Q + w.lambda3 * scale * inv_x0
     lay.add_sym_cost(c, "P", qp)
     lay.add_sym_cost(c, "L", R)
-    if inv_du is not None:
-        lay.add_sym_cost(c, "N", w.lambda2 * scale * inv_du)
+    if w.lambda2 > 0.0:
+        lay.add_sym_cost(c, "N", du)
     p.set_objective(c)
     return p, lay
 
 
-def synth_reduced_covar(
+def reduced_sdp(
     stats: DataStats, Q, R, w: RegWeights, settings: SolverSettings | None = None
 ) -> LqrSolution:
+    """Solve the reduced program of w's parameterization as the SDP it is.
+
+    The paper's formulation, kept as the independent reference for the
+    Riccati path of `synth_reduced_gram` and `synth_reduced_covar`.
+    """
+    if w.parameterization == "gram":
+        p, lay = build_reduced_gram_problem(stats, Q, R, w)
+
+        def extract(y, P, Kt):
+            Pinv_t = np.linalg.solve(P, np.eye(stats.n))
+            return Kt @ Pinv_t, lay.extract("At", y) @ Pinv_t
+
+        return _solve_and_extract(p, lay, "reduced-gram", settings, extract)
+
     p, lay = build_reduced_covar_problem(stats, Q, R, w)
 
     def extract(y, P, Kt):
@@ -505,6 +522,79 @@ def synth_reduced_covar(
         return K, stats.a_ls + stats.b_ls @ K
 
     return _solve_and_extract(p, lay, "reduced-covar", settings, extract)
+
+
+def _shifted_lqr(stats: DataStats, B, q, r, du) -> np.ndarray:
+    """Gain of LQR on (A_LS, B) with weights q and r whose first m inputs u
+    also pay (u - K_LS x).T du (u - K_LS x). That penalty expands into du on
+    those inputs, K_LS.T du K_LS on the state and the cross term -K_LS.T du."""
+    m = stats.m
+    kw = stats.k_ls.T @ du
+    r = r.copy()
+    r[:m, :m] += du
+    cross = np.zeros((stats.n, B.shape[1]))
+    cross[:, :m] = -kw
+    G, _ = solve_dare(stats.a_ls, B, sym(q + kw @ stats.k_ls), r, cross)
+    return G
+
+
+def _riccati_solution(stats, Q, R, w, K, A_cl, program_id) -> LqrSolution:
+    """The SDP's optimum at a Riccati gain: P is the closed-loop Gramian and
+    the objective the sum of its non-negative cost terms, which keeps full
+    relative precision at large weights."""
+    P = solve_dlyap(A_cl)
+    objective = float(np.trace(Q @ P) + np.trace(R @ K @ P @ K.T))
+    objective += param_effect_closed(K, A_cl, P, stats, w).total
+    return LqrSolution(
+        K=K,
+        P=P,
+        A_cl=A_cl,
+        objective=objective,
+        status="Optimal",
+        solver=None,
+        program_id=program_id,
+    )
+
+
+def synth_reduced_gram(stats: DataStats, Q, R, w: RegWeights) -> LqrSolution:
+    """Optimal gain of the reduced gram program through its Riccati form.
+
+    The free closed-loop deviation A_cl - (A_LS + B_LS K) acts as a second
+    input, so this is LQR on (A_LS, [B_LS I]) with input weights R and
+    c1 cov_resid_x^-1, state weight Q + c3 cov_x0^-1 and the gain deviation
+    K - K_LS weighted by c2 cov_resid_u^-1, where c_i = lambda_i / ell. With
+    lambda1 = 0 the deviation costs nothing: A_cl = 0, P = I and K minimizes
+    tr(R K K.T) + c2 |cov_resid_u^-1/2 (K - K_LS)|_F^2.
+    """
+    Q, R, q, du, dx = _reduced_weights(stats, Q, R, w, "gram")
+    n, m = stats.n, stats.m
+    if w.lambda1 == 0.0:
+        K = np.linalg.solve(R + du, du @ stats.k_ls)
+        A_cl = np.zeros((n, n))
+    else:
+        B = np.hstack([stats.b_ls, np.eye(n)])
+        r = np.zeros((m + n, m + n))
+        r[:m, :m] = R
+        r[m:, m:] = dx
+        G = _shifted_lqr(stats, B, q, r, du)
+        K, A_cl = G[:m], stats.a_ls + B @ G
+    return _riccati_solution(stats, Q, R, w, K, A_cl, "reduced-gram")
+
+
+def synth_reduced_covar(stats: DataStats, Q, R, w: RegWeights) -> LqrSolution:
+    """Optimal gain of the reduced covariance program through its Riccati
+    form: LQR on (A_LS, B_LS) with weights Q + lambda3 cov_x0^-1 and R, and
+    the gain deviation K - K_LS weighted by lambda2 cov_resid_u^-1.
+
+    Estimates (A_LS, B_LS) that are not stabilizable leave the program
+    infeasible and raise SynthesisInfeasible.
+    """
+    Q, R, q, du, _ = _reduced_weights(stats, Q, R, w, "covariance")
+    try:
+        K = _shifted_lqr(stats, stats.b_ls, q, R, du)
+    except NoConvergence as exc:
+        raise SynthesisInfeasible("reduced-covar", "Infeasible") from exc
+    return _riccati_solution(stats, Q, R, w, K, stats.a_ls + stats.b_ls @ K, "reduced-covar")
 
 
 # -- baseline data-driven programs (size grows with ell) ----------------------

@@ -5,7 +5,7 @@ import time
 import numpy as np
 
 from ddlqr.datamodel import compute_stats
-from ddlqr.effects import RegWeights, effective_Q, param_effect_closed, param_effect_oracle
+from ddlqr.effects import RegWeights, param_effect_closed, param_effect_oracle
 from ddlqr.harness import cli, ls_gain_stabilizes, reduced_case, run_sweep
 from ddlqr.harness.experiments import ReferenceExperimentConfig, gen_reference_data
 from ddlqr.harness.sweep import bench_scaling, deviation_grid
@@ -18,6 +18,7 @@ from ddlqr.synthesis import (
     build_reduced_covar_problem,
     build_reduced_gram_problem,
     model_lqr_sdp,
+    reduced_sdp,
     synth_baseline_covar,
     synth_baseline_gram,
     synth_reduced_covar,
@@ -242,7 +243,8 @@ def test_c08_effect_three_matches_shifted_state_weight():
     for lam3 in (0.1, 1.0, 10.0):
         w = RegWeights(lambda3=lam3, parameterization="covariance")
         sol = synth_reduced_covar(st, Q2, R1, w)
-        k_shift, _ = solve_dare(st.a_ls, st.b_ls, effective_Q(Q2, w, st.ell, st), R1)
+        q_shift = Q2 + lam3 * np.linalg.inv(st.cov_x0)
+        k_shift, _ = solve_dare(st.a_ls, st.b_ls, sym(q_shift), R1)
         worst = max(worst, float(np.linalg.norm(sol.K - k_shift)))
     elapsed = time.perf_counter() - t0
     print(f"c08 shifted state weight: worst |dK| {worst:.3e}, "
@@ -305,14 +307,23 @@ def test_c10_numerical_kernels_and_feasibility_certificates():
         worst_kernel = max(worst_kernel, float(np.linalg.norm(resid)))
 
     min_eig = np.inf
+    worst_gramian = 0.0
     w_gram = RegWeights(lambda1=0.5, lambda2=1.0, lambda3=0.2)
     w_covar = RegWeights(lambda2=1.0, lambda3=0.2, parameterization="covariance")
     for seed in range(5):
         d, st = noisy(seed)
+        riccati = (synth_reduced_gram(st, Q2, R1, w_gram), synth_reduced_covar(st, Q2, R1, w_covar))
+        for sol in riccati:
+            A_cl, P = sol.A_cl, sol.P
+            assert float(np.min(np.linalg.eigvalsh(P - np.eye(st.n)))) >= -1e-9
+            assert spectral_radius(A_cl) < 1.0
+            worst_gramian = max(
+                worst_gramian, float(np.linalg.norm(A_cl @ P @ A_cl.T + np.eye(st.n) - P))
+            )
         solved = [
-            (synth_reduced_gram(st, Q2, R1, w_gram),
+            (reduced_sdp(st, Q2, R1, w_gram),
              build_reduced_gram_problem(st, Q2, R1, w_gram)[0]),
-            (synth_reduced_covar(st, Q2, R1, w_covar),
+            (reduced_sdp(st, Q2, R1, w_covar),
              build_reduced_covar_problem(st, Q2, R1, w_covar)[0]),
             (synth_baseline_gram(d, st, Q2, R1, 1.0, projected=False),
              build_baseline_gram_problem(d, st, Q2, R1, 1.0, projected=False)[0]),
@@ -329,9 +340,11 @@ def test_c10_numerical_kernels_and_feasibility_certificates():
 
     elapsed = time.perf_counter() - t0
     print(f"c10 kernels: worst residual {worst_kernel:.3e}, "
-          f"min certificate eigenvalue {min_eig:.3e}, {elapsed:.2f}s (budget 10s)")
+          f"min certificate eigenvalue {min_eig:.3e}, "
+          f"worst Riccati Gramian residual {worst_gramian:.3e}, {elapsed:.2f}s (budget 10s)")
     assert worst_kernel <= 1e-9
     assert min_eig >= -1e-6
+    assert worst_gramian <= 1e-9
     assert elapsed <= 10.0
 
 

@@ -8,7 +8,6 @@ from ddlqr.effects import (
     EffectBreakdown,
     OracleCertificate,
     RegWeights,
-    effective_Q,
     eval_reg_covar,
     eval_reg_gram,
     param_effect_closed,
@@ -336,30 +335,6 @@ def test_oracle_rejects_unknown_kind():
         param_effect_oracle(np.zeros((1, 2)), np.zeros((2, 2)), np.eye(2), d, 1.0, "other")
 
 
-def test_effective_q_zero_weight_identity():
-    stats = compute_stats(noisy_dataset(14))
-    Q = rand_spd(np.random.default_rng(41), stats.n)
-    out = effective_Q(Q, RegWeights(lambda1=1.0, lambda2=1.0), stats.ell, stats)
-    assert np.array_equal(out, Q)
-    out[0, 0] += 1.0
-    assert out[0, 0] != Q[0, 0]
-
-
-def test_effective_q_unit_case():
-    stats = compute_stats(unit_cov_dataset())
-    w = RegWeights(lambda3=float(stats.ell))
-    out = effective_Q(np.eye(stats.n), w, stats.ell, stats)
-    assert np.allclose(out, 2.0 * np.eye(stats.n), atol=1e-12)
-
-
-def test_effective_q_covariance_scaling():
-    stats = compute_stats(noisy_dataset(15))
-    w = RegWeights(lambda3=2.0, parameterization="covariance")
-    out = effective_Q(np.eye(stats.n), w, stats.ell, stats)
-    expect = np.eye(stats.n) + 2.0 * np.linalg.inv(stats.cov_x0)
-    assert np.allclose(out, expect, rtol=1e-10, atol=1e-12)
-
-
 def test_shape_validation():
     d = noisy_dataset(16)
     stats = compute_stats(d)
@@ -375,8 +350,6 @@ def test_shape_validation():
             stats,
             RegWeights(),
         )
-    with pytest.raises(DimensionMismatch):
-        effective_Q(np.eye(stats.n + 1), RegWeights(), stats.ell, stats)
 
 
 def test_breakdown_and_certificate_are_frozen():

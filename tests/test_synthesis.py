@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from ddlqr.datamodel import Dataset, compute_stats
-from ddlqr.effects import RegWeights, effective_Q, param_effect_closed
+from ddlqr.effects import RegWeights, param_effect_closed
 from ddlqr.errors import (
     DimensionMismatch,
     NoConvergence,
@@ -13,6 +13,7 @@ from ddlqr.errors import (
     SynthesisInfeasible,
 )
 from ddlqr.harness.experiments import ReferenceExperimentConfig, gen_reference_data
+from ddlqr.harness.sweep import reduced_case
 from ddlqr.matlin import h2norm_sq, solve_dare, solve_dlyap, spectral_radius
 from ddlqr.synthesis import (
     PlantModel,
@@ -24,6 +25,7 @@ from ddlqr.synthesis import (
     ce_lqr,
     evaluate_on_truth,
     model_lqr_sdp,
+    reduced_sdp,
     synth_baseline_covar,
     synth_baseline_gram,
     synth_reduced_covar,
@@ -204,8 +206,8 @@ def test_state_weight_equivalence(lam3):
     _, st = noisy(6)
     w = covar_weights(lambda3=lam3)
     sol = synth_reduced_covar(st, Q2, R1, w)
-    q_eff = effective_Q(Q2, w, st.ell, st)
-    k_opt, _ = solve_dare(st.a_ls, st.b_ls, q_eff, R1)
+    q_eff = Q2 + lam3 * np.linalg.inv(st.cov_x0)
+    k_opt, _ = solve_dare(st.a_ls, st.b_ls, 0.5 * (q_eff + q_eff.T), R1)
     assert np.linalg.norm(sol.K - k_opt) <= 1e-5
 
 
@@ -258,17 +260,12 @@ def test_solution_invariants_across_programs():
     d, st = noisy(4)
     w = RegWeights(lambda1=0.3, lambda2=1.0, lambda3=0.1)
     w_free = RegWeights(lambda2=1.0, lambda3=0.1)
+    w_covar = covar_weights(1.0, 0.1)
     runs = [
         (model_lqr_sdp(ref_plant()), build_model_lqr_problem(ref_plant())),
-        (synth_reduced_gram(st, Q2, R1, w), build_reduced_gram_problem(st, Q2, R1, w)),
-        (
-            synth_reduced_gram(st, Q2, R1, w_free),
-            build_reduced_gram_problem(st, Q2, R1, w_free),
-        ),
-        (
-            synth_reduced_covar(st, Q2, R1, covar_weights(1.0, 0.1)),
-            build_reduced_covar_problem(st, Q2, R1, covar_weights(1.0, 0.1)),
-        ),
+        (reduced_sdp(st, Q2, R1, w), build_reduced_gram_problem(st, Q2, R1, w)),
+        (reduced_sdp(st, Q2, R1, w_free), build_reduced_gram_problem(st, Q2, R1, w_free)),
+        (reduced_sdp(st, Q2, R1, w_covar), build_reduced_covar_problem(st, Q2, R1, w_covar)),
         (
             synth_baseline_gram(d, st, Q2, R1, 0.5, projected=True),
             build_baseline_gram_problem(d, st, Q2, R1, 0.5, projected=True),
@@ -288,6 +285,18 @@ def test_solution_invariants_across_programs():
         for blk in prob.evaluate_blocks(sol.solver.y):
             scale = 1.0 + float(np.abs(blk).max())
             assert float(np.min(np.linalg.eigvalsh(blk))) >= -1e-6 * scale
+    # The Riccati path carries no certificate: its P is the Gramian of its
+    # closed loop, which is the SDP's optimal P.
+    for sol in (
+        synth_reduced_gram(st, Q2, R1, w),
+        synth_reduced_gram(st, Q2, R1, w_free),
+        synth_reduced_covar(st, Q2, R1, w_covar),
+    ):
+        assert sol.status == "Optimal" and sol.solver is None
+        assert float(np.min(np.linalg.eigvalsh(sol.P - np.eye(st.n)))) >= -1e-9
+        assert spectral_radius(sol.A_cl) < 1.0
+        gramian = sol.A_cl @ sol.P @ sol.A_cl.T + np.eye(st.n) - sol.P
+        assert np.linalg.norm(gramian) <= 1e-9
 
 
 # -- regularization path endpoints --------------------------------------------
@@ -442,12 +451,43 @@ def random_plant_stats(seed, n, m):
 def test_reduced_programs_match_riccati_on_random_plants(seed, n, m):
     st = random_plant_stats(seed, n, m)
     Q, R = np.eye(n), np.eye(m)
-    gram = synth_reduced_gram(st, Q, R, RegWeights(lambda1=1.0, lambda2=1.0, lambda3=1.0))
-    K_ref = riccati_gain(st, Q, R, 1.0, 1.0, 1.0, gram=True)
-    assert np.linalg.norm(gram.K - K_ref) <= 1e-5 * max(1.0, np.linalg.norm(K_ref))
-    covar = synth_reduced_covar(st, Q, R, covar_weights(lambda2=1.0, lambda3=1.0))
-    K_ref = riccati_gain(st, Q, R, 0.0, 1.0, 1.0, gram=False)
-    assert np.linalg.norm(covar.K - K_ref) <= 1e-5 * max(1.0, np.linalg.norm(K_ref))
+    for synth, w, l1, gram in (
+        (synth_reduced_gram, RegWeights(lambda1=1.0, lambda2=1.0, lambda3=1.0), 1.0, True),
+        (synth_reduced_covar, covar_weights(lambda2=1.0, lambda3=1.0), 0.0, False),
+    ):
+        sol = synth(st, Q, R, w)
+        K_ref = riccati_gain(st, Q, R, l1, 1.0, 1.0, gram=gram)
+        assert np.linalg.norm(sol.K - K_ref) <= 1e-5 * max(1.0, np.linalg.norm(K_ref))
+        assert_matches_sdp(sol, reduced_sdp(st, Q, R, w))
+
+
+def assert_matches_sdp(sol, sdp):
+    """c05's bounds: 1e-5 on the gain (relative, floored at 1) and on the
+    relative objective."""
+    assert sdp.status == "Optimal"
+    assert np.linalg.norm(sol.K - sdp.K) <= 1e-5 * max(1.0, np.linalg.norm(sdp.K))
+    assert abs(sol.objective - sdp.objective) <= 1e-5 * (1.0 + abs(sdp.objective))
+
+
+# A subsample of the paper's two sweep presets: the deviation path (data seed
+# 42, gram) up to lambda = 1e6 and the gain path (data seed 0, covariance)
+# from lambda = 0 to 1e10. The gram cases without the first effect, lambda = 0
+# included, take the closed form for a free closed loop.
+@pytest.mark.parametrize(
+    "seed,param,labels,lams",
+    [
+        (42, "gram", ("{1}", "{1,2}", "{1,3}", "{1,2,3}"), (1e-4, 1.0, 1e6)),
+        (42, "gram", ("{2}", "{3}", "{2,3}"), (0.0, 1e-2, 1e6)),
+        (0, "covariance", ("{2}", "{3}", "{2,3}"), (0.0, 1e-4, 1.0, 1e6, 1e10)),
+    ],
+)
+def test_reduced_programs_match_sdp_on_paper_sweeps(seed, param, labels, lams):
+    _, st = noisy(seed)
+    for label in labels:
+        for lam in lams:
+            w = reduced_case(label, param).weights_at(lam)
+            synth = synth_reduced_gram if param == "gram" else synth_reduced_covar
+            assert_matches_sdp(synth(st, Q2, R1, w), reduced_sdp(st, Q2, R1, w))
 
 
 # The records farthest from the reduced twin while the corner elimination
