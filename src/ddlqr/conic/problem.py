@@ -73,15 +73,16 @@ def svec(S: np.ndarray) -> np.ndarray:
 
 
 def smat(v: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of svec."""
+    """Inverse of svec; a stack of packed vectors (..., svec_len(d)) gives the
+    stack of matrices (..., d, d)."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (svec_len(d),):
+    if v.shape[-1:] != (svec_len(d),):
         raise DimensionMismatch(f"svec vector length {v.shape} does not match dim {d}")
-    S = np.zeros((d, d))
+    S = np.zeros(v.shape[:-1] + (d, d))
     iu, ju, off = _triu(d)
     vals = np.where(off, v / SQRT2, v)
-    S[iu, ju] = vals
-    S[ju, iu] = vals
+    S[..., iu, ju] = vals
+    S[..., ju, iu] = vals
     return S
 
 
@@ -106,14 +107,15 @@ class _Corner:
     var_start: int
 
 
+# Appended to every block's entries, so a block without any still compiles.
+_NO_ENTRIES = (np.empty(0, np.intp),) * 3 + (np.empty(0),)
+
+
 @dataclass
 class _Block:
     dim: int
     F0: np.ndarray
-    ent_var: list = field(default_factory=list)
-    ent_i: list = field(default_factory=list)
-    ent_j: list = field(default_factory=list)
-    ent_val: list = field(default_factory=list)
+    entries: list = field(default_factory=list)  # (var, i, j, val) arrays per add_entry
     families: list = field(default_factory=list)
     corner: _Corner | None = None
 
@@ -135,10 +137,7 @@ class _CompiledBlock:
         self.corner = blk.corner
         self.families = blk.families
 
-        var = np.asarray(blk.ent_var, dtype=np.intp)
-        ii = np.asarray(blk.ent_i, dtype=np.intp)
-        jj = np.asarray(blk.ent_j, dtype=np.intp)
-        val = np.asarray(blk.ent_val, dtype=float)
+        var, ii, jj, val = (np.concatenate(c) for c in zip(*blk.entries, _NO_ENTRIES))
         self.lv, loc = np.unique(var, return_inverse=True)
         off = ii != jj
         flat = np.concatenate([(loc * d + ii) * d + jj, ((loc * d + jj) * d + ii)[off]])
@@ -241,18 +240,26 @@ class LmiProblem:
         blk.F0 = F0
         self._compiled = None
 
-    def add_entry(self, bid: int, var: int, i: int, j: int, val: float) -> None:
-        """F_var += val * (E_ij + E_ji) for i != j, val * E_ii for i == j."""
-        if not (0 <= var < self.num_vars):
-            raise DimensionMismatch(f"variable index {var} out of range")
+    def add_entry(self, bid: int, var, i, j, val) -> None:
+        """F_var += val * (E_ij + E_ji) for i != j, val * E_ii for i == j.
+
+        Each argument is a scalar or a 1-D array; arrays of equal length add
+        one entry per position, and scalars apply to every entry.
+        """
         blk = self._blocks[bid]
-        if not (0 <= i < blk.dim and 0 <= j < blk.dim):
-            raise DimensionMismatch(f"position ({i}, {j}) outside block dim {blk.dim}")
-        if val != 0.0:
-            blk.ent_var.append(int(var))
-            blk.ent_i.append(int(i))
-            blk.ent_j.append(int(j))
-            blk.ent_val.append(float(val))
+        idx = (np.asarray(a, dtype=np.intp) for a in (var, i, j))
+        try:
+            var, i, j, val = np.broadcast_arrays(*idx, np.asarray(val, dtype=float))
+        except ValueError as e:
+            raise DimensionMismatch(f"entry arrays differ in length: {e}") from None
+        if var.ndim > 1:
+            raise DimensionMismatch("entry arguments must be scalars or 1-D arrays")
+        if var.size and not (0 <= var.min() and var.max() < self.num_vars):
+            raise DimensionMismatch(f"variable index out of range [0, {self.num_vars})")
+        if var.size and not (0 <= min(i.min(), j.min()) and max(i.max(), j.max()) < blk.dim):
+            raise DimensionMismatch(f"entry position outside block dim {blk.dim}")
+        keep = val != 0.0  # a 0-d mask gives 1-D results, as an array does
+        blk.entries.append((var[keep], i[keep], j[keep], val[keep]))
         self._compiled = None
 
     def add_column_family(self, bid: int, C, col0: int, varmat) -> None:
@@ -313,12 +320,10 @@ class LmiProblem:
         bid = self.new_block(dim)
         if mats[0] is not None:
             self.set_block_const(bid, mats[0])
-        for var, F in enumerate(mats[1:]):
-            if F is None:
-                continue
-            iu, ju = np.nonzero(np.triu(F))
-            for i, j in zip(iu, ju):
-                self.add_entry(bid, var, int(i), int(j), float(F[i, j]))
+        F = np.array([np.zeros((dim, dim)) if M is None else M for M in mats[1:]])
+        F = F.reshape(-1, dim, dim)
+        var, i, j = np.nonzero(np.triu(F))
+        self.add_entry(bid, var, i, j, F[var, i, j])
         return bid
 
     # -- inspection -----------------------------------------------------------

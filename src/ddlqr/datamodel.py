@@ -305,6 +305,8 @@ def load_dataset(path) -> Dataset:
                 raise ParseError(
                     f"{path}:{lineno}: field {c + 1} is not a number: {text!r}"
                 ) from exc
+            if not np.isfinite(v):
+                raise ParseError(f"{path}:{lineno}: field {c + 1} is not finite: {text!r}")
             if c < n:
                 x0[c, t] = v
             elif c < n + m:

@@ -116,15 +116,15 @@ def ls_gain_stabilizes(stats: DataStats) -> bool:
     return spectral_radius(stats.a_ls + stats.b_ls @ stats.k_ls) < 1.0
 
 
-def _solve_case(case: SweepCase, lam: float, d: Dataset, stats: DataStats, Q, R, settings):
+def _solve_case(case: SweepCase, lam: float, d: Dataset, stats: DataStats, Q, R):
     if case.program == "reduced-gram" or case.program == "reduced-covar":
         w = case.weights_at(lam)
         fn = synth_reduced_gram if case.program == "reduced-gram" else synth_reduced_covar
         return fn(stats, Q, R, w)
     if case.program == "baseline-covar":
-        return synth_baseline_covar(stats, Q, R, lam, settings=settings)
+        return synth_baseline_covar(stats, Q, R, lam)
     projected = case.program == "baseline-gram-proj"
-    return synth_baseline_gram(d, stats, Q, R, lam, projected=projected, settings=settings)
+    return synth_baseline_gram(d, stats, Q, R, lam, projected=projected)
 
 
 def run_sweep(
@@ -134,15 +134,12 @@ def run_sweep(
     Q=None,
     R=None,
     plant: PlantModel | None = None,
-    settings=None,
 ) -> list[SweepRow]:
     """Solve every (case, lambda) point serially and return ordered rows.
 
     Rows are ordered by the given case order, then ascending lambda. Solver
     failures become status labels on their row instead of raising, so one
-    bad point cannot take down a whole sweep. `settings` reaches the SDP
-    solves of the baseline programs; the reduced ones solve a Riccati
-    equation.
+    bad point cannot take down a whole sweep.
     """
     stats = compute_stats(d)
     if Q is None:
@@ -155,14 +152,14 @@ def run_sweep(
     rows: list[SweepRow] = []
     for case in cases:
         for lam in np.sort(lambdas):
-            rows.append(_sweep_point(case, float(lam), d, stats, Q, R, plant, settings))
+            rows.append(_sweep_point(case, float(lam), d, stats, Q, R, plant))
     return rows
 
 
-def _sweep_point(case, lam, d, stats, Q, R, plant, settings) -> SweepRow:
+def _sweep_point(case, lam, d, stats, Q, R, plant) -> SweepRow:
     t0 = time.perf_counter()
     try:
-        sol = _solve_case(case, lam, d, stats, Q, R, settings)
+        sol = _solve_case(case, lam, d, stats, Q, R)
         status = sol.status
     except SynthesisInfeasible as exc:
         return _status_row(case, lam, stats, str(exc.status), time.perf_counter() - t0)
@@ -245,7 +242,6 @@ def bench_scaling(
     repeats: int,
     cfg: ReferenceExperimentConfig | None = None,
     lam: float = 1.0,
-    settings=None,
 ) -> list[BenchRow]:
     """Time each baseline against its equivalent reduced program.
 
@@ -273,7 +269,7 @@ def bench_scaling(
     rows: list[BenchRow] = []
     for base, reduced in _BENCH_PROGRAMS:
         for label, bench in ((base, _bench_baseline), (reduced, _bench_reduced)):
-            sizes, runners = zip(*(bench(d, cfg, lam, label, settings) for d in data))
+            sizes, runners = zip(*(bench(d, cfg, lam, label) for d in data))
             for runner in runners:
                 runner()
             times = [[] for _ in runners]
@@ -298,23 +294,23 @@ def bench_scaling(
     return sorted(rows, key=lambda r: ells.index(r.ell))
 
 
-def _bench_baseline(d, cfg, lam, kind, settings):
+def _bench_baseline(d, cfg, lam, kind):
     """((num_vars, max_block_dim), timed run) for one baseline program."""
     projected = kind == "baseline-gram-proj"
     p, _ = build_baseline_gram_problem(d, compute_stats(d), cfg.q, cfg.r, lam, projected)
 
     def run():
-        synth_baseline_gram(d, compute_stats(d), cfg.q, cfg.r, lam, projected, settings)
+        synth_baseline_gram(d, compute_stats(d), cfg.q, cfg.r, lam, projected)
 
     return (p.num_vars, max(p.block_dims())), run
 
 
-def _bench_reduced(d, cfg, lam, label, settings):
+def _bench_reduced(d, cfg, lam, label):
     """((num_vars, max_block_dim), timed run) for one reduced gram SDP."""
     w = reduced_case(label, "gram").weights_at(lam)
     p, _ = build_reduced_gram_problem(compute_stats(d), cfg.q, cfg.r, w)
 
     def run():
-        reduced_sdp(compute_stats(d), cfg.q, cfg.r, w, settings)
+        reduced_sdp(compute_stats(d), cfg.q, cfg.r, w)
 
     return (p.num_vars, max(p.block_dims())), run

@@ -18,7 +18,6 @@ from ..effects import RegWeights, param_effect_closed
 from ..matlin import pinv, solve_dare, solve_dlyap, spectral_radius, sym
 from ..synthesis import (
     PlantModel,
-    ce_lqr,
     model_lqr_sdp,
     reduced_sdp,
     synth_baseline_covar,
@@ -165,7 +164,9 @@ def _check_triangle(cfg) -> CheckResult:
 def _check_certainty_equivalence(cfg) -> CheckResult:
     d = gen_reference_data(cfg)
     stats = compute_stats(d)
-    ce = ce_lqr(stats, cfg.q, cfg.r)
+    # The SDP on the least-squares model, not ce_lqr: that solves the same
+    # Riccati equation as the reduced program and would only compare it with itself.
+    ce = model_lqr_sdp(PlantModel(A=stats.a_ls, B=stats.b_ls, Q=cfg.q, R=cfg.r))
     sol = synth_reduced_covar(stats, cfg.q, cfg.r, RegWeights(parameterization="covariance"))
     gain_err = float(np.linalg.norm(sol.K - ce.K))
     ident = float(np.linalg.norm(sol.A_cl - (stats.a_ls + stats.b_ls @ sol.K)))

@@ -9,6 +9,15 @@ programs carry the raw data matrices and an ell x ell slack, which is what
 makes them scale badly. Extraction always goes through P^{-1}, well
 conditioned because P >= I.
 
+Each block is written once, as the paper's matrix: the off-diagonal part is
+a linear matrix expression whose parameters name layout slots, for example
+`lambda P, Kt: Kt - K_LS @ P` for the gain slack [[N, K tilde - K_LS P],
+[*, P]]. Evaluated on the slots' unit matrices (`SdpLayout.units`), the
+block gives every variable's coefficient matrix at once, and its non-zero
+upper triangle goes to `LmiProblem.add_entry`. Slacks stay corners and the
+baseline's ell-column variable Y stays a column family, the two structures
+the solver eliminates in closed form.
+
 Each reduced program is also an LQR problem on the least-squares model with
 shifted weights (an H2 LMI is equivalent to a discrete algebraic Riccati
 equation), so `synth_reduced_gram` and `synth_reduced_covar` solve that
@@ -19,7 +28,7 @@ serves as their independent check.
 
 from __future__ import annotations
 
-import math
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +41,6 @@ from .conic import (
     smat,
     solve,
     svec,
-    svec_index,
     svec_len,
 )
 from .datamodel import Dataset, DataStats, kernel_projector
@@ -76,9 +84,6 @@ __all__ = [
     "synth_reduced_covar",
     "synth_reduced_gram",
 ]
-
-_SQRT2 = math.sqrt(2.0)
-
 
 @dataclass(frozen=True)
 class PlantModel:
@@ -131,6 +136,7 @@ class SdpLayout:
     def __init__(self):
         self._slots: dict[str, _Slot] = {}
         self._size = 0
+        self._units: dict[tuple[str, ...], tuple] = {}
 
     def add_sym(self, name: str, dim: int) -> None:
         self._add(name, "sym", dim, dim, svec_len(dim))
@@ -156,17 +162,24 @@ class SdpLayout:
     def names(self) -> list[str]:
         return list(self._slots)
 
-    def var_sym(self, name: str, i: int, j: int) -> int:
-        s = self._slots[name]
-        if s.kind != "sym":
-            raise DimensionMismatch(f"slot {name!r} is not symmetric")
-        return s.offset + svec_index(min(i, j), max(i, j), s.rows)
-
-    def var_full(self, name: str, i: int, j: int) -> int:
-        s = self._slots[name]
-        if s.kind != "full":
-            raise DimensionMismatch(f"slot {name!r} is not full")
-        return s.offset + i * s.cols + j
+    def units(self, names) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """Unit matrices of the named slots' variables: (var, U) with U[name][k]
+        the value of slot name at y = e_{var[k]}, so a linear matrix
+        expression evaluated on U gives each variable's coefficient. Cached
+        per set of names and read-only."""
+        key = tuple(sorted(set(names), key=lambda name: self._slots[name].offset))
+        if key not in self._units:
+            slots = [self._slots[name] for name in key]
+            var = np.concatenate([s.offset + np.arange(s.size) for s in slots])
+            eye, U, k0 = np.eye(var.size), {}, 0
+            for name, s in zip(key, slots):
+                cols = eye[:, k0 : k0 + s.size]
+                u = smat(cols, s.rows) if s.kind == "sym" else cols.reshape(-1, s.rows, s.cols)
+                u.setflags(write=False)
+                U[name] = u
+                k0 += s.size
+            self._units[key] = (var, U)
+        return self._units[key]
 
     def var_grid(self, name: str) -> np.ndarray:
         s = self._slots[name]
@@ -217,71 +230,56 @@ class TruthEvaluation:
         return self.h2_sq is not None
 
 
-# -- block placement helpers --------------------------------------------------
+# -- blocks as linear matrix expressions --------------------------------------
 
 
-def _place_sym_diag(p: LmiProblem, lay: SdpLayout, bid: int, name: str, r0: int) -> None:
-    """Symmetric slot V placed at the diagonal position (r0, r0)."""
-    d = lay.slot(name).rows
-    for i in range(d):
-        for j in range(i, d):
-            val = 1.0 if i == j else 1.0 / _SQRT2
-            p.add_entry(bid, lay.var_sym(name, i, j), r0 + i, r0 + j, val)
+def _add_upper(p: LmiProblem, bid: int, var: np.ndarray, F: np.ndarray, c0: int = 0) -> None:
+    """Add the coefficient stack F, F[k] the matrix of variable var[k], at
+    columns c0.. of block bid in one add_entry call. Entries below the
+    diagonal are left out: add_entry mirrors the others."""
+    k, i, j = np.nonzero(F)
+    up = i <= j + c0
+    k, i, j = k[up], i[up], j[up]
+    p.add_entry(bid, var[k], i, j + c0, F[k, i, j])
 
 
-def _place_prod_sym(
-    p: LmiProblem, lay: SdpLayout, bid: int, name: str, left: np.ndarray, r0: int, c0: int
-) -> None:
-    """left @ V at the off-diagonal region (r0, c0), V a symmetric slot.
+def _add_bordered(p: LmiProblem, lay: SdpLayout, bid: int, dc: int, off, corner_p: bool) -> None:
+    """Write the linear part of [[T, X], [X^T, P]] into block bid.
 
-    The region must not touch its own mirror: add_entry writes both
-    triangles, so row and column ranges have to be disjoint.
+    X = off(...) is a linear matrix expression over the layout slots its
+    parameters name (zero when off is None: a column family supplies it);
+    T is P when corner_p and zero otherwise (a corner slack supplies it).
+    Each variable's coefficient matrix is the block at that variable's unit
+    matrix: the border [X; P] and, when corner_p, T.
     """
-    d = lay.slot(name).rows
-    left = np.asarray(left, dtype=float)
-    for r in range(left.shape[0]):
-        for c in range(d):
-            for i in range(d):
-                val = left[r, i]
-                if val == 0.0:
-                    continue
-                sc = 1.0 if i == c else 1.0 / _SQRT2
-                p.add_entry(bid, lay.var_sym(name, i, c), r0 + r, c0 + c, val * sc)
+    names = () if off is None else tuple(inspect.signature(off).parameters)
+    var, U = lay.units(("P",) + names)
+    P = U["P"]
+    X = np.zeros((var.size, dc, P.shape[2])) if off is None else off(*(U[s] for s in names))
+    _add_upper(p, bid, var, np.concatenate((X, P), axis=1), c0=dc)
+    if corner_p:
+        _add_upper(p, bid, var, P)
 
 
-def _place_prod_full(
-    p: LmiProblem, lay: SdpLayout, bid: int, name: str, left: np.ndarray, r0: int, c0: int
-) -> None:
-    """left @ V at the off-diagonal region (r0, c0), V a full slot."""
-    s = lay.slot(name)
-    left = np.asarray(left, dtype=float)
-    for r in range(left.shape[0]):
-        for t in range(s.rows):
-            val = left[r, t]
-            if val == 0.0:
-                continue
-            for c in range(s.cols):
-                p.add_entry(bid, lay.var_full(name, t, c), r0 + r, c0 + c, val)
-
-
-def _stability_block(p: LmiProblem, lay: SdpLayout, dim_n: int) -> int:
-    """[[P - I, *], [*^T, P]] >= 0 skeleton; caller fills the corner."""
+def _stability_block(p: LmiProblem, lay: SdpLayout, dim_n: int, a_cl=None) -> int:
+    """[[P - I, A_cl P], [*, P]] >= 0, the lifted closed loop A_cl P written
+    as an expression over named slots (None where a column family adds it)."""
     bid = p.new_block(2 * dim_n)
     F0 = np.zeros((2 * dim_n, 2 * dim_n))
     F0[:dim_n, :dim_n] = -np.eye(dim_n)
     p.set_block_const(bid, F0)
-    _place_sym_diag(p, lay, bid, "P", 0)
-    _place_sym_diag(p, lay, bid, "P", dim_n)
+    _add_bordered(p, lay, bid, dim_n, a_cl, corner_p=True)
     return bid
 
 
-def _slack_bound_block(
-    p: LmiProblem, lay: SdpLayout, slack: str, dc: int, dim_n: int
-) -> int:
-    """[[slack, *], [*^T, P]] >= 0 with the slack eliminated as a corner."""
+def _slack_bound_block(p: LmiProblem, lay: SdpLayout, slack: str, dim_n: int, dev=None) -> int:
+    """[[slack, dev], [*, P]] >= 0 with the slack eliminated as a corner:
+    slack >= dev P^-1 dev^T for the deviation dev, an expression over named
+    slots (None where a column family adds it)."""
+    dc = lay.slot(slack).rows
     bid = p.new_block(dc + dim_n)
     p.add_corner_slack(bid, dc, lay.slot(slack).offset)
-    _place_sym_diag(p, lay, bid, "P", dc)
+    _add_bordered(p, lay, bid, dc, dev, corner_p=False)
     return bid
 
 
@@ -317,14 +315,8 @@ def _default_settings() -> SolverSettings:
     return SolverSettings(tol_gap=1e-11, tol_feas=1e-11)
 
 
-def _solve_and_extract(
-    p: LmiProblem,
-    lay: SdpLayout,
-    program_id: str,
-    settings: SolverSettings | None,
-    a_cl_from,
-) -> LqrSolution:
-    sol = solve(p, settings if settings is not None else _default_settings())
+def _solve_and_extract(p: LmiProblem, lay: SdpLayout, program_id: str, a_cl_from) -> LqrSolution:
+    sol = solve(p, _default_settings())
     if not sol.optimal:
         raise SynthesisInfeasible(program_id, sol.status.value, sol)
     P = lay.extract("P", sol.y)
@@ -353,12 +345,8 @@ def build_model_lqr_problem(pm: PlantModel) -> tuple[LmiProblem, SdpLayout]:
     lay.add_sym("L", m)
     p = new_problem(lay.num_vars)
 
-    bid = _stability_block(p, lay, n)
-    _place_prod_sym(p, lay, bid, "P", pm.A, 0, n)
-    _place_prod_full(p, lay, bid, "Kt", pm.B, 0, n)
-
-    bid = _slack_bound_block(p, lay, "L", m, n)
-    _place_prod_full(p, lay, bid, "Kt", np.eye(m), 0, m)
+    _stability_block(p, lay, n, lambda P, Kt: pm.A @ P + pm.B @ Kt)
+    _slack_bound_block(p, lay, "L", n, lambda Kt: Kt)
 
     c = np.zeros(lay.num_vars)
     lay.add_sym_cost(c, "P", pm.Q)
@@ -367,7 +355,7 @@ def build_model_lqr_problem(pm: PlantModel) -> tuple[LmiProblem, SdpLayout]:
     return p, lay
 
 
-def model_lqr_sdp(pm: PlantModel, settings: SolverSettings | None = None) -> LqrSolution:
+def model_lqr_sdp(pm: PlantModel) -> LqrSolution:
     """Solve the known-model program and extract K = K tilde P^{-1}."""
     p, lay = build_model_lqr_problem(pm)
 
@@ -375,7 +363,7 @@ def model_lqr_sdp(pm: PlantModel, settings: SolverSettings | None = None) -> Lqr
         K = np.linalg.solve(P, Kt.T).T
         return K, pm.A + pm.B @ K
 
-    return _solve_and_extract(p, lay, "model", settings, extract)
+    return _solve_and_extract(p, lay, "model", extract)
 
 
 # -- reduced data-driven programs ---------------------------------------------
@@ -430,22 +418,13 @@ def build_reduced_gram_problem(
         lay.add_sym("M", n)
     p = new_problem(lay.num_vars)
 
-    bid = _stability_block(p, lay, n)
-    _place_prod_full(p, lay, bid, "At", np.eye(n), 0, n)
-
-    bid = _slack_bound_block(p, lay, "L", m, n)
-    _place_prod_full(p, lay, bid, "Kt", np.eye(m), 0, m)
-
+    A_LS, B_LS, K_LS = stats.a_ls, stats.b_ls, stats.k_ls
+    _stability_block(p, lay, n, lambda At: At)
+    _slack_bound_block(p, lay, "L", n, lambda Kt: Kt)
     if w.lambda2 > 0.0:
-        bid = _slack_bound_block(p, lay, "N", m, n)
-        _place_prod_full(p, lay, bid, "Kt", np.eye(m), 0, m)
-        _place_prod_sym(p, lay, bid, "P", -stats.k_ls, 0, m)
-
+        _slack_bound_block(p, lay, "N", n, lambda P, Kt: Kt - K_LS @ P)
     if w.lambda1 > 0.0:
-        bid = _slack_bound_block(p, lay, "M", n, n)
-        _place_prod_full(p, lay, bid, "At", np.eye(n), 0, n)
-        _place_prod_sym(p, lay, bid, "P", -stats.a_ls, 0, n)
-        _place_prod_full(p, lay, bid, "Kt", -stats.b_ls, 0, n)
+        _slack_bound_block(p, lay, "M", n, lambda P, Kt, At: At - A_LS @ P - B_LS @ Kt)
 
     c = np.zeros(lay.num_vars)
     lay.add_sym_cost(c, "P", qp)
@@ -477,17 +456,11 @@ def build_reduced_covar_problem(
         lay.add_sym("N", m)
     p = new_problem(lay.num_vars)
 
-    bid = _stability_block(p, lay, n)
-    _place_prod_sym(p, lay, bid, "P", stats.a_ls, 0, n)
-    _place_prod_full(p, lay, bid, "Kt", stats.b_ls, 0, n)
-
-    bid = _slack_bound_block(p, lay, "L", m, n)
-    _place_prod_full(p, lay, bid, "Kt", np.eye(m), 0, m)
-
+    A_LS, B_LS, K_LS = stats.a_ls, stats.b_ls, stats.k_ls
+    _stability_block(p, lay, n, lambda P, Kt: A_LS @ P + B_LS @ Kt)
+    _slack_bound_block(p, lay, "L", n, lambda Kt: Kt)
     if w.lambda2 > 0.0:
-        bid = _slack_bound_block(p, lay, "N", m, n)
-        _place_prod_full(p, lay, bid, "Kt", np.eye(m), 0, m)
-        _place_prod_sym(p, lay, bid, "P", -stats.k_ls, 0, m)
+        _slack_bound_block(p, lay, "N", n, lambda P, Kt: Kt - K_LS @ P)
 
     c = np.zeros(lay.num_vars)
     lay.add_sym_cost(c, "P", qp)
@@ -498,9 +471,7 @@ def build_reduced_covar_problem(
     return p, lay
 
 
-def reduced_sdp(
-    stats: DataStats, Q, R, w: RegWeights, settings: SolverSettings | None = None
-) -> LqrSolution:
+def reduced_sdp(stats: DataStats, Q, R, w: RegWeights) -> LqrSolution:
     """Solve the reduced program of w's parameterization as the SDP it is.
 
     The paper's formulation, kept as the independent reference for the
@@ -513,7 +484,7 @@ def reduced_sdp(
             Pinv_t = np.linalg.solve(P, np.eye(stats.n))
             return Kt @ Pinv_t, lay.extract("At", y) @ Pinv_t
 
-        return _solve_and_extract(p, lay, "reduced-gram", settings, extract)
+        return _solve_and_extract(p, lay, "reduced-gram", extract)
 
     p, lay = build_reduced_covar_problem(stats, Q, R, w)
 
@@ -521,7 +492,7 @@ def reduced_sdp(
         K = np.linalg.solve(P, Kt.T).T
         return K, stats.a_ls + stats.b_ls @ K
 
-    return _solve_and_extract(p, lay, "reduced-covar", settings, extract)
+    return _solve_and_extract(p, lay, "reduced-covar", extract)
 
 
 def _shifted_lqr(stats: DataStats, B, q, r, du) -> np.ndarray:
@@ -623,31 +594,26 @@ def build_baseline_gram_problem(
     p = new_problem(lay.num_vars)
     ygrid = lay.var_grid("Y")
 
-    # X0 Y - P = 0, entry by entry, as e >= 0 and -e >= 0 rows.
+    # X0 Y - P = 0, entry by entry, as the rows s e_ij >= 0 and -s e_ij >= 0.
+    var, U = lay.units(("P", "Y"))
+    E = d.x0 @ U["Y"] - U["P"]
     eq_scale = 1.0 / max(1.0, float(np.linalg.norm(d.x0, 2)))
     for i in range(n):
         for j in range(n):
-            for sign in (1.0, -1.0):
-                bid = p.new_block(1)
-                s = sign * eq_scale
-                for t in range(ell):
-                    val = d.x0[i, t]
-                    if val != 0.0:
-                        p.add_entry(bid, int(ygrid[t, j]), 0, 0, s * val)
-                pc = 1.0 if i == j else 1.0 / _SQRT2
-                p.add_entry(bid, lay.var_sym("P", i, j), 0, 0, -s * pc)
+            for s in (eq_scale, -eq_scale):
+                p.add_entry(p.new_block(1), var, 0, 0, s * E[:, i, j])
 
     bid = _stability_block(p, lay, n)
     C = np.zeros((2 * n, ell))
     C[:n, :] = d.x1
     p.add_column_family(bid, C, n, ygrid)
 
-    bid = _slack_bound_block(p, lay, "L", m, n)
+    bid = _slack_bound_block(p, lay, "L", n)
     C = np.zeros((m + n, ell))
     C[:m, :] = d.u0
     p.add_column_family(bid, C, m, ygrid)
 
-    bid = _slack_bound_block(p, lay, "W", ell, n)
+    bid = _slack_bound_block(p, lay, "W", n)
     C = np.zeros((ell + n, ell))
     C[:ell, :] = kernel_projector(d) if projected else np.eye(ell)
     p.add_column_family(bid, C, ell, ygrid)
@@ -661,13 +627,7 @@ def build_baseline_gram_problem(
 
 
 def synth_baseline_gram(
-    d: Dataset,
-    stats: DataStats,
-    Q,
-    R,
-    lam: float,
-    projected: bool,
-    settings: SolverSettings | None = None,
+    d: Dataset, stats: DataStats, Q, R, lam: float, projected: bool
 ) -> LqrSolution:
     p, lay = build_baseline_gram_problem(d, stats, Q, R, lam, projected)
     program_id = "baseline-gram-proj" if projected else "baseline-gram"
@@ -679,7 +639,7 @@ def synth_baseline_gram(
         A_cl = d.x1 @ Y @ Pinv_t
         return K, A_cl
 
-    return _solve_and_extract(p, lay, program_id, settings, extract)
+    return _solve_and_extract(p, lay, program_id, extract)
 
 
 def build_baseline_covar_problem(
@@ -707,16 +667,11 @@ def build_baseline_covar_problem(
     lay.add_sym("Z", n + m)
     p = new_problem(lay.num_vars)
 
-    bid = _stability_block(p, lay, n)
-    _place_prod_sym(p, lay, bid, "P", stats.a_ls, 0, n)
-    _place_prod_full(p, lay, bid, "Kt", stats.b_ls, 0, n)
-
-    bid = _slack_bound_block(p, lay, "L", m, n)
-    _place_prod_full(p, lay, bid, "Kt", np.eye(m), 0, m)
-
-    bid = _slack_bound_block(p, lay, "Z", n + m, n)
-    _place_prod_sym(p, lay, bid, "P", np.eye(n), 0, n + m)
-    _place_prod_full(p, lay, bid, "Kt", np.eye(m), n, n + m)
+    A_LS, B_LS = stats.a_ls, stats.b_ls
+    _stability_block(p, lay, n, lambda P, Kt: A_LS @ P + B_LS @ Kt)
+    _slack_bound_block(p, lay, "L", n, lambda Kt: Kt)
+    # [P; Kt] joined on axis -2, the row axis of a matrix and of a stack alike.
+    _slack_bound_block(p, lay, "Z", n, lambda P, Kt: np.concatenate((P, Kt), axis=-2))
 
     c = np.zeros(lay.num_vars)
     lay.add_sym_cost(c, "P", Q)
@@ -726,16 +681,14 @@ def build_baseline_covar_problem(
     return p, lay
 
 
-def synth_baseline_covar(
-    stats: DataStats, Q, R, lam: float, settings: SolverSettings | None = None
-) -> LqrSolution:
+def synth_baseline_covar(stats: DataStats, Q, R, lam: float) -> LqrSolution:
     p, lay = build_baseline_covar_problem(stats, Q, R, lam)
 
     def extract(y, P, Kt):
         K = np.linalg.solve(P, Kt.T).T
         return K, stats.a_ls + stats.b_ls @ K
 
-    return _solve_and_extract(p, lay, "baseline-covar", settings, extract)
+    return _solve_and_extract(p, lay, "baseline-covar", extract)
 
 
 # -- certainty equivalence and evaluation -------------------------------------

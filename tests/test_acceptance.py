@@ -114,13 +114,17 @@ def test_c03_zero_weight_covariance_equals_certainty_equivalence():
         synth_baseline_covar(st, Q2, R1, 1.0),
     ]
     gap_ce = float(np.linalg.norm(sols[0].K - k_ce))
+    # The model SDP on the least-squares estimates: a check independent of solve_dare.
+    k_sdp = model_lqr_sdp(PlantModel(A=st.a_ls, B=st.b_ls, Q=Q2, R=R1)).K
+    gap_sdp = float(np.linalg.norm(sols[0].K - k_sdp))
     worst_id = max(
         float(np.linalg.norm(s.A_cl - (st.a_ls + st.b_ls @ s.K))) for s in sols
     )
     elapsed = time.perf_counter() - t0
-    print(f"c03 certainty equivalence: |K - K_ce| {gap_ce:.3e}, "
+    print(f"c03 certainty equivalence: |K - K_ce| {gap_ce:.3e}, |K - K_sdp| {gap_sdp:.3e}, "
           f"worst closed-loop identity {worst_id:.3e}, {elapsed:.2f}s (budget 2s)")
     assert gap_ce <= 1e-5
+    assert gap_sdp <= 1e-5
     assert worst_id <= 1e-8
     assert elapsed <= 2.0
 

@@ -55,6 +55,8 @@ def test_svec_round_trip():
         T = T + T.T
         # packing preserves the trace inner product
         assert np.vdot(svec(S), svec(T)) == pytest.approx(np.vdot(S, T), abs=1e-12)
+        V = rng.standard_normal((3, svec_len(d)))
+        assert np.array_equal(smat(V, d), np.stack([smat(v, d) for v in V]))
     for i in range(4):
         for j in range(i, 4):
             v = np.zeros(svec_len(4))
@@ -362,6 +364,14 @@ def test_rejects_bad_indices():
         p.add_entry(bid, 0, 2, 0, 1.0)
     with pytest.raises(DimensionMismatch):
         p.add_block([np.eye(2)])
+    for var, i in (
+        (np.array([0, 1]), np.zeros(3, int)),  # lengths differ
+        (np.array([0, 2]), 0),  # one variable out of range
+        (np.array([0, 1]), np.array([0, -1])),  # one position out of range
+        (np.zeros((2, 2), int), 0),  # not 1-D
+    ):
+        with pytest.raises(DimensionMismatch):
+            p.add_entry(bid, var, i, 0, 1.0)
 
 
 def test_solution_metadata():

@@ -417,6 +417,11 @@ def test_csv_body_errors(tmp_path):
     with pytest.raises(ParseError) as err:
         load_dataset(path)
     assert "field 2" in str(err.value)
+    for text in ("nan", "inf", "-inf"):
+        path.write_text(f"n,m,ell,1,1,2\n1,2,3\n4,5,{text}\n")
+        with pytest.raises(ParseError) as err:
+            load_dataset(path)
+        assert ":3: field 3" in str(err.value)
 
 
 # -- simulation ---------------------------------------------------------------

@@ -344,3 +344,8 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
     rc = main(["gen", "--ell", "2", "--out", str(tmp_path / "d.csv")])
     assert rc == 2
+    bad = tmp_path / "nan.csv"
+    bad.write_text("n,m,ell,1,1,3\n1,2,3\n4,nan,6\n7,8,9\n")
+    rc = main(["synth", "--data", str(bad), "--program", "ce", "--out", str(tmp_path / "y.json")])
+    assert rc == 2
+    assert "not finite" in capsys.readouterr().err

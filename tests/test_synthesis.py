@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ddlqr.datamodel import Dataset, compute_stats
+from ddlqr.datamodel import Dataset, compute_stats, kernel_projector
 from ddlqr.effects import RegWeights, param_effect_closed
 from ddlqr.errors import (
     DimensionMismatch,
@@ -251,6 +251,76 @@ def test_problem_size_ell_independence():
     assert base_vars == sorted(base_vars) and len(set(base_vars)) == len(base_vars)
 
 
+def bordered(T, X, P):
+    return np.block([[T, X], [X.T, P]])
+
+
+def test_builders_state_the_paper_lmis():
+    """Every block of every builder, at a random y, is the paper's LMI written
+    out densely from the layout's values of the decision variables."""
+    rng = np.random.default_rng(11)
+    for d in (noisy(0)[0], random_plant_data(1, 4, 2)):
+        st = compute_stats(d)
+        n, m = st.n, st.m
+        A, B, K_LS = st.a_ls, st.b_ls, st.k_ls
+        Q, R = np.eye(n), np.eye(m)
+        s = 1.0 / max(1.0, np.linalg.norm(d.x0, 2))
+
+        def stab(P, X):
+            return bordered(P - np.eye(n), X, P)
+
+        def baseline_gram(Pi):
+            def blocks(P, Y, L, W):
+                E = d.x0 @ Y - P
+                rows = [[[sg * E[i, j]]] for i in range(n) for j in range(n) for sg in (s, -s)]
+                return rows + [
+                    stab(P, d.x1 @ Y), bordered(L, d.u0 @ Y, P), bordered(W, Pi @ Y, P)
+                ]
+
+            return blocks
+
+        programs = [
+            (
+                build_model_lqr_problem(PlantModel(A=A, B=B, Q=Q, R=R)),
+                lambda P, Kt, L: [stab(P, A @ P + B @ Kt), bordered(L, Kt, P)],
+            ),
+            (
+                build_reduced_gram_problem(st, Q, R, RegWeights(1.0, 1.0, 1.0)),
+                lambda P, Kt, At, L, N, M: [
+                    stab(P, At),
+                    bordered(L, Kt, P),
+                    bordered(N, Kt - K_LS @ P, P),
+                    bordered(M, At - A @ P - B @ Kt, P),
+                ],
+            ),
+            (
+                build_reduced_covar_problem(st, Q, R, covar_weights(1.0, 1.0)),
+                lambda P, Kt, L, N: [
+                    stab(P, A @ P + B @ Kt), bordered(L, Kt, P), bordered(N, Kt - K_LS @ P, P)
+                ],
+            ),
+            (
+                build_baseline_covar_problem(st, Q, R, 1.0),
+                lambda P, Kt, L, Z: [
+                    stab(P, A @ P + B @ Kt), bordered(L, Kt, P), bordered(Z, np.vstack([P, Kt]), P)
+                ],
+            ),
+        ]
+        for projected, Pi in ((False, np.eye(d.ell)), (True, kernel_projector(d))):
+            programs.append(
+                (build_baseline_gram_problem(d, st, Q, R, 1.0, projected), baseline_gram(Pi))
+            )
+        for (p, lay), paper_blocks in programs:
+            y = rng.standard_normal(p.num_vars)
+            want = paper_blocks(**{name: lay.extract(name, y) for name in lay.names()})
+            got = p.evaluate_blocks(y)
+            assert len(got) == len(want)
+            for G, W in zip(got, want):
+                W = np.asarray(W)
+                assert G.shape == W.shape
+                assert np.abs(G - W).max() <= 1e-12 * (1.0 + np.abs(W).max())
+
+
 # -- solution invariants ------------------------------------------------------
 
 
@@ -431,6 +501,10 @@ def riccati_gain(st, Q, R, l1, l2, l3, gram):
 
 
 def random_plant_stats(seed, n, m):
+    return compute_stats(random_plant_data(seed, n, m))
+
+
+def random_plant_data(seed, n, m):
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((n, n))
     cfg = ReferenceExperimentConfig(
@@ -444,7 +518,7 @@ def random_plant_stats(seed, n, m):
         k_expl=np.zeros((m, n)),
         seed=seed,
     )
-    return compute_stats(gen_reference_data(cfg))
+    return gen_reference_data(cfg)
 
 
 @pytest.mark.parametrize("seed,n,m", [(1, 4, 2), (2, 4, 2), (3, 6, 3), (4, 6, 3), (5, 10, 4)])
