@@ -328,10 +328,6 @@ class LmiProblem:
 
     # -- inspection -----------------------------------------------------------
 
-    @property
-    def num_blocks(self) -> int:
-        return len(self._blocks)
-
     def block_dims(self) -> list[int]:
         return [b.dim for b in self._blocks]
 

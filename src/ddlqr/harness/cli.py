@@ -45,17 +45,35 @@ _SWEEP_PRESETS = {
 _PORTRAIT_PRESETS = ("portraits", "fig3")
 
 
+def _at_least(least, cast=float, many=False):
+    """argparse type: a finite value >= least, or with many a comma-separated
+    list of them, so that a bad option is a usage error before any work."""
+
+    def parse(text: str):
+        try:
+            vals = [cast(tok) for tok in (text.split(",") if many else [text])]
+        except ValueError:
+            vals = [np.nan]
+        if not all(np.isfinite(v) and v >= least for v in vals):
+            raise argparse.ArgumentTypeError(f"{text!r}: want finite {cast.__name__}s >= {least:g}")
+        return vals if many else vals[0]
+
+    return parse
+
+
 def _add_gen(sub) -> None:
     p = sub.add_parser("gen", help="generate one dataset and save it as CSV")
+    p.set_defaults(run=_cmd_gen)
     p.add_argument("--preset", choices=("reference", "paper"), default="reference")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ell", type=int, default=30)
-    p.add_argument("--noise-std", type=float, default=0.1)
+    p.add_argument("--noise-std", type=_at_least(0.0), default=0.1)
     p.add_argument("--out", required=True)
 
 
 def _add_synth(sub) -> None:
     p = sub.add_parser("synth", help="solve one synthesis program on saved data")
+    p.set_defaults(run=_cmd_synth)
     p.add_argument("--data", required=True)
     p.add_argument(
         "--program",
@@ -70,15 +88,15 @@ def _add_synth(sub) -> None:
             "model",
         ),
     )
-    p.add_argument("--l1", type=float, default=0.0)
-    p.add_argument("--l2", type=float, default=0.0)
-    p.add_argument("--l3", type=float, default=0.0)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    for flag in ("--l1", "--l2", "--l3"):
+        p.add_argument(flag, type=_at_least(0.0), default=0.0)
+    p.add_argument("--lambda", dest="lam", type=_at_least(0.0), default=0.0)
     p.add_argument("--out", required=True)
 
 
 def _add_sweep(sub) -> None:
     p = sub.add_parser("sweep", help="trace every case of a preset over its lambda grid")
+    p.set_defaults(run=_cmd_sweep)
     p.add_argument("--preset", choices=sorted(_SWEEP_PRESETS), required=True)
     p.add_argument("--data", default=None, help="dataset CSV; generated when omitted")
     p.add_argument("--seed", type=int, default=None, help="seed for generated data")
@@ -88,8 +106,9 @@ def _add_sweep(sub) -> None:
 
 def _add_portrait(sub) -> None:
     p = sub.add_parser("portrait", help="phase portraits of the state-weighted case")
+    p.set_defaults(run=_cmd_portrait)
     p.add_argument("--preset", choices=_PORTRAIT_PRESETS, default="portraits")
-    p.add_argument("--lambdas", default="0.1,1,10,100")
+    p.add_argument("--lambdas", type=_at_least(0.0, many=True), default=[0.1, 1.0, 10.0, 100.0])
     p.add_argument("--data", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
@@ -97,15 +116,17 @@ def _add_portrait(sub) -> None:
 
 def _add_bench(sub) -> None:
     p = sub.add_parser("bench", help="time baselines against the reduced programs")
-    p.add_argument("--ells", default="30,60,90,120")
+    p.set_defaults(run=_cmd_bench)
+    p.add_argument("--ells", type=_at_least(1, int, many=True), default=[30, 60, 90, 120])
     p.add_argument("--repeats", type=int, default=10)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    p.add_argument("--lambda", dest="lam", type=_at_least(0.0), default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
 
 def _add_verify(sub) -> None:
     p = sub.add_parser("verify", help="run the oracle and equivalence self-checks")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="verify-artifacts", help="artifact directory")
 
@@ -197,7 +218,7 @@ def _cmd_portrait(args) -> int:
     stats = compute_stats(d)
     cfg = ReferenceExperimentConfig()
     starts = [(9.0, 0.0), (-9.0, 0.0), (0.0, 9.0), (0.0, -9.0), (6.5, 6.5), (-6.5, -6.5)]
-    for lam in (float(tok) for tok in args.lambdas.split(",")):
+    for lam in args.lambdas:
         w = RegWeights(lambda3=lam, parameterization="covariance")
         sol = synth_reduced_covar(stats, cfg.q, cfg.r, w)
         trajs = [simulate_closed_loop(sol.A_cl, s, steps=25) for s in starts]
@@ -212,9 +233,8 @@ def _cmd_portrait(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    ells = [int(tok) for tok in args.ells.split(",")]
     cfg = ReferenceExperimentConfig(seed=args.seed)
-    rows = bench_scaling(ells, args.repeats, cfg, lam=args.lam)
+    rows = bench_scaling(args.ells, args.repeats, cfg, lam=args.lam)
     emit_bench_csv(rows, args.out)
     for r in rows:
         print(
@@ -246,16 +266,10 @@ def main(argv=None) -> int:
     _add_bench(sub)
     _add_verify(sub)
     args = parser.parse_args(argv)
-    handlers = {
-        "gen": _cmd_gen,
-        "synth": _cmd_synth,
-        "sweep": _cmd_sweep,
-        "portrait": _cmd_portrait,
-        "bench": _cmd_bench,
-        "verify": _cmd_verify,
-    }
+    if args.command == "synth" and args.program == "reduced-covar" and args.l1 > 0.0:
+        parser.error("--l1 must be 0 for reduced-covar: it has no closed-loop-deviation term")
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except DdlqrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,8 +15,9 @@ a linear matrix expression whose parameters name layout slots, for example
 [*, P]]. Evaluated on the slots' unit matrices (`SdpLayout.units`), the
 block gives every variable's coefficient matrix at once, and its non-zero
 upper triangle goes to `LmiProblem.add_entry`. Slacks stay corners and the
-baseline's ell-column variable Y stays a column family, the two structures
-the solver eliminates in closed form.
+baseline's Y = X0^+ P + N Z, which meets X0 Y = P for every Z, keeps its
+kernel coordinates Z a column family: the structures the solver eliminates
+in closed form, and no program carries an equality row.
 
 Each reduced program is also an LQR problem on the least-squares model with
 shifted weights (an H2 LMI is equivalent to a discrete algebraic Riccati
@@ -32,6 +33,7 @@ import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .conic import (
     ConicSolution,
@@ -70,6 +72,7 @@ __all__ = [
     "PlantModel",
     "SdpLayout",
     "TruthEvaluation",
+    "baseline_y_map",
     "build_baseline_covar_problem",
     "build_baseline_gram_problem",
     "build_model_lqr_problem",
@@ -247,23 +250,22 @@ def _add_bordered(p: LmiProblem, lay: SdpLayout, bid: int, dc: int, off, corner_
     """Write the linear part of [[T, X], [X^T, P]] into block bid.
 
     X = off(...) is a linear matrix expression over the layout slots its
-    parameters name (zero when off is None: a column family supplies it);
-    T is P when corner_p and zero otherwise (a corner slack supplies it).
-    Each variable's coefficient matrix is the block at that variable's unit
+    parameters name (a column family may add a further term to it); T is P
+    when corner_p and zero otherwise (a corner slack supplies it). Each
+    variable's coefficient matrix is the block at that variable's unit
     matrix: the border [X; P] and, when corner_p, T.
     """
-    names = () if off is None else tuple(inspect.signature(off).parameters)
+    names = tuple(inspect.signature(off).parameters)
     var, U = lay.units(("P",) + names)
-    P = U["P"]
-    X = np.zeros((var.size, dc, P.shape[2])) if off is None else off(*(U[s] for s in names))
-    _add_upper(p, bid, var, np.concatenate((X, P), axis=1), c0=dc)
+    X = off(*(U[s] for s in names))
+    _add_upper(p, bid, var, np.concatenate((X, U["P"]), axis=1), c0=dc)
     if corner_p:
-        _add_upper(p, bid, var, P)
+        _add_upper(p, bid, var, U["P"])
 
 
-def _stability_block(p: LmiProblem, lay: SdpLayout, dim_n: int, a_cl=None) -> int:
+def _stability_block(p: LmiProblem, lay: SdpLayout, dim_n: int, a_cl) -> int:
     """[[P - I, A_cl P], [*, P]] >= 0, the lifted closed loop A_cl P written
-    as an expression over named slots (None where a column family adds it)."""
+    as an expression over named slots."""
     bid = p.new_block(2 * dim_n)
     F0 = np.zeros((2 * dim_n, 2 * dim_n))
     F0[:dim_n, :dim_n] = -np.eye(dim_n)
@@ -272,10 +274,10 @@ def _stability_block(p: LmiProblem, lay: SdpLayout, dim_n: int, a_cl=None) -> in
     return bid
 
 
-def _slack_bound_block(p: LmiProblem, lay: SdpLayout, slack: str, dim_n: int, dev=None) -> int:
+def _slack_bound_block(p: LmiProblem, lay: SdpLayout, slack: str, dim_n: int, dev) -> int:
     """[[slack, dev], [*, P]] >= 0 with the slack eliminated as a corner:
     slack >= dev P^-1 dev^T for the deviation dev, an expression over named
-    slots (None where a column family adds it)."""
+    slots."""
     dc = lay.slot(slack).rows
     bid = p.new_block(dc + dim_n)
     p.add_corner_slack(bid, dc, lay.slot(slack).offset)
@@ -571,14 +573,24 @@ def synth_reduced_covar(stats: DataStats, Q, R, w: RegWeights) -> LqrSolution:
 # -- baseline data-driven programs (size grows with ell) ----------------------
 
 
+def baseline_y_map(x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(X0^+, N) with Y = X0^+ P + N Z the general solution of X0 Y = P:
+    one complete QR X0^T = [Q1 Q2] [R1; 0] gives X0^+ = Q1 R1^-T (ell x n) and
+    N = Q2, an orthonormal basis of ker X0. X0 must have rank n, as
+    compute_stats checks."""
+    n = x0.shape[0]
+    q, r = np.linalg.qr(x0.T, mode="complete")
+    return solve_triangular(r[:n], q[:, :n].T).T, q[:, n:]
+
+
 def build_baseline_gram_problem(
     d: Dataset, stats: DataStats, Q, R, lam: float, projected: bool
 ) -> tuple[LmiProblem, SdpLayout]:
-    """Raw-data program with the ell-column variable Y = G P.
+    """Raw-data program in the ell-column variable Y = G P with X0 Y = P.
 
-    The linear constraint X0 Y = P is encoded as paired one-dimensional
-    rows scaled to the data magnitude; the regularizer slack W is an
-    ell x ell corner.
+    Y = X0^+ P + N Z (baseline_y_map) meets X0 Y = P for every Z, so each
+    border C Y is the expression (C X0^+) P plus the column family (C N) Z,
+    with no equality rows. The regularizer slack W is an ell x ell corner.
     """
     n, m, ell = stats.n, stats.m, stats.ell
     Q, R = _check_qr(n, m, Q, R)
@@ -588,35 +600,23 @@ def build_baseline_gram_problem(
 
     lay = SdpLayout()
     lay.add_sym("P", n)
-    lay.add_full("Y", ell, n)
+    lay.add_full("Z", ell - n, n)
     lay.add_sym("L", m)
     lay.add_sym("W", ell)
     p = new_problem(lay.num_vars)
-    ygrid = lay.var_grid("Y")
 
-    # X0 Y - P = 0, entry by entry, as the rows s e_ij >= 0 and -s e_ij >= 0.
-    var, U = lay.units(("P", "Y"))
-    E = d.x0 @ U["Y"] - U["P"]
-    eq_scale = 1.0 / max(1.0, float(np.linalg.norm(d.x0, 2)))
-    for i in range(n):
-        for j in range(n):
-            for s in (eq_scale, -eq_scale):
-                p.add_entry(p.new_block(1), var, 0, 0, s * E[:, i, j])
-
-    bid = _stability_block(p, lay, n)
-    C = np.zeros((2 * n, ell))
-    C[:n, :] = d.x1
-    p.add_column_family(bid, C, n, ygrid)
-
-    bid = _slack_bound_block(p, lay, "L", n)
-    C = np.zeros((m + n, ell))
-    C[:m, :] = d.u0
-    p.add_column_family(bid, C, m, ygrid)
-
-    bid = _slack_bound_block(p, lay, "W", n)
-    C = np.zeros((ell + n, ell))
-    C[:ell, :] = kernel_projector(d) if projected else np.eye(ell)
-    p.add_column_family(bid, C, ell, ygrid)
+    x0_pinv, N = baseline_y_map(d.x0)
+    Pi = kernel_projector(d) if projected else np.eye(ell)
+    X1p, U0p, Pip = d.x1 @ x0_pinv, d.u0 @ x0_pinv, Pi @ x0_pinv
+    bids = (
+        _stability_block(p, lay, n, lambda P: X1p @ P),
+        _slack_bound_block(p, lay, "L", n, lambda P: U0p @ P),
+        _slack_bound_block(p, lay, "W", n, lambda P: Pip @ P),
+    )
+    # Each family fills the border's dc rows; the P rows below it stay zero.
+    for bid, C in zip(bids, (d.x1, d.u0, Pi)):
+        CN = np.vstack((C @ N, np.zeros((n, ell - n))))
+        p.add_column_family(bid, CN, C.shape[0], lay.var_grid("Z"))
 
     c = np.zeros(lay.num_vars)
     lay.add_sym_cost(c, "P", Q)
@@ -631,13 +631,11 @@ def synth_baseline_gram(
 ) -> LqrSolution:
     p, lay = build_baseline_gram_problem(d, stats, Q, R, lam, projected)
     program_id = "baseline-gram-proj" if projected else "baseline-gram"
+    x0_pinv, N = baseline_y_map(d.x0)
 
     def extract(y, P, Kt):
-        Y = lay.extract("Y", y)
-        Pinv_t = np.linalg.solve(P, np.eye(stats.n))
-        K = d.u0 @ Y @ Pinv_t
-        A_cl = d.x1 @ Y @ Pinv_t
-        return K, A_cl
+        YPinv = (x0_pinv @ P + N @ lay.extract("Z", y)) @ np.linalg.solve(P, np.eye(stats.n))
+        return d.u0 @ YPinv, d.x1 @ YPinv
 
     return _solve_and_extract(p, lay, program_id, extract)
 

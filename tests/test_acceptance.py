@@ -246,7 +246,7 @@ def test_c08_effect_three_matches_shifted_state_weight():
     worst = 0.0
     for lam3 in (0.1, 1.0, 10.0):
         w = RegWeights(lambda3=lam3, parameterization="covariance")
-        sol = synth_reduced_covar(st, Q2, R1, w)
+        sol = reduced_sdp(st, Q2, R1, w)
         q_shift = Q2 + lam3 * np.linalg.inv(st.cov_x0)
         k_shift, _ = solve_dare(st.a_ls, st.b_ls, sym(q_shift), R1)
         worst = max(worst, float(np.linalg.norm(sol.K - k_shift)))

@@ -349,3 +349,23 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     rc = main(["synth", "--data", str(bad), "--program", "ce", "--out", str(tmp_path / "y.json")])
     assert rc == 2
     assert "not finite" in capsys.readouterr().err
+    # Bad numeric options are usage errors, raised by argument parsing before
+    # any work: no output is written.
+    data = tmp_path / "ok.csv"
+    assert main(["gen", "--out", str(data)]) == 0
+    capsys.readouterr()
+    synth = ["synth", "--data", str(data), "--out", str(tmp_path / "z.json"), "--program"]
+    for argv in (
+        ["bench", "--ells", "30,x", "--out", str(tmp_path / "b.csv")],
+        ["portrait", "--lambdas", "1,abc", "--out", str(tmp_path / "portraits")],
+        synth + ["baseline-gram", "--lambda", "-1"],
+        synth + ["baseline-gram", "--lambda", "nan"],
+        synth + ["reduced-gram", "--l1", "-1"],
+        synth + ["reduced-covar", "--l1", "1"],
+        ["gen", "--noise-std", "-0.1", "--out", str(tmp_path / "n.csv")],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "error:" in capsys.readouterr().err
+    assert not any((tmp_path / name).exists() for name in ("b.csv", "portraits", "z.json", "n.csv"))
