@@ -86,8 +86,9 @@ _DUAL_CAP = 1e-5
 
 
 def _nt_scaling(S: np.ndarray, Z: np.ndarray):
-    """Per-block NT scaling: lam (diagonal of the scaled point), R, Rinv,
-    and the metric Wm = Rinv.T Rinv, so that Rinv S Rinv.T = R.T Z R = diag(lam)."""
+    """Per-block NT scaling: lam (diagonal of the scaled point), Rinv and the
+    metric Wm = Rinv.T Rinv, so that Rinv S Rinv.T = R.T Z R = diag(lam)
+    with R = Rinv^-1."""
     try:
         L_s = np.linalg.cholesky(S)
         L_z = np.linalg.cholesky(Z)
@@ -97,11 +98,10 @@ def _nt_scaling(S: np.ndarray, Z: np.ndarray):
     if np.min(lam) <= 0.0:
         raise _FactorError("NT scaling hit a zero singular value")
     root = np.sqrt(lam)
-    R = L_s @ (Vt.T / root)
     Linv = scipy.linalg.solve_triangular(L_s, np.eye(S.shape[0]), lower=True)
     Rinv = (Vt * root[:, None]) @ Linv
     Wm = Rinv.T @ Rinv
-    return lam, R, Rinv, Wm
+    return lam, Rinv, Wm
 
 
 def _boundary_step(lam: np.ndarray, D_scaled: np.ndarray) -> float:
@@ -421,7 +421,7 @@ def solve(problem: LmiProblem, settings: SolverSettings | None = None) -> ConicS
         try:
             scal = [_nt_scaling(S[i], Z[i]) for i in range(len(compiled))]
             fact = _Factorization(
-                compiled, [sc[3] for sc in scal], oidx, pos_of, k
+                compiled, [sc[2] for sc in scal], oidx, pos_of, k
             )
         except _FactorError as exc:
             if snap_ok():
@@ -435,7 +435,7 @@ def solve(problem: LmiProblem, settings: SolverSettings | None = None) -> ConicS
 
         # Predictor: pure Newton step toward the boundary.
         E_aff = [
-            -Z[i] + scal[i][3] @ Rp[i] @ scal[i][3] for i in range(len(compiled))
+            -Z[i] + scal[i][2] @ Rp[i] @ scal[i][2] for i in range(len(compiled))
         ]
         dy_aff = fact.solve_kkt(E_aff, rd)
         # One common step length for (y, S) and Z: keeps both residual
@@ -445,7 +445,7 @@ def solve(problem: LmiProblem, settings: SolverSettings | None = None) -> ConicS
         ds_aff = []
         dz_aff = []
         for i, cb in enumerate(compiled):
-            lam, R, Rinv, Wm = scal[i]
+            lam, Rinv, Wm = scal[i]
             dS = cb.apply_lin(dy_aff) - Rp[i]
             dst = Rinv @ dS @ Rinv.T
             dst = 0.5 * (dst + dst.T)
@@ -468,7 +468,7 @@ def solve(problem: LmiProblem, settings: SolverSettings | None = None) -> ConicS
         E_cor = []
         C_mats = []
         for i in range(len(compiled)):
-            lam, R, Rinv, Wm = scal[i]
+            lam, Rinv, Wm = scal[i]
             cross = ds_aff[i] @ dz_aff[i]
             C_raw = sigma * mu * np.eye(lam.size) - np.diag(lam**2) - 0.5 * (cross + cross.T)
             C_mat = 2.0 * C_raw / np.add.outer(lam, lam)
@@ -480,7 +480,7 @@ def solve(problem: LmiProblem, settings: SolverSettings | None = None) -> ConicS
         ds_list = []
         dz_list = []
         for i, cb in enumerate(compiled):
-            lam, R, Rinv, Wm = scal[i]
+            lam, Rinv, Wm = scal[i]
             dS = cb.apply_lin(dy) - Rp[i]
             dst = Rinv @ dS @ Rinv.T
             dst = 0.5 * (dst + dst.T)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -20,10 +21,11 @@ from scipy.linalg import solve_triangular
 from .errors import (
     DimensionMismatch,
     ExcitationViolation,
+    NotPositiveDefinite,
     ParseError,
     StateRankViolation,
 )
-from .matlin import RANK_TOL, as_matrix
+from .matlin import RANK_TOL, as_matrix, inv_pd, inv_sqrt_pd
 
 __all__ = [
     "DataStats",
@@ -146,14 +148,34 @@ def check_excitation(d: Dataset, rank_tol: float = RANK_TOL) -> RankReport:
     return _rank_report(d, _stack_factor(d), rank_tol)
 
 
+def _cov_factor(fn, name: str) -> cached_property:
+    """Read-only fn(cov, name) of the covariance field `name`, computed on
+    first use and kept in the instance. A singular covariance raises
+    NotPositiveDefinite on every request; nothing is cached for it."""
+
+    def get(self):
+        # cov_resid_x from rank-deficient stacked data is zero up to
+        # round-off: uniformly tiny, so no relative eigenvalue test can
+        # reject it. The data-level rank flag is the scale-aware signal.
+        if name == "cov_resid_x" and not self.rank_report.full_rank_holds:
+            raise NotPositiveDefinite(
+                "cov_resid_x is singular: the stacked data matrix is rank deficient"
+            )
+        return _frozen(fn(getattr(self, name), name))
+
+    return cached_property(get)
+
+
 @dataclass(frozen=True)
 class DataStats:
     """Least-squares fits and sample covariances of one Dataset.
 
     Every field has a size fixed by n and m, whatever the record length
     ell. Covariances use population normalization 1/ell throughout.
-    Residual covariances are stored as computed, singular or not;
-    consumers that need an inverse decide how to fail.
+    Residual covariances are stored as computed, singular or not. Their
+    inverses and inverse square roots (`cov_x0_inv`, `cov_x0_inv_sqrt`, ...)
+    are computed once per instance, on first use; a singular one raises
+    NotPositiveDefinite, and consumers decide how to fail.
     """
 
     n: int
@@ -181,6 +203,14 @@ class DataStats:
             "cov_resid_u",
         ):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
+
+    cov_x0_inv = _cov_factor(inv_pd, "cov_x0")
+    cov_x0_inv_sqrt = _cov_factor(inv_sqrt_pd, "cov_x0")
+    cov_d0_inv = _cov_factor(inv_pd, "cov_d0")
+    cov_resid_x_inv = _cov_factor(inv_pd, "cov_resid_x")
+    cov_resid_x_inv_sqrt = _cov_factor(inv_sqrt_pd, "cov_resid_x")
+    cov_resid_u_inv = _cov_factor(inv_pd, "cov_resid_u")
+    cov_resid_u_inv_sqrt = _cov_factor(inv_sqrt_pd, "cov_resid_u")
 
 
 def compute_stats(d: Dataset, rank_tol: float = RANK_TOL) -> DataStats:

@@ -17,6 +17,7 @@ import numpy as np
 from .datamodel import Dataset, DataStats, compute_stats, kernel_projector, row_space_basis
 from .errors import (
     DimensionMismatch,
+    IndefiniteInput,
     InfeasibleConstraint,
     NotPositiveDefinite,
     SingularCovariance,
@@ -24,8 +25,6 @@ from .errors import (
 from .matlin import (
     RANK_TOL,
     as_matrix,
-    inv_pd,
-    inv_sqrt_pd,
     pinv,
     require_symmetric,
     sym,
@@ -162,7 +161,7 @@ def eval_reg_covar(K, P, lam: float, stats: DataStats) -> float:
     P = _check_square(P, stats.n, "P")
     require_symmetric(P, "P")
     try:
-        inv = inv_pd(stats.cov_d0, "cov_d0")
+        inv = stats.cov_d0_inv
     except NotPositiveDefinite as e:
         raise SingularCovariance(str(e)) from e
     ik = np.vstack([np.eye(stats.n), K])
@@ -181,29 +180,18 @@ def param_effect_closed(
     K = _check_gain(K, stats)
     A_cl = _check_square(A_cl, stats.n, "A_cl")
     P = _check_square(P, stats.n, "P")
-    half = sym_sqrt(P, "P")
-    w_eigs = np.linalg.eigvalsh(sym(P))
-    if w_eigs.size and float(np.min(w_eigs)) <= RANK_TOL * float(np.max(np.abs(w_eigs))):
+    # One eigendecomposition gives P's square root and its definiteness.
+    p_eigs, V = np.linalg.eigh(require_symmetric(P, "P"))
+    scale = float(np.max(np.abs(p_eigs)))
+    if scale > 0.0 and float(np.min(p_eigs)) < -1e-10 * scale:
+        raise IndefiniteInput(f"P eigenvalue {np.min(p_eigs):.3e} below -1e-10 * {scale:.3e}")
+    if float(np.min(p_eigs)) <= RANK_TOL * scale:
         raise NotPositiveDefinite("P must be positive definite for the parametric effect")
+    half = sym((V * np.sqrt(p_eigs)) @ V.T)
 
-    # The successor-residual covariance from rank-deficient stacked data is
-    # zero up to round-off: uniformly tiny, so no relative eigenvalue test
-    # can reject it. The data-level rank flag is the scale-aware signal.
-    # The input-residual covariance is covered by the rank check that
-    # already gated the stats, and cov_x0 by the state rank check.
-    full_rank = stats.rank_report.full_rank_holds
-
-    def term(
-        dev: np.ndarray, cov: np.ndarray, cov_name: str, weight: float, definite: bool
-    ) -> float:
-        if not definite:
-            if weight > 0.0:
-                raise NotPositiveDefinite(
-                    f"{cov_name} is singular: the stacked data matrix is rank deficient"
-                )
-            return 0.0
+    def term(dev: np.ndarray, factor: str, weight: float) -> float:
         try:
-            root = inv_sqrt_pd(cov, cov_name)
+            root = getattr(stats, factor)
         except NotPositiveDefinite:
             if weight > 0.0:
                 raise
@@ -211,11 +199,9 @@ def param_effect_closed(
         M = root @ dev @ half
         return float(np.sum(M * M))
 
-    h1 = term(
-        A_cl - (stats.a_ls + stats.b_ls @ K), stats.cov_resid_x, "cov_resid_x", w.lambda1, full_rank
-    )
-    h2 = term(K - stats.k_ls, stats.cov_resid_u, "cov_resid_u", w.lambda2, True)
-    h3 = term(np.eye(stats.n), stats.cov_x0, "cov_x0", w.lambda3, True)
+    h1 = term(A_cl - (stats.a_ls + stats.b_ls @ K), "cov_resid_x_inv_sqrt", w.lambda1)
+    h2 = term(K - stats.k_ls, "cov_resid_u_inv_sqrt", w.lambda2)
+    h3 = term(np.eye(stats.n), "cov_x0_inv_sqrt", w.lambda3)
     total = w.lambda1 * h1 + w.lambda2 * h2 + w.lambda3 * h3
     if w.ell_scaling:
         total /= float(stats.ell)
@@ -246,7 +232,7 @@ def param_effect_oracle(
     if kind == "covariance":
         objective = eval_reg_covar(K, P, lam, stats)
         ik = np.vstack([np.eye(stats.n), K])
-        v_aux = inv_pd(stats.cov_d0, "cov_d0") @ ik
+        v_aux = stats.cov_d0_inv @ ik
         resid = float(
             np.linalg.norm(stats.cov_d0 @ v_aux - ik) / (1.0 + np.linalg.norm(ik))
         )

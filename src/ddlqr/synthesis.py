@@ -22,7 +22,9 @@ in closed form, and no program carries an equality row.
 Each reduced program is also an LQR problem on the least-squares model with
 shifted weights (an H2 LMI is equivalent to a discrete algebraic Riccati
 equation), so `synth_reduced_gram` and `synth_reduced_covar` solve that
-equation and return the SDP's optimum without an interior-point solve.
+equation and return the SDP's optimum without an interior-point solve. Their
+weights read the covariance inverses each DataStats computes once, and the
+objective is priced from those weights as traces.
 `reduced_sdp` solves the programs as SDPs, the paper's formulation, and
 serves as their independent check.
 """
@@ -46,7 +48,7 @@ from .conic import (
     svec_len,
 )
 from .datamodel import Dataset, DataStats, kernel_projector
-from .effects import RegWeights, param_effect_closed
+from .effects import RegWeights
 from .errors import (
     DimensionMismatch,
     NoConvergence,
@@ -56,10 +58,8 @@ from .errors import (
     UnstableMatrix,
 )
 from .matlin import (
-    RANK_TOL,
     as_matrix,
     h2norm_sq,
-    inv_pd,
     require_symmetric,
     solve_dare,
     solve_dlyap,
@@ -285,17 +285,6 @@ def _slack_bound_block(p: LmiProblem, lay: SdpLayout, slack: str, dim_n: int, de
     return bid
 
 
-def _require_pd_cov(cov: np.ndarray, name: str, definite: bool) -> None:
-    if not definite:
-        raise NotPositiveDefinite(
-            f"{name} is singular: the stacked data matrix is rank deficient"
-        )
-    w = np.linalg.eigvalsh(require_symmetric(cov, name))
-    scale = float(np.max(np.abs(w)))
-    if scale <= 0.0 or float(np.min(w)) <= RANK_TOL * scale:
-        raise NotPositiveDefinite(f"{name} must be positive definite")
-
-
 def _check_qr(n: int, m: int, Q, R) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric positive definite Q (n x n) and R (m x m)."""
     Q = require_symmetric(Q, "Q")
@@ -374,9 +363,10 @@ def model_lqr_sdp(pm: PlantModel) -> LqrSolution:
 def _reduced_weights(stats: DataStats, Q, R, w: RegWeights, parameterization: str):
     """Checked cost weights shared by a reduced program and its Riccati form.
 
-    Returns (Q, R, Q + c3 cov_x0^-1, c2 cov_resid_u^-1, c1 cov_resid_x^-1)
-    with c_i = lambda_i / ell under ell scaling and lambda_i otherwise. A weight
-    whose lambda is zero is a zero matrix, and its covariance is not read.
+    Returns (Q, R, c3 cov_x0^-1, c2 cov_resid_u^-1, c1 cov_resid_x^-1) with
+    c_i = lambda_i / ell under ell scaling and lambda_i otherwise, the
+    inverses read from the stats' cache. A weight whose lambda is zero is a
+    zero matrix, and its covariance is not read.
     """
     if w.parameterization != parameterization:
         raise ValueError(
@@ -385,15 +375,14 @@ def _reduced_weights(stats: DataStats, Q, R, w: RegWeights, parameterization: st
     n, m = stats.n, stats.m
     Q, R = _check_qr(n, m, Q, R)
     scale = 1.0 / stats.ell if w.ell_scaling else 1.0
-    q, du, dx = Q, np.zeros((m, m)), np.zeros((n, n))
+    d0, du, dx = np.zeros((n, n)), np.zeros((m, m)), np.zeros((n, n))
     if w.lambda1 > 0.0:
-        _require_pd_cov(stats.cov_resid_x, "cov_resid_x", stats.rank_report.full_rank_holds)
-        dx = w.lambda1 * scale * inv_pd(stats.cov_resid_x, "cov_resid_x")
+        dx = w.lambda1 * scale * stats.cov_resid_x_inv
     if w.lambda2 > 0.0:
-        du = w.lambda2 * scale * inv_pd(stats.cov_resid_u, "cov_resid_u")
+        du = w.lambda2 * scale * stats.cov_resid_u_inv
     if w.lambda3 > 0.0:
-        q = Q + w.lambda3 * scale * inv_pd(stats.cov_x0, "cov_x0")
-    return Q, R, q, du, dx
+        d0 = w.lambda3 * scale * stats.cov_x0_inv
+    return Q, R, d0, du, dx
 
 
 def build_reduced_gram_problem(
@@ -406,7 +395,7 @@ def build_reduced_gram_problem(
     loop, when lambda1 > 0). Slack blocks for zero weights are omitted
     entirely.
     """
-    _, R, qp, du, dx = _reduced_weights(stats, Q, R, w, "gram")
+    Q, R, d0, du, dx = _reduced_weights(stats, Q, R, w, "gram")
     n, m = stats.n, stats.m
 
     lay = SdpLayout()
@@ -429,7 +418,7 @@ def build_reduced_gram_problem(
         _slack_bound_block(p, lay, "M", n, lambda P, Kt, At: At - A_LS @ P - B_LS @ Kt)
 
     c = np.zeros(lay.num_vars)
-    lay.add_sym_cost(c, "P", qp)
+    lay.add_sym_cost(c, "P", Q + d0)
     lay.add_sym_cost(c, "L", R)
     if w.lambda2 > 0.0:
         lay.add_sym_cost(c, "N", du)
@@ -447,7 +436,7 @@ def build_reduced_covar_problem(
     The closed loop is not a free variable: the stability LMI is written
     over A_LS P + B_LS K tilde directly.
     """
-    _, R, qp, du, _ = _reduced_weights(stats, Q, R, w, "covariance")
+    Q, R, d0, du, _ = _reduced_weights(stats, Q, R, w, "covariance")
     n, m = stats.n, stats.m
 
     lay = SdpLayout()
@@ -465,7 +454,7 @@ def build_reduced_covar_problem(
         _slack_bound_block(p, lay, "N", n, lambda P, Kt: Kt - K_LS @ P)
 
     c = np.zeros(lay.num_vars)
-    lay.add_sym_cost(c, "P", qp)
+    lay.add_sym_cost(c, "P", Q + d0)
     lay.add_sym_cost(c, "L", R)
     if w.lambda2 > 0.0:
         lay.add_sym_cost(c, "N", du)
@@ -511,13 +500,19 @@ def _shifted_lqr(stats: DataStats, B, q, r, du) -> np.ndarray:
     return G
 
 
-def _riccati_solution(stats, Q, R, w, K, A_cl, program_id) -> LqrSolution:
+def _riccati_solution(stats, Q, R, d0, du, dx, K, A_cl, program_id) -> LqrSolution:
     """The SDP's optimum at a Riccati gain: P is the closed-loop Gramian and
-    the objective the sum of its non-negative cost terms, which keeps full
+    the objective the sum of its non-negative cost terms
+    tr(QP) + tr(R K P K.T) + tr(d0 P) + tr(du dK P dK.T) + tr(dx dA P dA.T),
+    with dK = K - K_LS and dA = A_cl - (A_LS + B_LS K) and the weights of
+    _reduced_weights as formed. A sum of non-negative terms keeps full
     relative precision at large weights."""
     P = solve_dlyap(A_cl)
-    objective = float(np.trace(Q @ P) + np.trace(R @ K @ P @ K.T))
-    objective += param_effect_closed(K, A_cl, P, stats, w).total
+    dK, dA = K - stats.k_ls, A_cl - (stats.a_ls + stats.b_ls @ K)
+    objective = float(
+        np.trace(Q @ P) + np.trace(R @ K @ P @ K.T) + np.trace(d0 @ P)
+        + np.trace(du @ dK @ P @ dK.T) + np.trace(dx @ dA @ P @ dA.T)
+    )
     return LqrSolution(
         K=K,
         P=P,
@@ -539,7 +534,7 @@ def synth_reduced_gram(stats: DataStats, Q, R, w: RegWeights) -> LqrSolution:
     lambda1 = 0 the deviation costs nothing: A_cl = 0, P = I and K minimizes
     tr(R K K.T) + c2 |cov_resid_u^-1/2 (K - K_LS)|_F^2.
     """
-    Q, R, q, du, dx = _reduced_weights(stats, Q, R, w, "gram")
+    Q, R, d0, du, dx = _reduced_weights(stats, Q, R, w, "gram")
     n, m = stats.n, stats.m
     if w.lambda1 == 0.0:
         K = np.linalg.solve(R + du, du @ stats.k_ls)
@@ -549,9 +544,9 @@ def synth_reduced_gram(stats: DataStats, Q, R, w: RegWeights) -> LqrSolution:
         r = np.zeros((m + n, m + n))
         r[:m, :m] = R
         r[m:, m:] = dx
-        G = _shifted_lqr(stats, B, q, r, du)
+        G = _shifted_lqr(stats, B, Q + d0, r, du)
         K, A_cl = G[:m], stats.a_ls + B @ G
-    return _riccati_solution(stats, Q, R, w, K, A_cl, "reduced-gram")
+    return _riccati_solution(stats, Q, R, d0, du, dx, K, A_cl, "reduced-gram")
 
 
 def synth_reduced_covar(stats: DataStats, Q, R, w: RegWeights) -> LqrSolution:
@@ -562,12 +557,13 @@ def synth_reduced_covar(stats: DataStats, Q, R, w: RegWeights) -> LqrSolution:
     Estimates (A_LS, B_LS) that are not stabilizable leave the program
     infeasible and raise SynthesisInfeasible.
     """
-    Q, R, q, du, _ = _reduced_weights(stats, Q, R, w, "covariance")
+    Q, R, d0, du, dx = _reduced_weights(stats, Q, R, w, "covariance")
     try:
-        K = _shifted_lqr(stats, stats.b_ls, q, R, du)
+        K = _shifted_lqr(stats, stats.b_ls, Q + d0, R, du)
     except NoConvergence as exc:
         raise SynthesisInfeasible("reduced-covar", "Infeasible") from exc
-    return _riccati_solution(stats, Q, R, w, K, stats.a_ls + stats.b_ls @ K, "reduced-covar")
+    A_cl = stats.a_ls + stats.b_ls @ K
+    return _riccati_solution(stats, Q, R, d0, du, dx, K, A_cl, "reduced-covar")
 
 
 # -- baseline data-driven programs (size grows with ell) ----------------------
@@ -654,7 +650,7 @@ def build_baseline_covar_problem(
     if lam < 0.0:
         raise ValueError(f"lambda must be non-negative, got {lam}")
     try:
-        cov_inv = inv_pd(stats.cov_d0, "cov_d0")
+        cov_inv = stats.cov_d0_inv
     except NotPositiveDefinite as e:
         raise SingularCovariance(str(e)) from e
 

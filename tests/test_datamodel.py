@@ -1,6 +1,8 @@
 """Data container, rank checks, statistics, and CSV round trips."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,13 +16,16 @@ from ddlqr.datamodel import (
     row_space_basis,
     save_dataset,
 )
+from ddlqr.effects import RegWeights, param_effect_closed
 from ddlqr.errors import (
     DimensionMismatch,
     ExcitationViolation,
+    NotPositiveDefinite,
     ParseError,
     StateRankViolation,
 )
-from ddlqr.matlin import RANK_TOL
+from ddlqr.matlin import RANK_TOL, inv_pd, inv_sqrt_pd
+from ddlqr.synthesis import reduced_sdp, synth_reduced_gram
 from ddlqr.harness import rng
 from ddlqr.harness.experiments import (
     ReferenceExperimentConfig,
@@ -343,6 +348,54 @@ def test_residual_covariance_definite_iff_full_rank():
     # noiseless residuals vanish at the scale of the data itself
     assert np.linalg.eigvalsh(clean.cov_resid_x)[0] <= 1e-12 * np.trace(clean.cov_x0)
     assert not clean.rank_report.full_rank_holds
+
+
+FACTORS = {
+    "cov_x0_inv": (inv_pd, "cov_x0"),
+    "cov_x0_inv_sqrt": (inv_sqrt_pd, "cov_x0"),
+    "cov_d0_inv": (inv_pd, "cov_d0"),
+    "cov_resid_x_inv": (inv_pd, "cov_resid_x"),
+    "cov_resid_x_inv_sqrt": (inv_sqrt_pd, "cov_resid_x"),
+    "cov_resid_u_inv": (inv_pd, "cov_resid_u"),
+    "cov_resid_u_inv_sqrt": (inv_sqrt_pd, "cov_resid_u"),
+}
+
+
+def test_covariance_factors_are_computed_once_per_instance():
+    st = compute_stats(noisy_dataset(3))
+    for attr, (fn, field) in FACTORS.items():
+        first = getattr(st, attr)
+        assert np.array_equal(first, fn(getattr(st, field), field))
+        assert getattr(st, attr) is first
+        assert not first.flags.writeable
+    # The factors live in the instance and die with it.
+    ref = weakref.ref(st)
+    del st, first
+    gc.collect()
+    assert ref() is None
+
+
+def test_singular_residual_factor_is_never_cached():
+    st = compute_stats(noiseless_dataset(3))
+    q, r = np.eye(st.n), np.eye(st.m)
+    for _ in range(2):
+        for attr in ("cov_resid_x_inv", "cov_resid_x_inv_sqrt"):
+            with pytest.raises(NotPositiveDefinite, match="cov_resid_x is singular"):
+                getattr(st, attr)
+        for request in (
+            lambda w: param_effect_closed(
+                st.k_ls, st.a_ls + st.b_ls @ st.k_ls, np.eye(st.n), st, w
+            ),
+            lambda w: synth_reduced_gram(st, q, r, w),
+            lambda w: reduced_sdp(st, q, r, w),
+        ):
+            with pytest.raises(NotPositiveDefinite, match="cov_resid_x is singular"):
+                request(RegWeights(lambda1=1.0))
+    br = param_effect_closed(
+        st.k_ls, st.a_ls, np.eye(st.n), st, RegWeights(lambda2=1.0, lambda3=1.0)
+    )
+    assert br.h1 == 0.0
+    assert br.h3 > 0.0
 
 
 def test_stats_reject_unexciting_data():

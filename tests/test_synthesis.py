@@ -13,7 +13,7 @@ from ddlqr.errors import (
     SynthesisInfeasible,
 )
 from ddlqr.harness.experiments import ReferenceExperimentConfig, gen_reference_data
-from ddlqr.harness.sweep import reduced_case
+from ddlqr.harness.sweep import deviation_grid, gain_path_grid, reduced_case
 from ddlqr.matlin import h2norm_sq, solve_dare, solve_dlyap, spectral_radius
 from ddlqr.synthesis import (
     PlantModel,
@@ -144,8 +144,9 @@ def test_reduced_parameterization_preconditions():
 def test_objective_matches_closed_forms():
     # At the SDP's optimum the stability LMI is tight, so P is the Gramian of
     # the extracted closed loop and the objective decomposes into the lifted
-    # H2 cost plus the closed-form regularizer total. (The Riccati path
-    # defines its objective by that sum, so only the SDP can test it.)
+    # H2 cost plus the closed-form regularizer total. The Riccati path prices
+    # its objective by a separate formula, tested against the same sum in
+    # test_riccati_objective_matches_closed_forms.
     _, st = noisy(4)
     cases = [
         RegWeights(lambda1=0.5, lambda2=2.0, lambda3=0.1),
@@ -158,6 +159,36 @@ def test_objective_matches_closed_forms():
         total = h2norm_sq(sol.A_cl, sol.K, Q2, R1)
         total += param_effect_closed(sol.K, sol.A_cl, p_lyap, st, w).total
         assert abs(sol.objective - total) <= 1e-6 * (1.0 + abs(total))
+
+
+def assert_objective_identity(sol, st, Q, R, w):
+    """The Riccati objective, priced from the weight matrices as traces,
+    against the lifted H2 cost plus the closed-form regularizer total."""
+    total = h2norm_sq(sol.A_cl, sol.K, Q, R)
+    total += param_effect_closed(sol.K, sol.A_cl, sol.P, st, w).total
+    assert abs(sol.objective - total) <= 1e-12 * (1.0 + abs(total))
+
+
+def test_riccati_objective_matches_closed_forms():
+    for seed, param, labels, grid in (
+        (42, "gram", ("{1}", "{2}", "{3}", "{1,2}", "{1,3}", "{2,3}", "{1,2,3}"), deviation_grid),
+        (0, "covariance", ("{2}", "{3}", "{2,3}"), gain_path_grid),
+    ):
+        _, st = noisy(seed)
+        synth = synth_reduced_gram if param == "gram" else synth_reduced_covar
+        for label in labels:
+            for lam in [*grid(), 1e10]:
+                w = reduced_case(label, param).weights_at(float(lam))
+                assert_objective_identity(synth(st, Q2, R1, w), st, Q2, R1, w)
+    for seed, n, m in ((1, 4, 2), (3, 6, 3), (5, 10, 4), (6, 10, 1)):
+        st = random_plant_stats(seed, n, m)
+        Q, R = np.eye(n), np.eye(m)
+        for lam in (1e-3, 1.0, 1e3):
+            for synth, w in (
+                (synth_reduced_gram, RegWeights(lambda1=lam, lambda2=lam, lambda3=lam)),
+                (synth_reduced_covar, covar_weights(lambda2=lam, lambda3=lam)),
+            ):
+                assert_objective_identity(synth(st, Q, R, w), st, Q, R, w)
 
 
 # -- cross-program equivalences -----------------------------------------------
