@@ -1,6 +1,6 @@
 """Block-diagonal LMI problems and an interior-point solver for them."""
 
-from .problem import LmiProblem, new_problem, smat, svec, svec_index, svec_len
+from .problem import LmiProblem, smat, svec, svec_len
 from .solver import ConicSolution, SolverSettings, SolverStatus, solve
 
 __all__ = [
@@ -8,10 +8,8 @@ __all__ = [
     "LmiProblem",
     "SolverSettings",
     "SolverStatus",
-    "new_problem",
     "smat",
     "solve",
     "svec",
-    "svec_index",
     "svec_len",
 ]

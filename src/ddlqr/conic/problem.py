@@ -3,15 +3,11 @@
 A problem holds k scalar decision variables y and a list of symmetric blocks
 F0 + sum_i y_i F_i >= 0; the solver minimizes c.T y subject to all blocks.
 
-Two construction styles share one internal representation:
-
-* the dense style, ``add_block([F0, F1, ..., Fk])``, convenient for small
-  hand-written problems and tests;
-* a structured style (``new_block`` plus per-entry, column-family, and
-  slack-corner declarations) that records where coefficients live: entries
-  are compiled into one dense coefficient stack per block, families and the
-  corner keep their closed forms, so the solver never builds an operator of
-  the size of a column family or a corner.
+A block is declared with ``new_block`` and filled with per-entry,
+column-family and slack-corner declarations that record where coefficients
+live: entries are compiled into one dense coefficient stack per block,
+families and the corner keep their closed forms, so the solver never builds
+an operator of the size of a column family or a corner.
 
 Symmetric matrix variables are packed in scaled upper-triangle order
 (off-diagonals multiplied by sqrt(2)), which makes the packing an isometry
@@ -25,31 +21,22 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..errors import AsymmetricInput, DimensionMismatch
-from ..matlin import as_matrix
+from ..errors import DimensionMismatch
+from ..matlin import as_matrix, require_symmetric
 
 SQRT2 = float(np.sqrt(2.0))
 
 __all__ = [
     "SQRT2",
     "svec_len",
-    "svec_index",
     "svec",
     "smat",
     "LmiProblem",
-    "new_problem",
 ]
 
 
 def svec_len(d: int) -> int:
     return d * (d + 1) // 2
-
-
-def svec_index(i: int, j: int, d: int) -> int:
-    """Position of entry (i, j), i <= j, in row-major upper-triangle order."""
-    if not 0 <= i <= j < d:
-        raise DimensionMismatch(f"bad svec index ({i}, {j}) for dim {d}")
-    return i * d - i * (i + 1) // 2 + j
 
 
 @lru_cache(maxsize=64)
@@ -215,16 +202,6 @@ class LmiProblem:
         self.objective = c.copy()
         self._compiled = None
 
-    def _check_sym(self, F, what: str) -> np.ndarray:
-        F = as_matrix(F, what)
-        if F.shape[0] != F.shape[1]:
-            raise DimensionMismatch(f"{what} must be square, got {F.shape}")
-        scale = 1.0 + (np.abs(F).max() if F.size else 0.0)
-        asym = np.abs(F - F.T).max() if F.size else 0.0
-        if asym > 1e-12 * scale:
-            raise AsymmetricInput(f"{what} asymmetry {asym:.3e} exceeds 1e-12 (scaled)")
-        return 0.5 * (F + F.T)
-
     def new_block(self, dim: int) -> int:
         if dim < 1:
             raise DimensionMismatch("block dim must be >= 1")
@@ -234,7 +211,7 @@ class LmiProblem:
 
     def set_block_const(self, bid: int, F0) -> None:
         blk = self._blocks[bid]
-        F0 = self._check_sym(F0, "F0")
+        F0 = require_symmetric(F0, "F0")
         if F0.shape[0] != blk.dim:
             raise DimensionMismatch(f"F0 dim {F0.shape[0]} != block dim {blk.dim}")
         blk.F0 = F0
@@ -296,36 +273,6 @@ class LmiProblem:
         blk.corner = _Corner(dc=int(dc), var_start=int(var_start))
         self._compiled = None
 
-    def add_block(self, F_list) -> int:
-        """Dense construction: F_list = [F0, F1, ..., Fk], one matrix per
-        decision variable. Zero matrices may be passed as None."""
-        if len(F_list) != self.num_vars + 1:
-            raise DimensionMismatch(
-                f"expected {self.num_vars + 1} matrices (F0..Fk), got {len(F_list)}"
-            )
-        mats = []
-        dim = None
-        for idx, F in enumerate(F_list):
-            if F is None:
-                mats.append(None)
-                continue
-            F = self._check_sym(F, f"F{idx}")
-            if dim is None:
-                dim = F.shape[0]
-            elif F.shape[0] != dim:
-                raise DimensionMismatch("inconsistent block dimensions in F-list")
-            mats.append(F)
-        if dim is None:
-            raise DimensionMismatch("add_block needs at least one non-None matrix")
-        bid = self.new_block(dim)
-        if mats[0] is not None:
-            self.set_block_const(bid, mats[0])
-        F = np.array([np.zeros((dim, dim)) if M is None else M for M in mats[1:]])
-        F = F.reshape(-1, dim, dim)
-        var, i, j = np.nonzero(np.triu(F))
-        self.add_entry(bid, var, i, j, F[var, i, j])
-        return bid
-
     # -- inspection -----------------------------------------------------------
 
     def block_dims(self) -> list[int]:
@@ -370,6 +317,3 @@ class LmiProblem:
             cb.adjoint(Z, g)
         return g
 
-
-def new_problem(num_vars: int) -> LmiProblem:
-    return LmiProblem(num_vars)

@@ -274,27 +274,36 @@ class _Factorization:
         return dy
 
 
-def _empty_solution(c, k, t0):
-    if np.any(c != 0.0):
-        return ConicSolution(
-            status=SolverStatus.UNBOUNDED,
-            y=np.zeros(k),
-            objective=-np.inf,
-            gap=0.0,
-            iters=0,
-            wall_time=time.perf_counter() - t0,
-            message="no constraints restrain a nonzero objective",
-        )
+def _trivial_solution(k: int, t0: float, unbounded_because: str = "") -> ConicSolution:
+    """y = 0, decided before any iteration: Unbounded for the given reason
+    or, without one, Optimal for a problem with a zero objective."""
+    res = np.nan if unbounded_because else 0.0
     return ConicSolution(
-        status=SolverStatus.OPTIMAL,
+        status=SolverStatus.UNBOUNDED if unbounded_because else SolverStatus.OPTIMAL,
         y=np.zeros(k),
-        objective=0.0,
+        objective=-np.inf if unbounded_because else 0.0,
         gap=0.0,
         iters=0,
         wall_time=time.perf_counter() - t0,
-        primal_res=0.0,
-        dual_res=0.0,
+        primal_res=res,
+        dual_res=res,
+        message=unbounded_because,
     )
+
+
+def _direction(cb, scal, dy, Rp, C):
+    """One block's search direction and its largest feasible step.
+
+    dS = A(dy) - Rp is the slack step; in the scaled space it is
+    Rinv dS Rinv.T, and the dual step there is C minus it. The step is the
+    largest alpha that keeps both diag(lam) + alpha * step PSD.
+    """
+    lam, Rinv, _ = scal
+    dS = cb.apply_lin(dy) - Rp
+    dst = Rinv @ dS @ Rinv.T
+    dst = 0.5 * (dst + dst.T)
+    dzt = C - dst
+    return dS, dst, dzt, min(_boundary_step(lam, dst), _boundary_step(lam, dzt))
 
 
 def solve(problem: LmiProblem, settings: SolverSettings | None = None) -> ConicSolution:
@@ -316,21 +325,14 @@ def solve(problem: LmiProblem, settings: SolverSettings | None = None) -> ConicS
     compiled = problem.compiled()
 
     if not compiled:
-        return _empty_solution(c, k, t0)
+        reason = "no constraints restrain a nonzero objective" if np.any(c != 0.0) else ""
+        return _trivial_solution(k, t0, reason)
 
     touched = np.zeros(k, dtype=bool)
     for cb in compiled:
         touched[cb.vars_touched()] = True
     if np.any(c[~touched] != 0.0):
-        return ConicSolution(
-            status=SolverStatus.UNBOUNDED,
-            y=np.zeros(k),
-            objective=-np.inf,
-            gap=0.0,
-            iters=0,
-            wall_time=time.perf_counter() - t0,
-            message="objective moves along an unconstrained variable",
-        )
+        return _trivial_solution(k, t0, "objective moves along an unconstrained variable")
 
     corner_mask = np.zeros(k, dtype=bool)
     for cb in compiled:
@@ -438,22 +440,15 @@ def solve(problem: LmiProblem, settings: SolverSettings | None = None) -> ConicS
             -Z[i] + scal[i][2] @ Rp[i] @ scal[i][2] for i in range(len(compiled))
         ]
         dy_aff = fact.solve_kkt(E_aff, rd)
+        aff = [
+            _direction(cb, scal[i], dy_aff, Rp[i], -np.diag(scal[i][0]))
+            for i, cb in enumerate(compiled)
+        ]
+        _, ds_aff, dz_aff, steps = zip(*aff)
         # One common step length for (y, S) and Z: keeps both residual
         # recursions shrinking at the same rate, which separate step sizes
         # do not guarantee for infeasible starts.
-        a_aff = 1.0
-        ds_aff = []
-        dz_aff = []
-        for i, cb in enumerate(compiled):
-            lam, Rinv, Wm = scal[i]
-            dS = cb.apply_lin(dy_aff) - Rp[i]
-            dst = Rinv @ dS @ Rinv.T
-            dst = 0.5 * (dst + dst.T)
-            dzt = -np.diag(lam) - dst
-            ds_aff.append(dst)
-            dz_aff.append(dzt)
-            a_aff = min(a_aff, 0.9995 * _boundary_step(lam, dst))
-            a_aff = min(a_aff, 0.9995 * _boundary_step(lam, dzt))
+        a_aff = min(1.0, 0.9995 * min(steps))
 
         mu_aff = 0.0
         for i in range(len(compiled)):
@@ -476,19 +471,9 @@ def solve(problem: LmiProblem, settings: SolverSettings | None = None) -> ConicS
             E_cor.append(Rinv.T @ C_mat @ Rinv + Wm @ Rp[i] @ Wm)
         dy = fact.solve_kkt(E_cor, rd)
 
-        a_max = np.inf
-        ds_list = []
-        dz_list = []
-        for i, cb in enumerate(compiled):
-            lam, Rinv, Wm = scal[i]
-            dS = cb.apply_lin(dy) - Rp[i]
-            dst = Rinv @ dS @ Rinv.T
-            dst = 0.5 * (dst + dst.T)
-            dzt = C_mats[i] - dst
-            ds_list.append(dS)
-            dz_list.append(Rinv.T @ dzt @ Rinv)
-            a_max = min(a_max, _boundary_step(lam, dst))
-            a_max = min(a_max, _boundary_step(lam, dzt))
+        cor = [_direction(cb, scal[i], dy, Rp[i], C_mats[i]) for i, cb in enumerate(compiled)]
+        ds_list, _, dzt_list, steps = zip(*cor)
+        a_max = min(steps)
 
         gamma = 0.9 + 0.09 * min(1.0, a_aff)
         alpha = min(1.0, gamma * a_max)
@@ -506,8 +491,10 @@ def solve(problem: LmiProblem, settings: SolverSettings | None = None) -> ConicS
 
         y = y + alpha * dy
         for i in range(len(compiled)):
+            Rinv = scal[i][1]
+            dZ = Rinv.T @ dzt_list[i] @ Rinv
             S[i] = 0.5 * ((S[i] + alpha * ds_list[i]) + (S[i] + alpha * ds_list[i]).T)
-            Z[i] = 0.5 * ((Z[i] + alpha * dz_list[i]) + (Z[i] + alpha * dz_list[i]).T)
+            Z[i] = 0.5 * ((Z[i] + alpha * dZ) + (Z[i] + alpha * dZ).T)
 
     if status is SolverStatus.OPTIMAL and message:
         # Every Optimal exit but the convergence test returns the best snapshot.

@@ -31,7 +31,6 @@ __all__ = [
     "DataStats",
     "Dataset",
     "RankReport",
-    "check_excitation",
     "compute_stats",
     "kernel_projector",
     "load_dataset",
@@ -93,6 +92,15 @@ class Dataset:
 
 @dataclass(frozen=True)
 class RankReport:
+    """Rank diagnostics of the stacked data matrices.
+
+    pe_holds: the (n+m) x ell state-input stack has full row rank, the
+    excitation condition every synthesis program requires.
+    full_rank_holds: the (2n+m) x ell stack including successors also has
+    full row rank, which noise generically produces and which makes the
+    residual covariance positive definite.
+    """
+
     rank_data0: int
     rank_full: int
     pe_holds: bool
@@ -115,18 +123,18 @@ def _stack_factor(d: Dataset) -> np.ndarray:
     return r
 
 
-def _numerical_rank(sv: np.ndarray, rank_tol: float) -> int:
-    return int(np.sum(sv > rank_tol * sv[0])) if sv.size and sv[0] > 0 else 0
+def _numerical_rank(sv: np.ndarray) -> int:
+    return int(np.sum(sv > RANK_TOL * sv[0])) if sv.size and sv[0] > 0 else 0
 
 
-def _rank_report(d: Dataset, r: np.ndarray, rank_tol: float) -> RankReport:
+def _rank_report(d: Dataset, r: np.ndarray) -> RankReport:
     k = d.n + d.m
     # Singular values of R and of its leading block equal those of the
     # full and of the state-input stacks; nothing is squared.
     sv0 = np.linalg.svd(r[:k, :k], compute_uv=False)
     sv = np.linalg.svd(r[: min(d.ell, r.shape[0])], compute_uv=False)
-    rank_data0 = _numerical_rank(sv0, rank_tol)
-    rank_full = _numerical_rank(sv, rank_tol)
+    rank_data0 = _numerical_rank(sv0)
+    rank_full = _numerical_rank(sv)
     return RankReport(
         rank_data0=rank_data0,
         rank_full=rank_full,
@@ -134,18 +142,6 @@ def _rank_report(d: Dataset, r: np.ndarray, rank_tol: float) -> RankReport:
         full_rank_holds=rank_full == 2 * d.n + d.m,
         singular_values=_frozen(sv),
     )
-
-
-def check_excitation(d: Dataset, rank_tol: float = RANK_TOL) -> RankReport:
-    """Rank diagnostics for the stacked data matrices.
-
-    pe_holds: the (n+m) x ell state-input stack has full row rank, the
-    excitation condition every synthesis program requires.
-    full_rank_holds: the (2n+m) x ell stack including successors also has
-    full row rank, which noise generically produces and which makes the
-    residual covariance positive definite.
-    """
-    return _rank_report(d, _stack_factor(d), rank_tol)
 
 
 def _cov_factor(fn, name: str) -> cached_property:
@@ -183,7 +179,6 @@ class DataStats:
     ell: int
     a_ls: np.ndarray
     b_ls: np.ndarray
-    ab_ls: np.ndarray
     k_ls: np.ndarray
     cov_x0: np.ndarray
     cov_d0: np.ndarray
@@ -195,7 +190,6 @@ class DataStats:
         for name in (
             "a_ls",
             "b_ls",
-            "ab_ls",
             "k_ls",
             "cov_x0",
             "cov_d0",
@@ -213,7 +207,7 @@ class DataStats:
     cov_resid_u_inv_sqrt = _cov_factor(inv_sqrt_pd, "cov_resid_u")
 
 
-def compute_stats(d: Dataset, rank_tol: float = RANK_TOL) -> DataStats:
+def compute_stats(d: Dataset) -> DataStats:
     """Derive least-squares estimates and covariances.
 
     Requires the state block x0 to have rank n (StateRankViolation) and the
@@ -228,9 +222,9 @@ def compute_stats(d: Dataset, rank_tol: float = RANK_TOL) -> DataStats:
     r = _stack_factor(d)
     rx, r0 = r[:n, :n], r[:k, :k]
     sx = np.linalg.svd(rx, compute_uv=False)
-    if _numerical_rank(sx, rank_tol) < n:
+    if _numerical_rank(sx) < n:
         raise StateRankViolation(f"x0 has rank below {n}")
-    report = _rank_report(d, r, rank_tol)
+    report = _rank_report(d, r)
     if not report.pe_holds:
         raise ExcitationViolation(
             f"state-input stack has rank {report.rank_data0}, need {k}"
@@ -246,7 +240,6 @@ def compute_stats(d: Dataset, rank_tol: float = RANK_TOL) -> DataStats:
         ell=d.ell,
         a_ls=ab_ls[:, :n],
         b_ls=ab_ls[:, n:],
-        ab_ls=ab_ls,
         k_ls=k_ls,
         cov_x0=rx.T @ rx / ell,
         cov_d0=r0.T @ r0 / ell,
@@ -264,7 +257,7 @@ def row_space_basis(d: Dataset) -> np.ndarray:
     the QR columns would span more than the row space.
     """
     q0, r0 = np.linalg.qr(d.data0().T)
-    if _numerical_rank(np.linalg.svd(r0, compute_uv=False), RANK_TOL) < d.n + d.m:
+    if _numerical_rank(np.linalg.svd(r0, compute_uv=False)) < d.n + d.m:
         raise ExcitationViolation(
             f"state-input stack is rank deficient, need rank {d.n + d.m}"
         )

@@ -5,7 +5,6 @@ from .sweep import (
     BenchRow,
     SweepCase,
     SweepRow,
-    baseline_case,
     bench_scaling,
     deviation_grid,
     gain_path_grid,
@@ -22,7 +21,6 @@ __all__ = [
     "ReferenceExperimentConfig",
     "SweepCase",
     "SweepRow",
-    "baseline_case",
     "bench_scaling",
     "deviation_grid",
     "gain_path_grid",

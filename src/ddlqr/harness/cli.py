@@ -100,7 +100,7 @@ def _add_sweep(sub) -> None:
     p.add_argument("--preset", choices=sorted(_SWEEP_PRESETS), required=True)
     p.add_argument("--data", default=None, help="dataset CSV; generated when omitted")
     p.add_argument("--seed", type=int, default=None, help="seed for generated data")
-    p.add_argument("--points", type=int, default=41)
+    p.add_argument("--points", type=_at_least(1, int), default=41)
     p.add_argument("--out", required=True)
 
 
@@ -118,7 +118,7 @@ def _add_bench(sub) -> None:
     p = sub.add_parser("bench", help="time baselines against the reduced programs")
     p.set_defaults(run=_cmd_bench)
     p.add_argument("--ells", type=_at_least(1, int, many=True), default=[30, 60, 90, 120])
-    p.add_argument("--repeats", type=int, default=10)
+    p.add_argument("--repeats", type=_at_least(1, int), default=10)
     p.add_argument("--lambda", dest="lam", type=_at_least(0.0), default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

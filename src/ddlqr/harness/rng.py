@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["STREAM_STATE", "STREAM_INPUT", "STREAM_NOISE", "column_normals", "normal_matrix"]
+__all__ = ["STREAM_STATE", "STREAM_INPUT", "STREAM_NOISE", "normal_matrix"]
 
 STREAM_STATE = 0
 STREAM_INPUT = 1
@@ -76,13 +76,6 @@ def _normals(seed: int, stream: int, columns: np.ndarray, count: int) -> np.ndar
     z[0::2] = r * np.cos(2.0 * np.pi * u2)
     z[1::2] = r * np.sin(2.0 * np.pi * u2)
     return z[:count]
-
-
-def column_normals(seed: int, stream: int, column: int, count: int) -> np.ndarray:
-    """Standard normal draws for one (stream, column) pair."""
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    return _normals(seed, stream, np.array([column]), count)[:, 0]
 
 
 def normal_matrix(seed: int, stream: int, rows: int, cols: int, std: float = 1.0) -> np.ndarray:

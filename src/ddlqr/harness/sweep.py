@@ -17,7 +17,6 @@ from ..synthesis import (
     build_reduced_gram_problem,
     evaluate_on_truth,
     reduced_sdp,
-    synth_baseline_covar,
     synth_baseline_gram,
     synth_reduced_covar,
     synth_reduced_gram,
@@ -29,7 +28,6 @@ __all__ = [
     "SweepCase",
     "SweepRow",
     "bench_scaling",
-    "baseline_case",
     "deviation_grid",
     "gain_path_grid",
     "ls_gain_stabilizes",
@@ -38,24 +36,17 @@ __all__ = [
     "zero_wall_times",
 ]
 
-_BASELINE_KINDS = ("baseline-gram", "baseline-gram-proj", "baseline-covar")
-
 
 @dataclass(frozen=True)
 class SweepCase:
-    """One curve of a sweep: a program plus the weights that track lambda.
-
-    For reduced programs `active` marks which of the three effect weights
-    follow the swept lambda; baselines take lambda directly.
-    """
+    """One curve of a sweep: a reduced program plus the weights that track
+    lambda; `active` marks which of the three effect weights follow it."""
 
     label: str
     program: str
-    active: tuple[bool, bool, bool] = (False, False, False)
+    active: tuple[bool, bool, bool]
 
     def weights_at(self, lam: float) -> RegWeights:
-        if self.program not in ("reduced-gram", "reduced-covar"):
-            raise DimensionMismatch(f"{self.program} does not take effect weights")
         l1, l2, l3 = (lam if on else 0.0 for on in self.active)
         param = "gram" if self.program == "reduced-gram" else "covariance"
         return RegWeights(lambda1=l1, lambda2=l2, lambda3=l3, parameterization=param)
@@ -74,12 +65,6 @@ def reduced_case(label: str, parameterization: str = "gram") -> SweepCase:
     program = "reduced-gram" if parameterization == "gram" else "reduced-covar"
     canonical = "{" + ",".join(s for s in ("1", "2", "3") if s in picks) + "}"
     return SweepCase(label=canonical, program=program, active=active)
-
-
-def baseline_case(kind: str) -> SweepCase:
-    if kind not in _BASELINE_KINDS:
-        raise DimensionMismatch(f"unknown baseline kind {kind!r}")
-    return SweepCase(label=kind, program=kind)
 
 
 @dataclass(frozen=True)
@@ -116,17 +101,6 @@ def ls_gain_stabilizes(stats: DataStats) -> bool:
     return spectral_radius(stats.a_ls + stats.b_ls @ stats.k_ls) < 1.0
 
 
-def _solve_case(case: SweepCase, lam: float, d: Dataset, stats: DataStats, Q, R):
-    if case.program == "reduced-gram" or case.program == "reduced-covar":
-        w = case.weights_at(lam)
-        fn = synth_reduced_gram if case.program == "reduced-gram" else synth_reduced_covar
-        return fn(stats, Q, R, w)
-    if case.program == "baseline-covar":
-        return synth_baseline_covar(stats, Q, R, lam)
-    projected = case.program == "baseline-gram-proj"
-    return synth_baseline_gram(d, stats, Q, R, lam, projected=projected)
-
-
 def run_sweep(
     d: Dataset,
     cases: list[SweepCase],
@@ -152,14 +126,15 @@ def run_sweep(
     rows: list[SweepRow] = []
     for case in cases:
         for lam in np.sort(lambdas):
-            rows.append(_sweep_point(case, float(lam), d, stats, Q, R, plant))
+            rows.append(_sweep_point(case, float(lam), stats, Q, R, plant))
     return rows
 
 
-def _sweep_point(case, lam, d, stats, Q, R, plant) -> SweepRow:
+def _sweep_point(case, lam, stats, Q, R, plant) -> SweepRow:
     t0 = time.perf_counter()
+    fn = synth_reduced_gram if case.program == "reduced-gram" else synth_reduced_covar
     try:
-        sol = _solve_case(case, lam, d, stats, Q, R)
+        sol = fn(stats, Q, R, case.weights_at(lam))
         status = sol.status
     except SynthesisInfeasible as exc:
         return _status_row(case, lam, stats, str(exc.status), time.perf_counter() - t0)

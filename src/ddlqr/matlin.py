@@ -9,8 +9,7 @@ Tolerance conventions
 ---------------------
 ``RANK_TOL`` is the single package-wide numerical-rank threshold: a singular
 value sigma_i counts toward the rank iff sigma_i > RANK_TOL * sigma_max.
-Every routine that ranks or pseudo-inverts accepts an override but defaults
-to this constant.
+Every routine that ranks or pseudo-inverts uses it.
 """
 
 from __future__ import annotations
@@ -35,12 +34,10 @@ __all__ = [
     "as_matrix",
     "sym",
     "require_symmetric",
-    "cholesky",
     "sym_sqrt",
     "inv_pd",
     "inv_sqrt_pd",
     "pinv",
-    "rank",
     "spectral_radius",
     "solve_dlyap",
     "solve_dare",
@@ -63,10 +60,10 @@ def sym(S: np.ndarray) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
-def require_symmetric(S, name: str = "matrix", tol: float = 1e-12) -> np.ndarray:
+def require_symmetric(S, name: str = "matrix") -> np.ndarray:
     """Validate symmetry and return the symmetrized copy.
 
-    The asymmetry max|S - S.T| must not exceed ``tol * (1 + max|S|)``;
+    The asymmetry max|S - S.T| must not exceed ``1e-12 * (1 + max|S|)``;
     beyond that the input is rejected rather than silently averaged.
     """
     S = as_matrix(S, name)
@@ -74,33 +71,9 @@ def require_symmetric(S, name: str = "matrix", tol: float = 1e-12) -> np.ndarray
         raise DimensionMismatch(f"{name} must be square, got {S.shape}")
     scale = 1.0 + (np.abs(S).max() if S.size else 0.0)
     asym = np.abs(S - S.T).max() if S.size else 0.0
-    if asym > tol * scale:
-        raise AsymmetricInput(f"{name} asymmetry {asym:.3e} exceeds {tol:.1e} * {scale:.3e}")
+    if asym > 1e-12 * scale:
+        raise AsymmetricInput(f"{name} asymmetry {asym:.3e} exceeds 1e-12 * {scale:.3e}")
     return sym(S)
-
-
-def cholesky(S, name: str = "matrix") -> np.ndarray:
-    """Lower-triangular T with T @ T.T == S for symmetric positive definite S.
-
-    Raises NotPositiveDefinite when any pivot T[i, i]**2 falls at or below
-    1e-12 times the largest diagonal entry of S.
-    """
-    S = require_symmetric(S, name)
-    if S.shape[0] == 0:
-        return S.copy()
-    maxdiag = float(np.max(np.diag(S)))
-    if maxdiag <= 0.0:
-        raise NotPositiveDefinite(f"{name} has non-positive diagonal (max {maxdiag:.3e})")
-    try:
-        T = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"{name} is not positive definite: {exc}") from None
-    pivots = np.diag(T) ** 2
-    if np.min(pivots) <= 1e-12 * maxdiag:
-        raise NotPositiveDefinite(
-            f"{name} pivot {np.min(pivots):.3e} at or below 1e-12 * {maxdiag:.3e}"
-        )
-    return T
 
 
 def sym_sqrt(S, name: str = "matrix") -> np.ndarray:
@@ -150,21 +123,10 @@ def inv_sqrt_pd(S, name: str = "matrix") -> np.ndarray:
     return sym((V / np.sqrt(w)) @ V.T)
 
 
-def pinv(M, rank_tol: float = RANK_TOL) -> np.ndarray:
+def pinv(M) -> np.ndarray:
     """Moore-Penrose pseudoinverse with the package rank cutoff."""
     M = as_matrix(M)
-    return np.linalg.pinv(M, rcond=rank_tol)
-
-
-def rank(M, rank_tol: float = RANK_TOL) -> int:
-    """Numerical rank: count of singular values above rank_tol * sigma_max."""
-    M = as_matrix(M)
-    if M.size == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rank_tol * s[0]))
+    return np.linalg.pinv(M, rcond=RANK_TOL)
 
 
 def spectral_radius(A) -> float:

@@ -41,7 +41,6 @@ from .conic import (
     ConicSolution,
     LmiProblem,
     SolverSettings,
-    new_problem,
     smat,
     solve,
     svec,
@@ -334,7 +333,7 @@ def build_model_lqr_problem(pm: PlantModel) -> tuple[LmiProblem, SdpLayout]:
     lay.add_sym("P", n)
     lay.add_full("Kt", m, n)
     lay.add_sym("L", m)
-    p = new_problem(lay.num_vars)
+    p = LmiProblem(lay.num_vars)
 
     _stability_block(p, lay, n, lambda P, Kt: pm.A @ P + pm.B @ Kt)
     _slack_bound_block(p, lay, "L", n, lambda Kt: Kt)
@@ -407,7 +406,7 @@ def build_reduced_gram_problem(
         lay.add_sym("N", m)
     if w.lambda1 > 0.0:
         lay.add_sym("M", n)
-    p = new_problem(lay.num_vars)
+    p = LmiProblem(lay.num_vars)
 
     A_LS, B_LS, K_LS = stats.a_ls, stats.b_ls, stats.k_ls
     _stability_block(p, lay, n, lambda At: At)
@@ -445,7 +444,7 @@ def build_reduced_covar_problem(
     lay.add_sym("L", m)
     if w.lambda2 > 0.0:
         lay.add_sym("N", m)
-    p = new_problem(lay.num_vars)
+    p = LmiProblem(lay.num_vars)
 
     A_LS, B_LS, K_LS = stats.a_ls, stats.b_ls, stats.k_ls
     _stability_block(p, lay, n, lambda P, Kt: A_LS @ P + B_LS @ Kt)
@@ -599,7 +598,7 @@ def build_baseline_gram_problem(
     lay.add_full("Z", ell - n, n)
     lay.add_sym("L", m)
     lay.add_sym("W", ell)
-    p = new_problem(lay.num_vars)
+    p = LmiProblem(lay.num_vars)
 
     x0_pinv, N = baseline_y_map(d.x0)
     Pi = kernel_projector(d) if projected else np.eye(ell)
@@ -659,7 +658,7 @@ def build_baseline_covar_problem(
     lay.add_full("Kt", m, n)
     lay.add_sym("L", m)
     lay.add_sym("Z", n + m)
-    p = new_problem(lay.num_vars)
+    p = LmiProblem(lay.num_vars)
 
     A_LS, B_LS = stats.a_ls, stats.b_ls
     _stability_block(p, lay, n, lambda P, Kt: A_LS @ P + B_LS @ Kt)

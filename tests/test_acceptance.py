@@ -266,8 +266,10 @@ def test_c09_reduced_program_cost_is_size_invariant():
     lines = []
     for lbl in ("{1,2,3}", "{1}"):
         group = sorted(by_label[lbl], key=lambda r: r.ell)
-        means = [r.mean_s for r in group]
-        ratio = max(means) / min(means)
+        # Fastest of the repeats per length: a slow phase of a shared host
+        # can double one mean of 3 repeats, but rarely every repeat.
+        fastest = [r.min_s for r in group]
+        ratio = max(fastest) / min(fastest)
         dims = {(r.num_vars, r.max_block_dim) for r in group}
         lines.append(f"{lbl} ratio {ratio:.2f}")
         assert ratio <= 2.0

@@ -3,17 +3,24 @@
 import numpy as np
 import pytest
 
-from ddlqr.conic import (
-    LmiProblem,
-    SolverSettings,
-    new_problem,
-    smat,
-    solve,
-    svec,
-    svec_index,
-    svec_len,
-)
+from ddlqr.conic import LmiProblem, SolverSettings, smat, solve, svec, svec_len
 from ddlqr.errors import AsymmetricInput, DimensionMismatch
+
+
+def add_dense_block(p, F0, Fs):
+    """Block F0 + sum_i y_i Fs[i], declared entry by entry; None is a zero Fs[i]."""
+    bid = p.new_block(F0.shape[0])
+    p.set_block_const(bid, F0)
+    for var, F in enumerate(Fs):
+        if F is not None:
+            i, j = np.triu_indices(F.shape[0])
+            p.add_entry(bid, var, i, j, F[i, j])
+    return bid
+
+
+def dense_value(F0, Fs, y):
+    """Reference F0 + sum_i y_i Fs[i], formed with numpy."""
+    return F0 + sum(yi * F for yi, F in zip(y, Fs))
 
 
 def random_feasible_problem(seed):
@@ -22,11 +29,11 @@ def random_feasible_problem(seed):
     rng = np.random.default_rng(seed)
     k = int(rng.integers(2, 11))
     nblocks = int(rng.integers(1, 7))
-    p = new_problem(k)
+    p = LmiProblem(k)
     p.set_objective(rng.standard_normal(k))
     box = 10.0
-    p.add_block([box * np.eye(k)] + [np.diag((np.arange(k) == i).astype(float)) for i in range(k)])
-    p.add_block([box * np.eye(k)] + [-np.diag((np.arange(k) == i).astype(float)) for i in range(k)])
+    add_dense_block(p, box * np.eye(k), [np.diag((np.arange(k) == i).astype(float)) for i in range(k)])
+    add_dense_block(p, box * np.eye(k), [-np.diag((np.arange(k) == i).astype(float)) for i in range(k)])
     for _ in range(nblocks):
         d = int(rng.integers(1, 7))
         Fs = []
@@ -34,7 +41,7 @@ def random_feasible_problem(seed):
             G = rng.standard_normal((d, d))
             Fs.append(0.5 * (G + G.T) if rng.uniform() < 0.8 else None)
         G0 = rng.standard_normal((d, d))
-        p.add_block([G0 @ G0.T + 0.5 * np.eye(d)] + Fs)
+        add_dense_block(p, G0 @ G0.T + 0.5 * np.eye(d), Fs)
     return p
 
 
@@ -57,27 +64,24 @@ def test_svec_round_trip():
         assert np.vdot(svec(S), svec(T)) == pytest.approx(np.vdot(S, T), abs=1e-12)
         V = rng.standard_normal((3, svec_len(d)))
         assert np.array_equal(smat(V, d), np.stack([smat(v, d) for v in V]))
-    for i in range(4):
-        for j in range(i, 4):
-            v = np.zeros(svec_len(4))
-            v[svec_index(i, j, 4)] = 1.0
-            M = smat(v, 4)
-            assert M[i, j] != 0.0
+    # packed positions run over the upper triangle row by row
+    for pos, (i, j) in enumerate(zip(*np.triu_indices(4))):
+        assert np.array_equal(np.argwhere(np.triu(smat(np.eye(svec_len(4))[pos], 4))), [[i, j]])
 
 
 def test_scalar_lower_bound():
-    p = new_problem(1)
+    p = LmiProblem(1)
     p.set_objective([1.0])
-    p.add_block([np.zeros((1, 1)), np.eye(1)])
+    add_dense_block(p, np.zeros((1, 1)), [np.eye(1)])
     sol = solve(p)
     assert sol.status == "Optimal"
     assert abs(sol.objective) <= 1e-7
 
 
 def test_offdiagonal_coupling():
-    p = new_problem(1)
+    p = LmiProblem(1)
     p.set_objective([-1.0])
-    p.add_block([np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])])
+    add_dense_block(p, np.eye(2), [np.array([[0.0, 1.0], [1.0, 0.0]])])
     sol = solve(p)
     assert sol.status == "Optimal"
     assert sol.objective == pytest.approx(-1.0, abs=1e-7)
@@ -122,11 +126,15 @@ def test_data_scaling_keeps_argmin():
     rng = np.random.default_rng(3)
     k = int(rng.integers(2, 11))
     nblocks = int(rng.integers(1, 7))
-    p = new_problem(k)
+    p = LmiProblem(k)
     p.set_objective(rng.standard_normal(k))
     box = 10.0
-    p.add_block([10 * box * np.eye(k)] + [10 * np.diag((np.arange(k) == i).astype(float)) for i in range(k)])
-    p.add_block([10 * box * np.eye(k)] + [-10 * np.diag((np.arange(k) == i).astype(float)) for i in range(k)])
+    add_dense_block(
+        p, 10 * box * np.eye(k), [10 * np.diag((np.arange(k) == i).astype(float)) for i in range(k)]
+    )
+    add_dense_block(
+        p, 10 * box * np.eye(k), [-10 * np.diag((np.arange(k) == i).astype(float)) for i in range(k)]
+    )
     for _ in range(nblocks):
         d = int(rng.integers(1, 7))
         Fs = []
@@ -134,35 +142,35 @@ def test_data_scaling_keeps_argmin():
             G = rng.standard_normal((d, d))
             Fs.append(5.0 * (G + G.T) if rng.uniform() < 0.8 else None)
         G0 = rng.standard_normal((d, d))
-        p.add_block([10.0 * (G0 @ G0.T + 0.5 * np.eye(d))] + Fs)
+        add_dense_block(p, 10.0 * (G0 @ G0.T + 0.5 * np.eye(d)), Fs)
     scaled = solve(p)
     assert scaled.status == "Optimal"
     assert np.abs(scaled.y - base.y).max() <= 1e-6
 
 
 def test_infeasible_pair_detected():
-    p = new_problem(1)
+    p = LmiProblem(1)
     p.set_objective([1.0])
-    p.add_block([np.array([[-1.0]]), np.array([[1.0]])])
-    p.add_block([np.array([[-1.0]]), np.array([[-1.0]])])
+    add_dense_block(p, np.array([[-1.0]]), [np.array([[1.0]])])
+    add_dense_block(p, np.array([[-1.0]]), [np.array([[-1.0]])])
     sol = solve(p)
     assert sol.status == "Infeasible"
     assert not sol.optimal
 
 
 def test_unbounded_ray_detected():
-    p = new_problem(1)
+    p = LmiProblem(1)
     p.set_objective([-1.0])
-    p.add_block([np.zeros((1, 1)), np.eye(1)])
+    add_dense_block(p, np.zeros((1, 1)), [np.eye(1)])
     sol = solve(p)
     assert sol.status == "Unbounded"
 
 
 def test_no_constraint_statuses():
-    p = new_problem(2)
+    p = LmiProblem(2)
     p.set_objective([1.0, 0.0])
     assert solve(p).status == "Unbounded"
-    q = new_problem(2)
+    q = LmiProblem(2)
     q.set_objective([0.0, 0.0])
     sol = solve(q)
     assert sol.status == "Optimal"
@@ -170,10 +178,10 @@ def test_no_constraint_statuses():
 
 
 def test_untouched_variable_with_zero_cost():
-    p = new_problem(3)
+    p = LmiProblem(3)
     p.set_objective([-1.0, 0.5, 0.0])
-    p.add_block([np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), None, None])
-    p.add_block([np.eye(1), None, np.array([[1.0]]), None])
+    add_dense_block(p, np.eye(2), [np.array([[0.0, 1.0], [1.0, 0.0]])])
+    add_dense_block(p, np.eye(1), [None, np.array([[1.0]])])
     sol = solve(p)
     assert sol.status == "Optimal"
     assert sol.y[2] == 0.0
@@ -181,9 +189,9 @@ def test_untouched_variable_with_zero_cost():
 
 
 def test_max_iters_status():
-    p = new_problem(1)
+    p = LmiProblem(1)
     p.set_objective([-1.0])
-    p.add_block([np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])])
+    add_dense_block(p, np.eye(2), [np.array([[0.0, 1.0], [1.0, 0.0]])])
     sol = solve(p, SolverSettings(max_iters=2))
     assert sol.status == "MaxIters"
     assert sol.iters == 2
@@ -200,7 +208,7 @@ def test_settings_validation():
 
 
 def test_entry_api_matches_dense_blocks():
-    # one structured build, one add_block build, same data
+    # one entry-by-entry build against the dense reference, same data
     rng = np.random.default_rng(11)
     for _ in range(10):
         k = int(rng.integers(2, 6))
@@ -211,14 +219,9 @@ def test_entry_api_matches_dense_blocks():
         for _i in range(k):
             G = rng.standard_normal((d, d))
             Fs.append(0.5 * (G + G.T))
-        c = rng.standard_normal(k)
 
-        dense = new_problem(k)
-        dense.set_objective(c)
-        dense.add_block([F0] + Fs)
-
-        ent = new_problem(k)
-        ent.set_objective(c)
+        ent = LmiProblem(k)
+        ent.set_objective(rng.standard_normal(k))
         bid = ent.new_block(d)
         ent.set_block_const(bid, F0)
         for var, F in enumerate(Fs):
@@ -227,10 +230,11 @@ def test_entry_api_matches_dense_blocks():
                     ent.add_entry(bid, var, i, j, float(F[i, j]))
 
         y = rng.standard_normal(k)
-        for A, B in zip(dense.evaluate_blocks(y), ent.evaluate_blocks(y)):
-            assert np.abs(A - B).max() <= 1e-13
+        (S,) = ent.evaluate_blocks(y)
+        assert np.abs(S - dense_value(F0, Fs, y)).max() <= 1e-13
         Zs = [0.5 * (M + M.T) for M in (rng.standard_normal((d, d)),)]
-        assert np.abs(dense.adjoint(Zs) - ent.adjoint(Zs)).max() <= 1e-13
+        ref = np.array([np.vdot(F, Zs[0]) for F in Fs])
+        assert np.abs(ent.adjoint(Zs) - ref).max() <= 1e-13
 
 
 def test_column_family_matches_dense():
@@ -241,16 +245,17 @@ def test_column_family_matches_dense():
     G0 = rng.standard_normal((d, d))
     F0 = G0 @ G0.T + 2.0 * np.eye(d)
     c = rng.standard_normal(k)
+    box = 5.0
+    unit = [np.diag((np.arange(k) == i).astype(float)) for i in range(k)]
 
-    fam = new_problem(k)
+    fam = LmiProblem(k)
     fam.set_objective(c)
     bid = fam.new_block(d)
     fam.set_block_const(bid, F0)
     fam.add_column_family(bid, C, col0, varmat)
     fam.add_entry(bid, 4, 0, 0, 1.0)
-    box = 5.0
-    fam.add_block([box * np.eye(k)] + [np.diag((np.arange(k) == i).astype(float)) for i in range(k)])
-    fam.add_block([box * np.eye(k)] + [-np.diag((np.arange(k) == i).astype(float)) for i in range(k)])
+    add_dense_block(fam, box * np.eye(k), unit)
+    add_dense_block(fam, box * np.eye(k), [-U for U in unit])
 
     Fs = [np.zeros((d, d)) for _ in range(k)]
     for t in range(T):
@@ -259,16 +264,16 @@ def test_column_family_matches_dense():
             e[col0 + q] = 1.0
             Fs[varmat[t, q]] += np.outer(C[:, t], e) + np.outer(e, C[:, t])
     Fs[4][0, 0] += 1.0
-    dense = new_problem(k)
+    dense = LmiProblem(k)
     dense.set_objective(c)
-    dense.add_block([F0] + Fs)
-    dense.add_block([box * np.eye(k)] + [np.diag((np.arange(k) == i).astype(float)) for i in range(k)])
-    dense.add_block([box * np.eye(k)] + [-np.diag((np.arange(k) == i).astype(float)) for i in range(k)])
+    add_dense_block(dense, F0, Fs)
+    add_dense_block(dense, box * np.eye(k), unit)
+    add_dense_block(dense, box * np.eye(k), [-U for U in unit])
 
     y = rng.standard_normal(k)
-    for A, B in zip(fam.evaluate_blocks(y), dense.evaluate_blocks(y)):
-        assert np.abs(A - B).max() <= 1e-13
+    assert np.abs(fam.evaluate_blocks(y)[0] - dense_value(F0, Fs, y)).max() <= 1e-13
 
+    # the family's closed-form Schur terms against plain entries
     s_fam = solve(fam)
     s_dense = solve(dense)
     assert s_fam.status == "Optimal"
@@ -283,12 +288,10 @@ def test_corner_slack_matches_dense():
     a = np.array([2.0 * np.cos(0.3), 2.0 * np.sin(0.3)])
     nw = svec_len(2)
     k = nw + 1
-    c = np.zeros(k)
-    c[svec_index(0, 0, 2)] = 1.0
-    c[svec_index(1, 1, 2)] = 1.0
-    c[nw] = 1.0
+    c = np.array([1.0, 0.0, 1.0, 1.0])  # W packs as (W00, sqrt(2) W01, W11)
+    bound = [None] * nw + [np.array([[-1.0]])]
 
-    cor = new_problem(k)
+    cor = LmiProblem(k)
     cor.set_objective(c)
     bid = cor.new_block(3)
     F0 = np.zeros((3, 3))
@@ -297,21 +300,18 @@ def test_corner_slack_matches_dense():
     cor.set_block_const(bid, F0)
     cor.add_corner_slack(bid, 2, 0)
     cor.add_entry(bid, nw, 2, 2, 1.0)
-    cor.add_block([np.array([[3.0]]), None, None, None, np.array([[-1.0]])])
+    add_dense_block(cor, np.array([[3.0]]), bound)
 
-    s2 = np.sqrt(2.0)
-    Fw = [np.zeros((3, 3)) for _ in range(nw)]
-    Fw[svec_index(0, 0, 2)][0, 0] = 1.0
-    Fw[svec_index(1, 1, 2)][1, 1] = 1.0
-    Fw[svec_index(0, 1, 2)][0, 1] = 1.0 / s2
-    Fw[svec_index(0, 1, 2)][1, 0] = 1.0 / s2
-    Ft = np.zeros((3, 3))
-    Ft[2, 2] = 1.0
-    dense = new_problem(k)
+    Fs = [np.zeros((3, 3)) for _ in range(k)]
+    Fs[0][0, 0] = Fs[2][1, 1] = Fs[3][2, 2] = 1.0
+    Fs[1][0, 1] = Fs[1][1, 0] = 1.0 / np.sqrt(2.0)
+    dense = LmiProblem(k)
     dense.set_objective(c)
-    dense.add_block([F0] + Fw + [Ft])
-    dense.add_block([np.array([[3.0]]), None, None, None, np.array([[-1.0]])])
+    add_dense_block(dense, F0, Fs)
+    add_dense_block(dense, np.array([[3.0]]), bound)
 
+    y = np.random.default_rng(29).standard_normal(k)
+    assert np.abs(cor.evaluate_blocks(y)[0] - dense_value(F0, Fs, y)).max() <= 1e-13
     s_cor = solve(cor)
     s_dense = solve(dense)
     assert s_cor.status == "Optimal"
@@ -323,7 +323,7 @@ def test_corner_slack_matches_dense():
 
 
 def test_corner_variables_must_stay_slack_only():
-    p = new_problem(4)
+    p = LmiProblem(4)
     p.set_objective(np.ones(4))
     bid = p.new_block(3)
     p.set_block_const(bid, np.eye(3))
@@ -349,21 +349,20 @@ def test_adjoint_pairs_with_apply():
 
 
 def test_rejects_asymmetric_matrix():
-    p = new_problem(1)
+    p = LmiProblem(1)
     p.set_objective([1.0])
+    bid = p.new_block(2)
     with pytest.raises(AsymmetricInput):
-        p.add_block([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
+        p.set_block_const(bid, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 def test_rejects_bad_indices():
-    p = new_problem(2)
+    p = LmiProblem(2)
     bid = p.new_block(2)
     with pytest.raises(DimensionMismatch):
         p.add_entry(bid, 5, 0, 0, 1.0)
     with pytest.raises(DimensionMismatch):
         p.add_entry(bid, 0, 2, 0, 1.0)
-    with pytest.raises(DimensionMismatch):
-        p.add_block([np.eye(2)])
     for var, i in (
         (np.array([0, 1]), np.zeros(3, int)),  # lengths differ
         (np.array([0, 2]), 0),  # one variable out of range
@@ -382,7 +381,7 @@ def test_solution_metadata():
 
 
 def test_family_variables_must_be_distinct_within_a_block():
-    p = new_problem(3)
+    p = LmiProblem(3)
     bid = p.new_block(3)
     p.add_entry(bid, 0, 0, 0, 1.0)
     p.add_column_family(bid, np.ones((3, 1)), 2, np.array([[0]]))  # var 0 is also an entry
@@ -404,7 +403,7 @@ def structured_problem_with_dense_twin(seed):
     ncv = svec_len(dc)
     k = ncv + 16
     ordinary = list(range(ncv, k))
-    p = new_problem(k)
+    p = LmiProblem(k)
     dense = []
 
     def block(dim):

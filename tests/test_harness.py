@@ -19,7 +19,6 @@ from ddlqr.harness.emit import (
 from ddlqr.harness.experiments import ReferenceExperimentConfig, gen_reference_data
 from ddlqr.harness.sweep import (
     SweepRow,
-    baseline_case,
     bench_scaling,
     deviation_grid,
     gain_path_grid,
@@ -79,10 +78,6 @@ def test_case_label_parsing():
         reduced_case("{4}")
     with pytest.raises(DimensionMismatch):
         reduced_case("{}")
-    with pytest.raises(DimensionMismatch):
-        baseline_case("other")
-    with pytest.raises(DimensionMismatch):
-        baseline_case("baseline-gram").weights_at(1.0)
 
 
 def test_lambda_grids():
@@ -357,6 +352,9 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     synth = ["synth", "--data", str(data), "--out", str(tmp_path / "z.json"), "--program"]
     for argv in (
         ["bench", "--ells", "30,x", "--out", str(tmp_path / "b.csv")],
+        ["bench", "--repeats", "0", "--out", str(tmp_path / "r.csv")],
+        ["sweep", "--preset", "deviation", "--points", "-3", "--out", str(tmp_path / "s.csv")],
+        ["sweep", "--preset", "gain-path", "--points", "0", "--out", str(tmp_path / "g.csv")],
         ["portrait", "--lambdas", "1,abc", "--out", str(tmp_path / "portraits")],
         synth + ["baseline-gram", "--lambda", "-1"],
         synth + ["baseline-gram", "--lambda", "nan"],
@@ -368,4 +366,5 @@ def test_cli_error_exit_codes(tmp_path, capsys):
             main(argv)
         assert exc.value.code == 2, argv
         assert "error:" in capsys.readouterr().err
-    assert not any((tmp_path / name).exists() for name in ("b.csv", "portraits", "z.json", "n.csv"))
+    written = ("b.csv", "r.csv", "s.csv", "g.csv", "portraits", "z.json", "n.csv")
+    assert not any((tmp_path / name).exists() for name in written)

@@ -6,11 +6,9 @@ import scipy.linalg
 
 from ddlqr import matlin
 from ddlqr.errors import (
-    AsymmetricInput,
     DimensionMismatch,
     IndefiniteInput,
     NoConvergence,
-    NotPositiveDefinite,
     UnstableMatrix,
 )
 
@@ -20,54 +18,6 @@ def random_spd(rng, n, spread=3.0):
     V = np.linalg.qr(rng.standard_normal((n, n)))[0]
     w = np.exp(rng.uniform(-spread / 2, spread / 2, n))
     return (V * w) @ V.T
-
-
-# -- cholesky -----------------------------------------------------------------
-
-
-def test_cholesky_identity():
-    T = matlin.cholesky(np.eye(2))
-    assert np.allclose(T, np.eye(2))
-
-
-def test_cholesky_diagonal():
-    T = matlin.cholesky(np.diag([4.0, 9.0]))
-    assert np.allclose(T, np.diag([2.0, 3.0]))
-
-
-def test_cholesky_reconstructs_seeded():
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        n = int(rng.integers(1, 11))
-        S = random_spd(rng, n)
-        T = matlin.cholesky(S)
-        assert np.allclose(np.triu(T, 1), 0.0)
-        assert np.linalg.norm(T @ T.T - S, "fro") <= 1e-10 * (1 + np.linalg.norm(S, "fro"))
-
-
-def test_cholesky_rejects_indefinite():
-    with pytest.raises(NotPositiveDefinite):
-        matlin.cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-
-def test_cholesky_rejects_semidefinite():
-    v = np.array([[1.0], [2.0]])
-    with pytest.raises(NotPositiveDefinite):
-        matlin.cholesky(v @ v.T)
-
-
-def test_cholesky_rejects_tiny_pivot():
-    # Relative pivot rule: scaling the matrix must not change the verdict.
-    S = np.diag([1.0, 1e-13])
-    with pytest.raises(NotPositiveDefinite):
-        matlin.cholesky(S)
-    with pytest.raises(NotPositiveDefinite):
-        matlin.cholesky(1e8 * S)
-
-
-def test_cholesky_rejects_asymmetric():
-    with pytest.raises(AsymmetricInput):
-        matlin.cholesky(np.array([[1.0, 0.1], [0.0, 1.0]]))
 
 
 # -- sym_sqrt -----------------------------------------------------------------
@@ -109,7 +59,7 @@ def test_sym_sqrt_rejects_indefinite():
         matlin.sym_sqrt(np.diag([1.0, -1.0]))
 
 
-# -- pinv / rank --------------------------------------------------------------
+# -- pinv ---------------------------------------------------------------------
 
 
 def test_pinv_zero_matrix():
@@ -131,16 +81,6 @@ def test_pinv_penrose_identities_seeded():
         assert np.linalg.norm(Mp @ M @ Mp - Mp, "fro") <= 1e-10 * scale
         assert np.linalg.norm((M @ Mp).T - M @ Mp, "fro") <= 1e-10 * scale
         assert np.linalg.norm((Mp @ M).T - Mp @ M, "fro") <= 1e-10 * scale
-
-
-def test_rank_counts_with_relative_cutoff():
-    assert matlin.rank(np.zeros((3, 4))) == 0
-    assert matlin.rank(np.eye(3)) == 3
-    M = np.diag([1.0, 1e-5, 1e-12])
-    assert matlin.rank(M) == 2
-    # Scaling must not change the count.
-    assert matlin.rank(1e6 * M) == 2
-    assert matlin.rank(M, rank_tol=1e-13) == 3
 
 
 # -- solve_dlyap --------------------------------------------------------------
