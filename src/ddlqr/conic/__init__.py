@@ -1,12 +1,11 @@
 """Block-diagonal LMI problems and an interior-point solver for them."""
 
 from .problem import LmiProblem, smat, svec, svec_len
-from .solver import ConicSolution, SolverSettings, SolverStatus, solve
+from .solver import ConicSolution, SolverStatus, solve
 
 __all__ = [
     "ConicSolution",
     "LmiProblem",
-    "SolverSettings",
     "SolverStatus",
     "smat",
     "solve",

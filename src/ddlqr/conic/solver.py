@@ -28,7 +28,7 @@ import scipy.linalg
 
 from .problem import LmiProblem, smat, svec, svec_len
 
-__all__ = ["SolverStatus", "SolverSettings", "ConicSolution", "solve"]
+__all__ = ["SolverStatus", "ConicSolution", "solve"]
 
 
 class SolverStatus(str, Enum):
@@ -37,19 +37,6 @@ class SolverStatus(str, Enum):
     UNBOUNDED = "Unbounded"
     MAX_ITERS = "MaxIters"
     NUMERICAL_ERROR = "NumericalError"
-
-
-@dataclass
-class SolverSettings:
-    tol_gap: float = 1e-8
-    tol_feas: float = 1e-8
-    max_iters: int = 200
-
-    def __post_init__(self):
-        if self.tol_gap <= 0 or self.tol_feas <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass
@@ -73,13 +60,15 @@ class _FactorError(Exception):
     pass
 
 
-# The programs' default target (1e-11, synthesis._default_settings) is below
-# what the reduced and model SDPs attain: as mu shrinks the Schur complement's
-# conditioning degrades and the residuals bottom out above it (snapshot dual
-# residuals up to 1.4e-6 on the paper grids). A stalled iterate whose best
-# snapshot sits below these caps is returned as optimal instead of being
-# iterated into factorization breakdown; above them a stall is a genuine
-# failure.
+# Every program asks for 1e-11 in the residuals and the relative gap: gains
+# are compared at 1e-5, and near a flat optimum the gain error scales like
+# the square root of the objective gap. That target is below what the reduced
+# and model SDPs attain: as mu shrinks the Schur complement's conditioning
+# degrades and the residuals bottom out above it (snapshot dual residuals up
+# to 1.4e-6 on the paper grids). So every breakdown returns the best snapshot
+# as optimal when it sits below these caps; above them it is a failure.
+_TOL = 1e-11
+_MAX_ITERS = 200
 _FEAS_CAP = 1e-6
 _GAP_CAP = 1e-6
 _DUAL_CAP = 1e-5
@@ -306,15 +295,19 @@ def _direction(cb, scal, dy, Rp, C):
     return dS, dst, dzt, min(_boundary_step(lam, dst), _boundary_step(lam, dzt))
 
 
-def solve(problem: LmiProblem, settings: SolverSettings | None = None) -> ConicSolution:
+def solve(problem: LmiProblem) -> ConicSolution:
     """Minimize c.T y over the intersection of the problem's LMI blocks.
 
-    Statuses are values, never exceptions: Infeasible/Unbounded come from
-    residual-growth heuristics, NumericalError from factorization failure or
-    stagnation, MaxIters from the iteration cap.
+    Statuses are values, never exceptions. Optimal with an empty message
+    means the convergence test passed: both residuals and the relative gap
+    at most _TOL. Infeasible and Unbounded come from residual-growth
+    heuristics, MaxIters from the _MAX_ITERS cap. Every other exit is a
+    breakdown: a non-finite iterate, stagnation, a failed factorization or
+    two collapsed steps. One rule decides them all: the best snapshot is
+    returned as Optimal with message "attainable precision; <reason>" when
+    it meets the caps, else the status is NumericalError with the reason.
     """
     t0 = time.perf_counter()
-    cfg = settings if settings is not None else SolverSettings()
     k = problem.num_vars
     c_raw = problem.objective
     # Large objective coefficients put the dual solution far from the unit
@@ -356,39 +349,35 @@ def solve(problem: LmiProblem, settings: SolverSettings | None = None) -> ConicS
     tiny_steps = 0
     snap = None
     status = SolverStatus.MAX_ITERS
-    message = ""
+    message = breakdown = ""
     it = 0
     obj = float(c @ y)
     gap = sum_dim
     pres = dres = np.inf
 
-    feas_cap = max(_FEAS_CAP, cfg.tol_feas)
-    gap_cap = max(_GAP_CAP, cfg.tol_gap)
-    dual_cap = max(_DUAL_CAP, cfg.tol_feas)
     snap_pmerit = np.inf
 
     def snap_ok():
-        return snap is not None and snap["pres"] <= feas_cap and snap["relgap"] <= gap_cap
+        return snap is not None and snap["pres"] <= _FEAS_CAP and snap["relgap"] <= _GAP_CAP
 
-    for it in range(1, cfg.max_iters + 1):
+    for it in range(1, _MAX_ITERS + 1):
         Sy = [cb.apply(y) for cb in compiled]
         Rp = [S[i] - Sy[i] for i in range(len(compiled))]
         rd = c - problem.adjoint(Z)
         gap = float(sum(np.vdot(S[i], Z[i]) for i in range(len(compiled))))
         obj = float(c @ y)
-        pres = max(
-            float(np.linalg.norm(Rp[i], "fro")) / normF0[i] for i in range(len(compiled))
-        )
+        # np.max, unlike max, carries a NaN in any term into the result.
+        pres = float(np.max([np.linalg.norm(R, "fro") for R in Rp] / normF0))
         dres = float(np.linalg.norm(rd)) / cnorm
         # Convergence is judged in the problem's own scale: measuring the gap
         # against the scaled-down objective would relax it by s_obj.
         relgap = s_obj * gap / (1.0 + s_obj * abs(obj))
-        merit = max(pres, dres, relgap)
+        merit = float(np.max([pres, dres, relgap]))
 
         if not np.isfinite(merit):
-            status, message = SolverStatus.NUMERICAL_ERROR, "non-finite iterate"
+            breakdown = "non-finite iterate"
             break
-        if pres <= cfg.tol_feas and dres <= cfg.tol_feas and relgap <= cfg.tol_gap:
+        if merit <= _TOL:
             status = SolverStatus.OPTIMAL
             break
         if obj <= -1e10 and pres <= 1e-6:
@@ -405,7 +394,7 @@ def solve(problem: LmiProblem, settings: SolverSettings | None = None) -> ConicS
         # the dual residual decays while (pres, relgap) keep polishing, so
         # dual quality gates insertion but never selects the snapshot.
         pmerit = max(pres, relgap)
-        if dres <= dual_cap and pmerit < snap_pmerit:
+        if dres <= _DUAL_CAP and pmerit < snap_pmerit:
             snap_pmerit = pmerit
             snap = dict(y=y.copy(), obj=obj, gap=gap, pres=pres, dres=dres, relgap=relgap)
         if pmerit < 0.9 * best_merit:
@@ -413,11 +402,9 @@ def solve(problem: LmiProblem, settings: SolverSettings | None = None) -> ConicS
             stall = 0
         else:
             stall += 1
-            if stall >= 4 and snap_ok():
-                status, message = SolverStatus.OPTIMAL, "converged to attainable precision"
-                break
-            if stall >= 12 and pmerit <= 1e-2 or stall >= 25:
-                status, message = SolverStatus.NUMERICAL_ERROR, "stagnation"
+            # A stall ends the solve sooner when a snapshot already meets the caps.
+            if stall >= 4 and snap_ok() or stall >= 12 and pmerit <= 1e-2 or stall >= 25:
+                breakdown = "stagnation"
                 break
 
         try:
@@ -426,11 +413,7 @@ def solve(problem: LmiProblem, settings: SolverSettings | None = None) -> ConicS
                 compiled, [sc[2] for sc in scal], oidx, pos_of, k
             )
         except _FactorError as exc:
-            if snap_ok():
-                status = SolverStatus.OPTIMAL
-                message = f"attainable precision; next factorization failed: {exc}"
-            else:
-                status, message = SolverStatus.NUMERICAL_ERROR, str(exc)
+            breakdown = f"next factorization failed: {exc}"
             break
 
         mu = gap / sum_dim
@@ -480,11 +463,7 @@ def solve(problem: LmiProblem, settings: SolverSettings | None = None) -> ConicS
         if alpha < 1e-10:
             tiny_steps += 1
             if tiny_steps >= 2:
-                if snap_ok():
-                    status = SolverStatus.OPTIMAL
-                    message = "attainable precision; step lengths collapsed"
-                else:
-                    status, message = SolverStatus.NUMERICAL_ERROR, "step lengths collapsed"
+                breakdown = "step lengths collapsed"
                 break
         else:
             tiny_steps = 0
@@ -496,9 +475,11 @@ def solve(problem: LmiProblem, settings: SolverSettings | None = None) -> ConicS
             S[i] = 0.5 * ((S[i] + alpha * ds_list[i]) + (S[i] + alpha * ds_list[i]).T)
             Z[i] = 0.5 * ((Z[i] + alpha * dZ) + (Z[i] + alpha * dZ).T)
 
-    if status is SolverStatus.OPTIMAL and message:
-        # Every Optimal exit but the convergence test returns the best snapshot.
+    if breakdown and snap_ok():
+        status, message = SolverStatus.OPTIMAL, f"attainable precision; {breakdown}"
         y, obj, gap, pres, dres = (snap[key] for key in ("y", "obj", "gap", "pres", "dres"))
+    elif breakdown:
+        status, message = SolverStatus.NUMERICAL_ERROR, breakdown
     return ConicSolution(
         status=status,
         y=y,

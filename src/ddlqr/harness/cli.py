@@ -4,6 +4,7 @@ benchmarks, and the self-check pipeline."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -15,7 +16,6 @@ from ..errors import DdlqrError
 from ..matlin import spectral_radius
 from ..synthesis import (
     PlantModel,
-    ce_lqr,
     model_lqr_sdp,
     synth_baseline_covar,
     synth_baseline_gram,
@@ -162,7 +162,9 @@ def _cmd_synth(args) -> int:
     if args.program == "model":
         sol = model_lqr_sdp(PlantModel(A=cfg.a, B=cfg.b, Q=Q, R=R))
     elif args.program == "ce":
-        sol = ce_lqr(stats, Q, R)
+        # Certainty equivalence is the reduced covariance program at zero weights.
+        sol = synth_reduced_covar(stats, Q, R, RegWeights(parameterization="covariance"))
+        sol = dataclasses.replace(sol, program_id="ce")
     elif args.program == "reduced-gram":
         w = RegWeights(lambda1=args.l1, lambda2=args.l2, lambda3=args.l3)
         sol = synth_reduced_gram(stats, Q, R, w)

@@ -164,8 +164,8 @@ def _check_triangle(cfg) -> CheckResult:
 def _check_certainty_equivalence(cfg) -> CheckResult:
     d = gen_reference_data(cfg)
     stats = compute_stats(d)
-    # The SDP on the least-squares model, not ce_lqr: that solves the same
-    # Riccati equation as the reduced program and would only compare it with itself.
+    # The SDP on the least-squares model: certainty equivalence through the
+    # Riccati equation is the reduced program at zero weights, compared with itself.
     ce = model_lqr_sdp(PlantModel(A=stats.a_ls, B=stats.b_ls, Q=cfg.q, R=cfg.r))
     sol = synth_reduced_covar(stats, cfg.q, cfg.r, RegWeights(parameterization="covariance"))
     gain_err = float(np.linalg.norm(sol.K - ce.K))

@@ -40,7 +40,6 @@ from scipy.linalg import solve_triangular
 from .conic import (
     ConicSolution,
     LmiProblem,
-    SolverSettings,
     smat,
     solve,
     svec,
@@ -77,7 +76,6 @@ __all__ = [
     "build_model_lqr_problem",
     "build_reduced_covar_problem",
     "build_reduced_gram_problem",
-    "ce_lqr",
     "evaluate_on_truth",
     "model_lqr_sdp",
     "reduced_sdp",
@@ -297,16 +295,8 @@ def _check_qr(n: int, m: int, Q, R) -> tuple[np.ndarray, np.ndarray]:
     return Q, R
 
 
-# Gains enter acceptance comparisons at 1e-5, and near a flat optimum the
-# gain error scales like sqrt of the objective gap. The solver's stall
-# detection returns its best attainable iterate, so tight targets cost a few
-# polish iterations, never a failure.
-def _default_settings() -> SolverSettings:
-    return SolverSettings(tol_gap=1e-11, tol_feas=1e-11)
-
-
 def _solve_and_extract(p: LmiProblem, lay: SdpLayout, program_id: str, a_cl_from) -> LqrSolution:
-    sol = solve(p, _default_settings())
+    sol = solve(p)
     if not sol.optimal:
         raise SynthesisInfeasible(program_id, sol.status.value, sol)
     P = lay.extract("P", sol.y)
@@ -684,25 +674,7 @@ def synth_baseline_covar(stats: DataStats, Q, R, lam: float) -> LqrSolution:
     return _solve_and_extract(p, lay, "baseline-covar", extract)
 
 
-# -- certainty equivalence and evaluation -------------------------------------
-
-
-def ce_lqr(stats: DataStats, Q, R) -> LqrSolution:
-    """Certainty-equivalent LQR on the least-squares estimates."""
-    Q, R = _check_qr(stats.n, stats.m, Q, R)
-    K, _ = solve_dare(stats.a_ls, stats.b_ls, Q, R)
-    A_cl = stats.a_ls + stats.b_ls @ K
-    P = solve_dlyap(A_cl)
-    objective = float(np.trace(Q @ P) + np.trace(K.T @ R @ K @ P))
-    return LqrSolution(
-        K=K,
-        P=P,
-        A_cl=A_cl,
-        objective=objective,
-        status="Optimal",
-        solver=None,
-        program_id="ce",
-    )
+# -- evaluation on the true plant ---------------------------------------------
 
 
 def evaluate_on_truth(sol: LqrSolution, pm: PlantModel) -> TruthEvaluation:

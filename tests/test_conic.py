@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from ddlqr.conic import LmiProblem, SolverSettings, smat, solve, svec, svec_len
+import ddlqr.conic.solver as solver_mod
+from ddlqr.conic import LmiProblem, smat, solve, svec, svec_len
 from ddlqr.errors import AsymmetricInput, DimensionMismatch
 
 
@@ -188,23 +189,86 @@ def test_untouched_variable_with_zero_cost():
     assert sol.objective == pytest.approx(-1.5, abs=1e-6)
 
 
-def test_max_iters_status():
+def test_max_iters_status(monkeypatch):
+    monkeypatch.setattr(solver_mod, "_MAX_ITERS", 2)
     p = LmiProblem(1)
     p.set_objective([-1.0])
     add_dense_block(p, np.eye(2), [np.array([[0.0, 1.0], [1.0, 0.0]])])
-    sol = solve(p, SolverSettings(max_iters=2))
+    sol = solve(p)
     assert sol.status == "MaxIters"
     assert sol.iters == 2
     assert not sol.optimal
 
 
-def test_settings_validation():
-    with pytest.raises(ValueError):
-        SolverSettings(tol_gap=0.0)
-    with pytest.raises(ValueError):
-        SolverSettings(tol_feas=-1e-9)
-    with pytest.raises(ValueError):
-        SolverSettings(max_iters=0)
+def descent_toy():
+    """min y0 + y1 over two 2x2 blocks: twelve iterations to the convergence
+    test, with relative gaps below the snapshot caps from iteration 9 on."""
+    p = LmiProblem(2)
+    p.set_objective([1.0, 1.0])
+    F0 = np.array([[2.0, 0.5], [0.5, 1.0]])
+    add_dense_block(p, F0, [np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])])
+    add_dense_block(p, 3.0 * np.eye(2), [-np.eye(2), None])
+    return p
+
+
+def break_at(monkeypatch, p, k, how):
+    """Break the solve of p at iteration k: "factor" fails the Schur
+    factorization, "nan" makes the dual residual non-finite."""
+    calls = []
+    if how == "factor":
+        real = solver_mod._Factorization
+
+        def factorization(*args):
+            calls.append(None)
+            if len(calls) >= k:
+                raise solver_mod._FactorError("probe")
+            return real(*args)
+
+        monkeypatch.setattr(solver_mod, "_Factorization", factorization)
+    else:
+        real = p.adjoint
+
+        def adjoint(Z_list):
+            calls.append(None)
+            g = real(Z_list)
+            return np.full_like(g, np.nan) if len(calls) >= k else g
+
+        monkeypatch.setattr(p, "adjoint", adjoint)
+
+
+BREAKDOWNS = [("factor", "next factorization failed: probe"), ("nan", "non-finite iterate")]
+
+
+@pytest.mark.parametrize("how, reason", BREAKDOWNS)
+def test_breakdown_after_good_snapshot_returns_it(monkeypatch, how, reason):
+    # The snapshot is the best iterate measured before the breakdown: iterate
+    # 10 when the factorization after its residuals fails, iterate 9 when
+    # iterate 10's residuals are non-finite. A run capped one iteration
+    # earlier ends holding that iterate.
+    good = 10 if how == "factor" else 9
+    with monkeypatch.context() as m:
+        m.setattr(solver_mod, "_MAX_ITERS", good - 1)
+        ref = solve(descent_toy())
+    assert solve(descent_toy()).message == ""
+    p = descent_toy()
+    break_at(monkeypatch, p, 10, how)
+    sol = solve(p)
+    assert sol.status == "Optimal"
+    assert sol.message == "attainable precision; " + reason
+    assert sol.iters == 10
+    assert np.array_equal(sol.y, ref.y)
+    assert sol.objective == pytest.approx(float(np.sum(ref.y)), rel=1e-15)
+
+
+@pytest.mark.parametrize("how, reason", BREAKDOWNS)
+def test_breakdown_at_first_iteration_fails(monkeypatch, how, reason):
+    p = descent_toy()
+    break_at(monkeypatch, p, 1, how)
+    sol = solve(p)
+    assert sol.status == "NumericalError"
+    assert sol.message == reason
+    assert sol.iters == 1
+    assert not sol.optimal
 
 
 def test_entry_api_matches_dense_blocks():

@@ -7,7 +7,9 @@ import ddlqr
 from ddlqr.conic import LmiProblem
 from ddlqr.datamodel import DataStats
 
-# Removed API: helpers only tests called, and the sweep's baseline cases.
+# Removed API: helpers only tests called, the sweep's baseline cases, the
+# solver's settings object and the certainty-equivalence twin of
+# synth_reduced_covar at zero weights.
 DELETED = {
     "svec_index",
     "new_problem",
@@ -16,6 +18,9 @@ DELETED = {
     "check_excitation",
     "column_normals",
     "baseline_case",
+    "SolverSettings",
+    "_default_settings",
+    "ce_lqr",
 }
 
 

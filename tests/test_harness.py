@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ddlqr.datamodel import Dataset, compute_stats
+from ddlqr.effects import RegWeights
 from ddlqr.errors import DimensionMismatch
 from ddlqr.harness.cli import main
 from ddlqr.harness.emit import (
@@ -28,7 +29,7 @@ from ddlqr.harness.sweep import (
     zero_wall_times,
 )
 from ddlqr.harness.verify import run_verify
-from ddlqr.synthesis import PlantModel, ce_lqr, model_lqr_sdp
+from ddlqr.synthesis import PlantModel, model_lqr_sdp, synth_reduced_covar
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -116,7 +117,9 @@ def test_run_sweep_rows_and_metrics():
 def test_run_sweep_zero_lambda_is_certainty_equivalent():
     cfg = ReferenceExperimentConfig(seed=0)
     d = gen_reference_data(cfg)
-    ce = ce_lqr(compute_stats(d), cfg.q, cfg.r)
+    ce = synth_reduced_covar(
+        compute_stats(d), cfg.q, cfg.r, RegWeights(parameterization="covariance")
+    )
     rows = run_sweep(d, [reduced_case("{2,3}", "covariance")], [0.0], Q=cfg.q, R=cfg.r)
     assert np.linalg.norm(rows[0].K - ce.K) <= 1e-5
 

@@ -8,7 +8,6 @@ from ddlqr.datamodel import Dataset, compute_stats, kernel_projector
 from ddlqr.effects import RegWeights, param_effect_closed
 from ddlqr.errors import (
     DimensionMismatch,
-    NoConvergence,
     NotPositiveDefinite,
     SynthesisInfeasible,
 )
@@ -16,6 +15,7 @@ from ddlqr.harness.experiments import ReferenceExperimentConfig, gen_reference_d
 from ddlqr.harness.sweep import deviation_grid, gain_path_grid, reduced_case
 from ddlqr.matlin import h2norm_sq, solve_dare, solve_dlyap, spectral_radius
 from ddlqr.synthesis import (
+    LqrSolution,
     PlantModel,
     baseline_y_map,
     build_baseline_covar_problem,
@@ -23,7 +23,6 @@ from ddlqr.synthesis import (
     build_model_lqr_problem,
     build_reduced_covar_problem,
     build_reduced_gram_problem,
-    ce_lqr,
     evaluate_on_truth,
     model_lqr_sdp,
     reduced_sdp,
@@ -223,12 +222,12 @@ def test_triangle_covar_vs_baseline(lam):
 
 def test_covar_zero_weights_match_certainty_equivalent():
     _, st = noisy(2)
-    ce = ce_lqr(st, Q2, R1)
+    K_ce, _ = solve_dare(st.a_ls, st.b_ls, Q2, R1)
     for sol in (
         synth_reduced_covar(st, Q2, R1, covar_weights()),
         synth_baseline_covar(st, Q2, R1, 0.0),
     ):
-        assert np.linalg.norm(sol.K - ce.K) <= 1e-5
+        assert np.linalg.norm(sol.K - K_ce) <= 1e-5
         assert np.linalg.norm(sol.A_cl - (st.a_ls + st.b_ls @ sol.K)) <= 1e-8
 
 
@@ -445,16 +444,10 @@ def test_gain_shrinkage_blocked_by_unstable_ls_gain():
     assert float(np.linalg.norm(s2.K - st.k_ls)) > 1e-1
 
 
-# -- certainty equivalence and evaluation -------------------------------------
+# -- infeasible estimates and evaluation --------------------------------------
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_ce_requires_stabilizable_estimates():
-    st = nonstabilizable_stats()
-    with pytest.raises(NoConvergence):
-        ce_lqr(st, Q2, np.eye(1))
-
-
 def test_reduced_covar_infeasible_on_nonstabilizable_estimates():
     st = nonstabilizable_stats()
     with pytest.raises(SynthesisInfeasible) as exc:
@@ -474,8 +467,7 @@ def test_evaluate_on_truth_self_consistency():
 
 def test_evaluate_on_truth_zero_gain():
     pm = ref_plant()
-    sol = ce_lqr(compute_stats(gen_reference_data(ReferenceExperimentConfig(seed=0))), Q2, R1)
-    zero = type(sol)(
+    zero = LqrSolution(
         K=np.zeros((1, 2)),
         P=np.eye(2),
         A_cl=pm.A,
@@ -491,8 +483,7 @@ def test_evaluate_on_truth_zero_gain():
 
 def test_evaluate_on_truth_unstable_gain():
     pm = ref_plant()
-    sol = ce_lqr(compute_stats(gen_reference_data(ReferenceExperimentConfig(seed=0))), Q2, R1)
-    bad = type(sol)(
+    bad = LqrSolution(
         K=np.array([[10.0, 0.0]]),
         P=np.eye(2),
         A_cl=pm.A + pm.B @ np.array([[10.0, 0.0]]),
