@@ -12,7 +12,7 @@ import numpy as np
 
 from ..datamodel import compute_stats, load_dataset, save_dataset
 from ..effects import RegWeights
-from ..errors import DdlqrError
+from ..errors import DdlqrError, SynthesisInfeasible
 from ..matlin import spectral_radius
 from ..synthesis import (
     PlantModel,
@@ -161,18 +161,23 @@ def _cmd_synth(args) -> int:
     Q, R = cfg.q, cfg.r
     if args.program == "model":
         sol = model_lqr_sdp(PlantModel(A=cfg.a, B=cfg.b, Q=Q, R=R))
-    elif args.program == "ce":
+    elif args.program in ("ce", "reduced-covar"):
         # Certainty equivalence is the reduced covariance program at zero weights.
-        sol = synth_reduced_covar(stats, Q, R, RegWeights(parameterization="covariance"))
-        sol = dataclasses.replace(sol, program_id="ce")
+        lams = (0.0, 0.0) if args.program == "ce" else (args.l2, args.l3)
+        w = RegWeights(lambda2=lams[0], lambda3=lams[1], parameterization="covariance")
+        try:
+            sol = synth_reduced_covar(stats, Q, R, w)
+        except SynthesisInfeasible as exc:
+            # The Riccati path runs no solver: it fails only on estimates
+            # that are not stabilizable.
+            raise DdlqrError(
+                f"{args.program}: the least-squares estimates (A_LS, B_LS) are not "
+                "stabilizable, so the program is infeasible"
+            ) from exc
+        sol = dataclasses.replace(sol, program_id=args.program)
     elif args.program == "reduced-gram":
         w = RegWeights(lambda1=args.l1, lambda2=args.l2, lambda3=args.l3)
         sol = synth_reduced_gram(stats, Q, R, w)
-    elif args.program == "reduced-covar":
-        w = RegWeights(
-            lambda1=args.l1, lambda2=args.l2, lambda3=args.l3, parameterization="covariance"
-        )
-        sol = synth_reduced_covar(stats, Q, R, w)
     elif args.program == "baseline-covar":
         sol = synth_baseline_covar(stats, Q, R, args.lam)
     else:

@@ -1,13 +1,17 @@
 """Controller synthesis programs over LMI blocks, and their Riccati forms.
 
-Every program minimizes the lifted H2 cost tr(QP) + tr(RL) in the shared
-variables (P, K tilde = K P, ...) plus a program-specific regularization
-term, subject to the stability LMI [[P - I, *], [*^T, P]] >= 0. P >= I
-needs no block of its own: P - I is the leading principal block of that LMI.
-The reduced programs have size independent of the data length; the baseline
-programs carry the raw data matrices and an ell x ell slack, which is what
-makes them scale badly. Extraction always goes through P^{-1}, well
-conditioned because P >= I.
+Every program is one lifted H2 program (`_h2_program`) in the variables
+(P, K tilde = K P, ...): minimize tr(Q P) plus weighted slack bounds subject
+to the stability LMI [[P - I, A_cl P], [*, P]] >= 0, block 0. A slack bound
+is a corner slack S >= dev P^-1 dev^T, the LMI [[S, dev], [*, P]] >= 0,
+priced by tr(D S). The input cost tr(R K P K^T) is the first bound (S = L,
+dev = K P, D = R), block 1; the regularizers are the others. So every
+program states K P as block 1's border and A_cl P as block 0's, and
+extraction reads both at the solution and multiplies by P^{-1}, well
+conditioned because P >= I. P >= I needs no block of its own: P - I is the
+leading principal block of the stability LMI. The reduced programs have size
+independent of the data length; the baseline programs carry the raw data
+matrices and an ell x ell slack, which is what makes them scale badly.
 
 Each block is written once, as the paper's matrix: the off-diagonal part is
 a linear matrix expression whose parameters name layout slots, for example
@@ -243,43 +247,48 @@ def _add_upper(p: LmiProblem, bid: int, var: np.ndarray, F: np.ndarray, c0: int 
     p.add_entry(bid, var[k], i, j + c0, F[k, i, j])
 
 
-def _add_bordered(p: LmiProblem, lay: SdpLayout, bid: int, dc: int, off, corner_p: bool) -> None:
-    """Write the linear part of [[T, X], [X^T, P]] into block bid.
-
-    X = off(...) is a linear matrix expression over the layout slots its
-    parameters name (a column family may add a further term to it); T is P
-    when corner_p and zero otherwise (a corner slack supplies it). Each
-    variable's coefficient matrix is the block at that variable's unit
-    matrix: the border [X; P] and, when corner_p, T.
-    """
+def _add_border(p: LmiProblem, lay: SdpLayout, bid: int, dc: int, off) -> None:
+    """Write the border [X; P] of [[T, X], [X^T, P]] at columns dc.. of block
+    bid. X = off(...) is a linear matrix expression over the layout slots its
+    parameters name; each variable's coefficient matrix is the border at that
+    variable's unit matrix."""
     names = tuple(inspect.signature(off).parameters)
     var, U = lay.units(("P",) + names)
     X = off(*(U[s] for s in names))
     _add_upper(p, bid, var, np.concatenate((X, U["P"]), axis=1), c0=dc)
-    if corner_p:
-        _add_upper(p, bid, var, U["P"])
 
 
-def _stability_block(p: LmiProblem, lay: SdpLayout, dim_n: int, a_cl) -> int:
-    """[[P - I, A_cl P], [*, P]] >= 0, the lifted closed loop A_cl P written
-    as an expression over named slots."""
-    bid = p.new_block(2 * dim_n)
-    F0 = np.zeros((2 * dim_n, 2 * dim_n))
-    F0[:dim_n, :dim_n] = -np.eye(dim_n)
-    p.set_block_const(bid, F0)
-    _add_bordered(p, lay, bid, dim_n, a_cl, corner_p=True)
-    return bid
+def _h2_program(lay: SdpLayout, q_p, a_cl, bounds) -> LmiProblem:
+    """The lifted H2 program every builder shares, over a layout that holds
+    the primal slots (P first).
 
+    Block 0 is [[P - I, A_cl P], [*, P]] >= 0 with A_cl P = a_cl(...), and the
+    objective starts at tr(q_p P). Each (name, dev, D) in bounds allocates a
+    symmetric slack S after the primal slots, sized by D, adds the block
+    [[S, dev], [*, P]] >= 0 with S a corner, and adds tr(D S). Builders pass
+    ("L", K P, R) first, so block 1's border is K P (see _solve_and_extract).
+    """
+    n = lay.slot("P").rows
+    for name, _, D in bounds:
+        lay.add_sym(name, D.shape[0])
+    p = LmiProblem(lay.num_vars)
+    c = np.zeros(lay.num_vars)
+    lay.add_sym_cost(c, "P", q_p)
 
-def _slack_bound_block(p: LmiProblem, lay: SdpLayout, slack: str, dim_n: int, dev) -> int:
-    """[[slack, dev], [*, P]] >= 0 with the slack eliminated as a corner:
-    slack >= dev P^-1 dev^T for the deviation dev, an expression over named
-    slots."""
-    dc = lay.slot(slack).rows
-    bid = p.new_block(dc + dim_n)
-    p.add_corner_slack(bid, dc, lay.slot(slack).offset)
-    _add_bordered(p, lay, bid, dc, dev, corner_p=False)
-    return bid
+    F0 = np.zeros((2 * n, 2 * n))
+    F0[:n, :n] = -np.eye(n)
+    p.set_block_const(p.new_block(2 * n), F0)
+    _add_border(p, lay, 0, n, a_cl)
+    var, U = lay.units(("P",))
+    _add_upper(p, 0, var, U["P"])
+    for name, dev, D in bounds:
+        s = lay.slot(name)
+        bid = p.new_block(s.rows + n)
+        p.add_corner_slack(bid, s.rows, s.offset)
+        _add_border(p, lay, bid, s.rows, dev)
+        lay.add_sym_cost(c, name, D)
+    p.set_objective(c)
+    return p
 
 
 def _check_qr(n: int, m: int, Q, R) -> tuple[np.ndarray, np.ndarray]:
@@ -295,17 +304,22 @@ def _check_qr(n: int, m: int, Q, R) -> tuple[np.ndarray, np.ndarray]:
     return Q, R
 
 
-def _solve_and_extract(p: LmiProblem, lay: SdpLayout, program_id: str, a_cl_from) -> LqrSolution:
+def _solve_and_extract(p: LmiProblem, lay: SdpLayout, program_id: str) -> LqrSolution:
+    """Solve an _h2_program and read K P off block 1's border and A_cl P off
+    block 0's at the solution (column families included), so K and A_cl come
+    from one solve against P."""
     sol = solve(p)
     if not sol.optimal:
         raise SynthesisInfeasible(program_id, sol.status.value, sol)
     P = lay.extract("P", sol.y)
-    Kt = lay.extract("Kt", sol.y) if "Kt" in lay.names() else None
-    K, A_cl = a_cl_from(sol.y, P, Kt)
+    stab, cost = (cb.apply(sol.y) for cb in p.compiled()[:2])
+    n = P.shape[0]
+    m = cost.shape[0] - n
+    KA = np.linalg.solve(P, np.vstack((cost[:m, m:], stab[:n, n:])).T).T
     return LqrSolution(
-        K=K,
+        K=KA[:m],
         P=P,
-        A_cl=A_cl,
+        A_cl=KA[m:],
         objective=sol.objective,
         status=sol.status.value,
         solver=sol,
@@ -318,32 +332,16 @@ def _solve_and_extract(p: LmiProblem, lay: SdpLayout, program_id: str, a_cl_from
 
 def build_model_lqr_problem(pm: PlantModel) -> tuple[LmiProblem, SdpLayout]:
     """Known-model H2 program in the lifted variables (P, K tilde, L)."""
-    n, m = pm.n, pm.m
     lay = SdpLayout()
-    lay.add_sym("P", n)
-    lay.add_full("Kt", m, n)
-    lay.add_sym("L", m)
-    p = LmiProblem(lay.num_vars)
-
-    _stability_block(p, lay, n, lambda P, Kt: pm.A @ P + pm.B @ Kt)
-    _slack_bound_block(p, lay, "L", n, lambda Kt: Kt)
-
-    c = np.zeros(lay.num_vars)
-    lay.add_sym_cost(c, "P", pm.Q)
-    lay.add_sym_cost(c, "L", pm.R)
-    p.set_objective(c)
-    return p, lay
+    lay.add_sym("P", pm.n)
+    lay.add_full("Kt", pm.m, pm.n)
+    bounds = [("L", lambda Kt: Kt, pm.R)]
+    return _h2_program(lay, pm.Q, lambda P, Kt: pm.A @ P + pm.B @ Kt, bounds), lay
 
 
 def model_lqr_sdp(pm: PlantModel) -> LqrSolution:
     """Solve the known-model program and extract K = K tilde P^{-1}."""
-    p, lay = build_model_lqr_problem(pm)
-
-    def extract(y, P, Kt):
-        K = np.linalg.solve(P, Kt.T).T
-        return K, pm.A + pm.B @ K
-
-    return _solve_and_extract(p, lay, "model", extract)
+    return _solve_and_extract(*build_model_lqr_problem(pm), "model")
 
 
 # -- reduced data-driven programs ---------------------------------------------
@@ -386,35 +384,17 @@ def build_reduced_gram_problem(
     """
     Q, R, d0, du, dx = _reduced_weights(stats, Q, R, w, "gram")
     n, m = stats.n, stats.m
-
+    A_LS, B_LS, K_LS = stats.a_ls, stats.b_ls, stats.k_ls
     lay = SdpLayout()
     lay.add_sym("P", n)
     lay.add_full("Kt", m, n)
     lay.add_full("At", n, n)
-    lay.add_sym("L", m)
+    bounds = [("L", lambda Kt: Kt, R)]
     if w.lambda2 > 0.0:
-        lay.add_sym("N", m)
+        bounds.append(("N", lambda P, Kt: Kt - K_LS @ P, du))
     if w.lambda1 > 0.0:
-        lay.add_sym("M", n)
-    p = LmiProblem(lay.num_vars)
-
-    A_LS, B_LS, K_LS = stats.a_ls, stats.b_ls, stats.k_ls
-    _stability_block(p, lay, n, lambda At: At)
-    _slack_bound_block(p, lay, "L", n, lambda Kt: Kt)
-    if w.lambda2 > 0.0:
-        _slack_bound_block(p, lay, "N", n, lambda P, Kt: Kt - K_LS @ P)
-    if w.lambda1 > 0.0:
-        _slack_bound_block(p, lay, "M", n, lambda P, Kt, At: At - A_LS @ P - B_LS @ Kt)
-
-    c = np.zeros(lay.num_vars)
-    lay.add_sym_cost(c, "P", Q + d0)
-    lay.add_sym_cost(c, "L", R)
-    if w.lambda2 > 0.0:
-        lay.add_sym_cost(c, "N", du)
-    if w.lambda1 > 0.0:
-        lay.add_sym_cost(c, "M", dx)
-    p.set_objective(c)
-    return p, lay
+        bounds.append(("M", lambda P, Kt, At: At - A_LS @ P - B_LS @ Kt, dx))
+    return _h2_program(lay, Q + d0, lambda At: At, bounds), lay
 
 
 def build_reduced_covar_problem(
@@ -426,29 +406,14 @@ def build_reduced_covar_problem(
     over A_LS P + B_LS K tilde directly.
     """
     Q, R, d0, du, _ = _reduced_weights(stats, Q, R, w, "covariance")
-    n, m = stats.n, stats.m
-
-    lay = SdpLayout()
-    lay.add_sym("P", n)
-    lay.add_full("Kt", m, n)
-    lay.add_sym("L", m)
-    if w.lambda2 > 0.0:
-        lay.add_sym("N", m)
-    p = LmiProblem(lay.num_vars)
-
     A_LS, B_LS, K_LS = stats.a_ls, stats.b_ls, stats.k_ls
-    _stability_block(p, lay, n, lambda P, Kt: A_LS @ P + B_LS @ Kt)
-    _slack_bound_block(p, lay, "L", n, lambda Kt: Kt)
+    lay = SdpLayout()
+    lay.add_sym("P", stats.n)
+    lay.add_full("Kt", stats.m, stats.n)
+    bounds = [("L", lambda Kt: Kt, R)]
     if w.lambda2 > 0.0:
-        _slack_bound_block(p, lay, "N", n, lambda P, Kt: Kt - K_LS @ P)
-
-    c = np.zeros(lay.num_vars)
-    lay.add_sym_cost(c, "P", Q + d0)
-    lay.add_sym_cost(c, "L", R)
-    if w.lambda2 > 0.0:
-        lay.add_sym_cost(c, "N", du)
-    p.set_objective(c)
-    return p, lay
+        bounds.append(("N", lambda P, Kt: Kt - K_LS @ P, du))
+    return _h2_program(lay, Q + d0, lambda P, Kt: A_LS @ P + B_LS @ Kt, bounds), lay
 
 
 def reduced_sdp(stats: DataStats, Q, R, w: RegWeights) -> LqrSolution:
@@ -458,21 +423,8 @@ def reduced_sdp(stats: DataStats, Q, R, w: RegWeights) -> LqrSolution:
     Riccati path of `synth_reduced_gram` and `synth_reduced_covar`.
     """
     if w.parameterization == "gram":
-        p, lay = build_reduced_gram_problem(stats, Q, R, w)
-
-        def extract(y, P, Kt):
-            Pinv_t = np.linalg.solve(P, np.eye(stats.n))
-            return Kt @ Pinv_t, lay.extract("At", y) @ Pinv_t
-
-        return _solve_and_extract(p, lay, "reduced-gram", extract)
-
-    p, lay = build_reduced_covar_problem(stats, Q, R, w)
-
-    def extract(y, P, Kt):
-        K = np.linalg.solve(P, Kt.T).T
-        return K, stats.a_ls + stats.b_ls @ K
-
-    return _solve_and_extract(p, lay, "reduced-covar", extract)
+        return _solve_and_extract(*build_reduced_gram_problem(stats, Q, R, w), "reduced-gram")
+    return _solve_and_extract(*build_reduced_covar_problem(stats, Q, R, w), "reduced-covar")
 
 
 def _shifted_lqr(stats: DataStats, B, q, r, du) -> np.ndarray:
@@ -568,6 +520,15 @@ def baseline_y_map(x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return solve_triangular(r[:n], q[:, :n].T).T, q[:, n:]
 
 
+def _baseline_weights(stats: DataStats, Q, R, lam) -> tuple[np.ndarray, np.ndarray, float]:
+    """Checked (Q, R, lam) of a baseline program: lam must be non-negative."""
+    Q, R = _check_qr(stats.n, stats.m, Q, R)
+    lam = float(lam)
+    if lam < 0.0:
+        raise ValueError(f"lambda must be non-negative, got {lam}")
+    return Q, R, lam
+
+
 def build_baseline_gram_problem(
     d: Dataset, stats: DataStats, Q, R, lam: float, projected: bool
 ) -> tuple[LmiProblem, SdpLayout]:
@@ -577,52 +538,30 @@ def build_baseline_gram_problem(
     border C Y is the expression (C X0^+) P plus the column family (C N) Z,
     with no equality rows. The regularizer slack W is an ell x ell corner.
     """
-    n, m, ell = stats.n, stats.m, stats.ell
-    Q, R = _check_qr(n, m, Q, R)
-    lam = float(lam)
-    if lam < 0.0:
-        raise ValueError(f"lambda must be non-negative, got {lam}")
-
+    Q, R, lam = _baseline_weights(stats, Q, R, lam)
+    n, ell = stats.n, stats.ell
     lay = SdpLayout()
     lay.add_sym("P", n)
     lay.add_full("Z", ell - n, n)
-    lay.add_sym("L", m)
-    lay.add_sym("W", ell)
-    p = LmiProblem(lay.num_vars)
-
     x0_pinv, N = baseline_y_map(d.x0)
     Pi = kernel_projector(d) if projected else np.eye(ell)
     X1p, U0p, Pip = d.x1 @ x0_pinv, d.u0 @ x0_pinv, Pi @ x0_pinv
-    bids = (
-        _stability_block(p, lay, n, lambda P: X1p @ P),
-        _slack_bound_block(p, lay, "L", n, lambda P: U0p @ P),
-        _slack_bound_block(p, lay, "W", n, lambda P: Pip @ P),
-    )
-    # Each family fills the border's dc rows; the P rows below it stay zero.
-    for bid, C in zip(bids, (d.x1, d.u0, Pi)):
+    bounds = [("L", lambda P: U0p @ P, R), ("W", lambda P: Pip @ P, lam * np.eye(ell))]
+    p = _h2_program(lay, Q, lambda P: X1p @ P, bounds)
+    # Blocks 0-2 have borders X1 Y, U0 Y and Pi Y. Each family fills the
+    # border's dc rows; the P rows below it stay zero.
+    for bid, C in enumerate((d.x1, d.u0, Pi)):
         CN = np.vstack((C @ N, np.zeros((n, ell - n))))
         p.add_column_family(bid, CN, C.shape[0], lay.var_grid("Z"))
-
-    c = np.zeros(lay.num_vars)
-    lay.add_sym_cost(c, "P", Q)
-    lay.add_sym_cost(c, "L", R)
-    lay.add_sym_cost(c, "W", lam * np.eye(ell))
-    p.set_objective(c)
     return p, lay
 
 
 def synth_baseline_gram(
     d: Dataset, stats: DataStats, Q, R, lam: float, projected: bool
 ) -> LqrSolution:
+    """Solve the baseline gram program, projected or plain, and extract K = U0 Y P^{-1}."""
     p, lay = build_baseline_gram_problem(d, stats, Q, R, lam, projected)
-    program_id = "baseline-gram-proj" if projected else "baseline-gram"
-    x0_pinv, N = baseline_y_map(d.x0)
-
-    def extract(y, P, Kt):
-        YPinv = (x0_pinv @ P + N @ lay.extract("Z", y)) @ np.linalg.solve(P, np.eye(stats.n))
-        return d.u0 @ YPinv, d.x1 @ YPinv
-
-    return _solve_and_extract(p, lay, program_id, extract)
+    return _solve_and_extract(p, lay, "baseline-gram-proj" if projected else "baseline-gram")
 
 
 def build_baseline_covar_problem(
@@ -633,45 +572,26 @@ def build_baseline_covar_problem(
     Z >= [P; K tilde] P^{-1} [P; K tilde]^T via one LMI; the regularizer
     enters the objective as lam * tr(Z cov_d0^{-1}).
     """
-    n, m = stats.n, stats.m
-    Q, R = _check_qr(n, m, Q, R)
-    lam = float(lam)
-    if lam < 0.0:
-        raise ValueError(f"lambda must be non-negative, got {lam}")
+    Q, R, lam = _baseline_weights(stats, Q, R, lam)
     try:
         cov_inv = stats.cov_d0_inv
     except NotPositiveDefinite as e:
         raise SingularCovariance(str(e)) from e
-
-    lay = SdpLayout()
-    lay.add_sym("P", n)
-    lay.add_full("Kt", m, n)
-    lay.add_sym("L", m)
-    lay.add_sym("Z", n + m)
-    p = LmiProblem(lay.num_vars)
-
     A_LS, B_LS = stats.a_ls, stats.b_ls
-    _stability_block(p, lay, n, lambda P, Kt: A_LS @ P + B_LS @ Kt)
-    _slack_bound_block(p, lay, "L", n, lambda Kt: Kt)
-    # [P; Kt] joined on axis -2, the row axis of a matrix and of a stack alike.
-    _slack_bound_block(p, lay, "Z", n, lambda P, Kt: np.concatenate((P, Kt), axis=-2))
-
-    c = np.zeros(lay.num_vars)
-    lay.add_sym_cost(c, "P", Q)
-    lay.add_sym_cost(c, "L", R)
-    lay.add_sym_cost(c, "Z", lam * cov_inv)
-    p.set_objective(c)
-    return p, lay
+    lay = SdpLayout()
+    lay.add_sym("P", stats.n)
+    lay.add_full("Kt", stats.m, stats.n)
+    bounds = [
+        ("L", lambda Kt: Kt, R),
+        # [P; Kt] joined on axis -2, the row axis of a matrix and of a stack alike.
+        ("Z", lambda P, Kt: np.concatenate((P, Kt), axis=-2), lam * cov_inv),
+    ]
+    return _h2_program(lay, Q, lambda P, Kt: A_LS @ P + B_LS @ Kt, bounds), lay
 
 
 def synth_baseline_covar(stats: DataStats, Q, R, lam: float) -> LqrSolution:
-    p, lay = build_baseline_covar_problem(stats, Q, R, lam)
-
-    def extract(y, P, Kt):
-        K = np.linalg.solve(P, Kt.T).T
-        return K, stats.a_ls + stats.b_ls @ K
-
-    return _solve_and_extract(p, lay, "baseline-covar", extract)
+    """Solve the baseline covariance program and extract K = K tilde P^{-1}."""
+    return _solve_and_extract(*build_baseline_covar_problem(stats, Q, R, lam), "baseline-covar")
 
 
 # -- evaluation on the true plant ---------------------------------------------

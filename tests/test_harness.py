@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from ddlqr.datamodel import Dataset, compute_stats
+from ddlqr.datamodel import Dataset, compute_stats, save_dataset
 from ddlqr.effects import RegWeights
 from ddlqr.errors import DimensionMismatch
 from ddlqr.harness.cli import main
@@ -18,6 +18,7 @@ from ddlqr.harness.emit import (
     emit_svg_phase_portrait,
 )
 from ddlqr.harness.experiments import ReferenceExperimentConfig, gen_reference_data
+from ddlqr.harness.rng import normal_matrix
 from ddlqr.harness.sweep import (
     SweepRow,
     bench_scaling,
@@ -347,6 +348,20 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     rc = main(["synth", "--data", str(bad), "--program", "ce", "--out", str(tmp_path / "y.json")])
     assert rc == 2
     assert "not finite" in capsys.readouterr().err
+    # x1 = 2 x0 gives estimates that are not stabilizable. The Riccati path
+    # runs no solver, so the error names the requested program and the
+    # estimates, not a solver status.
+    x0 = normal_matrix(7, 0, 2, 12)
+    unstab = tmp_path / "unstab.csv"
+    save_dataset(Dataset(x0=x0, u0=normal_matrix(7, 1, 1, 12), x1=2.0 * x0), unstab)
+    for prog in ("ce", "reduced-covar"):
+        rc = main(["synth", "--data", str(unstab), "--program", prog,
+                   "--out", str(tmp_path / "u.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {prog}: ") and "not stabilizable" in err, err
+        assert "solver status" not in err
+    assert not (tmp_path / "u.json").exists()
     # Bad numeric options are usage errors, raised by argument parsing before
     # any work: no output is written.
     data = tmp_path / "ok.csv"

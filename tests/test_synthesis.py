@@ -359,46 +359,83 @@ def test_builders_state_the_paper_lmis():
 def test_solution_invariants_across_programs():
     # No program carries a P - I block of its own; P >= I must follow from
     # the stability LMI. lambda1 = 0 frees the closed loop, so P = I there.
-    d, st = noisy(4)
+    # K and A_cl are read off the borders of blocks 1 and 0; each program's
+    # own formula in its decision variables must give the same matrices.
+    # m != n on the random plant catches a swapped slice.
     w = RegWeights(lambda1=0.3, lambda2=1.0, lambda3=0.1)
     w_free = RegWeights(lambda2=1.0, lambda3=0.1)
     w_covar = covar_weights(1.0, 0.1)
-    runs = [
-        (model_lqr_sdp(ref_plant()), build_model_lqr_problem(ref_plant())),
-        (reduced_sdp(st, Q2, R1, w), build_reduced_gram_problem(st, Q2, R1, w)),
-        (reduced_sdp(st, Q2, R1, w_free), build_reduced_gram_problem(st, Q2, R1, w_free)),
-        (reduced_sdp(st, Q2, R1, w_covar), build_reduced_covar_problem(st, Q2, R1, w_covar)),
-        (
-            synth_baseline_gram(d, st, Q2, R1, 0.5, projected=True),
-            build_baseline_gram_problem(d, st, Q2, R1, 0.5, projected=True),
-        ),
-        (
-            synth_baseline_covar(st, Q2, R1, 0.5),
-            build_baseline_covar_problem(st, Q2, R1, 0.5),
-        ),
-    ]
-    for sol, (prob, lay) in runs:
-        assert sol.status == "Optimal"
-        assert float(np.min(np.linalg.eigvalsh(sol.P - np.eye(st.n)))) >= -1e-6
-        assert spectral_radius(sol.A_cl) < 1.0
-        if "Kt" in lay.names():
-            kt = lay.extract("Kt", sol.solver.y)
-            assert np.linalg.norm(sol.K @ sol.P - kt) <= 1e-8 * (1.0 + np.linalg.norm(kt))
-        for blk in prob.evaluate_blocks(sol.solver.y):
-            scale = 1.0 + float(np.abs(blk).max())
-            assert float(np.min(np.linalg.eigvalsh(blk))) >= -1e-6 * scale
-    # The Riccati path carries no certificate: its P is the Gramian of its
-    # closed loop, which is the SDP's optimal P.
-    for sol in (
-        synth_reduced_gram(st, Q2, R1, w),
-        synth_reduced_gram(st, Q2, R1, w_free),
-        synth_reduced_covar(st, Q2, R1, w_covar),
-    ):
-        assert sol.status == "Optimal" and sol.solver is None
-        assert float(np.min(np.linalg.eigvalsh(sol.P - np.eye(st.n)))) >= -1e-9
-        assert spectral_radius(sol.A_cl) < 1.0
-        gramian = sol.A_cl @ sol.P @ sol.A_cl.T + np.eye(st.n) - sol.P
-        assert np.linalg.norm(gramian) <= 1e-9
+    for d in (noisy(4)[0], random_plant_data(1, 4, 2)):
+        st = compute_stats(d)
+        n, m = st.n, st.m
+        Q, R = np.eye(n), 0.1 * np.eye(m)
+        A, B = st.a_ls, st.b_ls
+        x0_pinv, N = baseline_y_map(d.x0)
+
+        def lifted_gain(v):
+            return v["Kt"] @ np.linalg.inv(v["P"])
+
+        def on_estimates(v):
+            return lifted_gain(v), A + B @ lifted_gain(v)
+
+        def free_loop(v):
+            return lifted_gain(v), v["At"] @ np.linalg.inv(v["P"])
+
+        def data_map(v):
+            YPinv = (x0_pinv @ v["P"] + N @ v["Z"]) @ np.linalg.inv(v["P"])
+            return d.u0 @ YPinv, d.x1 @ YPinv
+
+        # The model program on the estimates, so its A + B K is A_LS + B_LS K.
+        pm = PlantModel(A=A, B=B, Q=Q, R=R)
+        runs = [
+            (model_lqr_sdp(pm), build_model_lqr_problem(pm), on_estimates),
+            (reduced_sdp(st, Q, R, w), build_reduced_gram_problem(st, Q, R, w), free_loop),
+            (
+                reduced_sdp(st, Q, R, w_free),
+                build_reduced_gram_problem(st, Q, R, w_free),
+                free_loop,
+            ),
+            (
+                reduced_sdp(st, Q, R, w_covar),
+                build_reduced_covar_problem(st, Q, R, w_covar),
+                on_estimates,
+            ),
+            (
+                synth_baseline_covar(st, Q, R, 0.5),
+                build_baseline_covar_problem(st, Q, R, 0.5),
+                on_estimates,
+            ),
+        ]
+        for projected in (False, True):
+            runs.append((
+                synth_baseline_gram(d, st, Q, R, 0.5, projected=projected),
+                build_baseline_gram_problem(d, st, Q, R, 0.5, projected=projected),
+                data_map,
+            ))
+        for sol, (prob, lay), formula in runs:
+            assert sol.status == "Optimal"
+            assert float(np.min(np.linalg.eigvalsh(sol.P - np.eye(n)))) >= -1e-6
+            assert spectral_radius(sol.A_cl) < 1.0
+            y = sol.solver.y
+            K, A_cl = formula({name: lay.extract(name, y) for name in lay.names()})
+            for got, want in ((sol.K, K), (sol.A_cl, A_cl)):
+                assert got.shape == want.shape, sol.program_id
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), sol.program_id
+            for blk in prob.evaluate_blocks(y):
+                scale = 1.0 + float(np.abs(blk).max())
+                assert float(np.min(np.linalg.eigvalsh(blk))) >= -1e-6 * scale
+        # The Riccati path carries no certificate: its P is the Gramian of its
+        # closed loop, which is the SDP's optimal P.
+        for sol in (
+            synth_reduced_gram(st, Q, R, w),
+            synth_reduced_gram(st, Q, R, w_free),
+            synth_reduced_covar(st, Q, R, w_covar),
+        ):
+            assert sol.status == "Optimal" and sol.solver is None
+            assert float(np.min(np.linalg.eigvalsh(sol.P - np.eye(n)))) >= -1e-9
+            assert spectral_radius(sol.A_cl) < 1.0
+            gramian = sol.A_cl @ sol.P @ sol.A_cl.T + np.eye(n) - sol.P
+            assert np.linalg.norm(gramian) <= 1e-9
 
 
 # -- regularization path endpoints --------------------------------------------
