@@ -3,10 +3,12 @@
 A Dataset holds one rollout of state/input/successor samples laid out
 column-per-time-step. DataStats holds what the reduced programs and the
 closed-form effects need: least-squares fits and sample covariances, all
-of a size fixed by n and m and read off one triangular factor of the
-stacked record. The ell x ell kernel projector, which only the
-trajectory-sized programs and the oracle use, is formed on request by
-kernel_projector.
+of a size fixed by n and m and read off one triangular factor R of the
+stacked record. Each covariance is the Gram matrix of a diagonal block of
+R, and its inverse and inverse square root come from the SVD of that
+block, so no covariance is factored a second time. The ell x ell kernel
+projector, which only the trajectory-sized programs and the oracle use, is
+formed on request by kernel_projector.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import (
     ParseError,
     StateRankViolation,
 )
-from .matlin import RANK_TOL, as_matrix, inv_pd, inv_sqrt_pd
+from .matlin import RANK_TOL, as_matrix, sym
 
 __all__ = [
     "DataStats",
@@ -144,20 +146,41 @@ def _rank_report(d: Dataset, r: np.ndarray) -> RankReport:
     )
 
 
-def _cov_factor(fn, name: str) -> cached_property:
-    """Read-only fn(cov, name) of the covariance field `name`, computed on
-    first use and kept in the instance. A singular covariance raises
-    NotPositiveDefinite on every request; nothing is cached for it."""
+# Each covariance is T^T T / ell for one diagonal block T = R[b, b] of the
+# stacked factor, with b a function of n and k = n + m.
+_COV_BLOCKS = {
+    "cov_x0": lambda n, k: slice(0, n),
+    "cov_d0": lambda n, k: slice(0, k),
+    "cov_resid_u": lambda n, k: slice(n, k),
+    "cov_resid_x": lambda n, k: slice(k, None),
+}
+
+
+def _cov_factor(name: str, power: int) -> cached_property:
+    """Read-only cov^(-power/2) of the covariance field `name`, computed on
+    first use and kept in the instance. It comes from the SVD of the
+    covariance's block T = U diag(s) V^T of R: cov^-1 = ell V diag(s^-2) V^T
+    and cov^(-1/2) = sqrt(ell) V diag(s^-1) V^T, so the covariance's
+    condition number is never squared. A singular covariance,
+    (s_min / s_max)^2 <= RANK_TOL, raises NotPositiveDefinite on every
+    request; nothing is cached for it."""
 
     def get(self):
         # cov_resid_x from rank-deficient stacked data is zero up to
-        # round-off: uniformly tiny, so no relative eigenvalue test can
+        # round-off: uniformly tiny, so no relative singular-value test can
         # reject it. The data-level rank flag is the scale-aware signal.
         if name == "cov_resid_x" and not self.rank_report.full_rank_holds:
             raise NotPositiveDefinite(
                 "cov_resid_x is singular: the stacked data matrix is rank deficient"
             )
-        return _frozen(fn(getattr(self, name), name))
+        b = _COV_BLOCKS[name](self.n, self.n + self.m)
+        _, s, vt = np.linalg.svd(self.r_factor[b, b])
+        if s[-1] ** 2 <= RANK_TOL * s[0] ** 2:
+            raise NotPositiveDefinite(
+                f"{name} is singular: its block's singular values {s[-1]:.3e} and "
+                f"{s[0]:.3e} have a squared ratio at or below {RANK_TOL:g}"
+            )
+        return _frozen(sym((vt.T * (np.sqrt(self.ell) / s) ** power) @ vt))
 
     return cached_property(get)
 
@@ -167,10 +190,12 @@ class DataStats:
     """Least-squares fits and sample covariances of one Dataset.
 
     Every field has a size fixed by n and m, whatever the record length
-    ell. Covariances use population normalization 1/ell throughout.
-    Residual covariances are stored as computed, singular or not. Their
-    inverses and inverse square roots (`cov_x0_inv`, `cov_x0_inv_sqrt`, ...)
-    are computed once per instance, on first use; a singular one raises
+    ell. Covariances use population normalization 1/ell throughout; each is
+    T^T T / ell for one diagonal block T of `r_factor`, the (2n+m)^2
+    triangular factor of the stacked record. Residual covariances are
+    stored as computed, singular or not. Their inverses and inverse square
+    roots (`cov_x0_inv`, `cov_x0_inv_sqrt`, ...) are read off the SVD of
+    that block, once per instance, on first use; a singular one raises
     NotPositiveDefinite, and consumers decide how to fail.
     """
 
@@ -185,26 +210,19 @@ class DataStats:
     cov_resid_x: np.ndarray
     cov_resid_u: np.ndarray
     rank_report: RankReport = field(repr=False)
+    r_factor: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for name in (
-            "a_ls",
-            "b_ls",
-            "k_ls",
-            "cov_x0",
-            "cov_d0",
-            "cov_resid_x",
-            "cov_resid_u",
-        ):
+        for name in ("a_ls", "b_ls", "k_ls", "r_factor", *_COV_BLOCKS):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
 
-    cov_x0_inv = _cov_factor(inv_pd, "cov_x0")
-    cov_x0_inv_sqrt = _cov_factor(inv_sqrt_pd, "cov_x0")
-    cov_d0_inv = _cov_factor(inv_pd, "cov_d0")
-    cov_resid_x_inv = _cov_factor(inv_pd, "cov_resid_x")
-    cov_resid_x_inv_sqrt = _cov_factor(inv_sqrt_pd, "cov_resid_x")
-    cov_resid_u_inv = _cov_factor(inv_pd, "cov_resid_u")
-    cov_resid_u_inv_sqrt = _cov_factor(inv_sqrt_pd, "cov_resid_u")
+    cov_x0_inv = _cov_factor("cov_x0", 2)
+    cov_x0_inv_sqrt = _cov_factor("cov_x0", 1)
+    cov_d0_inv = _cov_factor("cov_d0", 2)
+    cov_resid_x_inv = _cov_factor("cov_resid_x", 2)
+    cov_resid_x_inv_sqrt = _cov_factor("cov_resid_x", 1)
+    cov_resid_u_inv = _cov_factor("cov_resid_u", 2)
+    cov_resid_u_inv_sqrt = _cov_factor("cov_resid_u", 1)
 
 
 def compute_stats(d: Dataset) -> DataStats:
@@ -215,8 +233,8 @@ def compute_stats(d: Dataset) -> DataStats:
     Everything comes from the triangular factor R of [x0; u0; x1]^T, in
     O(ell (2n+m)^2) time and O((2n+m)^2) memory beyond the record: with
     k = n+m, the fits solve R[:k, :k] [A B]^T = R[:k, k:] and
-    R[:n, :n] K^T = R[:n, n:k], and the residual covariances are the
-    Gram matrices of the trailing blocks R[k:, k:] and R[n:k, n:k].
+    R[:n, :n] K^T = R[:n, n:k], and each covariance is the Gram matrix of
+    its diagonal block of R (_COV_BLOCKS).
     """
     n, k = d.n, d.n + d.m
     r = _stack_factor(d)
@@ -232,8 +250,11 @@ def compute_stats(d: Dataset) -> DataStats:
 
     ab_ls = solve_triangular(r0, r[:k, k:]).T
     k_ls = solve_triangular(rx, r[:n, n:k]).T
-    r_x, r_u = r[k:, k:], r[n:k, n:k]
     ell = float(d.ell)
+    covs = {}
+    for name, block in _COV_BLOCKS.items():
+        t = r[block(n, k), block(n, k)]
+        covs[name] = t.T @ t / ell
     return DataStats(
         n=n,
         m=d.m,
@@ -241,11 +262,9 @@ def compute_stats(d: Dataset) -> DataStats:
         a_ls=ab_ls[:, :n],
         b_ls=ab_ls[:, n:],
         k_ls=k_ls,
-        cov_x0=rx.T @ rx / ell,
-        cov_d0=r0.T @ r0 / ell,
-        cov_resid_x=r_x.T @ r_x / ell,
-        cov_resid_u=r_u.T @ r_u / ell,
         rank_report=report,
+        r_factor=r,
+        **covs,
     )
 
 

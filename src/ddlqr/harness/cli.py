@@ -23,7 +23,7 @@ from ..synthesis import (
     synth_reduced_gram,
 )
 from .emit import emit_bench_csv, emit_csv, emit_solution_json, emit_svg_phase_portrait
-from .experiments import ReferenceExperimentConfig, gen_reference_data, simulate_closed_loop
+from .experiments import ReferenceExperimentConfig, gen_reference_data, portrait_trajectories
 from .sweep import (
     bench_scaling,
     deviation_grid,
@@ -42,7 +42,6 @@ _SWEEP_PRESETS = {
     "gain-path": "gain-path",
     "fig2": "gain-path",
 }
-_PORTRAIT_PRESETS = ("portraits", "fig3")
 
 
 def _at_least(least, cast=float, many=False):
@@ -64,7 +63,6 @@ def _at_least(least, cast=float, many=False):
 def _add_gen(sub) -> None:
     p = sub.add_parser("gen", help="generate one dataset and save it as CSV")
     p.set_defaults(run=_cmd_gen)
-    p.add_argument("--preset", choices=("reference", "paper"), default="reference")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ell", type=int, default=30)
     p.add_argument("--noise-std", type=_at_least(0.0), default=0.1)
@@ -107,7 +105,6 @@ def _add_sweep(sub) -> None:
 def _add_portrait(sub) -> None:
     p = sub.add_parser("portrait", help="phase portraits of the state-weighted case")
     p.set_defaults(run=_cmd_portrait)
-    p.add_argument("--preset", choices=_PORTRAIT_PRESETS, default="portraits")
     p.add_argument("--lambdas", type=_at_least(0.0, many=True), default=[0.1, 1.0, 10.0, 100.0])
     p.add_argument("--data", default=None)
     p.add_argument("--seed", type=int, default=0)
@@ -224,13 +221,11 @@ def _cmd_portrait(args) -> int:
     d, _ = _load_or_gen(args.data, args.seed, 0)
     stats = compute_stats(d)
     cfg = ReferenceExperimentConfig()
-    starts = [(9.0, 0.0), (-9.0, 0.0), (0.0, 9.0), (0.0, -9.0), (6.5, 6.5), (-6.5, -6.5)]
     for lam in args.lambdas:
         w = RegWeights(lambda3=lam, parameterization="covariance")
         sol = synth_reduced_covar(stats, cfg.q, cfg.r, w)
-        trajs = [simulate_closed_loop(sol.A_cl, s, steps=25) for s in starts]
         path = out_dir / f"portrait_lambda_{lam:g}.svg"
-        emit_svg_phase_portrait(sol.A_cl, trajs, path)
+        emit_svg_phase_portrait(sol.A_cl, portrait_trajectories(sol.A_cl), path)
         angle = _dominant_angle_deg(sol.A_cl, cfg.v)
         print(
             f"lambda {lam:g}: rho {spectral_radius(sol.A_cl):.4f}, "

@@ -131,6 +131,7 @@ def emit_solution_json(sol: LqrSolution, path) -> None:
 _VIEW = 560.0
 _PAD = 40.0
 _SPAN = 10.0
+_GRID_POINTS = 13
 
 
 def _svg_root() -> ET.Element:
@@ -158,11 +159,11 @@ def _portrait_px(x: float, y: float) -> tuple[float, float]:
     return px, py
 
 
-def emit_svg_phase_portrait(a_cl: np.ndarray, trajectories, path, grid_points: int = 13) -> None:
+def emit_svg_phase_portrait(a_cl: np.ndarray, trajectories, path) -> None:
     """Step-displacement field of x -> a_cl x plus trajectory overlays.
 
-    The field covers a uniform grid on [-10, 10]^2; each trajectory is one
-    polyline. Only two-state systems can be drawn.
+    The field covers a uniform 13 x 13 grid on [-10, 10]^2; each trajectory
+    is one polyline. Only two-state systems can be drawn.
     """
     a_cl = np.asarray(a_cl, dtype=float)
     if a_cl.shape != (2, 2):
@@ -182,9 +183,9 @@ def emit_svg_phase_portrait(a_cl: np.ndarray, trajectories, path, grid_points: i
             "stroke-width": "1",
         },
     )
-    cell = 2.0 * _SPAN / (grid_points - 1)
+    cell = 2.0 * _SPAN / (_GRID_POINTS - 1)
     arrow = 0.42 * cell
-    ticks = np.linspace(-_SPAN, _SPAN, grid_points)
+    ticks = np.linspace(-_SPAN, _SPAN, _GRID_POINTS)
     field = ET.SubElement(root, "g", {"stroke": "#9db2bf", "stroke-width": "1"})
     for gx in ticks:
         for gy in ticks:

@@ -18,7 +18,12 @@ from ..errors import DimensionMismatch
 from ..matlin import as_matrix
 from . import rng
 
-__all__ = ["ReferenceExperimentConfig", "gen_reference_data", "simulate_closed_loop"]
+__all__ = [
+    "ReferenceExperimentConfig",
+    "gen_reference_data",
+    "portrait_trajectories",
+    "simulate_closed_loop",
+]
 
 
 def _default_a() -> np.ndarray:
@@ -124,3 +129,13 @@ def simulate_closed_loop(a_cl: np.ndarray, x0, steps: int) -> np.ndarray:
     for k in range(steps):
         out[:, k + 1] = a_cl @ out[:, k]
     return out
+
+
+# Start points of every phase portrait: four on the axes, two on the diagonal.
+_PORTRAIT_STARTS = ((9.0, 0.0), (-9.0, 0.0), (0.0, 9.0), (0.0, -9.0), (6.5, 6.5), (-6.5, -6.5))
+
+
+def portrait_trajectories(a_cl: np.ndarray) -> list[np.ndarray]:
+    """The 25-step trajectories of x -> a_cl x that every phase portrait
+    overlays on its field, one per start point."""
+    return [simulate_closed_loop(a_cl, s, steps=25) for s in _PORTRAIT_STARTS]

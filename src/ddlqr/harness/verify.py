@@ -1,8 +1,9 @@
 """Self-check pipeline behind the `verify` subcommand.
 
-Runs the fast oracle and equivalence suites on freshly generated data
-and writes its sweep and figure artifacts with timing fields zeroed, so
-two runs with the same seed produce byte-identical files.
+Runs the fast oracle and equivalence suites on one freshly generated
+record, whose statistics every check shares, and writes its sweep and
+figure artifacts with timing fields zeroed, so two runs with the same seed
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from ..synthesis import (
     synth_reduced_gram,
 )
 from .emit import emit_csv, emit_svg_phase_portrait
-from .experiments import ReferenceExperimentConfig, gen_reference_data, simulate_closed_loop
+from .experiments import ReferenceExperimentConfig, gen_reference_data, portrait_trajectories
 from .sweep import ls_gain_stabilizes, reduced_case, run_sweep, zero_wall_times
 
 __all__ = ["CheckResult", "run_verify"]
@@ -62,9 +63,7 @@ def _effect_total_direct(K, A_cl, P, stats, w) -> float:
     return total / stats.ell if w.ell_scaling else total
 
 
-def _check_data_ranks(cfg) -> CheckResult:
-    d = gen_reference_data(cfg)
-    stats = compute_stats(d)
+def _check_data_ranks(cfg, stats) -> CheckResult:
     ok = stats.rank_report.pe_holds and stats.rank_report.full_rank_holds
     gap = float(np.linalg.norm(stats.k_ls - cfg.k_expl))
     ok = ok and gap <= 0.5
@@ -103,9 +102,7 @@ def _check_kernels(seed: int) -> CheckResult:
     return CheckResult("kernel-oracles", worst <= 1e-9, f"worst residual {worst:.2e}")
 
 
-def _check_effects(cfg) -> CheckResult:
-    d = gen_reference_data(cfg)
-    stats = compute_stats(d)
+def _check_effects(stats) -> CheckResult:
     worst = 0.0
     for trial in range(3):
         rng = np.random.default_rng(9000 + trial)
@@ -130,10 +127,8 @@ def _check_model_program(cfg) -> CheckResult:
     return CheckResult("model-vs-riccati", err <= 1e-5, f"|K - K_riccati| {err:.2e}")
 
 
-def _check_triangle(cfg) -> CheckResult:
+def _check_triangle(cfg, d, stats) -> CheckResult:
     """Each baseline, its reduced SDP and the Riccati form of that SDP."""
-    d = gen_reference_data(cfg)
-    stats = compute_stats(d)
     worst = 0.0
     for lam in (1e-1, 1e1):
         covar = RegWeights(lambda2=lam, lambda3=lam, parameterization="covariance")
@@ -161,9 +156,7 @@ def _check_triangle(cfg) -> CheckResult:
     return CheckResult("equivalence-triangle", worst <= 1e-5, f"worst |dK| {worst:.2e}")
 
 
-def _check_certainty_equivalence(cfg) -> CheckResult:
-    d = gen_reference_data(cfg)
-    stats = compute_stats(d)
+def _check_certainty_equivalence(cfg, stats) -> CheckResult:
     # The SDP on the least-squares model: certainty equivalence through the
     # Riccati equation is the reduced program at zero weights, compared with itself.
     ce = model_lqr_sdp(PlantModel(A=stats.a_ls, B=stats.b_ls, Q=cfg.q, R=cfg.r))
@@ -176,9 +169,7 @@ def _check_certainty_equivalence(cfg) -> CheckResult:
     )
 
 
-def _check_sweep_artifacts(cfg, out_dir: Path) -> list[CheckResult]:
-    d = gen_reference_data(cfg)
-    stats = compute_stats(d)
+def _check_sweep_artifacts(cfg, d, stats, out_dir: Path) -> list[CheckResult]:
     pm = PlantModel(A=cfg.a, B=cfg.b, Q=cfg.q, R=cfg.r)
     results = []
 
@@ -215,21 +206,16 @@ def _check_sweep_artifacts(cfg, out_dir: Path) -> list[CheckResult]:
     return results
 
 
-def _check_portrait_artifact(cfg, out_dir: Path) -> CheckResult:
-    d = gen_reference_data(cfg)
-    stats = compute_stats(d)
+def _check_portrait_artifact(cfg, stats, out_dir: Path) -> CheckResult:
     sol = synth_reduced_covar(
         stats, cfg.q, cfg.r, RegWeights(lambda3=10.0, parameterization="covariance")
     )
-    starts = [
-        (9.0, 0.0), (-9.0, 0.0), (0.0, 9.0), (0.0, -9.0), (6.5, 6.5), (-6.5, -6.5),
-    ]
-    trajs = [simulate_closed_loop(sol.A_cl, s, steps=25) for s in starts]
+    trajs = portrait_trajectories(sol.A_cl)
     path = out_dir / "portrait.svg"
     emit_svg_phase_portrait(sol.A_cl, trajs, path)
     root = ET.fromstring(path.read_text())
     lines = root.findall(f".//{{{'http://www.w3.org/2000/svg'}}}polyline")
-    ok = len(lines) == len(starts) and spectral_radius(sol.A_cl) < 1.0
+    ok = len(lines) == len(trajs) and spectral_radius(sol.A_cl) < 1.0
     return CheckResult(
         "portrait-artifact", ok, f"{len(lines)} trajectories, rho {spectral_radius(sol.A_cl):.3f}"
     )
@@ -240,16 +226,18 @@ def run_verify(out_dir, seed: int = 0) -> list[CheckResult]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = ReferenceExperimentConfig(seed=seed)
+    d = gen_reference_data(cfg)
+    stats = compute_stats(d)
     results = [
-        _check_data_ranks(cfg),
+        _check_data_ranks(cfg, stats),
         _check_kernels(seed),
-        _check_effects(cfg),
+        _check_effects(stats),
         _check_model_program(cfg),
-        _check_triangle(cfg),
-        _check_certainty_equivalence(cfg),
+        _check_triangle(cfg, d, stats),
+        _check_certainty_equivalence(cfg, stats),
     ]
-    results.extend(_check_sweep_artifacts(cfg, out_dir))
-    results.append(_check_portrait_artifact(cfg, out_dir))
+    results.extend(_check_sweep_artifacts(cfg, d, stats, out_dir))
+    results.append(_check_portrait_artifact(cfg, stats, out_dir))
     with open(out_dir / "summary.csv", "w", newline="") as fh:
         fh.write("check,passed,detail\n")
         for r in results:

@@ -22,7 +22,6 @@ from .errors import (
     DimensionMismatch,
     IndefiniteInput,
     NoConvergence,
-    NotPositiveDefinite,
     NumericalError,
     UnstableMatrix,
 )
@@ -35,8 +34,6 @@ __all__ = [
     "sym",
     "require_symmetric",
     "sym_sqrt",
-    "inv_pd",
-    "inv_sqrt_pd",
     "pinv",
     "spectral_radius",
     "solve_dlyap",
@@ -91,36 +88,6 @@ def sym_sqrt(S, name: str = "matrix") -> np.ndarray:
         raise IndefiniteInput(f"{name} eigenvalue {np.min(w):.3e} below -1e-10 * {scale:.3e}")
     root = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
     return sym(root)
-
-
-def _pd_eigh(S, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a matrix required positive definite.
-
-    Definiteness is judged against RANK_TOL relative to the largest
-    eigenvalue magnitude; failure is raised, never patched.
-    """
-    S = require_symmetric(S, name)
-    if S.shape[0] == 0:
-        raise DimensionMismatch(f"{name} must be non-empty")
-    w, V = np.linalg.eigh(S)
-    scale = float(np.max(np.abs(w)))
-    if scale <= 0.0 or float(np.min(w)) <= RANK_TOL * scale:
-        raise NotPositiveDefinite(
-            f"{name} eigenvalue {float(np.min(w)):.3e} at or below {RANK_TOL:g} * {scale:.3e}"
-        )
-    return w, V
-
-
-def inv_pd(S, name: str = "matrix") -> np.ndarray:
-    """Inverse of a positive definite matrix via eigendecomposition."""
-    w, V = _pd_eigh(S, name)
-    return sym((V / w) @ V.T)
-
-
-def inv_sqrt_pd(S, name: str = "matrix") -> np.ndarray:
-    """Symmetric inverse square root of a positive definite matrix."""
-    w, V = _pd_eigh(S, name)
-    return sym((V / np.sqrt(w)) @ V.T)
 
 
 def pinv(M) -> np.ndarray:

@@ -23,7 +23,7 @@ from ddlqr.errors import (
     ParseError,
     StateRankViolation,
 )
-from ddlqr.matlin import RANK_TOL, inv_pd, inv_sqrt_pd
+from ddlqr.matlin import RANK_TOL
 from ddlqr.synthesis import reduced_sdp, synth_reduced_gram
 from ddlqr.harness import rng
 from ddlqr.harness.experiments import (
@@ -346,14 +346,19 @@ def test_residual_covariance_definite_iff_full_rank():
     assert not clean.rank_report.full_rank_holds
 
 
+def _inv_sqrt(cov):
+    w, v = np.linalg.eigh(cov)
+    return (v / np.sqrt(w)) @ v.T
+
+
 FACTORS = {
-    "cov_x0_inv": (inv_pd, "cov_x0"),
-    "cov_x0_inv_sqrt": (inv_sqrt_pd, "cov_x0"),
-    "cov_d0_inv": (inv_pd, "cov_d0"),
-    "cov_resid_x_inv": (inv_pd, "cov_resid_x"),
-    "cov_resid_x_inv_sqrt": (inv_sqrt_pd, "cov_resid_x"),
-    "cov_resid_u_inv": (inv_pd, "cov_resid_u"),
-    "cov_resid_u_inv_sqrt": (inv_sqrt_pd, "cov_resid_u"),
+    "cov_x0_inv": (np.linalg.inv, "cov_x0"),
+    "cov_x0_inv_sqrt": (_inv_sqrt, "cov_x0"),
+    "cov_d0_inv": (np.linalg.inv, "cov_d0"),
+    "cov_resid_x_inv": (np.linalg.inv, "cov_resid_x"),
+    "cov_resid_x_inv_sqrt": (_inv_sqrt, "cov_resid_x"),
+    "cov_resid_u_inv": (np.linalg.inv, "cov_resid_u"),
+    "cov_resid_u_inv_sqrt": (_inv_sqrt, "cov_resid_u"),
 }
 
 
@@ -361,7 +366,9 @@ def test_covariance_factors_are_computed_once_per_instance():
     st = compute_stats(noisy_dataset(3))
     for attr, (fn, field) in FACTORS.items():
         first = getattr(st, attr)
-        assert np.array_equal(first, fn(getattr(st, field), field))
+        want = fn(getattr(st, field))
+        assert np.abs(first - want).max() <= 1e-8 * np.abs(want).max(), attr
+        assert np.array_equal(first, first.T), attr
         assert getattr(st, attr) is first
         assert not first.flags.writeable
     # The factors live in the instance and die with it.
@@ -369,6 +376,25 @@ def test_covariance_factors_are_computed_once_per_instance():
     del st, first
     gc.collect()
     assert ref() is None
+
+
+def test_covariance_inverse_keeps_precision_at_condition_1e8():
+    # [x0; u0] = U diag(1e2, 1, 1e-2) V^T, so cov_d0 = U diag(s^2) U^T / ell
+    # has condition number 1e8 and inverse ell U diag(s^-2) U^T. Squaring
+    # the data (an eigendecomposition of cov_d0) loses about eight digits
+    # of the smallest direction; the SVD of the data's factor keeps them.
+    ell = 40
+    gen = np.random.default_rng(3)
+    u, _ = np.linalg.qr(gen.standard_normal((3, 3)))
+    v, _ = np.linalg.qr(gen.standard_normal((ell, 3)))
+    s = np.array([1e2, 1.0, 1e-2])
+    d0 = (u * s) @ v.T
+    d = Dataset(x0=d0[:2], u0=d0[2:], x1=gen.standard_normal((2, ell)))
+    st = compute_stats(d)
+    want = ell * (u / s**2) @ u.T
+    err = np.linalg.norm(st.cov_d0_inv - want) / np.linalg.norm(want)
+    assert np.linalg.cond(st.cov_d0) == pytest.approx(1e8, rel=1e-3)
+    assert err <= 1e-12, err
 
 
 def test_singular_residual_factor_is_never_cached():

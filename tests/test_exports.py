@@ -9,7 +9,8 @@ from ddlqr.datamodel import DataStats
 
 # Removed API: helpers only tests called, the sweep's baseline cases, the
 # solver's settings object and the certainty-equivalence twin of
-# synth_reduced_covar at zero weights.
+# synth_reduced_covar at zero weights, and the eigendecomposition-based
+# covariance inverses that DataStats now reads off its triangular factor.
 DELETED = {
     "svec_index",
     "new_problem",
@@ -21,6 +22,9 @@ DELETED = {
     "SolverSettings",
     "_default_settings",
     "ce_lqr",
+    "_pd_eigh",
+    "inv_pd",
+    "inv_sqrt_pd",
 }
 
 

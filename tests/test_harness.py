@@ -379,10 +379,14 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         synth + ["reduced-gram", "--l1", "-1"],
         synth + ["reduced-covar", "--l1", "1"],
         ["gen", "--noise-std", "-0.1", "--out", str(tmp_path / "n.csv")],
+        # No preset option is left on gen or portrait: they have one set-up each.
+        ["gen", "--preset", "paper", "--out", str(tmp_path / "p.csv")],
+        ["portrait", "--preset", "fig3", "--out", str(tmp_path / "fig3")],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
         assert "error:" in capsys.readouterr().err
-    written = ("b.csv", "r.csv", "s.csv", "g.csv", "portraits", "z.json", "n.csv")
+    written = ("b.csv", "r.csv", "s.csv", "g.csv", "portraits", "z.json", "n.csv", "p.csv",
+               "fig3")
     assert not any((tmp_path / name).exists() for name in written)
