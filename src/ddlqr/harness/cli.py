@@ -200,7 +200,7 @@ def _cmd_sweep(args) -> int:
         cases = [reduced_case(lab, "covariance") for lab in ("{2}", "{3}", "{2,3}")]
         grid = gain_path_grid(args.points)
     _report_conditions(stats)
-    rows = run_sweep(d, cases, grid, Q=cfg.q, R=cfg.r, plant=plant)
+    rows = run_sweep(stats, cases, grid, Q=cfg.q, R=cfg.r, plant=plant)
     emit_csv(rows, args.out)
     bad = [r for r in rows if r.status != "Optimal"]
     print(f"wrote {args.out}: {len(rows)} rows, {len(bad)} non-optimal")

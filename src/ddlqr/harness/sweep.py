@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..datamodel import DataStats, Dataset, compute_stats
+from ..datamodel import DataStats, compute_stats
 from ..effects import RegWeights
 from ..errors import DdlqrError, DimensionMismatch, SynthesisInfeasible
 from ..matlin import spectral_radius
@@ -102,7 +102,7 @@ def ls_gain_stabilizes(stats: DataStats) -> bool:
 
 
 def run_sweep(
-    d: Dataset,
+    stats: DataStats,
     cases: list[SweepCase],
     lambdas,
     Q=None,
@@ -115,7 +115,6 @@ def run_sweep(
     failures become status labels on their row instead of raising, so one
     bad point cannot take down a whole sweep.
     """
-    stats = compute_stats(d)
     if Q is None:
         Q = np.eye(stats.n)
     if R is None:

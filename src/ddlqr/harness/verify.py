@@ -169,12 +169,12 @@ def _check_certainty_equivalence(cfg, stats) -> CheckResult:
     )
 
 
-def _check_sweep_artifacts(cfg, d, stats, out_dir: Path) -> list[CheckResult]:
+def _check_sweep_artifacts(cfg, stats, out_dir: Path) -> list[CheckResult]:
     pm = PlantModel(A=cfg.a, B=cfg.b, Q=cfg.q, R=cfg.r)
     results = []
 
     dev_rows = run_sweep(
-        d, [reduced_case("{1}")], np.logspace(-4, 6, 7), Q=cfg.q, R=cfg.r, plant=pm
+        stats, [reduced_case("{1}")], np.logspace(-4, 6, 7), Q=cfg.q, R=cfg.r, plant=pm
     )
     emit_csv(zero_wall_times(dev_rows), out_dir / "deviation_path.csv")
     endpoint = dev_rows[-1].deviation
@@ -186,7 +186,7 @@ def _check_sweep_artifacts(cfg, d, stats, out_dir: Path) -> list[CheckResult]:
 
     grid = np.concatenate(([0.0], np.logspace(-4, 10, 8)))
     cases = [reduced_case("{2}", "covariance"), reduced_case("{2,3}", "covariance")]
-    gain_rows = run_sweep(d, cases, grid, Q=cfg.q, R=cfg.r, plant=pm)
+    gain_rows = run_sweep(stats, cases, grid, Q=cfg.q, R=cfg.r, plant=pm)
     emit_csv(zero_wall_times(gain_rows), out_dir / "gain_path.csv")
     stabilizes = ls_gain_stabilizes(stats)
     by_case = {}
@@ -236,7 +236,7 @@ def run_verify(out_dir, seed: int = 0) -> list[CheckResult]:
         _check_triangle(cfg, d, stats),
         _check_certainty_equivalence(cfg, stats),
     ]
-    results.extend(_check_sweep_artifacts(cfg, d, stats, out_dir))
+    results.extend(_check_sweep_artifacts(cfg, stats, out_dir))
     results.append(_check_portrait_artifact(cfg, stats, out_dir))
     with open(out_dir / "summary.csv", "w", newline="") as fh:
         fh.write("check,passed,detail\n")

@@ -1,9 +1,10 @@
 """Dense linear-algebra kernels used by every other module.
 
 All matrices are plain float64 numpy arrays. Factorizations are delegated to
-numpy's LAPACK bindings and the Lyapunov/Riccati equations to scipy.linalg;
-the input validation, tolerance checks, clamping rules and the stability and
-residual checks on their results are implemented here.
+numpy's LAPACK bindings. The Riccati equation is solved by structure-preserving
+doubling and the Lyapunov equation as one Kronecker system, behind the input
+validation, tolerance checks, clamping rules and stability and residual checks
+implemented here.
 
 Tolerance conventions
 ---------------------
@@ -15,7 +16,6 @@ Every routine that ranks or pseudo-inverts uses it.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     AsymmetricInput,
@@ -108,9 +108,9 @@ def spectral_radius(A) -> float:
 def solve_dlyap(A_cl) -> np.ndarray:
     """Solve P = A_cl P A_cl.T + I for the closed-loop Gramian P.
 
-    The spectral radius must sit below 1 - 1e-9. The equation goes to
-    scipy.linalg.solve_discrete_lyapunov; the residual is verified to 1e-9
-    before the symmetrized P is returned.
+    The spectral radius must sit below 1 - 1e-9. P solves the n^2 x n^2
+    Kronecker system (I - A_cl kron A_cl) vec P = vec I; the residual is
+    verified to 1e-9 before the symmetrized P is returned.
     """
     A = as_matrix(A_cl, "A_cl")
     n = A.shape[0]
@@ -119,25 +119,31 @@ def solve_dlyap(A_cl) -> np.ndarray:
     rho = spectral_radius(A)
     if rho >= 1.0 - 1e-9:
         raise UnstableMatrix(f"spectral radius {rho:.12f} not below 1 - 1e-9")
-    # "direct" at every size: the bilinear method scipy picks from n = 10 on
-    # loses about three digits, enough to fail the residual check near rho = 1.
-    P = sym(scipy.linalg.solve_discrete_lyapunov(A, np.eye(n), method="direct"))
+    # One Kronecker system at every size: a bilinear transform loses about
+    # three digits, enough to fail the residual check near rho = 1.
+    P = _kron_lyap(A, np.eye(n))
     resid = float(np.linalg.norm(A @ P @ A.T - P + np.eye(n), "fro"))
     if resid > 1e-9:
         raise NumericalError(f"Lyapunov residual {resid:.3e} exceeds 1e-9")
     return P
 
 
+def _kron_lyap(A, W) -> np.ndarray:
+    """Symmetrized solution of P = A P A.T + W through its Kronecker system."""
+    n = A.shape[0]
+    return sym(np.linalg.solve(np.eye(n * n) - np.kron(A, A), W.ravel()).reshape(n, n))
+
+
 def solve_dare(A, B, Q, R, cross=None) -> tuple[np.ndarray, np.ndarray]:
-    """Discrete-time LQR through scipy.linalg.solve_discrete_are.
+    """Discrete-time LQR by structure-preserving doubling.
 
     Minimizes the sum over time of x.T Q x + u.T R u + 2 x.T cross u, where
     the n x m cross weight defaults to zero. Returns (K, S): the optimal state
     feedback u = K x, K = -(R + B.T S B)^-1 (B.T S A + cross.T), and the cost
     matrix S solving
     S = A.T S A - (A.T S B + cross) (R + B.T S B)^-1 (B.T S A + cross.T) + Q.
-    A pair that is not stabilizable raises NoConvergence, whether scipy finds
-    no finite solution or returns a gain that leaves rho(A + B K) >= 1.
+    A pair that is not stabilizable raises NoConvergence, whether the doubling
+    finds no finite limit or its gain leaves rho(A + B K) >= 1.
     """
     A = as_matrix(A, "A")
     B = as_matrix(B, "B")
@@ -155,16 +161,49 @@ def solve_dare(A, B, Q, R, cross=None) -> tuple[np.ndarray, np.ndarray]:
     if cross.shape != (n, m):
         raise DimensionMismatch(f"cross must be {n} x {m}, got {cross.shape}")
 
+    def gain(S):
+        BtS = B.T @ S
+        return -np.linalg.solve(R + BtS @ B, BtS @ A + cross.T)
+
     try:
-        S = scipy.linalg.solve_discrete_are(A, B, Q, R, s=cross)
-    except (np.linalg.LinAlgError, ValueError) as exc:
+        with np.errstate(all="ignore"):
+            # Fold the cross weight into the dynamics: u = v - R^-1 cross.T x.
+            RiB, RiC = np.hsplit(np.linalg.solve(R, np.hstack([B.T, cross.T])), [n])
+            A0, H0 = A - B @ RiC, sym(Q - cross @ RiC)
+            S = _doubling(A0, sym(B @ RiB), H0)  # the stabilizing solution
+            # One Newton step, the exact cost of the doubling's gain, restores
+            # the digits that solves with I + GH lose when |G| |H| is large.
+            V = gain(S) + RiC
+            S = _kron_lyap((A0 + B @ V).T, H0 + V.T @ R @ V)
+            K = gain(S)
+    except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"no stabilizing Riccati solution: {exc}") from None
-    BtS = B.T @ S
-    K = -np.linalg.solve(R + BtS @ B, BtS @ A + cross.T)
-    rho = spectral_radius(A + B @ K)
+    rho = spectral_radius(A + B @ K) if np.all(np.isfinite(K)) else np.inf
     if rho >= 1.0:
         raise NoConvergence(f"Riccati gain does not stabilize (rho = {rho:.6f})")
     return K, S
+
+
+def _doubling(A, G, H) -> np.ndarray:
+    """Stabilizing solution X of X = A.T X (I + G X)^-1 A + H by
+    structure-preserving doubling (Chu, Fan, Lin & Wang, 2004). After k steps
+    H is the 2^k-th Riccati iterate from zero, so H converges quadratically
+    when the closed loop is stable. A non-finite iterate or 64 steps without
+    H settling to 1e-15 relative raise NoConvergence; a singular I + GH raises
+    LinAlgError."""
+    n = A.shape[0]
+    eye = np.eye(n)
+    for _ in range(64):
+        W = np.linalg.solve(eye + G @ H, np.hstack([A, G]))
+        H_next = sym(H + A.T @ H @ W[:, :n])
+        A, G = A @ W[:, :n], sym(G + A @ W[:, n:] @ A.T)
+        size = np.linalg.norm(H_next)
+        if not np.isfinite(size):
+            raise NoConvergence("no stabilizing Riccati solution: doubling diverged")
+        if np.linalg.norm(H_next - H) <= 1e-15 * size:
+            return H_next
+        H = H_next
+    raise NoConvergence("no stabilizing Riccati solution: doubling did not settle in 64 steps")
 
 
 def h2norm_sq(A_cl, K, Q, R) -> float:

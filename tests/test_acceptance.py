@@ -191,9 +191,9 @@ def test_c05_reduced_and_baseline_programs_agree():
 def test_c06_deviation_sweep_separates_effect_one():
     t0 = time.perf_counter()
     cfg = ReferenceExperimentConfig(seed=42)
-    d = gen_reference_data(cfg)
+    st = compute_stats(gen_reference_data(cfg))
     cases = [reduced_case(lbl) for lbl in ("{1}", "{1,2}", "{1,3}", "{1,2,3}")]
-    rows = run_sweep(d, cases, deviation_grid(41), Q=cfg.q, R=cfg.r)
+    rows = run_sweep(st, cases, deviation_grid(41), Q=cfg.q, R=cfg.r)
     assert len(rows) == 4 * 41
     end = {}
     for lbl in ("{1}", "{1,2}", "{1,3}", "{1,2,3}"):
@@ -223,7 +223,7 @@ def test_c07_gain_path_endpoint_reaches_ls_gain():
         reduced_case("{2}", parameterization="covariance"),
         reduced_case("{2,3}", parameterization="covariance"),
     ]
-    rows = run_sweep(d, cases, [0.0, 1e10], Q=cfg.q, R=cfg.r)
+    rows = run_sweep(st, cases, [0.0, 1e10], Q=cfg.q, R=cfg.r)
     by_case = {lbl: [r for r in rows if r.case_label == lbl] for lbl in ("{2}", "{2,3}")}
     for lbl in ("{2}", "{2,3}"):
         assert [r.lam for r in by_case[lbl]] == [0.0, 1e10]

@@ -101,7 +101,7 @@ def test_run_sweep_rows_and_metrics():
     st = compute_stats(d)
     pm = PlantModel(A=cfg.a, B=cfg.b, Q=cfg.q, R=cfg.r)
     cases = [reduced_case("{2}", "covariance"), reduced_case("{3}", "covariance")]
-    rows = run_sweep(d, cases, [1.0, 0.01], Q=cfg.q, R=cfg.r, plant=pm)
+    rows = run_sweep(st, cases, [1.0, 0.01], Q=cfg.q, R=cfg.r, plant=pm)
     assert [r.case_label for r in rows] == ["{2}", "{2}", "{3}", "{3}"]
     assert [r.lam for r in rows] == [0.01, 1.0, 0.01, 1.0]
     for r in rows:
@@ -111,37 +111,35 @@ def test_run_sweep_rows_and_metrics():
         assert abs(r.dist_to_kls - np.linalg.norm(r.K - st.k_ls)) <= 1e-12
         assert r.truth_stable is True and r.h2_on_truth > 0.0
         assert r.wall_time_s > 0.0
-    bare = run_sweep(d, cases[:1], [1.0], Q=cfg.q, R=cfg.r)
+    bare = run_sweep(st, cases[:1], [1.0], Q=cfg.q, R=cfg.r)
     assert bare[0].h2_on_truth is None and bare[0].truth_stable is None
 
 
 def test_run_sweep_zero_lambda_is_certainty_equivalent():
     cfg = ReferenceExperimentConfig(seed=0)
-    d = gen_reference_data(cfg)
-    ce = synth_reduced_covar(
-        compute_stats(d), cfg.q, cfg.r, RegWeights(parameterization="covariance")
-    )
-    rows = run_sweep(d, [reduced_case("{2,3}", "covariance")], [0.0], Q=cfg.q, R=cfg.r)
+    st = compute_stats(gen_reference_data(cfg))
+    ce = synth_reduced_covar(st, cfg.q, cfg.r, RegWeights(parameterization="covariance"))
+    rows = run_sweep(st, [reduced_case("{2,3}", "covariance")], [0.0], Q=cfg.q, R=cfg.r)
     assert np.linalg.norm(rows[0].K - ce.K) <= 1e-5
 
 
 def test_run_sweep_records_failures_per_row():
     rng = np.random.default_rng(7)
     x0 = rng.standard_normal((2, 12))
-    d = Dataset(x0=x0, u0=rng.standard_normal((1, 12)), x1=2.0 * x0)
-    rows = run_sweep(d, [reduced_case("{2}", "covariance")], [0.0, 1.0])
+    st = compute_stats(Dataset(x0=x0, u0=rng.standard_normal((1, 12)), x1=2.0 * x0))
+    rows = run_sweep(st, [reduced_case("{2}", "covariance")], [0.0, 1.0])
     assert [r.status for r in rows] == ["Infeasible", "Infeasible"]
     for r in rows:
         assert r.K is None and r.objective is None and r.deviation is None
     with pytest.raises(DimensionMismatch):
-        run_sweep(d, [reduced_case("{2}", "covariance")], [])
+        run_sweep(st, [reduced_case("{2}", "covariance")], [])
 
 
 def test_gain_path_weak_monotone_trend():
     cfg = ReferenceExperimentConfig(seed=0)
-    d = gen_reference_data(cfg)
-    assert ls_gain_stabilizes(compute_stats(d))
-    rows = run_sweep(d, [reduced_case("{2}", "covariance")], gain_path_grid(21), Q=cfg.q, R=cfg.r)
+    st = compute_stats(gen_reference_data(cfg))
+    assert ls_gain_stabilizes(st)
+    rows = run_sweep(st, [reduced_case("{2}", "covariance")], gain_path_grid(21), Q=cfg.q, R=cfg.r)
     dists = [r.dist_to_kls for r in rows]
     baseline = dists[0]
     below = [i for i, v in enumerate(dists) if i > 0 and v < baseline]

@@ -196,13 +196,62 @@ def test_dare_cross_weight_seeded():
         matlin.solve_dare(A, B, Q, R, np.zeros((n + 1, m)))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("b_scale", [0.0, 1e-17])
-def test_dare_rejects_unstabilizable_pair(b_scale):
-    # B = 0 leaves scipy without a finite solution; B = 1e-17 * 1 gets one
-    # whose gain cannot move the unstable modes, caught by the rho check.
+def scalar_dare(a, b, q, r):
+    """Stabilizing (s, k) of the scalar DARE for a >= 1: the positive root of
+    b^2 s^2 - ((a^2 - 1) r + q b^2) s - q r = 0, formed from positive terms
+    only, and k = -a b s / (r + b^2 s)."""
+    p = (a - 1.0) * (a + 1.0) * r + q * b * b
+    s = (p + np.sqrt(p * p + 4.0 * b * b * q * r)) / (2.0 * b * b)
+    return s, -a * b * s / (r + b * b * s)
+
+
+@pytest.mark.parametrize(
+    "a, b, r, rho",
+    [(1.0001, 1e-6, 1.0, 0.9999), (1.0001, 1e-6, 1e12, 0.9999), (1.0 + 1e-6, 1e-8, 1.0, 1.0 - 1e-6)],
+    ids=["barely-stabilizable", "expensive-input", "closed-loop-near-unit-circle"],
+)
+def test_dare_scalar_closed_form(a, b, r, rho):
+    # The unstable mode is barely reachable, so the closed loop sits near
+    # rho = 1/a and the doubling takes 19 to 26 of its 64 steps.
+    s, k = scalar_dare(a, b, 1.0, r)
+    K, S = matlin.solve_dare([[a]], [[b]], [[1.0]], [[r]])
+    assert abs(K.item() - k) <= 1e-10 * abs(k)
+    assert abs(S.item() - s) <= 1e-10 * s
+    assert abs(a + b * K.item()) == pytest.approx(rho, abs=1e-3 * (1.0 - rho))
+
+
+def test_dare_state_weight_dwarfs_input_weight():
+    # A nearly rank-one Q of 1e10 against R = 0.1, as on the paper's gain path
+    # at lambda3 = 1e10: I + GH in the doubling has condition ~1e11, which
+    # costs the doubling alone about 4e-8 of K; the Newton step restores it.
+    A = np.array([[0.37, -0.048], [-0.34, 0.64]])
+    B = np.array([[0.96], [-0.014]])
+    Q = 1e10 * np.array([[1.0, 1.0], [1.0, 1.1]])
+    R = np.array([[0.1]])
+    K, _ = matlin.solve_dare(A, B, Q, R)
+    S_ref = scipy.linalg.solve_discrete_are(A, B, Q, R)
+    K_ref = -np.linalg.solve(R + B.T @ S_ref @ B, B.T @ S_ref @ A)
+    assert np.linalg.norm(K - K_ref) <= 1e-10 * np.linalg.norm(K_ref)
+
+
+@pytest.mark.parametrize(
+    "A, B",
+    [
+        (2.0 * np.eye(2), np.zeros((2, 1))),
+        (2.0 * np.eye(2), 1e-17 * np.ones((2, 1))),
+        (np.diag([1.0, 0.5]), np.array([[0.0], [1.0]])),
+        (np.array([[0.0, -1.0], [1.0, 0.0]]), np.zeros((2, 1))),
+    ],
+    ids=["0.0", "1e-17", "uncontrollable-unit-mode", "rotation"],
+)
+def test_dare_rejects_unstabilizable_pair(A, B):
+    # B = 0 makes the doubling overflow; B = 1e-17 * 1 gives a finite solution
+    # whose gain cannot move the unstable modes, caught by the rho check. An
+    # uncontrollable mode on the unit circle leaves the doubling growing
+    # without bound until its step cap. pyproject.toml makes any
+    # RuntimeWarning on the way an error.
     with pytest.raises(NoConvergence):
-        matlin.solve_dare(2.0 * np.eye(2), b_scale * np.ones((2, 1)), np.eye(2), np.eye(1))
+        matlin.solve_dare(A, B, np.eye(2), np.eye(1))
 
 
 # -- h2norm_sq ----------------------------------------------------------------
