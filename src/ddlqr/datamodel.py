@@ -163,7 +163,8 @@ def _cov_factor(name: str, power: int) -> cached_property:
     and cov^(-1/2) = sqrt(ell) V diag(s^-1) V^T, so the covariance's
     condition number is never squared. A singular covariance,
     (s_min / s_max)^2 <= RANK_TOL, raises NotPositiveDefinite on every
-    request; nothing is cached for it."""
+    request; nothing is cached for it. Both powers of one covariance come
+    from one SVD: the first request stores its sibling factor too."""
 
     def get(self):
         # cov_resid_x from rank-deficient stacked data is zero up to
@@ -180,7 +181,10 @@ def _cov_factor(name: str, power: int) -> cached_property:
                 f"{name} is singular: its block's singular values {s[-1]:.3e} and "
                 f"{s[0]:.3e} have a squared ratio at or below {RANK_TOL:g}"
             )
-        return _frozen(sym((vt.T * (np.sqrt(self.ell) / s) ** power) @ vt))
+        for p, attr in ((1, f"{name}_inv_sqrt"), (2, f"{name}_inv")):
+            if attr in vars(DataStats):
+                self.__dict__[attr] = _frozen(sym((vt.T * (np.sqrt(self.ell) / s) ** p) @ vt))
+        return self.__dict__[f"{name}_inv_sqrt" if power == 1 else f"{name}_inv"]
 
     return cached_property(get)
 

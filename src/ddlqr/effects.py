@@ -187,7 +187,13 @@ def param_effect_closed(
         raise IndefiniteInput(f"P eigenvalue {np.min(p_eigs):.3e} below -1e-10 * {scale:.3e}")
     if float(np.min(p_eigs)) <= RANK_TOL * scale:
         raise NotPositiveDefinite("P must be positive definite for the parametric effect")
-    half = sym((V * np.sqrt(p_eigs)) @ V.T)
+    return _effect(K, A_cl, sym((V * np.sqrt(p_eigs)) @ V.T), stats, w)
+
+
+def _effect(K, A_cl, F_P, stats: DataStats, w: RegWeights) -> EffectBreakdown:
+    """The parametric effect at (K, A_cl) for any factor F_P F_P.T = P, on
+    checked inputs: h_i = |Sigma_i^-1/2 dev_i F_P|_F^2, a squared norm, so
+    each term keeps full relative precision at any weight."""
 
     def term(dev: np.ndarray, factor: str, weight: float) -> float:
         try:
@@ -196,7 +202,7 @@ def param_effect_closed(
             if weight > 0.0:
                 raise
             return 0.0
-        M = root @ dev @ half
+        M = root @ dev @ F_P
         return float(np.sum(M * M))
 
     h1 = term(A_cl - (stats.a_ls + stats.b_ls @ K), "cov_resid_x_inv_sqrt", w.lambda1)

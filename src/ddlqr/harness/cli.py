@@ -43,6 +43,19 @@ _SWEEP_PRESETS = {
     "fig2": "gain-path",
 }
 
+# The weight flags each synth program reads; a non-zero value of any other
+# weight flag is a usage error, so no flag is silently dropped.
+_WEIGHT_FLAGS = {"--l1": "l1", "--l2": "l2", "--l3": "l3", "--lambda": "lam"}
+_PROGRAM_FLAGS = {
+    "reduced-gram": ("--l1", "--l2", "--l3"),
+    "reduced-covar": ("--l2", "--l3"),
+    "baseline-gram": ("--lambda",),
+    "baseline-gram-proj": ("--lambda",),
+    "baseline-covar": ("--lambda",),
+    "ce": (),
+    "model": (),
+}
+
 
 def _at_least(least, cast=float, many=False):
     """argparse type: a finite value >= least, or with many a comma-separated
@@ -73,22 +86,9 @@ def _add_synth(sub) -> None:
     p = sub.add_parser("synth", help="solve one synthesis program on saved data")
     p.set_defaults(run=_cmd_synth)
     p.add_argument("--data", required=True)
-    p.add_argument(
-        "--program",
-        required=True,
-        choices=(
-            "reduced-gram",
-            "reduced-covar",
-            "baseline-gram",
-            "baseline-gram-proj",
-            "baseline-covar",
-            "ce",
-            "model",
-        ),
-    )
-    for flag in ("--l1", "--l2", "--l3"):
-        p.add_argument(flag, type=_at_least(0.0), default=0.0)
-    p.add_argument("--lambda", dest="lam", type=_at_least(0.0), default=0.0)
+    p.add_argument("--program", required=True, choices=tuple(_PROGRAM_FLAGS))
+    for flag, dest in _WEIGHT_FLAGS.items():
+        p.add_argument(flag, dest=dest, type=_at_least(0.0), default=0.0)
     p.add_argument("--out", required=True)
 
 
@@ -268,8 +268,11 @@ def main(argv=None) -> int:
     _add_bench(sub)
     _add_verify(sub)
     args = parser.parse_args(argv)
-    if args.command == "synth" and args.program == "reduced-covar" and args.l1 > 0.0:
-        parser.error("--l1 must be 0 for reduced-covar: it has no closed-loop-deviation term")
+    if args.command == "synth":
+        reads = _PROGRAM_FLAGS[args.program]
+        unread = [f for f, dest in _WEIGHT_FLAGS.items() if f not in reads and getattr(args, dest)]
+        if unread:
+            parser.error(f"{args.program} does not read {', '.join(unread)}")
     try:
         return args.run(args)
     except DdlqrError as exc:

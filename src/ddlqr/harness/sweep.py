@@ -105,8 +105,8 @@ def run_sweep(
     stats: DataStats,
     cases: list[SweepCase],
     lambdas,
-    Q=None,
-    R=None,
+    Q,
+    R,
     plant: PlantModel | None = None,
 ) -> list[SweepRow]:
     """Solve every (case, lambda) point serially and return ordered rows.
@@ -115,10 +115,6 @@ def run_sweep(
     failures become status labels on their row instead of raising, so one
     bad point cannot take down a whole sweep.
     """
-    if Q is None:
-        Q = np.eye(stats.n)
-    if R is None:
-        R = np.eye(stats.m)
     lambdas = np.asarray(lambdas, dtype=float).reshape(-1)
     if lambdas.size == 0:
         raise DimensionMismatch("lambda grid is empty")

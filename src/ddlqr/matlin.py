@@ -134,14 +134,12 @@ def _kron_lyap(A, W) -> np.ndarray:
     return sym(np.linalg.solve(np.eye(n * n) - np.kron(A, A), W.ravel()).reshape(n, n))
 
 
-def solve_dare(A, B, Q, R, cross=None) -> tuple[np.ndarray, np.ndarray]:
+def solve_dare(A, B, Q, R) -> tuple[np.ndarray, np.ndarray]:
     """Discrete-time LQR by structure-preserving doubling.
 
-    Minimizes the sum over time of x.T Q x + u.T R u + 2 x.T cross u, where
-    the n x m cross weight defaults to zero. Returns (K, S): the optimal state
-    feedback u = K x, K = -(R + B.T S B)^-1 (B.T S A + cross.T), and the cost
-    matrix S solving
-    S = A.T S A - (A.T S B + cross) (R + B.T S B)^-1 (B.T S A + cross.T) + Q.
+    Minimizes the sum over time of x.T Q x + u.T R u. Returns (K, S): the
+    optimal state feedback u = K x, K = -(R + B.T S B)^-1 B.T S A, and the
+    cost matrix S solving S = A.T S A - A.T S B (R + B.T S B)^-1 B.T S A + Q.
     A pair that is not stabilizable raises NoConvergence, whether the doubling
     finds no finite limit or its gain leaves rho(A + B K) >= 1.
     """
@@ -152,29 +150,22 @@ def solve_dare(A, B, Q, R, cross=None) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatch(f"A must be square, got {A.shape}")
     if B.shape[0] != n:
         raise DimensionMismatch(f"B has {B.shape[0]} rows, expected {n}")
-    m = B.shape[1]
     Q = require_symmetric(Q, "Q")
     R = require_symmetric(R, "R")
-    if Q.shape[0] != n or R.shape[0] != m:
+    if Q.shape[0] != n or R.shape[0] != B.shape[1]:
         raise DimensionMismatch("Q/R dimensions do not match A/B")
-    cross = np.zeros((n, m)) if cross is None else as_matrix(cross, "cross")
-    if cross.shape != (n, m):
-        raise DimensionMismatch(f"cross must be {n} x {m}, got {cross.shape}")
 
     def gain(S):
         BtS = B.T @ S
-        return -np.linalg.solve(R + BtS @ B, BtS @ A + cross.T)
+        return -np.linalg.solve(R + BtS @ B, BtS @ A)
 
     try:
         with np.errstate(all="ignore"):
-            # Fold the cross weight into the dynamics: u = v - R^-1 cross.T x.
-            RiB, RiC = np.hsplit(np.linalg.solve(R, np.hstack([B.T, cross.T])), [n])
-            A0, H0 = A - B @ RiC, sym(Q - cross @ RiC)
-            S = _doubling(A0, sym(B @ RiB), H0)  # the stabilizing solution
+            S = _doubling(A, sym(B @ np.linalg.solve(R, B.T)), Q)  # the stabilizing solution
             # One Newton step, the exact cost of the doubling's gain, restores
             # the digits that solves with I + GH lose when |G| |H| is large.
-            V = gain(S) + RiC
-            S = _kron_lyap((A0 + B @ V).T, H0 + V.T @ R @ V)
+            K = gain(S)
+            S = _kron_lyap((A + B @ K).T, Q + K.T @ R @ K)
             K = gain(S)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"no stabilizing Riccati solution: {exc}") from None

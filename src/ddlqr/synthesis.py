@@ -23,12 +23,12 @@ baseline's Y = X0^+ P + N Z, which meets X0 Y = P for every Z, keeps its
 kernel coordinates Z a column family: the structures the solver eliminates
 in closed form, and no program carries an equality row.
 
-Each reduced program is also an LQR problem on the least-squares model with
-shifted weights (an H2 LMI is equivalent to a discrete algebraic Riccati
-equation), so `synth_reduced_gram` and `synth_reduced_covar` solve that
-equation and return the SDP's optimum without an interior-point solve. Their
-weights read the covariance inverses each DataStats computes once, and the
-objective is priced from those weights as traces.
+Each reduced program is also an LQR problem on the least-squares model (an
+H2 LMI is equivalent to a discrete algebraic Riccati equation), so
+`synth_reduced_gram` and `synth_reduced_covar` solve that equation and return
+the SDP's optimum without an interior-point solve. The gain deviation enters
+as a completed square in a shifted input, and the objective is the nominal H2
+cost plus the regularizer's parametric effect, priced by `effects`.
 `reduced_sdp` solves the programs as SDPs, the paper's formulation, and
 serves as their independent check.
 """
@@ -50,7 +50,7 @@ from .conic import (
     svec_len,
 )
 from .datamodel import Dataset, DataStats, kernel_projector
-from .effects import RegWeights
+from .effects import RegWeights, _effect
 from .errors import (
     DimensionMismatch,
     NoConvergence,
@@ -427,38 +427,47 @@ def reduced_sdp(stats: DataStats, Q, R, w: RegWeights) -> LqrSolution:
     return _solve_and_extract(*build_reduced_covar_problem(stats, Q, R, w), "reduced-covar")
 
 
-def _shifted_lqr(stats: DataStats, B, q, r, du) -> np.ndarray:
-    """Gain of LQR on (A_LS, B) with weights q and r whose first m inputs u
-    also pay (u - K_LS x).T du (u - K_LS x). That penalty expands into du on
-    those inputs, K_LS.T du K_LS on the state and the cross term -K_LS.T du."""
-    m = stats.m
-    kw = stats.k_ls.T @ du
-    r = r.copy()
-    r[:m, :m] += du
-    cross = np.zeros((stats.n, B.shape[1]))
-    cross[:, :m] = -kw
-    G, _ = solve_dare(stats.a_ls, B, sym(q + kw @ stats.k_ls), r, cross)
-    return G
+def _riccati_path(stats: DataStats, Q, R, w: RegWeights, parameterization: str) -> LqrSolution:
+    """Optimal gain of a reduced program through its Riccati form.
 
-
-def _riccati_solution(stats, Q, R, d0, du, dx, K, A_cl, program_id) -> LqrSolution:
-    """The SDP's optimum at a Riccati gain: P is the closed-loop Gramian and
-    the objective the sum of its non-negative cost terms
-    tr(QP) + tr(R K P K.T) + tr(d0 P) + tr(du dK P dK.T) + tr(dx dA P dA.T),
-    with dK = K - K_LS and dA = A_cl - (A_LS + B_LS K) and the weights of
-    _reduced_weights as formed. A sum of non-negative terms keeps full
-    relative precision at large weights."""
+    The program is LQR on the least-squares model whose input u also pays
+    the gain deviation (u - K_LS x).T du (u - K_LS x), and under gram a second
+    input, the closed-loop deviation, pays dx. Completing the square in u,
+    u.T R u + (u - K_LS x).T du (u - K_LS x) = (u - F x).T (R + du) (u - F x)
+    + x.T K_LS.T E K_LS x with F = (R + du)^-1 du K_LS and E = du (R + du)^-1 R,
+    leaves LQR in the shifted input u - F x on (A_LS + B_LS F, B) with every
+    weight a sum of positive semidefinite terms and no cross weight.
+    Estimates (A_LS, B_LS) that are not stabilizable raise SynthesisInfeasible.
+    """
+    Q, R, d0, du, dx = _reduced_weights(stats, Q, R, w, parameterization)
+    gram = parameterization == "gram"
+    program_id = "reduced-gram" if gram else "reduced-covar"
+    n, m = stats.n, stats.m
+    A_LS, B_LS, K_LS = stats.a_ls, stats.b_ls, stats.k_ls
+    F = np.linalg.solve(R + du, du @ K_LS)
+    if gram and w.lambda1 == 0.0:
+        # A free closed loop costs nothing: A_cl = 0, P = I and K = F.
+        K, A_cl = F, np.zeros((n, n))
+    else:
+        E = sym(du @ np.linalg.solve(R + du, R))
+        B, r = B_LS, R + du
+        if gram:
+            B, r = np.hstack([B_LS, np.eye(n)]), np.zeros((m + n, m + n))
+            r[:m, :m], r[m:, m:] = R + du, dx
+        try:
+            G, _ = solve_dare(A_LS + B_LS @ F, B, sym(Q + d0 + K_LS.T @ E @ K_LS), r)
+        except NoConvergence as exc:
+            raise SynthesisInfeasible(program_id, "Infeasible") from exc
+        G[:m] += F  # the gain on the unshifted inputs; under covariance G = K
+        K, A_cl = G[:m], A_LS + B @ G
     P = solve_dlyap(A_cl)
-    dK, dA = K - stats.k_ls, A_cl - (stats.a_ls + stats.b_ls @ K)
-    objective = float(
-        np.trace(Q @ P) + np.trace(R @ K @ P @ K.T) + np.trace(d0 @ P)
-        + np.trace(du @ dK @ P @ dK.T) + np.trace(dx @ dA @ P @ dA.T)
-    )
+    # The SDP's optimum: nominal H2 cost plus the regularizer's effect.
+    eff = _effect(K, A_cl, np.linalg.cholesky(P), stats, w)
     return LqrSolution(
         K=K,
         P=P,
         A_cl=A_cl,
-        objective=objective,
+        objective=float(np.trace(Q @ P) + np.trace(R @ K @ P @ K.T) + eff.total),
         status="Optimal",
         solver=None,
         program_id=program_id,
@@ -475,19 +484,7 @@ def synth_reduced_gram(stats: DataStats, Q, R, w: RegWeights) -> LqrSolution:
     lambda1 = 0 the deviation costs nothing: A_cl = 0, P = I and K minimizes
     tr(R K K.T) + c2 |cov_resid_u^-1/2 (K - K_LS)|_F^2.
     """
-    Q, R, d0, du, dx = _reduced_weights(stats, Q, R, w, "gram")
-    n, m = stats.n, stats.m
-    if w.lambda1 == 0.0:
-        K = np.linalg.solve(R + du, du @ stats.k_ls)
-        A_cl = np.zeros((n, n))
-    else:
-        B = np.hstack([stats.b_ls, np.eye(n)])
-        r = np.zeros((m + n, m + n))
-        r[:m, :m] = R
-        r[m:, m:] = dx
-        G = _shifted_lqr(stats, B, Q + d0, r, du)
-        K, A_cl = G[:m], stats.a_ls + B @ G
-    return _riccati_solution(stats, Q, R, d0, du, dx, K, A_cl, "reduced-gram")
+    return _riccati_path(stats, Q, R, w, "gram")
 
 
 def synth_reduced_covar(stats: DataStats, Q, R, w: RegWeights) -> LqrSolution:
@@ -498,13 +495,7 @@ def synth_reduced_covar(stats: DataStats, Q, R, w: RegWeights) -> LqrSolution:
     Estimates (A_LS, B_LS) that are not stabilizable leave the program
     infeasible and raise SynthesisInfeasible.
     """
-    Q, R, d0, du, dx = _reduced_weights(stats, Q, R, w, "covariance")
-    try:
-        K = _shifted_lqr(stats, stats.b_ls, Q + d0, R, du)
-    except NoConvergence as exc:
-        raise SynthesisInfeasible("reduced-covar", "Infeasible") from exc
-    A_cl = stats.a_ls + stats.b_ls @ K
-    return _riccati_solution(stats, Q, R, d0, du, dx, K, A_cl, "reduced-covar")
+    return _riccati_path(stats, Q, R, w, "covariance")
 
 
 # -- baseline data-driven programs (size grows with ell) ----------------------

@@ -10,7 +10,8 @@ from ddlqr.datamodel import DataStats
 # Removed API: helpers only tests called, the sweep's baseline cases, the
 # solver's settings object and the certainty-equivalence twin of
 # synth_reduced_covar at zero weights, and the eigendecomposition-based
-# covariance inverses that DataStats now reads off its triangular factor.
+# covariance inverses that DataStats now reads off its triangular factor, and
+# the Riccati path's expanded gain-deviation penalty, now a completed square.
 DELETED = {
     "svec_index",
     "new_problem",
@@ -25,6 +26,7 @@ DELETED = {
     "_pd_eigh",
     "inv_pd",
     "inv_sqrt_pd",
+    "_shifted_lqr",
 }
 
 

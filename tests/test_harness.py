@@ -127,12 +127,12 @@ def test_run_sweep_records_failures_per_row():
     rng = np.random.default_rng(7)
     x0 = rng.standard_normal((2, 12))
     st = compute_stats(Dataset(x0=x0, u0=rng.standard_normal((1, 12)), x1=2.0 * x0))
-    rows = run_sweep(st, [reduced_case("{2}", "covariance")], [0.0, 1.0])
+    rows = run_sweep(st, [reduced_case("{2}", "covariance")], [0.0, 1.0], np.eye(2), np.eye(1))
     assert [r.status for r in rows] == ["Infeasible", "Infeasible"]
     for r in rows:
         assert r.K is None and r.objective is None and r.deviation is None
     with pytest.raises(DimensionMismatch):
-        run_sweep(st, [reduced_case("{2}", "covariance")], [])
+        run_sweep(st, [reduced_case("{2}", "covariance")], [], np.eye(2), np.eye(1))
 
 
 def test_gain_path_weak_monotone_trend():
@@ -376,6 +376,10 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         synth + ["baseline-gram", "--lambda", "nan"],
         synth + ["reduced-gram", "--l1", "-1"],
         synth + ["reduced-covar", "--l1", "1"],
+        synth + ["baseline-gram", "--l1", "5"],
+        synth + ["reduced-gram", "--lambda", "5"],
+        synth + ["model", "--l2", "3"],
+        synth + ["ce", "--lambda", "1"],
         ["gen", "--noise-std", "-0.1", "--out", str(tmp_path / "n.csv")],
         # No preset option is left on gen or portrait: they have one set-up each.
         ["gen", "--preset", "paper", "--out", str(tmp_path / "p.csv")],

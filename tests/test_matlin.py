@@ -175,27 +175,6 @@ def test_dare_matches_scipy_seeded():
     assert checked == 20
 
 
-def test_dare_cross_weight_seeded():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        n = int(rng.integers(1, 6))
-        m = int(rng.integers(1, 4))
-        A = rng.standard_normal((n, n))
-        A *= 1.2 / max(matlin.spectral_radius(A), 1e-3)
-        B = rng.standard_normal((n, m))
-        # A positive definite joint weight [[Q, S], [S.T, R]].
-        W = random_spd(rng, n + m, spread=2.0)
-        Q, S, R = W[:n, :n], W[:n, n:], W[n:, n:]
-        K, X = matlin.solve_dare(A, B, Q, R, S)
-        F = A.T @ X @ B + S
-        resid = A.T @ X @ A - F @ np.linalg.solve(R + B.T @ X @ B, F.T) + Q - X
-        assert np.linalg.norm(resid, "fro") <= 1e-8 * (1 + np.linalg.norm(X, "fro"))
-        assert np.allclose(K, -np.linalg.solve(R + B.T @ X @ B, F.T), rtol=1e-10, atol=1e-12)
-        assert matlin.spectral_radius(A + B @ K) < 1.0
-    with pytest.raises(DimensionMismatch):
-        matlin.solve_dare(A, B, Q, R, np.zeros((n + 1, m)))
-
-
 def scalar_dare(a, b, q, r):
     """Stabilizing (s, k) of the scalar DARE for a >= 1: the positive root of
     b^2 s^2 - ((a^2 - 1) r + q b^2) s - q r = 0, formed from positive terms

@@ -1,5 +1,7 @@
 """Synthesis programs vs Riccati, Lyapunov, and cross-program oracles."""
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -479,6 +481,83 @@ def test_gain_shrinkage_blocked_by_unstable_ls_gain():
     assert spectral_radius(st.a_ls + st.b_ls @ st.k_ls) > 1.0
     s2 = synth_reduced_covar(st, Q2, R1, covar_weights(lambda2=1e10))
     assert float(np.linalg.norm(s2.K - st.k_ls)) > 1e-1
+
+
+def test_gain_path_large_weight_matches_extended_precision():
+    # At gain-path {2}, lambda = 4.47e9, |K - K_LS| is about 1e-7, so an error
+    # of lambda * eps in the Riccati weights shows in dist_to_kls. The
+    # reference prices the expanded cost x.T Q x + u.T R u +
+    # (u - K_LS x).T du (u - K_LS x) in 50-digit decimal: Newton-Kleinman
+    # steps from the program's gain, each a Lyapunov solve through its
+    # n^2 x n^2 Kronecker system.
+    cfg = ReferenceExperimentConfig(seed=0)
+    st = compute_stats(gen_reference_data(cfg))
+    lam = gain_path_grid()[-2]
+    assert lam == pytest.approx(4.4668e9, rel=1e-4)
+    sol = synth_reduced_covar(st, cfg.q, cfg.r, covar_weights(lambda2=lam))
+    dist = float(np.linalg.norm(sol.K - st.k_ls))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        A, B, K_LS, Q, R, K = (_dec(M) for M in (st.a_ls, st.b_ls, st.k_ls, cfg.q, cfg.r, sol.K))
+        du = _scale(Decimal(float(lam)), _dec(st.cov_resid_u_inv))
+        Qe = _add(Q, _mm(_t(K_LS), du, K_LS))
+        Re = _add(R, du)
+        Ne = _scale(Decimal(-1), _mm(_t(K_LS), du))
+        n = len(A)
+        for _ in range(4):
+            Acl = _t(_add(A, _mm(B, K)))
+            Qk = _add(Qe, _mm(Ne, K), _mm(_t(K), _t(Ne)), _mm(_t(K), Re, K))
+            kron = [[Decimal(i == j) - Acl[i // n][j // n] * Acl[i % n][j % n]
+                     for j in range(n * n)] for i in range(n * n)]
+            p = _solve(kron, [[v] for row in Qk for v in row])
+            P = [[p[i * n + j][0] for j in range(n)] for i in range(n)]
+            BtP = _mm(_t(B), P)
+            K_next = _scale(Decimal(-1), _solve(_add(Re, _mm(BtP, B)), _add(_mm(BtP, A), _t(Ne))))
+            step = max(abs(a - b) for ra, rb in zip(K, K_next) for a, b in zip(ra, rb))
+            K = K_next
+        assert step <= Decimal("1e-40")
+        ref = sum((a - b) ** 2 for ra, rb in zip(K, K_LS) for a, b in zip(ra, rb)).sqrt()
+        assert abs(Decimal(dist) - ref) <= Decimal("1e-8") * ref
+
+
+def _dec(M):
+    return [[Decimal(float(v)) for v in row] for row in np.atleast_2d(M)]
+
+
+def _t(X):
+    return [list(col) for col in zip(*X)]
+
+
+def _mm(*Ms):
+    out = Ms[0]
+    for M in Ms[1:]:
+        out = [[sum(a * b for a, b in zip(row, col)) for col in zip(*M)] for row in out]
+    return out
+
+
+def _add(*Ms):
+    return [[sum(vals) for vals in zip(*rows)] for rows in zip(*Ms)]
+
+
+def _scale(c, X):
+    return [[c * v for v in row] for row in X]
+
+
+def _solve(M, rhs):
+    """X with M X = rhs by Gaussian elimination with partial pivoting."""
+    n = len(M)
+    aug = [list(M[i]) + list(rhs[i]) for i in range(n)]
+    for c in range(n):
+        piv = max(range(c, n), key=lambda i: abs(aug[i][c]))
+        aug[c], aug[piv] = aug[piv], aug[c]
+        for i in range(c + 1, n):
+            f = aug[i][c] / aug[c][c]
+            aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
+    X = [None] * n
+    for i in reversed(range(n)):
+        X[i] = [(aug[i][n + j] - sum(aug[i][k] * X[k][j] for k in range(i + 1, n))) / aug[i][i]
+                for j in range(len(rhs[0]))]
+    return X
 
 
 # -- infeasible estimates and evaluation --------------------------------------
