@@ -3,11 +3,12 @@
 A problem holds k scalar decision variables y and a list of symmetric blocks
 F0 + sum_i y_i F_i >= 0; the solver minimizes c.T y subject to all blocks.
 
-A block is declared with ``new_block`` and filled with per-entry,
-column-family and slack-corner declarations that record where coefficients
-live: entries are compiled into one dense coefficient stack per block,
-families and the corner keep their closed forms, so the solver never builds
-an operator of the size of a column family or a corner.
+A block is declared whole with ``new_block``: its constant F0, the dense
+coefficient stack of the variables it touches (one d x d matrix per
+variable, the form SDPT3's block data takes) and an optional slack corner.
+Column families are added to a block afterwards. Families and the corner
+keep their closed forms, so the solver never builds an operator of the size
+of a column family or a corner.
 
 Symmetric matrix variables are packed in scaled upper-triangle order
 (off-diagonals multiplied by sqrt(2)), which makes the packing an isometry
@@ -21,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..errors import DimensionMismatch
+from ..errors import AsymmetricInput, DimensionMismatch
 from ..matlin import as_matrix, require_symmetric
 
 SQRT2 = float(np.sqrt(2.0))
@@ -94,24 +95,21 @@ class _Corner:
     var_start: int
 
 
-# Appended to every block's entries, so a block without any still compiles.
-_NO_ENTRIES = (np.empty(0, np.intp),) * 3 + (np.empty(0),)
-
-
 @dataclass
 class _Block:
     dim: int
     F0: np.ndarray
-    entries: list = field(default_factory=list)  # (var, i, j, val) arrays per add_entry
+    lv: np.ndarray  # (n_e,) strictly increasing variable indices
+    F: np.ndarray  # (n_e, d, d) coefficient of each, none all zero
+    corner: _Corner | None
     families: list = field(default_factory=list)
-    corner: _Corner | None = None
 
 
 class _CompiledBlock:
     """Frozen per-block arrays the solver consumes.
 
-    The entry coefficients become one dense stack: F[k] is the full d x d
-    coefficient of variable lv[k], with duplicate coordinates summed. The
+    F[k] is the full d x d coefficient of variable lv[k] as the block was
+    declared, and F_flat the same stack with each matrix flattened. The
     block's ordinary variables are gv = lv followed by each family's varmat
     in row-major order (at fam_slices of gv); they must be distinct, so every
     coupling of the block lands at its own position of the Schur complement.
@@ -123,14 +121,9 @@ class _CompiledBlock:
         self.F0 = blk.F0
         self.corner = blk.corner
         self.families = blk.families
-
-        var, ii, jj, val = (np.concatenate(c) for c in zip(*blk.entries, _NO_ENTRIES))
-        self.lv, loc = np.unique(var, return_inverse=True)
-        off = ii != jj
-        flat = np.concatenate([(loc * d + ii) * d + jj, ((loc * d + jj) * d + ii)[off]])
-        weights = np.concatenate([val, val[off]])
-        self.F_flat = np.bincount(flat, weights, self.lv.size * d * d).reshape(-1, d * d)
-        self.F = self.F_flat.reshape(-1, d, d)
+        self.lv = blk.lv
+        self.F = blk.F
+        self.F_flat = blk.F.reshape(-1, d * d)
 
         self.gv = np.concatenate([self.lv] + [f.varmat.ravel() for f in self.families])
         ends = self.lv.size + np.cumsum([f.varmat.size for f in self.families], dtype=int)
@@ -183,61 +176,55 @@ class _CompiledBlock:
 class LmiProblem:
     """Container for min c.T y subject to F0_b + sum_i y_i F_{b,i} >= 0."""
 
-    def __init__(self, num_vars: int):
-        if num_vars < 0:
-            raise DimensionMismatch("num_vars must be non-negative")
-        self.num_vars = int(num_vars)
-        self.objective = np.zeros(self.num_vars)
+    def __init__(self, objective):
+        c = np.asarray(objective, dtype=float).reshape(-1)
+        if not np.all(np.isfinite(c)):
+            raise ValueError("objective contains non-finite entries")
+        self.objective = c.copy()
+        self.num_vars = c.size
         self._blocks: list[_Block] = []
         self._compiled: list[_CompiledBlock] | None = None
 
     # -- construction ---------------------------------------------------------
 
-    def set_objective(self, c) -> None:
-        c = np.asarray(c, dtype=float).reshape(-1)
-        if c.shape != (self.num_vars,):
-            raise DimensionMismatch(f"objective length {c.size} != num_vars {self.num_vars}")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("objective contains non-finite entries")
-        self.objective = c.copy()
-        self._compiled = None
+    def new_block(self, F0, var=(), F=None, corner=None) -> int:
+        """Declare the block F0 + sum_k y_{var[k]} F[k] >= 0 and return its id.
 
-    def new_block(self, dim: int) -> int:
-        if dim < 1:
+        var is strictly increasing and F has shape (len(var), d, d), each
+        F[k] symmetric; a variable whose coefficient is all zero is left out
+        of the block. corner = (dc, var_start) makes the top-left dc x dc
+        submatrix a packed symmetric slack variable occupying vars
+        var_start .. var_start + svec_len(dc) - 1.
+        """
+        F0 = require_symmetric(F0, "F0")
+        d = F0.shape[0]
+        if d < 1:
             raise DimensionMismatch("block dim must be >= 1")
-        self._blocks.append(_Block(dim=int(dim), F0=np.zeros((dim, dim))))
+        var = np.asarray(var, dtype=np.intp)
+        if var.ndim != 1 or np.any(np.diff(var) <= 0):
+            raise DimensionMismatch("var must be a strictly increasing 1-D array")
+        if var.size and not (0 <= var[0] and var[-1] < self.num_vars):
+            raise DimensionMismatch(f"variable index out of range [0, {self.num_vars})")
+        F = np.zeros((0, d, d)) if F is None else np.asarray(F, dtype=float)
+        if F.shape != (var.size, d, d):
+            raise DimensionMismatch(f"F shape {F.shape} != {(var.size, d, d)}")
+        if not np.all(np.isfinite(F)):
+            raise ValueError("F contains non-finite entries")
+        Ft = F.transpose(0, 2, 1)
+        # require_symmetric's rule, per coefficient: max|F - F.T| <= 1e-12 (1 + max|F|)
+        asym = np.abs(F - Ft).max(axis=(1, 2), initial=0.0)
+        bad = var[asym > 1e-12 * (1.0 + np.abs(F).max(axis=(1, 2), initial=0.0))]
+        if bad.size:
+            raise AsymmetricInput(f"coefficient of variable {bad[0]} is not symmetric")
+        keep = np.any(F != 0.0, axis=(1, 2))
+        if corner is not None:
+            dc, var_start = corner
+            if not (1 <= dc <= d and 0 <= var_start and var_start + svec_len(dc) <= self.num_vars):
+                raise DimensionMismatch(f"corner {corner} outside block dim {d} or the variables")
+            corner = _Corner(dc=int(dc), var_start=int(var_start))
+        self._blocks.append(_Block(d, F0, var[keep], 0.5 * (F + Ft)[keep], corner))
         self._compiled = None
         return len(self._blocks) - 1
-
-    def set_block_const(self, bid: int, F0) -> None:
-        blk = self._blocks[bid]
-        F0 = require_symmetric(F0, "F0")
-        if F0.shape[0] != blk.dim:
-            raise DimensionMismatch(f"F0 dim {F0.shape[0]} != block dim {blk.dim}")
-        blk.F0 = F0
-        self._compiled = None
-
-    def add_entry(self, bid: int, var, i, j, val) -> None:
-        """F_var += val * (E_ij + E_ji) for i != j, val * E_ii for i == j.
-
-        Each argument is a scalar or a 1-D array; arrays of equal length add
-        one entry per position, and scalars apply to every entry.
-        """
-        blk = self._blocks[bid]
-        idx = (np.asarray(a, dtype=np.intp) for a in (var, i, j))
-        try:
-            var, i, j, val = np.broadcast_arrays(*idx, np.asarray(val, dtype=float))
-        except ValueError as e:
-            raise DimensionMismatch(f"entry arrays differ in length: {e}") from None
-        if var.ndim > 1:
-            raise DimensionMismatch("entry arguments must be scalars or 1-D arrays")
-        if var.size and not (0 <= var.min() and var.max() < self.num_vars):
-            raise DimensionMismatch(f"variable index out of range [0, {self.num_vars})")
-        if var.size and not (0 <= min(i.min(), j.min()) and max(i.max(), j.max()) < blk.dim):
-            raise DimensionMismatch(f"entry position outside block dim {blk.dim}")
-        keep = val != 0.0  # a 0-d mask gives 1-D results, as an array does
-        blk.entries.append((var[keep], i[keep], j[keep], val[keep]))
-        self._compiled = None
 
     def add_column_family(self, bid: int, C, col0: int, varmat) -> None:
         """For each (t, q): F_{varmat[t,q]} += C[:,t] e~.T + e~ C[:,t].T with
@@ -257,20 +244,6 @@ class LmiProblem:
         if varmat.size and (varmat.min() < 0 or varmat.max() >= self.num_vars):
             raise DimensionMismatch("family variable index out of range")
         blk.families.append(_Family(C=C.copy(), col0=int(col0), varmat=varmat.copy()))
-        self._compiled = None
-
-    def add_corner_slack(self, bid: int, dc: int, var_start: int) -> None:
-        """Declare the top-left dc x dc corner as a packed symmetric slack
-        variable occupying vars var_start .. var_start + svec_len(dc) - 1."""
-        blk = self._blocks[bid]
-        if blk.corner is not None:
-            raise DimensionMismatch("block already has a corner declaration")
-        if not (1 <= dc <= blk.dim):
-            raise DimensionMismatch(f"corner dim {dc} outside block dim {blk.dim}")
-        t = svec_len(dc)
-        if not (0 <= var_start and var_start + t <= self.num_vars):
-            raise DimensionMismatch("corner variables out of range")
-        blk.corner = _Corner(dc=int(dc), var_start=int(var_start))
         self._compiled = None
 
     # -- inspection -----------------------------------------------------------

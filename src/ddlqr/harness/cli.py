@@ -106,8 +106,8 @@ def _add_portrait(sub) -> None:
     p = sub.add_parser("portrait", help="phase portraits of the state-weighted case")
     p.set_defaults(run=_cmd_portrait)
     p.add_argument("--lambdas", type=_at_least(0.0, many=True), default=[0.1, 1.0, 10.0, 100.0])
-    p.add_argument("--data", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--data", default=None, help="dataset CSV; generated when omitted")
+    p.add_argument("--seed", type=int, default=None, help="seed for generated data")
     p.add_argument("--out", required=True, help="output directory")
 
 
@@ -267,12 +267,17 @@ def main(argv=None) -> int:
     _add_portrait(sub)
     _add_bench(sub)
     _add_verify(sub)
+    for p in sub.choices.values():
+        # Errors found after parsing print the subcommand's usage line.
+        p.set_defaults(usage_error=p.error)
     args = parser.parse_args(argv)
     if args.command == "synth":
         reads = _PROGRAM_FLAGS[args.program]
         unread = [f for f, dest in _WEIGHT_FLAGS.items() if f not in reads and getattr(args, dest)]
         if unread:
-            parser.error(f"{args.program} does not read {', '.join(unread)}")
+            args.usage_error(f"{args.program} does not read {', '.join(unread)}")
+    if getattr(args, "data", None) is not None and getattr(args, "seed", None) is not None:
+        args.usage_error("--seed seeds generated data, so it cannot go with --data")
     try:
         return args.run(args)
     except DdlqrError as exc:

@@ -17,8 +17,8 @@ Each block is written once, as the paper's matrix: the off-diagonal part is
 a linear matrix expression whose parameters name layout slots, for example
 `lambda P, Kt: Kt - K_LS @ P` for the gain slack [[N, K tilde - K_LS P],
 [*, P]]. Evaluated on the slots' unit matrices (`SdpLayout.units`), the
-block gives every variable's coefficient matrix at once, and its non-zero
-upper triangle goes to `LmiProblem.add_entry`. Slacks stay corners and the
+block gives every variable's coefficient matrix at once: the dense stack
+`LmiProblem.new_block` takes as it is. Slacks stay corners and the
 baseline's Y = X0^+ P + N Z, which meets X0 Y = P for every Z, keeps its
 kernel coordinates Z a column family: the structures the solver eliminates
 in closed form, and no program carries an equality row.
@@ -237,25 +237,17 @@ class TruthEvaluation:
 # -- blocks as linear matrix expressions --------------------------------------
 
 
-def _add_upper(p: LmiProblem, bid: int, var: np.ndarray, F: np.ndarray, c0: int = 0) -> None:
-    """Add the coefficient stack F, F[k] the matrix of variable var[k], at
-    columns c0.. of block bid in one add_entry call. Entries below the
-    diagonal are left out: add_entry mirrors the others."""
-    k, i, j = np.nonzero(F)
-    up = i <= j + c0
-    k, i, j = k[up], i[up], j[up]
-    p.add_entry(bid, var[k], i, j + c0, F[k, i, j])
-
-
-def _add_border(p: LmiProblem, lay: SdpLayout, bid: int, dc: int, off) -> None:
-    """Write the border [X; P] of [[T, X], [X^T, P]] at columns dc.. of block
-    bid. X = off(...) is a linear matrix expression over the layout slots its
-    parameters name; each variable's coefficient matrix is the border at that
-    variable's unit matrix."""
+def _border(lay: SdpLayout, off) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(var, F, U_P): F[k] is the coefficient of variable var[k] in
+    [[0, X], [X^T, P]], with the border X = off(...) (dc rows) at columns
+    dc.., and U_P[k] its coefficient in P. off is a linear matrix expression
+    over the layout slots its parameters name, so each coefficient is the
+    block at that variable's unit matrix."""
     names = tuple(inspect.signature(off).parameters)
     var, U = lay.units(("P",) + names)
     X = off(*(U[s] for s in names))
-    _add_upper(p, bid, var, np.concatenate((X, U["P"]), axis=1), c0=dc)
+    F = np.block([[np.zeros((var.size, X.shape[1], X.shape[1])), X], [X.swapaxes(1, 2), U["P"]]])
+    return var, F, U["P"]
 
 
 def _h2_program(lay: SdpLayout, q_p, a_cl, bounds) -> LmiProblem:
@@ -271,23 +263,21 @@ def _h2_program(lay: SdpLayout, q_p, a_cl, bounds) -> LmiProblem:
     n = lay.slot("P").rows
     for name, _, D in bounds:
         lay.add_sym(name, D.shape[0])
-    p = LmiProblem(lay.num_vars)
     c = np.zeros(lay.num_vars)
     lay.add_sym_cost(c, "P", q_p)
+    for name, _, D in bounds:
+        lay.add_sym_cost(c, name, D)
+    p = LmiProblem(c)
 
+    var, F, U_P = _border(lay, a_cl)
+    F[:, :n, :n] += U_P
     F0 = np.zeros((2 * n, 2 * n))
     F0[:n, :n] = -np.eye(n)
-    p.set_block_const(p.new_block(2 * n), F0)
-    _add_border(p, lay, 0, n, a_cl)
-    var, U = lay.units(("P",))
-    _add_upper(p, 0, var, U["P"])
-    for name, dev, D in bounds:
+    p.new_block(F0, var, F)
+    for name, dev, _ in bounds:
         s = lay.slot(name)
-        bid = p.new_block(s.rows + n)
-        p.add_corner_slack(bid, s.rows, s.offset)
-        _add_border(p, lay, bid, s.rows, dev)
-        lay.add_sym_cost(c, name, D)
-    p.set_objective(c)
+        var, F, _ = _border(lay, dev)
+        p.new_block(np.zeros((s.rows + n, s.rows + n)), var, F, corner=(s.rows, s.offset))
     return p
 
 

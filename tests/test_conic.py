@@ -9,14 +9,9 @@ from ddlqr.errors import AsymmetricInput, DimensionMismatch
 
 
 def add_dense_block(p, F0, Fs):
-    """Block F0 + sum_i y_i Fs[i], declared entry by entry; None is a zero Fs[i]."""
-    bid = p.new_block(F0.shape[0])
-    p.set_block_const(bid, F0)
-    for var, F in enumerate(Fs):
-        if F is not None:
-            i, j = np.triu_indices(F.shape[0])
-            p.add_entry(bid, var, i, j, F[i, j])
-    return bid
+    """Block F0 + sum_i y_i Fs[i] in one declaration; None is a zero Fs[i]."""
+    var = [i for i, F in enumerate(Fs) if F is not None]
+    return p.new_block(F0, var, np.reshape([Fs[i] for i in var], (len(var),) + F0.shape))
 
 
 def dense_value(F0, Fs, y):
@@ -30,8 +25,7 @@ def random_feasible_problem(seed):
     rng = np.random.default_rng(seed)
     k = int(rng.integers(2, 11))
     nblocks = int(rng.integers(1, 7))
-    p = LmiProblem(k)
-    p.set_objective(rng.standard_normal(k))
+    p = LmiProblem(rng.standard_normal(k))
     box = 10.0
     add_dense_block(p, box * np.eye(k), [np.diag((np.arange(k) == i).astype(float)) for i in range(k)])
     add_dense_block(p, box * np.eye(k), [-np.diag((np.arange(k) == i).astype(float)) for i in range(k)])
@@ -71,8 +65,7 @@ def test_svec_round_trip():
 
 
 def test_scalar_lower_bound():
-    p = LmiProblem(1)
-    p.set_objective([1.0])
+    p = LmiProblem([1.0])
     add_dense_block(p, np.zeros((1, 1)), [np.eye(1)])
     sol = solve(p)
     assert sol.status == "Optimal"
@@ -80,8 +73,7 @@ def test_scalar_lower_bound():
 
 
 def test_offdiagonal_coupling():
-    p = LmiProblem(1)
-    p.set_objective([-1.0])
+    p = LmiProblem([-1.0])
     add_dense_block(p, np.eye(2), [np.array([[0.0, 1.0], [1.0, 0.0]])])
     sol = solve(p)
     assert sol.status == "Optimal"
@@ -127,8 +119,7 @@ def test_data_scaling_keeps_argmin():
     rng = np.random.default_rng(3)
     k = int(rng.integers(2, 11))
     nblocks = int(rng.integers(1, 7))
-    p = LmiProblem(k)
-    p.set_objective(rng.standard_normal(k))
+    p = LmiProblem(rng.standard_normal(k))
     box = 10.0
     add_dense_block(
         p, 10 * box * np.eye(k), [10 * np.diag((np.arange(k) == i).astype(float)) for i in range(k)]
@@ -150,8 +141,7 @@ def test_data_scaling_keeps_argmin():
 
 
 def test_infeasible_pair_detected():
-    p = LmiProblem(1)
-    p.set_objective([1.0])
+    p = LmiProblem([1.0])
     add_dense_block(p, np.array([[-1.0]]), [np.array([[1.0]])])
     add_dense_block(p, np.array([[-1.0]]), [np.array([[-1.0]])])
     sol = solve(p)
@@ -160,27 +150,23 @@ def test_infeasible_pair_detected():
 
 
 def test_unbounded_ray_detected():
-    p = LmiProblem(1)
-    p.set_objective([-1.0])
+    p = LmiProblem([-1.0])
     add_dense_block(p, np.zeros((1, 1)), [np.eye(1)])
     sol = solve(p)
     assert sol.status == "Unbounded"
 
 
 def test_no_constraint_statuses():
-    p = LmiProblem(2)
-    p.set_objective([1.0, 0.0])
+    p = LmiProblem([1.0, 0.0])
     assert solve(p).status == "Unbounded"
-    q = LmiProblem(2)
-    q.set_objective([0.0, 0.0])
+    q = LmiProblem([0.0, 0.0])
     sol = solve(q)
     assert sol.status == "Optimal"
     assert sol.objective == 0.0
 
 
 def test_untouched_variable_with_zero_cost():
-    p = LmiProblem(3)
-    p.set_objective([-1.0, 0.5, 0.0])
+    p = LmiProblem([-1.0, 0.5, 0.0])
     add_dense_block(p, np.eye(2), [np.array([[0.0, 1.0], [1.0, 0.0]])])
     add_dense_block(p, np.eye(1), [None, np.array([[1.0]])])
     sol = solve(p)
@@ -191,8 +177,7 @@ def test_untouched_variable_with_zero_cost():
 
 def test_max_iters_status(monkeypatch):
     monkeypatch.setattr(solver_mod, "_MAX_ITERS", 2)
-    p = LmiProblem(1)
-    p.set_objective([-1.0])
+    p = LmiProblem([-1.0])
     add_dense_block(p, np.eye(2), [np.array([[0.0, 1.0], [1.0, 0.0]])])
     sol = solve(p)
     assert sol.status == "MaxIters"
@@ -203,8 +188,7 @@ def test_max_iters_status(monkeypatch):
 def descent_toy():
     """min y0 + y1 over two 2x2 blocks: twelve iterations to the convergence
     test, with relative gaps below the snapshot caps from iteration 9 on."""
-    p = LmiProblem(2)
-    p.set_objective([1.0, 1.0])
+    p = LmiProblem([1.0, 1.0])
     F0 = np.array([[2.0, 0.5], [0.5, 1.0]])
     add_dense_block(p, F0, [np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])])
     add_dense_block(p, 3.0 * np.eye(2), [-np.eye(2), None])
@@ -272,26 +256,23 @@ def test_breakdown_at_first_iteration_fails(monkeypatch, how, reason):
 
 
 def test_entry_api_matches_dense_blocks():
-    # one entry-by-entry build against the dense reference, same data
+    # one block declared from its coefficient stack against the dense
+    # reference, same data; an all-zero coefficient leaves its variable out
     rng = np.random.default_rng(11)
     for _ in range(10):
         k = int(rng.integers(2, 6))
         d = int(rng.integers(2, 6))
         G0 = rng.standard_normal((d, d))
         F0 = G0 @ G0.T + 0.5 * np.eye(d)
-        Fs = []
-        for _i in range(k):
-            G = rng.standard_normal((d, d))
-            Fs.append(0.5 * (G + G.T))
+        G = rng.standard_normal((k, d, d))
+        Fs = 0.5 * (G + G.swapaxes(1, 2))
+        zero = int(rng.integers(0, k))
+        Fs[zero] = 0.0
 
-        ent = LmiProblem(k)
-        ent.set_objective(rng.standard_normal(k))
-        bid = ent.new_block(d)
-        ent.set_block_const(bid, F0)
-        for var, F in enumerate(Fs):
-            for i in range(d):
-                for j in range(i, d):
-                    ent.add_entry(bid, var, i, j, float(F[i, j]))
+        ent = LmiProblem(rng.standard_normal(k))
+        ent.new_block(F0, np.arange(k), Fs)
+        (cb,) = ent.compiled()
+        assert np.array_equal(cb.lv, np.delete(np.arange(k), zero))
 
         y = rng.standard_normal(k)
         (S,) = ent.evaluate_blocks(y)
@@ -312,12 +293,9 @@ def test_column_family_matches_dense():
     box = 5.0
     unit = [np.diag((np.arange(k) == i).astype(float)) for i in range(k)]
 
-    fam = LmiProblem(k)
-    fam.set_objective(c)
-    bid = fam.new_block(d)
-    fam.set_block_const(bid, F0)
+    fam = LmiProblem(c)
+    bid = fam.new_block(F0, [4], [np.diag(np.arange(d) == 0).astype(float)])
     fam.add_column_family(bid, C, col0, varmat)
-    fam.add_entry(bid, 4, 0, 0, 1.0)
     add_dense_block(fam, box * np.eye(k), unit)
     add_dense_block(fam, box * np.eye(k), [-U for U in unit])
 
@@ -328,8 +306,7 @@ def test_column_family_matches_dense():
             e[col0 + q] = 1.0
             Fs[varmat[t, q]] += np.outer(C[:, t], e) + np.outer(e, C[:, t])
     Fs[4][0, 0] += 1.0
-    dense = LmiProblem(k)
-    dense.set_objective(c)
+    dense = LmiProblem(c)
     add_dense_block(dense, F0, Fs)
     add_dense_block(dense, box * np.eye(k), unit)
     add_dense_block(dense, box * np.eye(k), [-U for U in unit])
@@ -355,22 +332,17 @@ def test_corner_slack_matches_dense():
     c = np.array([1.0, 0.0, 1.0, 1.0])  # W packs as (W00, sqrt(2) W01, W11)
     bound = [None] * nw + [np.array([[-1.0]])]
 
-    cor = LmiProblem(k)
-    cor.set_objective(c)
-    bid = cor.new_block(3)
+    cor = LmiProblem(c)
     F0 = np.zeros((3, 3))
     F0[0, 2], F0[1, 2] = a[0], a[1]
     F0[2, 0], F0[2, 1] = a[0], a[1]
-    cor.set_block_const(bid, F0)
-    cor.add_corner_slack(bid, 2, 0)
-    cor.add_entry(bid, nw, 2, 2, 1.0)
+    cor.new_block(F0, [nw], [np.diag([0.0, 0.0, 1.0])], corner=(2, 0))
     add_dense_block(cor, np.array([[3.0]]), bound)
 
     Fs = [np.zeros((3, 3)) for _ in range(k)]
     Fs[0][0, 0] = Fs[2][1, 1] = Fs[3][2, 2] = 1.0
     Fs[1][0, 1] = Fs[1][1, 0] = 1.0 / np.sqrt(2.0)
-    dense = LmiProblem(k)
-    dense.set_objective(c)
+    dense = LmiProblem(c)
     add_dense_block(dense, F0, Fs)
     add_dense_block(dense, np.array([[3.0]]), bound)
 
@@ -387,12 +359,9 @@ def test_corner_slack_matches_dense():
 
 
 def test_corner_variables_must_stay_slack_only():
-    p = LmiProblem(4)
-    p.set_objective(np.ones(4))
-    bid = p.new_block(3)
-    p.set_block_const(bid, np.eye(3))
-    p.add_corner_slack(bid, 2, 0)
-    p.add_entry(bid, 0, 2, 2, 1.0)  # corner var reused as ordinary coefficient
+    p = LmiProblem(np.ones(4))
+    # corner var 0 reused as an ordinary coefficient
+    p.new_block(np.eye(3), [0], [np.diag([0.0, 0.0, 1.0])], corner=(2, 0))
     with pytest.raises(DimensionMismatch):
         p.compiled()
 
@@ -413,28 +382,31 @@ def test_adjoint_pairs_with_apply():
 
 
 def test_rejects_asymmetric_matrix():
-    p = LmiProblem(1)
-    p.set_objective([1.0])
-    bid = p.new_block(2)
+    p = LmiProblem([1.0])
     with pytest.raises(AsymmetricInput):
-        p.set_block_const(bid, np.array([[1.0, 1.0], [0.0, 1.0]]))
+        p.new_block(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 def test_rejects_bad_indices():
-    p = LmiProblem(2)
-    bid = p.new_block(2)
-    with pytest.raises(DimensionMismatch):
-        p.add_entry(bid, 5, 0, 0, 1.0)
-    with pytest.raises(DimensionMismatch):
-        p.add_entry(bid, 0, 2, 0, 1.0)
-    for var, i in (
-        (np.array([0, 1]), np.zeros(3, int)),  # lengths differ
-        (np.array([0, 2]), 0),  # one variable out of range
-        (np.array([0, 1]), np.array([0, -1])),  # one position out of range
-        (np.zeros((2, 2), int), 0),  # not 1-D
+    p = LmiProblem(np.zeros(4))
+    E = np.eye(2)
+    for kwargs in (
+        {"var": [5], "F": [E]},  # variable out of range
+        {"var": [-1], "F": [E]},
+        {"var": [1, 1], "F": [E, E]},  # repeated
+        {"var": [2, 1], "F": [E, E]},  # decreasing
+        {"var": [[0, 1]], "F": [E, E]},  # not 1-D
+        {"var": [0, 1], "F": [E]},  # F shape does not match var
+        {"var": [0], "F": [np.eye(3)]},  # F shape does not match the block
+        {"var": [0], "corner": (3, 1)},  # corner larger than the block
+        {"var": [0], "corner": (2, 2)},  # corner variables 2..4 past num_vars
     ):
+        kwargs.setdefault("F", [E])
         with pytest.raises(DimensionMismatch):
-            p.add_entry(bid, var, i, 0, 1.0)
+            p.new_block(np.eye(2), **kwargs)
+    with pytest.raises(AsymmetricInput):
+        p.new_block(np.eye(2), [0, 1], [E, np.array([[0.0, 1.0], [0.0, 0.0]])])
+    assert p.block_dims() == []
 
 
 def test_solution_metadata():
@@ -445,9 +417,8 @@ def test_solution_metadata():
 
 
 def test_family_variables_must_be_distinct_within_a_block():
-    p = LmiProblem(3)
-    bid = p.new_block(3)
-    p.add_entry(bid, 0, 0, 0, 1.0)
+    p = LmiProblem(np.zeros(3))
+    bid = p.new_block(np.zeros((3, 3)), [0], [np.diag([1.0, 0.0, 0.0])])
     p.add_column_family(bid, np.ones((3, 1)), 2, np.array([[0]]))  # var 0 is also an entry
     with pytest.raises(DimensionMismatch):
         p.compiled()
@@ -457,31 +428,35 @@ def test_family_variables_must_be_distinct_within_a_block():
 
 
 def structured_problem_with_dense_twin(seed):
-    """Random problem mixing a 1-D block, an entry block with duplicate
-    coordinates, a block with two column families, and a corner block holding
-    entries and a family (the shape of the baseline W block). Returns the
-    problem, the corner variables and the explicit coefficient F_{b,i} of
-    every variable in every block, built apart from the problem's own code."""
+    """Random problem mixing a 1-D block, a sparse 4 x 4 block, a block with
+    two column families, and a corner block holding entries and a family (the
+    shape of the baseline W block). Returns the problem, the corner variables
+    and the explicit coefficient F_{b,i} of every variable in every block,
+    built apart from the problem's own code."""
     rng = np.random.default_rng(seed)
     dc, nq = 3, 2
     ncv = svec_len(dc)
     k = ncv + 16
-    ordinary = list(range(ncv, k))
-    p = LmiProblem(k)
+    ordinary = np.arange(ncv, k)
+    p = LmiProblem(rng.standard_normal(k))
     dense = []
 
-    def block(dim):
-        bid = p.new_block(dim)
-        G0 = rng.standard_normal((dim, dim))
-        p.set_block_const(bid, 0.5 * (G0 + G0.T))
+    def block(var, G, corner=None):
+        """Declare a random symmetric F0 plus the coefficients sym(G[t]) of
+        the sorted variables var."""
+        dim = G.shape[1]
+        F0 = rng.standard_normal((dim, dim))
+        var, F = np.sort(var), 0.5 * (G + G.swapaxes(1, 2))
         dense.append(np.zeros((k, dim, dim)))
-        return bid
+        dense[-1][var] = F
+        return p.new_block(0.5 * (F0 + F0.T), var, F, corner=corner)
 
-    def entry(bid, var, i, j, val):
-        p.add_entry(bid, var, i, j, val)
-        dense[bid][var, i, j] += val
-        if i != j:
-            dense[bid][var, j, i] += val
+    def single_entries(nvar, dim, rows):
+        """One random coordinate per variable, its row drawn from rows."""
+        G = np.zeros((nvar, dim, dim))
+        i, j = rng.choice(rows, nvar), rng.integers(0, dim, nvar)
+        G[np.arange(nvar), i, j] = rng.standard_normal(nvar)
+        return G
 
     def family(bid, C, col0, varmat):
         p.add_column_family(bid, C, col0, varmat)
@@ -490,36 +465,21 @@ def structured_problem_with_dense_twin(seed):
             e[col0 + q] = 1.0
             dense[bid][var] += np.outer(C[:, t], e) + np.outer(e, C[:, t])
 
-    bid = block(1)
-    for var in rng.choice(ordinary, 5, replace=False):
-        entry(bid, int(var), 0, 0, rng.standard_normal())
-        entry(bid, int(var), 0, 0, rng.standard_normal())
+    block(rng.choice(ordinary, 5, replace=False), rng.standard_normal((5, 1, 1)))
+    block(ordinary, rng.standard_normal((16, 4, 4)) * (rng.uniform(size=(16, 4, 4)) < 0.3))
 
-    bid = block(4)
-    for var in ordinary:
-        for _ in range(3):
-            i, j = (int(v) for v in rng.integers(0, 4, 2))
-            entry(bid, var, i, j, rng.standard_normal())
-            entry(bid, var, j, i, rng.standard_normal())
-
-    bid = block(6)
     fam_vars = rng.permutation(ordinary)
+    bid = block(fam_vars[7:10], single_entries(3, 6, np.arange(6)))
     family(bid, rng.standard_normal((6, 2)), 4, fam_vars[:4].reshape(2, 2))
     family(bid, rng.standard_normal((6, 3)), 1, fam_vars[4:7].reshape(3, 1))
-    for var in fam_vars[7:10]:
-        entry(bid, int(var), int(rng.integers(0, 6)), int(rng.integers(0, 6)), rng.standard_normal())
 
-    bid = block(dc + nq)
-    p.add_corner_slack(bid, dc, 0)
+    fam_vars = rng.permutation(ordinary)
+    bid = block(fam_vars[6:9], single_entries(3, dc + nq, dc + np.arange(nq)), corner=(dc, 0))
     for kk, (i, j) in enumerate(zip(*np.triu_indices(dc))):
         dense[bid][kk, i, j] = dense[bid][kk, j, i] = 1.0 if i == j else 1.0 / np.sqrt(2.0)
     C = np.zeros((dc + nq, 3))
     C[:dc] = rng.standard_normal((dc, 3))
-    fam_vars = rng.permutation(ordinary)
     family(bid, C, dc, fam_vars[:6].reshape(3, nq))
-    for var in fam_vars[6:9]:
-        entry(bid, int(var), dc + int(rng.integers(0, nq)), int(rng.integers(0, dc + nq)), 1.0)
-    p.set_objective(rng.standard_normal(k))
     return p, np.arange(ncv), dense
 
 

@@ -11,7 +11,8 @@ from ddlqr.datamodel import DataStats
 # solver's settings object and the certainty-equivalence twin of
 # synth_reduced_covar at zero weights, and the eigendecomposition-based
 # covariance inverses that DataStats now reads off its triangular factor, and
-# the Riccati path's expanded gain-deviation penalty, now a completed square.
+# the Riccati path's expanded gain-deviation penalty, now a completed square,
+# and the builders' entry-by-entry placement, now one dense stack per block.
 DELETED = {
     "svec_index",
     "new_problem",
@@ -27,6 +28,8 @@ DELETED = {
     "inv_pd",
     "inv_sqrt_pd",
     "_shifted_lqr",
+    "_add_upper",
+    "_add_border",
 }
 
 
@@ -39,5 +42,6 @@ def test_every_export_resolves_and_no_removed_name_is_exported():
         assert all(hasattr(mod, sym) for sym in exported), name
         assert not exported & DELETED, name
         assert not DELETED & set(vars(mod)), name
-    assert not hasattr(LmiProblem, "add_block")
+    for method in ("add_block", "add_entry", "set_block_const", "set_objective", "add_corner_slack"):
+        assert not hasattr(LmiProblem, method), method
     assert "ab_ls" not in DataStats.__dataclass_fields__

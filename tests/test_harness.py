@@ -384,11 +384,20 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         # No preset option is left on gen or portrait: they have one set-up each.
         ["gen", "--preset", "paper", "--out", str(tmp_path / "p.csv")],
         ["portrait", "--preset", "fig3", "--out", str(tmp_path / "fig3")],
+        # A seed only seeds generated data; with --data it would go unread.
+        ["sweep", "--preset", "deviation", "--data", str(data), "--seed", "5",
+         "--out", str(tmp_path / "sd.csv")],
+        ["portrait", "--data", str(data), "--seed", "0", "--out", str(tmp_path / "pd")],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        # The usage line is the subcommand's, with the flags it takes; argparse
+        # reports unrecognized arguments from the top-level parser.
+        if "unrecognized arguments" not in err:
+            assert err.startswith(f"usage: ddlqr {argv[0]} "), err
     written = ("b.csv", "r.csv", "s.csv", "g.csv", "portraits", "z.json", "n.csv", "p.csv",
-               "fig3")
+               "fig3", "sd.csv", "pd")
     assert not any((tmp_path / name).exists() for name in written)
