@@ -4,11 +4,11 @@ A problem holds k scalar decision variables y and a list of symmetric blocks
 F0 + sum_i y_i F_i >= 0; the solver minimizes c.T y subject to all blocks.
 
 A block is declared whole with ``new_block``: its constant F0, the dense
-coefficient stack of the variables it touches (one d x d matrix per
-variable, the form SDPT3's block data takes) and an optional slack corner.
-Column families are added to a block afterwards. Families and the corner
-keep their closed forms, so the solver never builds an operator of the size
-of a column family or a corner.
+coefficient stack of the variables it touches (one matrix per variable, the
+form SDPT3's block data takes) and an optional slack corner. A corner's
+coefficients are implicit and every other coefficient is zero there, so the
+stack holds only the columns right of the corner: a block of dimension
+ell + n with an ell x ell corner stores O(ell n) numbers per variable.
 
 Symmetric matrix variables are packed in scaled upper-triangle order
 (off-diagonals multiplied by sqrt(2)), which makes the packing an isometry
@@ -17,13 +17,12 @@ for the trace inner product. ``svec``/``smat`` implement that convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from ..errors import AsymmetricInput, DimensionMismatch
-from ..matlin import as_matrix, require_symmetric
+from ..matlin import require_symmetric
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -74,70 +73,28 @@ def smat(v: np.ndarray, d: int) -> np.ndarray:
     return S
 
 
-@dataclass
-class _Family:
-    """Column family: for each (t, q), F_{vars[t,q]} += C[:,t] e_q~.T + e_q~ C[:,t].T,
-    with e_q~ the basis vector at column col0 + q."""
-
-    C: np.ndarray  # (d, T)
-    col0: int
-    varmat: np.ndarray  # (T, nq) int
-
-
-@dataclass
-class _Corner:
-    """Slack corner: the top-left dc x dc submatrix is a free symmetric matrix
-    variable occupying vars var_start .. var_start + svec_len(dc) - 1 in
-    svec order, with the standard packed coefficients (so the corner columns
-    of the svec'd coefficient matrix form an identity)."""
-
-    dc: int
-    var_start: int
-
-
-@dataclass
 class _Block:
-    dim: int
-    F0: np.ndarray
-    lv: np.ndarray  # (n_e,) strictly increasing variable indices
-    F: np.ndarray  # (n_e, d, d) coefficient of each, none all zero
-    corner: _Corner | None
-    families: list = field(default_factory=list)
+    """One block F0 + sum_k y_{lv[k]} F_k >= 0 in the form the solver consumes.
 
-
-class _CompiledBlock:
-    """Frozen per-block arrays the solver consumes.
-
-    F[k] is the full d x d coefficient of variable lv[k] as the block was
-    declared, and F_flat the same stack with each matrix flattened. The
-    block's ordinary variables are gv = lv followed by each family's varmat
-    in row-major order (at fam_slices of gv); they must be distinct, so every
-    coupling of the block lands at its own position of the Schur complement.
+    A block with a slack corner of size dc (dc = 0 without one) makes its
+    top-left dc x dc submatrix the packed symmetric variable y[corner], and
+    every other coefficient is zero there. F[k] holds columns dc.. of F_k,
+    shape (d, d - dc): the border rows 0..dc and the symmetric trailing
+    block below them, which determine F_k whole. F_flat is the same stack
+    with each matrix flattened.
     """
 
-    def __init__(self, blk: _Block):
-        d = blk.dim
-        self.dim = d
-        self.F0 = blk.F0
-        self.corner = blk.corner
-        self.families = blk.families
-        self.lv = blk.lv
-        self.F = blk.F
-        self.F_flat = blk.F.reshape(-1, d * d)
-
-        self.gv = np.concatenate([self.lv] + [f.varmat.ravel() for f in self.families])
-        ends = self.lv.size + np.cumsum([f.varmat.size for f in self.families], dtype=int)
-        self.fam_slices = [slice(e - f.varmat.size, e) for f, e in zip(self.families, ends)]
-        if np.unique(self.gv).size != self.gv.size:
-            raise DimensionMismatch(
-                "a variable appears twice among one block's entries and column families"
-            )
+    def __init__(self, F0: np.ndarray, lv: np.ndarray, F: np.ndarray, dc: int, v0: int):
+        self.dim = F0.shape[0]
+        self.F0 = F0
+        self.lv = lv
+        self.F = F
+        self.F_flat = F.reshape(lv.size, self.dim * (self.dim - dc))
+        self.dc = dc
+        self.corner = slice(v0, v0 + svec_len(dc))
 
     def vars_touched(self) -> np.ndarray:
-        if self.corner is None:
-            return self.gv
-        c = self.corner
-        return np.concatenate([self.gv, c.var_start + np.arange(svec_len(c.dc))])
+        return np.concatenate([self.lv, np.arange(self.corner.start, self.corner.stop)])
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """F0 + sum_i y_i F_i as a dense symmetric matrix."""
@@ -151,26 +108,25 @@ class _CompiledBlock:
         orders of magnitude smaller, and the scaled-space congruence
         amplifies that noise by |W|^2.
         """
-        S = (y[self.lv] @ self.F_flat).reshape(self.dim, self.dim)
-        for fam in self.families:
-            nq = fam.varmat.shape[1]
-            CY = fam.C @ y[fam.varmat]  # (d, nq)
-            S[:, fam.col0 : fam.col0 + nq] += CY
-            S[fam.col0 : fam.col0 + nq, :] += CY.T
-        if self.corner is not None:
-            dc, v0 = self.corner.dc, self.corner.var_start
-            S[:dc, :dc] += smat(y[v0 : v0 + svec_len(dc)], dc)
+        dc = self.dc
+        B = (y[self.lv] @ self.F_flat).reshape(self.dim, self.dim - dc)
+        if not dc:
+            return B
+        S = np.empty((self.dim, self.dim))
+        S[:, dc:] = B
+        S[dc:, :dc] = B[:dc].T
+        S[:dc, :dc] = smat(y[self.corner], dc)
         return S
 
     def adjoint(self, Z: np.ndarray, g: np.ndarray) -> None:
-        """g_i += tr(F_i Z) for this block's coefficients; Z symmetric."""
-        g[self.lv] += self.F_flat @ Z.ravel()
-        for fam in self.families:
-            nq = fam.varmat.shape[1]
-            g[fam.varmat.ravel()] += 2.0 * (fam.C.T @ Z[:, fam.col0 : fam.col0 + nq]).ravel()
-        if self.corner is not None:
-            dc, v0 = self.corner.dc, self.corner.var_start
-            g[v0 : v0 + svec_len(dc)] += svec(Z[:dc, :dc])
+        """g_i += tr(F_i Z) for this block's coefficients; Z symmetric. The
+        border rows meet Z twice, once in each triangle."""
+        dc = self.dc
+        Zb = Z[:, dc:].copy()
+        Zb[:dc] *= 2.0
+        g[self.lv] += self.F_flat @ Zb.ravel()
+        if dc:
+            g[self.corner] += svec(Z[:dc, :dc])
 
 
 class LmiProblem:
@@ -183,18 +139,20 @@ class LmiProblem:
         self.objective = c.copy()
         self.num_vars = c.size
         self._blocks: list[_Block] = []
-        self._compiled: list[_CompiledBlock] | None = None
+        self._checked = False
 
     # -- construction ---------------------------------------------------------
 
     def new_block(self, F0, var=(), F=None, corner=None) -> int:
-        """Declare the block F0 + sum_k y_{var[k]} F[k] >= 0 and return its id.
+        """Declare the block F0 + sum_k y_{var[k]} F_k >= 0 and return its id.
 
-        var is strictly increasing and F has shape (len(var), d, d), each
-        F[k] symmetric; a variable whose coefficient is all zero is left out
-        of the block. corner = (dc, var_start) makes the top-left dc x dc
-        submatrix a packed symmetric slack variable occupying vars
-        var_start .. var_start + svec_len(dc) - 1.
+        corner = (dc, var_start) makes the top-left dc x dc submatrix a packed
+        symmetric slack variable occupying vars var_start .. var_start +
+        svec_len(dc) - 1; without one dc = 0. var is strictly increasing and F
+        has shape (len(var), d, d - dc): columns dc.. of each F_k, whose rows
+        dc.. are symmetric. F_k is zero in the corner, so these columns give
+        it whole. A variable whose coefficient is all zero is left out of the
+        block.
         """
         F0 = require_symmetric(F0, "F0")
         d = F0.shape[0]
@@ -205,76 +163,53 @@ class LmiProblem:
             raise DimensionMismatch("var must be a strictly increasing 1-D array")
         if var.size and not (0 <= var[0] and var[-1] < self.num_vars):
             raise DimensionMismatch(f"variable index out of range [0, {self.num_vars})")
-        F = np.zeros((0, d, d)) if F is None else np.asarray(F, dtype=float)
-        if F.shape != (var.size, d, d):
-            raise DimensionMismatch(f"F shape {F.shape} != {(var.size, d, d)}")
+        dc, var_start = (0, 0) if corner is None else corner
+        if corner is not None and not (
+            1 <= dc <= d and 0 <= var_start and var_start + svec_len(dc) <= self.num_vars
+        ):
+            raise DimensionMismatch(f"corner {corner} outside block dim {d} or the variables")
+        F = np.zeros((0, d, d - dc)) if F is None else np.asarray(F, dtype=float)
+        if F.shape != (var.size, d, d - dc):
+            raise DimensionMismatch(f"F shape {F.shape} != {(var.size, d, d - dc)}")
         if not np.all(np.isfinite(F)):
             raise ValueError("F contains non-finite entries")
-        Ft = F.transpose(0, 2, 1)
+        Fp = F[:, dc:]
+        Ft = Fp.transpose(0, 2, 1)
         # require_symmetric's rule, per coefficient: max|F - F.T| <= 1e-12 (1 + max|F|)
-        asym = np.abs(F - Ft).max(axis=(1, 2), initial=0.0)
+        asym = np.abs(Fp - Ft).max(axis=(1, 2), initial=0.0)
         bad = var[asym > 1e-12 * (1.0 + np.abs(F).max(axis=(1, 2), initial=0.0))]
         if bad.size:
             raise AsymmetricInput(f"coefficient of variable {bad[0]} is not symmetric")
         keep = np.any(F != 0.0, axis=(1, 2))
-        if corner is not None:
-            dc, var_start = corner
-            if not (1 <= dc <= d and 0 <= var_start and var_start + svec_len(dc) <= self.num_vars):
-                raise DimensionMismatch(f"corner {corner} outside block dim {d} or the variables")
-            corner = _Corner(dc=int(dc), var_start=int(var_start))
-        self._blocks.append(_Block(d, F0, var[keep], 0.5 * (F + Ft)[keep], corner))
-        self._compiled = None
+        F = np.concatenate((F[:, :dc], 0.5 * (Fp + Ft)), axis=1)[keep]
+        self._blocks.append(_Block(F0, var[keep], F, int(dc), int(var_start)))
+        self._checked = False
         return len(self._blocks) - 1
-
-    def add_column_family(self, bid: int, C, col0: int, varmat) -> None:
-        """For each (t, q): F_{varmat[t,q]} += C[:,t] e~.T + e~ C[:,t].T with
-        e~ the basis vector at column col0 + q."""
-        blk = self._blocks[bid]
-        C = as_matrix(C, "C")
-        varmat = np.asarray(varmat, dtype=np.intp)
-        if varmat.ndim != 2:
-            raise DimensionMismatch("varmat must be 2-D (T, nq)")
-        if C.shape != (blk.dim, varmat.shape[0]):
-            raise DimensionMismatch(
-                f"C shape {C.shape} incompatible with block dim {blk.dim} and T {varmat.shape[0]}"
-            )
-        nq = varmat.shape[1]
-        if not (0 <= col0 and col0 + nq <= blk.dim):
-            raise DimensionMismatch("family columns fall outside the block")
-        if varmat.size and (varmat.min() < 0 or varmat.max() >= self.num_vars):
-            raise DimensionMismatch("family variable index out of range")
-        blk.families.append(_Family(C=C.copy(), col0=int(col0), varmat=varmat.copy()))
-        self._compiled = None
 
     # -- inspection -----------------------------------------------------------
 
     def block_dims(self) -> list[int]:
         return [b.dim for b in self._blocks]
 
-    def compiled(self) -> list[_CompiledBlock]:
-        if self._compiled is None:
-            self._compiled = [_CompiledBlock(b) for b in self._blocks]
-            self._validate_corners(self._compiled)
-        return self._compiled
-
-    def _validate_corners(self, compiled: list[_CompiledBlock]) -> None:
-        corner_vars: set[int] = set()
-        for cb in compiled:
-            if cb.corner is None:
-                continue
-            vs = range(cb.corner.var_start, cb.corner.var_start + svec_len(cb.corner.dc))
-            overlap = corner_vars.intersection(vs)
-            if overlap:
-                raise DimensionMismatch(f"corner variables {sorted(overlap)} declared twice")
-            corner_vars.update(vs)
-        if not corner_vars:
-            return
-        for cb in compiled:
-            bad = set(cb.gv.tolist()) & corner_vars
-            if bad:
-                raise DimensionMismatch(
-                    f"corner variables {sorted(bad)[:4]} also appear as ordinary coefficients"
-                )
+    def compiled(self) -> list[_Block]:
+        """The blocks, once their corner variables are checked to be slack
+        only: declared by one corner and no ordinary coefficient."""
+        if not self._checked:
+            corner_vars: set[int] = set()
+            for b in self._blocks:
+                vs = range(b.corner.start, b.corner.stop)
+                overlap = corner_vars.intersection(vs)
+                if overlap:
+                    raise DimensionMismatch(f"corner variables {sorted(overlap)} declared twice")
+                corner_vars.update(vs)
+            for b in self._blocks:
+                bad = corner_vars.intersection(b.lv.tolist())
+                if bad:
+                    raise DimensionMismatch(
+                        f"corner variables {sorted(bad)[:4]} also appear as ordinary coefficients"
+                    )
+            self._checked = True
+        return self._blocks
 
     def evaluate_blocks(self, y) -> list[np.ndarray]:
         """Dense S_b = F0_b + sum_i y_i F_{b,i} at the given y."""
@@ -289,4 +224,3 @@ class LmiProblem:
         for cb, Z in zip(self.compiled(), Z_list):
             cb.adjoint(Z, g)
         return g
-

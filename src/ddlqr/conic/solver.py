@@ -8,13 +8,12 @@ as the baseline gram program does for X0 Y = P.
 
 The Schur complement M_ij = sum_b tr(F_bi W_b F_bj W_b) is assembled per
 block from dense BLAS products, in the forms of SDPT3 (Toh, Todd & Tutuncu,
-1999) and CVXOPT (Vandenberghe, 2010). Entry coefficients live in one dense
-stack F per block, so their couplings are F_flat @ (W F W)_flat.T, and column
-families keep closed-form pairwise terms. A declared slack corner, whose
-packed coefficients form an identity, is eliminated analytically: with
-Li = chol(W_cc)^-1 the correction is the Gram matrix of the whitened
-couplings Y_i = Li (W F_i W)_cc Li.T, rank 2 for every family variable, and
-the corner-corner operator is never formed.
+1999) and CVXOPT (Vandenberghe, 2010). A declared slack corner, whose packed
+coefficients form an identity, is eliminated analytically, and every block
+takes one formula with or without one: with W = L L.T read off the NT
+scaling, the corner-eliminated term is the Gram matrix of the whitened
+columns L.T F_i[:, dc:] L[dc:, dc:], and the corner-corner operator is never
+formed.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
-from .problem import LmiProblem, smat, svec, svec_len
+from .problem import SQRT2, LmiProblem, smat, svec
 
 __all__ = ["SolverStatus", "ConicSolution", "solve"]
 
@@ -103,95 +102,38 @@ def _boundary_step(lam: np.ndarray, D_scaled: np.ndarray) -> float:
     return 1.0 / (-m)
 
 
-def _pair_terms(A, B, C, D):
-    """2 [A_ts B_qr + C_tr D_qs] at row (t, q), column (s, r): the coupling
-    of two column families in row-major variable order."""
-    T1, nq1, T2, nq2 = A.shape[0], B.shape[0], A.shape[1], B.shape[1]
-    out = np.einsum("ts,qr->tqsr", A, B) + np.einsum("tr,qs->tqsr", C, D)
-    return 2.0 * out.reshape(T1 * nq1, T2 * nq2)
-
-
-class _CornerCoupling:
-    """Whitened coupling of one block's ordinary variables to its slack corner.
-
-    With Li = chol(W_cc)^-1 and W^ = W[:, :dc] Li.T, ordinary variable i
-    couples to the corner through Y_i = W^.T F_i W^. Entry variables keep
-    Y explicitly; a family variable (t, q) has the rank-2 form
-    p_t h_q.T + h_q p_t.T with P = W^.T C and H = W^[col0:col0 + nq].T.
-    The corner's Schur correction is then the Gram matrix <Y_i, Y_j>.
-    """
-
-    def __init__(self, cb, W, G, gp):
-        dc = cb.corner.dc
-        try:
-            Lc = np.linalg.cholesky(W[:dc, :dc])
-        except np.linalg.LinAlgError as exc:
-            raise _FactorError(f"corner scaling not positive definite: {exc}") from None
-        self.Li = scipy.linalg.solve_triangular(Lc, np.eye(dc), lower=True)
-        Wh = W[:, :dc] @ self.Li.T
-        self.Y = self.Li @ G[:, :dc, :dc] @ self.Li.T
-        self.Yf = self.Y.reshape(cb.lv.size, dc * dc)
-        self.PH = [
-            (Wh.T @ f.C, Wh[f.col0 : f.col0 + f.varmat.shape[1]].T) for f in cb.families
-        ]
-        self.ne, self.sls = cb.lv.size, cb.fam_slices
-        self.gp = gp
-        self.dc, self.v0 = dc, cb.corner.var_start
-
-    def reduce(self, Mb: np.ndarray) -> None:
-        """Subtract the corner's Schur correction <Y_i, Y_j> from Mb."""
-        ne = self.ne
-        Mb[:ne, :ne] -= self.Yf @ self.Yf.T
-        for sl, (P, H) in zip(self.sls, self.PH):
-            EF = 2.0 * (P.T @ self.Y @ H).reshape(ne, sl.stop - sl.start)
-            Mb[:ne, sl] -= EF
-            Mb[sl, :ne] -= EF.T
-            for sl2, (P2, H2) in zip(self.sls, self.PH):
-                Mb[sl, sl2] -= _pair_terms(P.T @ P2, H.T @ H2, P.T @ H2, H.T @ P2)
-
-    def project(self, Th: np.ndarray) -> np.ndarray:
-        """<Y_i, Th> for every ordinary variable i."""
-        out = [self.Yf @ Th.ravel()]
-        out += [2.0 * (P.T @ Th @ H).ravel() for P, H in self.PH]
-        return np.concatenate(out)
-
-    def combine(self, x: np.ndarray) -> np.ndarray:
-        """sum_i x_i Y_i."""
-        S = (x[: self.ne] @ self.Yf).reshape(self.dc, self.dc)
-        for sl, (P, H) in zip(self.sls, self.PH):
-            PD = P @ x[sl].reshape(P.shape[1], H.shape[1]) @ H.T
-            S += PD + PD.T
-        return S
-
-
 class _Factorization:
     """One iteration's Schur complement M_ij = sum_b tr(F_i W_b F_j W_b)
     over the ordinary variables, with every declared slack corner eliminated.
 
-    Each block contributes one dense local matrix over its variables gv,
-    added once at M[gp, gp]: entry pairs come from the coefficient stack as
-    F_flat @ (W F W)_flat.T, pairs involving a column family from its closed
-    forms, and a corner subtracts the Gram matrix of its whitened couplings.
+    With W = L L.T, L lower triangular, a block's corner-eliminated term is
+    tr(F_i W F_j W) - tr(T F_i T F_j) with T = L[:, :dc] L[:, :dc].T, and
+    W - T vanishes outside its trailing block. So the term is the Gram
+    matrix H H.T of H_i = L.T F_i[:, dc:] L[dc:, dc:] with the dc border rows
+    scaled by sqrt(2), which count in both triangles; without a corner it is
+    the plain tr(F_i W F_j W). Each block adds H H.T once at M[gp, gp].
     """
 
-    def __init__(self, compiled, Wms, oidx, pos_of, num_vars):
+    def __init__(self, compiled, Wms, Ls, oidx, pos_of, num_vars):
         self.compiled = compiled
         self.Wms = Wms
         self.oidx = oidx
         self.num_vars = num_vars
         ko = oidx.size
         M = np.zeros((ko, ko))
+        # (block, Li = L_cc^-1, Wh = L[:, :dc]) for each corner
         self.corners = []
 
-        for cb, W in zip(compiled, Wms):
-            gp = pos_of[cb.gv]
-            G = W @ cb.F @ W
-            Mb = self._block_schur(cb, W, G)
-            if cb.corner is not None:
-                cc = _CornerCoupling(cb, W, G, gp)
-                cc.reduce(Mb)
-                self.corners.append(cc)
-            M[np.ix_(gp, gp)] += Mb
+        for cb, L in zip(compiled, Ls):
+            dc = cb.dc
+            H = L.T @ cb.F @ L[dc:, dc:]
+            H[:, :dc] *= SQRT2
+            H = H.reshape(cb.lv.size, cb.dim * (cb.dim - dc))
+            gp = pos_of[cb.lv]
+            M[np.ix_(gp, gp)] += H @ H.T
+            if dc:
+                Li = scipy.linalg.solve_triangular(L[:dc, :dc], np.eye(dc), lower=True)
+                self.corners.append((cb, Li, L[:, :dc]))
 
         scale = float(np.max(np.diag(M))) if ko else 1.0
         if not np.isfinite(scale) or scale <= 0.0:
@@ -207,23 +149,6 @@ class _Factorization:
                 continue
         if self.factor is None:
             raise _FactorError("Schur complement not positive definite after jitter")
-
-    @staticmethod
-    def _block_schur(cb, W, G) -> np.ndarray:
-        """tr(F_i W F_j W) over the block's ordinary variables gv."""
-        ne = cb.lv.size
-        Mb = np.empty((cb.gv.size, cb.gv.size))
-        Mb[:ne, :ne] = cb.F_flat @ G.reshape(ne, cb.dim * cb.dim).T
-        Us = [W @ f.C for f in cb.families]
-        for f1, sl1, U1 in zip(cb.families, cb.fam_slices, Us):
-            c1 = slice(f1.col0, f1.col0 + f1.varmat.shape[1])
-            EF = 2.0 * (G[:, c1, :] @ f1.C).transpose(0, 2, 1).reshape(ne, f1.varmat.size)
-            Mb[:ne, sl1] = EF
-            Mb[sl1, :ne] = EF.T
-            for f2, sl2, U2 in zip(cb.families, cb.fam_slices, Us):
-                c2 = slice(f2.col0, f2.col0 + f2.varmat.shape[1])
-                Mb[sl1, sl2] = _pair_terms(f1.C.T @ U2, W[c1, c2], U1[c2].T, U2[c1])
-        return Mb
 
     def solve_kkt(self, E_list, rd):
         """Solve M dy = A*(E) - rd, with corner back-substitution and one
@@ -245,21 +170,25 @@ class _Factorization:
         return dy + self._reduced_solve(full_rhs - g)
 
     def _reduced_solve(self, full_rhs):
-        # Corner rows of the full system read M_cc dW + M_co dy = rhs_c with
-        # M_cc dW = W_cc dW W_cc, so dW = Li.T (Th - sum_i dy_i Y_i) Li.
-        r = full_rhs[self.oidx].copy()
+        # Corner rows of the full system read W_cc dW W_cc + (W A_o(dy) W)_cc
+        # = rhs_c, with A_o the block's ordinary apply. With Th = Li rhs_c Li.T
+        # the ordinary rows lose the block's adjoint at Wh Th Wh.T, and then
+        # dW = Li.T (Th - Wh.T A_o(dy) Wh) Li.
+        g = np.zeros(self.num_vars)
         Ths = []
-        for cc in self.corners:
-            Trw = smat(full_rhs[cc.v0 : cc.v0 + svec_len(cc.dc)], cc.dc)
-            Th = cc.Li @ Trw @ cc.Li.T
-            r[cc.gp] -= cc.project(Th)
+        for cb, Li, Wh in self.corners:
+            Th = Li @ smat(full_rhs[cb.corner], cb.dc) @ Li.T
+            cb.adjoint(Wh @ Th @ Wh.T, g)
             Ths.append(Th)
-        sol = scipy.linalg.cho_solve(self.factor, r)
         dy = np.zeros(self.num_vars)
-        dy[self.oidx] = sol
-        for cc, Th in zip(self.corners, Ths):
-            dW = cc.Li.T @ (Th - cc.combine(sol[cc.gp])) @ cc.Li
-            dy[cc.v0 : cc.v0 + svec_len(cc.dc)] = svec(0.5 * (dW + dW.T))
+        dy[self.oidx] = scipy.linalg.cho_solve(self.factor, (full_rhs - g)[self.oidx])
+        # apply_lin reads the corner entries of dy, still zero here: A_o(dy).
+        dWs = [
+            Li.T @ (Th - Wh.T @ cb.apply_lin(dy) @ Wh) @ Li
+            for (cb, Li, Wh), Th in zip(self.corners, Ths)
+        ]
+        for (cb, _, _), dW in zip(self.corners, dWs):
+            dy[cb.corner] = svec(0.5 * (dW + dW.T))
         return dy
 
 
@@ -329,8 +258,7 @@ def solve(problem: LmiProblem) -> ConicSolution:
 
     corner_mask = np.zeros(k, dtype=bool)
     for cb in compiled:
-        if cb.corner is not None:
-            corner_mask[cb.corner.var_start : cb.corner.var_start + svec_len(cb.corner.dc)] = True
+        corner_mask[cb.corner] = True
     oidx = np.flatnonzero(touched & ~corner_mask)
     pos_of = np.full(k, -1, dtype=np.intp)
     pos_of[oidx] = np.arange(oidx.size)
@@ -409,9 +337,11 @@ def solve(problem: LmiProblem) -> ConicSolution:
 
         try:
             scal = [_nt_scaling(S[i], Z[i]) for i in range(len(compiled))]
-            fact = _Factorization(
-                compiled, [sc[2] for sc in scal], oidx, pos_of, k
-            )
+            # W = Rinv.T Rinv = L L.T with L lower triangular, read off R of
+            # Rinv's QR: a Cholesky factor of W itself can fail on iterates
+            # where W is too ill-conditioned to factor again.
+            Ls = [np.linalg.qr(sc[1], mode="r").T for sc in scal]
+            fact = _Factorization(compiled, [sc[2] for sc in scal], Ls, oidx, pos_of, k)
         except _FactorError as exc:
             breakdown = f"next factorization failed: {exc}"
             break

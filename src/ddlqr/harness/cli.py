@@ -270,7 +270,11 @@ def main(argv=None) -> int:
     for p in sub.choices.values():
         # Errors found after parsing print the subcommand's usage line.
         p.set_defaults(usage_error=p.error)
-    args = parser.parse_args(argv)
+    # parse_known_args leaves unrecognized arguments to the subcommand's
+    # error, whose usage line shows the flags it takes.
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        args.usage_error(f"unrecognized arguments: {' '.join(extra)}")
     if args.command == "synth":
         reads = _PROGRAM_FLAGS[args.program]
         unread = [f for f, dest in _WEIGHT_FLAGS.items() if f not in reads and getattr(args, dest)]

@@ -18,10 +18,10 @@ a linear matrix expression whose parameters name layout slots, for example
 `lambda P, Kt: Kt - K_LS @ P` for the gain slack [[N, K tilde - K_LS P],
 [*, P]]. Evaluated on the slots' unit matrices (`SdpLayout.units`), the
 block gives every variable's coefficient matrix at once: the dense stack
-`LmiProblem.new_block` takes as it is. Slacks stay corners and the
-baseline's Y = X0^+ P + N Z, which meets X0 Y = P for every Z, keeps its
-kernel coordinates Z a column family: the structures the solver eliminates
-in closed form, and no program carries an equality row.
+`LmiProblem.new_block` takes, or for a slack block its columns right of the
+corner. Slacks stay corners, which the solver eliminates in closed form. The
+baseline's Y = X0^+ P + N Z meets X0 Y = P for every Z, so its kernel
+coordinates Z are one more slot and no program carries an equality row.
 
 Each reduced program is also an LQR problem on the least-squares model (an
 H2 LMI is equivalent to a discrete algebraic Riccati equation), so
@@ -185,12 +185,6 @@ class SdpLayout:
             self._units[key] = (var, U)
         return self._units[key]
 
-    def var_grid(self, name: str) -> np.ndarray:
-        s = self._slots[name]
-        if s.kind != "full":
-            raise DimensionMismatch(f"slot {name!r} is not full")
-        return s.offset + np.arange(s.size).reshape(s.rows, s.cols)
-
     def extract(self, name: str, y: np.ndarray) -> np.ndarray:
         s = self._slots[name]
         seg = np.asarray(y, dtype=float)[s.offset : s.offset + s.size]
@@ -238,16 +232,13 @@ class TruthEvaluation:
 
 
 def _border(lay: SdpLayout, off) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(var, F, U_P): F[k] is the coefficient of variable var[k] in
-    [[0, X], [X^T, P]], with the border X = off(...) (dc rows) at columns
-    dc.., and U_P[k] its coefficient in P. off is a linear matrix expression
-    over the layout slots its parameters name, so each coefficient is the
-    block at that variable's unit matrix."""
+    """(var, X, U_P): X[k] is the border X = off(...) and U_P[k] the value of
+    P at y = e_{var[k]}. off is a linear matrix expression over the layout
+    slots its parameters name, so X[k] is the border's coefficient of
+    variable var[k]."""
     names = tuple(inspect.signature(off).parameters)
     var, U = lay.units(("P",) + names)
-    X = off(*(U[s] for s in names))
-    F = np.block([[np.zeros((var.size, X.shape[1], X.shape[1])), X], [X.swapaxes(1, 2), U["P"]]])
-    return var, F, U["P"]
+    return var, off(*(U[s] for s in names)), U["P"]
 
 
 def _h2_program(lay: SdpLayout, q_p, a_cl, bounds) -> LmiProblem:
@@ -257,8 +248,9 @@ def _h2_program(lay: SdpLayout, q_p, a_cl, bounds) -> LmiProblem:
     Block 0 is [[P - I, A_cl P], [*, P]] >= 0 with A_cl P = a_cl(...), and the
     objective starts at tr(q_p P). Each (name, dev, D) in bounds allocates a
     symmetric slack S after the primal slots, sized by D, adds the block
-    [[S, dev], [*, P]] >= 0 with S a corner, and adds tr(D S). Builders pass
-    ("L", K P, R) first, so block 1's border is K P (see _solve_and_extract).
+    [[S, dev], [*, P]] >= 0 with S a corner, declared by its columns right of
+    the corner, [dev; P], and adds tr(D S). Builders pass ("L", K P, R) first,
+    so block 1's border is K P (see _solve_and_extract).
     """
     n = lay.slot("P").rows
     for name, _, D in bounds:
@@ -269,14 +261,14 @@ def _h2_program(lay: SdpLayout, q_p, a_cl, bounds) -> LmiProblem:
         lay.add_sym_cost(c, name, D)
     p = LmiProblem(c)
 
-    var, F, U_P = _border(lay, a_cl)
-    F[:, :n, :n] += U_P
+    var, X, U_P = _border(lay, a_cl)
     F0 = np.zeros((2 * n, 2 * n))
     F0[:n, :n] = -np.eye(n)
-    p.new_block(F0, var, F)
+    p.new_block(F0, var, np.block([[U_P, X], [X.swapaxes(1, 2), U_P]]))
     for name, dev, _ in bounds:
         s = lay.slot(name)
-        var, F, _ = _border(lay, dev)
+        var, X, U_P = _border(lay, dev)
+        F = np.concatenate((X, U_P), axis=1)
         p.new_block(np.zeros((s.rows + n, s.rows + n)), var, F, corner=(s.rows, s.offset))
     return p
 
@@ -296,8 +288,7 @@ def _check_qr(n: int, m: int, Q, R) -> tuple[np.ndarray, np.ndarray]:
 
 def _solve_and_extract(p: LmiProblem, lay: SdpLayout, program_id: str) -> LqrSolution:
     """Solve an _h2_program and read K P off block 1's border and A_cl P off
-    block 0's at the solution (column families included), so K and A_cl come
-    from one solve against P."""
+    block 0's at the solution, so K and A_cl come from one solve against P."""
     sol = solve(p)
     if not sol.optimal:
         raise SynthesisInfeasible(program_id, sol.status.value, sol)
@@ -516,7 +507,7 @@ def build_baseline_gram_problem(
     """Raw-data program in the ell-column variable Y = G P with X0 Y = P.
 
     Y = X0^+ P + N Z (baseline_y_map) meets X0 Y = P for every Z, so each
-    border C Y is the expression (C X0^+) P plus the column family (C N) Z,
+    border C Y is the expression (C X0^+) P + (C N) Z over the slots P and Z,
     with no equality rows. The regularizer slack W is an ell x ell corner.
     """
     Q, R, lam = _baseline_weights(stats, Q, R, lam)
@@ -527,14 +518,12 @@ def build_baseline_gram_problem(
     x0_pinv, N = baseline_y_map(d.x0)
     Pi = kernel_projector(d) if projected else np.eye(ell)
     X1p, U0p, Pip = d.x1 @ x0_pinv, d.u0 @ x0_pinv, Pi @ x0_pinv
-    bounds = [("L", lambda P: U0p @ P, R), ("W", lambda P: Pip @ P, lam * np.eye(ell))]
-    p = _h2_program(lay, Q, lambda P: X1p @ P, bounds)
-    # Blocks 0-2 have borders X1 Y, U0 Y and Pi Y. Each family fills the
-    # border's dc rows; the P rows below it stay zero.
-    for bid, C in enumerate((d.x1, d.u0, Pi)):
-        CN = np.vstack((C @ N, np.zeros((n, ell - n))))
-        p.add_column_family(bid, CN, C.shape[0], lay.var_grid("Z"))
-    return p, lay
+    X1N, U0N, PiN = d.x1 @ N, d.u0 @ N, Pi @ N
+    bounds = [
+        ("L", lambda P, Z: U0p @ P + U0N @ Z, R),
+        ("W", lambda P, Z: Pip @ P + PiN @ Z, lam * np.eye(ell)),
+    ]
+    return _h2_program(lay, Q, lambda P, Z: X1p @ P + X1N @ Z, bounds), lay
 
 
 def synth_baseline_gram(

@@ -282,47 +282,6 @@ def test_entry_api_matches_dense_blocks():
         assert np.abs(ent.adjoint(Zs) - ref).max() <= 1e-13
 
 
-def test_column_family_matches_dense():
-    rng = np.random.default_rng(23)
-    k, d, T, nq, col0 = 6, 5, 2, 2, 1
-    C = rng.standard_normal((d, T))
-    varmat = np.array([[0, 1], [2, 3]])
-    G0 = rng.standard_normal((d, d))
-    F0 = G0 @ G0.T + 2.0 * np.eye(d)
-    c = rng.standard_normal(k)
-    box = 5.0
-    unit = [np.diag((np.arange(k) == i).astype(float)) for i in range(k)]
-
-    fam = LmiProblem(c)
-    bid = fam.new_block(F0, [4], [np.diag(np.arange(d) == 0).astype(float)])
-    fam.add_column_family(bid, C, col0, varmat)
-    add_dense_block(fam, box * np.eye(k), unit)
-    add_dense_block(fam, box * np.eye(k), [-U for U in unit])
-
-    Fs = [np.zeros((d, d)) for _ in range(k)]
-    for t in range(T):
-        for q in range(nq):
-            e = np.zeros(d)
-            e[col0 + q] = 1.0
-            Fs[varmat[t, q]] += np.outer(C[:, t], e) + np.outer(e, C[:, t])
-    Fs[4][0, 0] += 1.0
-    dense = LmiProblem(c)
-    add_dense_block(dense, F0, Fs)
-    add_dense_block(dense, box * np.eye(k), unit)
-    add_dense_block(dense, box * np.eye(k), [-U for U in unit])
-
-    y = rng.standard_normal(k)
-    assert np.abs(fam.evaluate_blocks(y)[0] - dense_value(F0, Fs, y)).max() <= 1e-13
-
-    # the family's closed-form Schur terms against plain entries
-    s_fam = solve(fam)
-    s_dense = solve(dense)
-    assert s_fam.status == "Optimal"
-    assert s_dense.status == "Optimal"
-    assert s_fam.objective == pytest.approx(s_dense.objective, abs=1e-6)
-    assert np.abs(s_fam.y - s_dense.y).max() <= 1e-5
-
-
 def test_corner_slack_matches_dense():
     # min tr(W) + t st [[W, a], [a.T, t]] >= 0 and t <= 3, |a| = 2:
     # optimum t = 2, W = a a.T / 2, objective 4
@@ -336,7 +295,8 @@ def test_corner_slack_matches_dense():
     F0 = np.zeros((3, 3))
     F0[0, 2], F0[1, 2] = a[0], a[1]
     F0[2, 0], F0[2, 1] = a[0], a[1]
-    cor.new_block(F0, [nw], [np.diag([0.0, 0.0, 1.0])], corner=(2, 0))
+    # columns 2.. of the coefficient of t: its border rows and trailing entry
+    cor.new_block(F0, [nw], [[[0.0], [0.0], [1.0]]], corner=(2, 0))
     add_dense_block(cor, np.array([[3.0]]), bound)
 
     Fs = [np.zeros((3, 3)) for _ in range(k)]
@@ -361,7 +321,7 @@ def test_corner_slack_matches_dense():
 def test_corner_variables_must_stay_slack_only():
     p = LmiProblem(np.ones(4))
     # corner var 0 reused as an ordinary coefficient
-    p.new_block(np.eye(3), [0], [np.diag([0.0, 0.0, 1.0])], corner=(2, 0))
+    p.new_block(np.eye(3), [0], [[[0.0], [0.0], [1.0]]], corner=(2, 0))
     with pytest.raises(DimensionMismatch):
         p.compiled()
 
@@ -400,12 +360,17 @@ def test_rejects_bad_indices():
         {"var": [0], "F": [np.eye(3)]},  # F shape does not match the block
         {"var": [0], "corner": (3, 1)},  # corner larger than the block
         {"var": [0], "corner": (2, 2)},  # corner variables 2..4 past num_vars
+        {"var": [0], "corner": (1, 1)},  # a corner block takes columns dc.. only
     ):
         kwargs.setdefault("F", [E])
         with pytest.raises(DimensionMismatch):
             p.new_block(np.eye(2), **kwargs)
     with pytest.raises(AsymmetricInput):
         p.new_block(np.eye(2), [0, 1], [E, np.array([[0.0, 1.0], [0.0, 0.0]])])
+    # the border row of a corner block is free; the rows below it are not
+    border = np.array([[[2.0, 3.0], [0.0, 1.0], [0.5, 0.0]]])
+    with pytest.raises(AsymmetricInput):
+        p.new_block(np.eye(3), [0], border, corner=(1, 1))
     assert p.block_dims() == []
 
 
@@ -416,23 +381,18 @@ def test_solution_metadata():
     assert sol.optimal
 
 
-def test_family_variables_must_be_distinct_within_a_block():
-    p = LmiProblem(np.zeros(3))
-    bid = p.new_block(np.zeros((3, 3)), [0], [np.diag([1.0, 0.0, 0.0])])
-    p.add_column_family(bid, np.ones((3, 1)), 2, np.array([[0]]))  # var 0 is also an entry
-    with pytest.raises(DimensionMismatch):
-        p.compiled()
-
-
 # -- Schur assembly against brute force -----------------------------------------
 
 
 def structured_problem_with_dense_twin(seed):
-    """Random problem mixing a 1-D block, a sparse 4 x 4 block, a block with
-    two column families, and a corner block holding entries and a family (the
-    shape of the baseline W block). Returns the problem, the corner variables
-    and the explicit coefficient F_{b,i} of every variable in every block,
-    built apart from the problem's own code."""
+    """Random problem mixing a 1-D block, a sparse 4 x 4 block, a block of
+    entries and two column families (coefficients C[:, t] e_q.T + e_q C[:, t].T
+    of variable varmat[t, q], e_q the basis vector at column col0 + q), and a
+    corner block holding entries and such a family in its border rows (the
+    shape of the baseline W block). Each block is declared by its coefficient
+    stack, columns dc.. of it for the corner block. Returns the problem, the
+    corner variables and the explicit coefficient F_{b,i} of every variable in
+    every block, built apart from the problem's own code."""
     rng = np.random.default_rng(seed)
     dc, nq = 3, 2
     ncv = svec_len(dc)
@@ -441,45 +401,55 @@ def structured_problem_with_dense_twin(seed):
     p = LmiProblem(rng.standard_normal(k))
     dense = []
 
-    def block(var, G, corner=None):
-        """Declare a random symmetric F0 plus the coefficients sym(G[t]) of
-        the sorted variables var."""
-        dim = G.shape[1]
-        F0 = rng.standard_normal((dim, dim))
-        var, F = np.sort(var), 0.5 * (G + G.swapaxes(1, 2))
-        dense.append(np.zeros((k, dim, dim)))
-        dense[-1][var] = F
-        return p.new_block(0.5 * (F0 + F0.T), var, F, corner=corner)
+    def entries(var, G):
+        """Dense coefficients (k, dim, dim) with sym(G[t]) at variable var[t]."""
+        F = np.zeros((k,) + G.shape[1:])
+        F[var] = 0.5 * (G + G.swapaxes(1, 2))
+        return F
 
-    def single_entries(nvar, dim, rows):
+    def single_entries(var, dim, rows):
         """One random coordinate per variable, its row drawn from rows."""
-        G = np.zeros((nvar, dim, dim))
-        i, j = rng.choice(rows, nvar), rng.integers(0, dim, nvar)
-        G[np.arange(nvar), i, j] = rng.standard_normal(nvar)
-        return G
+        G = np.zeros((len(var), dim, dim))
+        i, j = rng.choice(rows, len(var)), rng.integers(0, dim, len(var))
+        G[np.arange(len(var)), i, j] = rng.standard_normal(len(var))
+        return entries(var, G)
 
-    def family(bid, C, col0, varmat):
-        p.add_column_family(bid, C, col0, varmat)
+    def family(F, C, col0, varmat):
         for (t, q), var in np.ndenumerate(varmat):
             e = np.zeros(C.shape[0])
             e[col0 + q] = 1.0
-            dense[bid][var] += np.outer(C[:, t], e) + np.outer(e, C[:, t])
+            F[var] += np.outer(C[:, t], e) + np.outer(e, C[:, t])
 
-    block(rng.choice(ordinary, 5, replace=False), rng.standard_normal((5, 1, 1)))
-    block(ordinary, rng.standard_normal((16, 4, 4)) * (rng.uniform(size=(16, 4, 4)) < 0.3))
+    def block(F, dc=0):
+        """Declare a random symmetric F0 plus the coefficients F of every
+        variable whose F is nonzero; a corner block's F is zero in its
+        corner, and the twin gets the corner's packed identity."""
+        dim = F.shape[1]
+        F0 = rng.standard_normal((dim, dim))
+        var = np.flatnonzero(np.any(F != 0.0, axis=(1, 2)))
+        corner = None
+        if dc:
+            corner = (dc, 0)
+            for kk, (i, j) in enumerate(zip(*np.triu_indices(dc))):
+                F[kk, i, j] = F[kk, j, i] = 1.0 if i == j else 1.0 / np.sqrt(2.0)
+        dense.append(F)
+        return p.new_block(0.5 * (F0 + F0.T), var, F[var][:, :, dc:], corner=corner)
+
+    block(entries(rng.choice(ordinary, 5, replace=False), rng.standard_normal((5, 1, 1))))
+    block(entries(ordinary, rng.standard_normal((16, 4, 4)) * (rng.uniform(size=(16, 4, 4)) < 0.3)))
 
     fam_vars = rng.permutation(ordinary)
-    bid = block(fam_vars[7:10], single_entries(3, 6, np.arange(6)))
-    family(bid, rng.standard_normal((6, 2)), 4, fam_vars[:4].reshape(2, 2))
-    family(bid, rng.standard_normal((6, 3)), 1, fam_vars[4:7].reshape(3, 1))
+    F = single_entries(fam_vars[7:10], 6, np.arange(6))
+    family(F, rng.standard_normal((6, 2)), 4, fam_vars[:4].reshape(2, 2))
+    family(F, rng.standard_normal((6, 3)), 1, fam_vars[4:7].reshape(3, 1))
+    block(F)
 
     fam_vars = rng.permutation(ordinary)
-    bid = block(fam_vars[6:9], single_entries(3, dc + nq, dc + np.arange(nq)), corner=(dc, 0))
-    for kk, (i, j) in enumerate(zip(*np.triu_indices(dc))):
-        dense[bid][kk, i, j] = dense[bid][kk, j, i] = 1.0 if i == j else 1.0 / np.sqrt(2.0)
+    F = single_entries(fam_vars[6:9], dc + nq, dc + np.arange(nq))
     C = np.zeros((dc + nq, 3))
     C[:dc] = rng.standard_normal((dc, 3))
-    family(bid, C, dc, fam_vars[:6].reshape(3, nq))
+    family(F, C, dc, fam_vars[:6].reshape(3, nq))
+    block(F, dc)
     return p, np.arange(ncv), dense
 
 
@@ -514,7 +484,7 @@ def test_schur_assembly_matches_brute_force(seed):
 
     pos_of = np.full(k, -1, dtype=np.intp)
     pos_of[o] = np.arange(o.size)
-    fact = _Factorization(p.compiled(), Ws, o, pos_of, k)
+    fact = _Factorization(p.compiled(), Ws, [np.linalg.cholesky(W) for W in Ws], o, pos_of, k)
     L = np.tril(fact.factor[0])
     assert np.abs(L @ L.T - M_red).max() <= 1e-9 * np.abs(M_red).max()
 
@@ -524,3 +494,6 @@ def test_schur_assembly_matches_brute_force(seed):
     dy_ref = np.linalg.solve(M, rhs)
     dy = fact.solve_kkt(E_list, rd)
     assert np.abs(dy - dy_ref).max() <= 1e-9 * np.abs(dy_ref).max()
+    # One refinement step repairs an elimination that drops either corner
+    # coupling, so the unrefined solve is checked on its own as well.
+    assert np.abs(fact._reduced_solve(rhs) - dy_ref).max() <= 1e-9 * np.abs(dy_ref).max()

@@ -6,13 +6,16 @@ import pkgutil
 import ddlqr
 from ddlqr.conic import LmiProblem
 from ddlqr.datamodel import DataStats
+from ddlqr.synthesis import SdpLayout
 
 # Removed API: helpers only tests called, the sweep's baseline cases, the
 # solver's settings object and the certainty-equivalence twin of
 # synth_reduced_covar at zero weights, and the eigendecomposition-based
 # covariance inverses that DataStats now reads off its triangular factor, and
 # the Riccati path's expanded gain-deviation penalty, now a completed square,
-# and the builders' entry-by-entry placement, now one dense stack per block.
+# and the builders' entry-by-entry placement, now one dense stack per block,
+# and the column families with their special-case Schur terms, now one Gram
+# formula for every block.
 DELETED = {
     "svec_index",
     "new_problem",
@@ -30,6 +33,11 @@ DELETED = {
     "_shifted_lqr",
     "_add_upper",
     "_add_border",
+    "_Family",
+    "_CompiledBlock",
+    "_CornerCoupling",
+    "_pair_terms",
+    "_block_schur",
 }
 
 
@@ -42,6 +50,8 @@ def test_every_export_resolves_and_no_removed_name_is_exported():
         assert all(hasattr(mod, sym) for sym in exported), name
         assert not exported & DELETED, name
         assert not DELETED & set(vars(mod)), name
-    for method in ("add_block", "add_entry", "set_block_const", "set_objective", "add_corner_slack"):
+    for method in ("add_block", "add_entry", "set_block_const", "set_objective",
+                   "add_corner_slack", "add_column_family"):
         assert not hasattr(LmiProblem, method), method
+    assert not hasattr(SdpLayout, "var_grid")
     assert "ab_ls" not in DataStats.__dataclass_fields__

@@ -286,6 +286,22 @@ def test_problem_size_ell_independence():
     assert base_vars == sorted(base_vars) and len(set(base_vars)) == len(base_vars)
 
 
+def test_baseline_corner_blocks_store_their_border_columns_only():
+    # A corner block stores columns dc.. of each coefficient, O(ell n) numbers
+    # per variable: a full (var, ell + n, ell + n) stack of the W block would
+    # take about 12 MB at ell = 90.
+    ell = 90
+    d, st = noisy(9, ell=ell)
+    n = st.n
+    p, lay = build_baseline_gram_problem(d, st, Q2, R1, 1.0, projected=False)
+    blocks = p.compiled()
+    for cb in blocks[1:]:
+        assert cb.F.shape == (cb.lv.size, cb.dim, n)
+    z = lay.slot("Z")
+    assert z.size == (ell - n) * n
+    assert np.isin(z.offset + np.arange(z.size), blocks[2].lv).all()
+
+
 def bordered(T, X, P):
     return np.block([[T, X], [X.T, P]])
 
