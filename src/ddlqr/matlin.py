@@ -2,9 +2,12 @@
 
 All matrices are plain float64 numpy arrays. Factorizations are delegated to
 numpy's LAPACK bindings. The Riccati equation is solved by structure-preserving
-doubling and the Lyapunov equation as one Kronecker system, behind the input
-validation, tolerance checks, clamping rules and stability and residual checks
-implemented here.
+doubling and the Lyapunov equation as one Kronecker system. Each public
+function validates its input, then calls one private core on the checked
+arrays (`_rho`, `_dlyap`, `_dare`, `_h2`), which the Riccati path in
+`synthesis` also calls directly. The cores keep every numerical check but
+one: `_dare` leaves rho(A + B K) < 1 to its caller, which computes that
+spectral radius once and reuses it.
 
 Tolerance conventions
 ---------------------
@@ -52,6 +55,14 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return out
 
 
+def _square(a, name: str) -> np.ndarray:
+    """`as_matrix` for a square matrix."""
+    A = as_matrix(a, name)
+    if A.shape[0] != A.shape[1]:
+        raise DimensionMismatch(f"{name} must be square, got {A.shape}")
+    return A
+
+
 def sym(S: np.ndarray) -> np.ndarray:
     """Symmetric part (S + S.T) / 2."""
     return 0.5 * (S + S.T)
@@ -63,9 +74,7 @@ def require_symmetric(S, name: str = "matrix") -> np.ndarray:
     The asymmetry max|S - S.T| must not exceed ``1e-12 * (1 + max|S|)``;
     beyond that the input is rejected rather than silently averaged.
     """
-    S = as_matrix(S, name)
-    if S.shape[0] != S.shape[1]:
-        raise DimensionMismatch(f"{name} must be square, got {S.shape}")
+    S = _square(S, name)
     scale = 1.0 + (np.abs(S).max() if S.size else 0.0)
     asym = np.abs(S - S.T).max() if S.size else 0.0
     if asym > 1e-12 * scale:
@@ -97,12 +106,12 @@ def pinv(M) -> np.ndarray:
 
 
 def spectral_radius(A) -> float:
-    A = as_matrix(A, "A")
-    if A.shape[0] != A.shape[1]:
-        raise DimensionMismatch(f"A must be square, got {A.shape}")
-    if A.shape[0] == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(A))))
+    return _rho(_square(A, "A"))
+
+
+def _rho(A) -> float:
+    """Spectral radius of a checked square matrix."""
+    return float(np.max(np.abs(np.linalg.eigvals(A)))) if A.size else 0.0
 
 
 def solve_dlyap(A_cl) -> np.ndarray:
@@ -112,13 +121,15 @@ def solve_dlyap(A_cl) -> np.ndarray:
     Kronecker system (I - A_cl kron A_cl) vec P = vec I; the residual is
     verified to 1e-9 before the symmetrized P is returned.
     """
-    A = as_matrix(A_cl, "A_cl")
-    n = A.shape[0]
-    if A.shape[1] != n:
-        raise DimensionMismatch(f"A_cl must be square, got {A.shape}")
-    rho = spectral_radius(A)
+    A = _square(A_cl, "A_cl")
+    return _dlyap(A, _rho(A))
+
+
+def _dlyap(A, rho: float) -> np.ndarray:
+    """`solve_dlyap` on a checked square A whose spectral radius is rho."""
     if rho >= 1.0 - 1e-9:
         raise UnstableMatrix(f"spectral radius {rho:.12f} not below 1 - 1e-9")
+    n = A.shape[0]
     # One Kronecker system at every size: a bilinear transform loses about
     # three digits, enough to fail the residual check near rho = 1.
     P = _kron_lyap(A, np.eye(n))
@@ -128,10 +139,16 @@ def solve_dlyap(A_cl) -> np.ndarray:
     return P
 
 
+def _kron(A) -> np.ndarray:
+    """np.kron(A, A) bit for bit: each entry is the one product a_ij a_kl."""
+    n = A.shape[0]
+    return (A[:, None, :, None] * A[None, :, None, :]).reshape(n * n, n * n)
+
+
 def _kron_lyap(A, W) -> np.ndarray:
     """Symmetrized solution of P = A P A.T + W through its Kronecker system."""
     n = A.shape[0]
-    return sym(np.linalg.solve(np.eye(n * n) - np.kron(A, A), W.ravel()).reshape(n, n))
+    return sym(np.linalg.solve(np.eye(n * n) - _kron(A), W.ravel()).reshape(n, n))
 
 
 def solve_dare(A, B, Q, R) -> tuple[np.ndarray, np.ndarray]:
@@ -143,17 +160,21 @@ def solve_dare(A, B, Q, R) -> tuple[np.ndarray, np.ndarray]:
     A pair that is not stabilizable raises NoConvergence, whether the doubling
     finds no finite limit or its gain leaves rho(A + B K) >= 1.
     """
-    A = as_matrix(A, "A")
+    A = _square(A, "A")
     B = as_matrix(B, "B")
-    n = A.shape[0]
-    if A.shape[1] != n:
-        raise DimensionMismatch(f"A must be square, got {A.shape}")
-    if B.shape[0] != n:
-        raise DimensionMismatch(f"B has {B.shape[0]} rows, expected {n}")
     Q = require_symmetric(Q, "Q")
     R = require_symmetric(R, "R")
-    if Q.shape[0] != n or R.shape[0] != B.shape[1]:
-        raise DimensionMismatch("Q/R dimensions do not match A/B")
+    if B.shape[0] != A.shape[0] or Q.shape != A.shape or R.shape[0] != B.shape[1]:
+        raise DimensionMismatch(f"B/Q/R shapes do not match A {A.shape}")
+    K, S = _dare(A, B, Q, R)
+    rho = _rho(A + B @ K)
+    if rho >= 1.0:
+        raise NoConvergence(f"Riccati gain does not stabilize (rho = {rho:.6f})")
+    return K, S
+
+
+def _dare(A, B, Q, R) -> tuple[np.ndarray, np.ndarray]:
+    """`solve_dare` on checked arrays; the caller tests rho(A + B K) < 1."""
 
     def gain(S):
         BtS = B.T @ S
@@ -169,9 +190,8 @@ def solve_dare(A, B, Q, R) -> tuple[np.ndarray, np.ndarray]:
             K = gain(S)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"no stabilizing Riccati solution: {exc}") from None
-    rho = spectral_radius(A + B @ K) if np.all(np.isfinite(K)) else np.inf
-    if rho >= 1.0:
-        raise NoConvergence(f"Riccati gain does not stabilize (rho = {rho:.6f})")
+    if not np.all(np.isfinite(K)):
+        raise NoConvergence("no stabilizing Riccati solution: the gain is not finite")
     return K, S
 
 
@@ -199,12 +219,16 @@ def _doubling(A, G, H) -> np.ndarray:
 
 def h2norm_sq(A_cl, K, Q, R) -> float:
     """Squared closed-loop H2 cost tr(Q P) + tr(K.T R K P) with P the Gramian."""
-    A_cl = as_matrix(A_cl, "A_cl")
+    A_cl = _square(A_cl, "A_cl")
     K = as_matrix(K, "K")
     Q = require_symmetric(Q, "Q")
     R = require_symmetric(R, "R")
-    n = A_cl.shape[0]
-    if K.shape[1] != n or Q.shape[0] != n or R.shape[0] != K.shape[0]:
+    if K.shape[1] != A_cl.shape[0] or Q.shape != A_cl.shape or R.shape[0] != K.shape[0]:
         raise DimensionMismatch("inconsistent shapes for closed-loop cost")
-    P = solve_dlyap(A_cl)
+    return _h2(A_cl, _rho(A_cl), K, Q, R)
+
+
+def _h2(A_cl, rho: float, K, Q, R) -> float:
+    """`h2norm_sq` on checked arrays, with rho the spectral radius of A_cl."""
+    P = _dlyap(A_cl, rho)
     return float(np.trace(Q @ P) + np.trace(K.T @ R @ K @ P))

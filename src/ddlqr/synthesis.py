@@ -59,15 +59,7 @@ from .errors import (
     SynthesisInfeasible,
     UnstableMatrix,
 )
-from .matlin import (
-    as_matrix,
-    h2norm_sq,
-    require_symmetric,
-    solve_dare,
-    solve_dlyap,
-    spectral_radius,
-    sym,
-)
+from .matlin import _dare, _dlyap, _h2, _rho, _square, as_matrix, require_symmetric, sym
 
 __all__ = [
     "LqrSolution",
@@ -99,11 +91,9 @@ class PlantModel:
     R: np.ndarray
 
     def __post_init__(self):
-        A = as_matrix(self.A, "A")
+        A = _square(self.A, "A")
         B = as_matrix(self.B, "B")
         n = A.shape[0]
-        if A.shape != (n, n):
-            raise DimensionMismatch(f"A must be square, got {A.shape}")
         if B.shape[0] != n:
             raise DimensionMismatch(f"B has {B.shape[0]} rows, expected {n}")
         Q, R = _check_qr(n, B.shape[1], self.Q, self.R)
@@ -427,8 +417,8 @@ def _riccati_path(stats: DataStats, Q, R, w: RegWeights, parameterization: str) 
     A_LS, B_LS, K_LS = stats.a_ls, stats.b_ls, stats.k_ls
     F = np.linalg.solve(R + du, du @ K_LS)
     if gram and w.lambda1 == 0.0:
-        # A free closed loop costs nothing: A_cl = 0, P = I and K = F.
-        K, A_cl = F, np.zeros((n, n))
+        # A free closed loop costs nothing: A_cl = 0 (rho = 0), P = I and K = F.
+        K, A_cl, rho = F, np.zeros((n, n)), 0.0
     else:
         E = sym(du @ np.linalg.solve(R + du, R))
         B, r = B_LS, R + du
@@ -436,12 +426,15 @@ def _riccati_path(stats: DataStats, Q, R, w: RegWeights, parameterization: str) 
             B, r = np.hstack([B_LS, np.eye(n)]), np.zeros((m + n, m + n))
             r[:m, :m], r[m:, m:] = R + du, dx
         try:
-            G, _ = solve_dare(A_LS + B_LS @ F, B, sym(Q + d0 + K_LS.T @ E @ K_LS), r)
+            G, _ = _dare(A_LS + B_LS @ F, B, sym(Q + d0 + K_LS.T @ E @ K_LS), r)
+            G[:m] += F  # the gain on the unshifted inputs; under covariance G = K
+            K, A_cl = G[:m], A_LS + B @ G
+            rho = _rho(A_cl)  # once: the DARE's stability test and the Gramian's
+            if rho >= 1.0:
+                raise NoConvergence(f"Riccati gain does not stabilize (rho = {rho:.6f})")
         except NoConvergence as exc:
             raise SynthesisInfeasible(program_id, "Infeasible") from exc
-        G[:m] += F  # the gain on the unshifted inputs; under covariance G = K
-        K, A_cl = G[:m], A_LS + B @ G
-    P = solve_dlyap(A_cl)
+    P = _dlyap(A_cl, rho)
     # The SDP's optimum: nominal H2 cost plus the regularizer's effect.
     eff = _effect(K, A_cl, np.linalg.cholesky(P), stats, w)
     return LqrSolution(
@@ -568,11 +561,13 @@ def synth_baseline_covar(stats: DataStats, Q, R, lam: float) -> LqrSolution:
 
 
 def evaluate_on_truth(sol: LqrSolution, pm: PlantModel) -> TruthEvaluation:
-    """Spectral radius and H2 cost of the gain on the true plant."""
-    A_cl = pm.A + pm.B @ sol.K
-    rho = spectral_radius(A_cl)
+    """Spectral radius and H2 cost (None at rho >= 1 - 1e-9) of the gain on the true plant."""
+    K = as_matrix(sol.K, "K")
+    if K.shape != (pm.m, pm.n):
+        raise DimensionMismatch(f"K must be {pm.m} x {pm.n}, got {K.shape}")
+    A_cl = pm.A + pm.B @ K
+    rho = _rho(A_cl)
     try:
-        h2 = h2norm_sq(A_cl, sol.K, pm.Q, pm.R)
+        return TruthEvaluation(rho=rho, h2_sq=_h2(A_cl, rho, K, pm.Q, pm.R))
     except UnstableMatrix:
         return TruthEvaluation(rho=rho, h2_sq=None)
-    return TruthEvaluation(rho=rho, h2_sq=h2)

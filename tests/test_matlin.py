@@ -6,6 +6,7 @@ import scipy.linalg
 
 from ddlqr import matlin
 from ddlqr.errors import (
+    AsymmetricInput,
     DimensionMismatch,
     IndefiniteInput,
     NoConvergence,
@@ -135,6 +136,15 @@ def test_dlyap_rejects_nonsquare():
         matlin.solve_dlyap(np.zeros((2, 3)))
 
 
+def test_kron_broadcast_equals_numpy_kron_bitwise():
+    # The Kronecker matrix of every Lyapunov solve is one broadcast product;
+    # each entry is the same single product a_ij a_kl as in np.kron.
+    rng = np.random.default_rng(11)
+    for n in range(1, 11):
+        A = rng.standard_normal((n, n))
+        assert np.array_equal(matlin._kron(A), np.kron(A, A))
+
+
 # -- solve_dare ---------------------------------------------------------------
 
 
@@ -254,3 +264,51 @@ def test_h2_penalizes_gain():
     val = matlin.h2norm_sq(A + B @ K, K, np.eye(2), 2.0 * np.eye(1))
     P = matlin.solve_dlyap(A + B @ K)
     assert val == pytest.approx(np.trace(P) + 2.0 * (K @ P @ K.T).item(), rel=1e-12)
+
+
+# -- validation at the public boundary ------------------------------------------
+
+# Valid arguments (A, B, Q, R) for solve_dare; h2norm_sq takes (A_cl, K, Q, R)
+# with K = B.T, and spectral_radius takes A alone.
+A2, B2, Q2, R1 = 0.5 * np.eye(2), np.array([[0.0], [1.0]]), np.eye(2), np.eye(1)
+NAN_A = np.array([[0.5, np.nan], [0.0, 0.5]])
+ASYM_Q = np.array([[1.0, 0.1], [0.0, 1.0]])
+ASYM_R = np.array([[1.0, 1e-3], [0.0, 1.0]])
+
+
+def test_public_kernels_accept_the_valid_arguments():
+    K, _ = matlin.solve_dare(A2, B2, Q2, R1)
+    assert matlin.h2norm_sq(A2 + B2 @ K, K, Q2, R1) > 0.0
+    assert matlin.spectral_radius(A2) == 0.5
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        ((NAN_A, B2, Q2, R1), ValueError),
+        ((np.zeros((2, 3)), B2, Q2, R1), DimensionMismatch),
+        ((A2, B2, ASYM_Q, R1), AsymmetricInput),
+        ((A2, np.hstack([B2, B2]), Q2, ASYM_R), AsymmetricInput),
+        ((A2, B2, np.eye(3), R1), DimensionMismatch),
+        ((A2, B2, Q2, np.eye(2)), DimensionMismatch),
+    ],
+    ids=["non-finite", "non-square", "asymmetric-Q", "asymmetric-R", "Q-shape", "R-shape"],
+)
+def test_public_kernels_validate_their_inputs(args, error):
+    A, B, Q, R = args
+    with pytest.raises(error):
+        matlin.solve_dare(A, B, Q, R)
+    with pytest.raises(error):
+        matlin.h2norm_sq(A, B.T, Q, R)
+
+
+@pytest.mark.parametrize(
+    "A, error",
+    [(NAN_A, ValueError), (np.zeros((2, 3)), DimensionMismatch)],
+    ids=["non-finite", "non-square"],
+)
+def test_spectral_radius_validates_its_input(A, error):
+    with pytest.raises(error):
+        matlin.spectral_radius(A)
+    with pytest.raises(error):
+        matlin.solve_dlyap(A)

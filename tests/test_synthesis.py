@@ -630,6 +630,32 @@ def test_evaluate_on_truth_unstable_gain():
     assert not ev.stable
 
 
+def test_evaluate_on_truth_gates_h2_on_its_own_rho():
+    # 1 - 1e-9 <= rho < 1: stable, yet past the Gramian's threshold, so the
+    # spectral radius computed once is reported and the H2 cost is withheld.
+    A = np.diag([1.0 - 5e-10, 0.5])
+    pm = PlantModel(A=A, B=np.array([[0.0], [1.0]]), Q=Q2, R=R1)
+    K = np.zeros((1, 2))
+    sol = LqrSolution(
+        K=K, P=np.eye(2), A_cl=A, objective=0.0, status="Optimal", solver=None, program_id="probe"
+    )
+    ev = evaluate_on_truth(sol, pm)
+    assert 1.0 - 1e-9 <= ev.rho < 1.0
+    assert ev.rho == spectral_radius(A)
+    assert ev.h2_sq is None
+
+
+def test_evaluate_on_truth_h2_equals_public_kernel():
+    pm = ref_plant()
+    _, st = noisy(1)
+    for w in (RegWeights(1.0, 1.0, 1.0, "gram"), RegWeights(0.0, 1.0, 1.0, "covariance")):
+        synth = synth_reduced_gram if w.parameterization == "gram" else synth_reduced_covar
+        sol = synth(st, pm.Q, pm.R, w)
+        ev, K = evaluate_on_truth(sol, pm), sol.K
+        assert ev.rho == spectral_radius(pm.A + pm.B @ K)
+        assert ev.h2_sq == h2norm_sq(pm.A + pm.B @ K, K, pm.Q, pm.R)
+
+
 # -- random plants against the Riccati form -------------------------------------
 
 
