@@ -14,6 +14,13 @@ takes one formula with or without one: with W = L L.T read off the NT
 scaling, the corner-eliminated term is the Gram matrix of the whitened
 columns L.T F_i[:, dc:] L[dc:, dc:], and the corner-corner operator is never
 formed.
+
+The Schur complement M = C C.T is factored by Cholesky, with a small
+diagonal jitter when that fails, and applied as Ci.T (Ci r) with Ci = C^-1,
+never through M^-1. C's condition number is the square root of M's, and M
+grows ill conditioned as the iterates approach the optimum: directions taken
+through M^-1 are poorer there, and more solves end on a snapshot rather
+than by the convergence test.
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from .problem import SQRT2, LmiProblem, smat, svec
 
@@ -86,8 +92,7 @@ def _nt_scaling(S: np.ndarray, Z: np.ndarray):
     if np.min(lam) <= 0.0:
         raise _FactorError("NT scaling hit a zero singular value")
     root = np.sqrt(lam)
-    Linv = scipy.linalg.solve_triangular(L_s, np.eye(S.shape[0]), lower=True)
-    Rinv = (Vt * root[:, None]) @ Linv
+    Rinv = (Vt * root[:, None]) @ np.linalg.inv(L_s)
     Wm = Rinv.T @ Rinv
     return lam, Rinv, Wm
 
@@ -132,23 +137,21 @@ class _Factorization:
             gp = pos_of[cb.lv]
             M[np.ix_(gp, gp)] += H @ H.T
             if dc:
-                Li = scipy.linalg.solve_triangular(L[:dc, :dc], np.eye(dc), lower=True)
-                self.corners.append((cb, Li, L[:, :dc]))
+                self.corners.append((cb, np.linalg.inv(L[:dc, :dc]), L[:, :dc]))
 
         scale = float(np.max(np.diag(M))) if ko else 1.0
         if not np.isfinite(scale) or scale <= 0.0:
             scale = 1.0
-        self.factor = None
+        # M = C C.T, applied as Ci.T (Ci r) with Ci = C^-1 (module docstring).
         for jitter in (0.0, 1e-12 * scale, 1e-9 * scale):
             try:
-                self.factor = scipy.linalg.cho_factor(
-                    M + jitter * np.eye(ko) if jitter else M, lower=True
-                )
+                self.chol = np.linalg.cholesky(M + jitter * np.eye(ko) if jitter else M)
                 break
             except np.linalg.LinAlgError:
                 continue
-        if self.factor is None:
+        else:
             raise _FactorError("Schur complement not positive definite after jitter")
+        self.chol_inv = np.linalg.inv(self.chol)
 
     def solve_kkt(self, E_list, rd):
         """Solve M dy = A*(E) - rd, with corner back-substitution and one
@@ -181,7 +184,7 @@ class _Factorization:
             cb.adjoint(Wh @ Th @ Wh.T, g)
             Ths.append(Th)
         dy = np.zeros(self.num_vars)
-        dy[self.oidx] = scipy.linalg.cho_solve(self.factor, (full_rhs - g)[self.oidx])
+        dy[self.oidx] = self.chol_inv.T @ (self.chol_inv @ (full_rhs - g)[self.oidx])
         # apply_lin reads the corner entries of dy, still zero here: A_o(dy).
         dWs = [
             Li.T @ (Th - Wh.T @ cb.apply_lin(dy) @ Wh) @ Li
@@ -318,9 +321,15 @@ def solve(problem: LmiProblem) -> ConicSolution:
             if f0z < 0.0 and adj_ratio <= 1e-8:
                 status, message = SolverStatus.INFEASIBLE, "dual improving ray detected"
                 break
-        # The returned iterate is the best-primal one: in the degenerate tail
-        # the dual residual decays while (pres, relgap) keep polishing, so
-        # dual quality gates insertion but never selects the snapshot.
+        try:
+            scal = [_nt_scaling(S[i], Z[i]) for i in range(len(compiled))]
+        except _FactorError as exc:
+            breakdown = f"next factorization failed: {exc}"
+            break
+        # The returned iterate is the best-primal one whose slacks factored:
+        # in the degenerate tail the dual residual decays while (pres,
+        # relgap) keep polishing, so dual quality gates insertion but never
+        # selects the snapshot.
         pmerit = max(pres, relgap)
         if dres <= _DUAL_CAP and pmerit < snap_pmerit:
             snap_pmerit = pmerit
@@ -336,7 +345,6 @@ def solve(problem: LmiProblem) -> ConicSolution:
                 break
 
         try:
-            scal = [_nt_scaling(S[i], Z[i]) for i in range(len(compiled))]
             # W = Rinv.T Rinv = L L.T with L lower triangular, read off R of
             # Rinv's QR: a Cholesky factor of W itself can fail on iterates
             # where W is too ill-conditioned to factor again.

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import (
     DimensionMismatch,
@@ -252,8 +251,10 @@ def compute_stats(d: Dataset) -> DataStats:
             f"state-input stack has rank {report.rank_data0}, need {k}"
         )
 
-    ab_ls = solve_triangular(r0, r[:k, k:]).T
-    k_ls = solve_triangular(rx, r[:n, n:k]).T
+    # LU's partial pivoting leaves an upper-triangular R as it is, so each
+    # solve is a back substitution.
+    ab_ls = np.linalg.solve(r0, r[:k, k:]).T
+    k_ls = np.linalg.solve(rx, r[:n, n:k]).T
     ell = float(d.ell)
     covs = {}
     for name, block in _COV_BLOCKS.items():

@@ -39,7 +39,6 @@ import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .conic import (
     ConicSolution,
@@ -130,7 +129,6 @@ class SdpLayout:
     def __init__(self):
         self._slots: dict[str, _Slot] = {}
         self._size = 0
-        self._units: dict[tuple[str, ...], tuple] = {}
 
     def add_sym(self, name: str, dim: int) -> None:
         self._add(name, "sym", dim, dim, svec_len(dim))
@@ -159,21 +157,16 @@ class SdpLayout:
     def units(self, names) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """Unit matrices of the named slots' variables: (var, U) with U[name][k]
         the value of slot name at y = e_{var[k]}, so a linear matrix
-        expression evaluated on U gives each variable's coefficient. Cached
-        per set of names and read-only."""
-        key = tuple(sorted(set(names), key=lambda name: self._slots[name].offset))
-        if key not in self._units:
-            slots = [self._slots[name] for name in key]
-            var = np.concatenate([s.offset + np.arange(s.size) for s in slots])
-            eye, U, k0 = np.eye(var.size), {}, 0
-            for name, s in zip(key, slots):
-                cols = eye[:, k0 : k0 + s.size]
-                u = smat(cols, s.rows) if s.kind == "sym" else cols.reshape(-1, s.rows, s.cols)
-                u.setflags(write=False)
-                U[name] = u
-                k0 += s.size
-            self._units[key] = (var, U)
-        return self._units[key]
+        expression evaluated on U gives each variable's coefficient."""
+        names = sorted(set(names), key=lambda name: self._slots[name].offset)
+        slots = [self._slots[name] for name in names]
+        var = np.concatenate([s.offset + np.arange(s.size) for s in slots])
+        eye, U, k0 = np.eye(var.size), {}, 0
+        for name, s in zip(names, slots):
+            cols = eye[:, k0 : k0 + s.size]
+            U[name] = smat(cols, s.rows) if s.kind == "sym" else cols.reshape(-1, s.rows, s.cols)
+            k0 += s.size
+        return var, U
 
     def extract(self, name: str, y: np.ndarray) -> np.ndarray:
         s = self._slots[name]
@@ -482,7 +475,7 @@ def baseline_y_map(x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     compute_stats checks."""
     n = x0.shape[0]
     q, r = np.linalg.qr(x0.T, mode="complete")
-    return solve_triangular(r[:n], q[:, :n].T).T, q[:, n:]
+    return np.linalg.solve(r[:n], q[:, :n].T).T, q[:, n:]
 
 
 def _baseline_weights(stats: DataStats, Q, R, lam) -> tuple[np.ndarray, np.ndarray, float]:

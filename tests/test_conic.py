@@ -106,6 +106,16 @@ def test_seeded_feasible_suite():
             assert best >= obj - 1e-6 * (1.0 + abs(obj)), f"seed {seed}"
 
 
+@pytest.mark.parametrize("seed", [22, 27, 38, 137, 180])
+def test_snapshot_iterate_has_nonnegative_gap(seed):
+    # A snapshot is taken only of an iterate whose slacks factored. These
+    # seeds reach iterates whose slacks fail to factor, with gaps S . Z
+    # below 0, and returned one when that iterate was the snapshot.
+    sol = solve(random_feasible_problem(seed))
+    assert sol.status == "Optimal", sol.message
+    assert sol.gap >= 0.0
+
+
 def test_deterministic_resolve():
     s1 = solve(random_feasible_problem(7))
     s2 = solve(random_feasible_problem(7))
@@ -485,7 +495,7 @@ def test_schur_assembly_matches_brute_force(seed):
     pos_of = np.full(k, -1, dtype=np.intp)
     pos_of[o] = np.arange(o.size)
     fact = _Factorization(p.compiled(), Ws, [np.linalg.cholesky(W) for W in Ws], o, pos_of, k)
-    L = np.tril(fact.factor[0])
+    L = fact.chol
     assert np.abs(L @ L.T - M_red).max() <= 1e-9 * np.abs(M_red).max()
 
     E_list = [0.5 * (G + G.T) for G in (rng.standard_normal((d, d)) for d in p.block_dims())]

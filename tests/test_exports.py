@@ -1,7 +1,12 @@
-"""The package's public surface: every exported name exists."""
+"""The package's public surface: every exported name exists, and the
+program runs on numpy alone."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import ddlqr
 from ddlqr.conic import LmiProblem
@@ -55,3 +60,39 @@ def test_every_export_resolves_and_no_removed_name_is_exported():
         assert not hasattr(LmiProblem, method), method
     assert not hasattr(SdpLayout, "var_grid")
     assert "ab_ls" not in DataStats.__dataclass_fields__
+
+
+def run_python(code):
+    """Run code in a fresh interpreter that imports this checkout's ddlqr."""
+    src = str(Path(ddlqr.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_program_runs_without_scipy():
+    # sys.modules[name] = None makes every import of scipy raise ImportError.
+    blocked = run_python("""
+import sys
+sys.modules["scipy"] = None
+import ddlqr.harness.cli
+from ddlqr.datamodel import compute_stats
+from ddlqr.effects import RegWeights
+from ddlqr.harness.experiments import ReferenceExperimentConfig, gen_reference_data
+from ddlqr.synthesis import synth_baseline_covar, synth_baseline_gram, synth_reduced_gram
+
+cfg = ReferenceExperimentConfig(ell=30)
+d = gen_reference_data(cfg)
+st = compute_stats(d)
+sols = [
+    synth_reduced_gram(st, cfg.q, cfg.r, RegWeights(1.0, 1.0, 1.0)),
+    synth_baseline_gram(d, st, cfg.q, cfg.r, 1.0, projected=False),
+    synth_baseline_covar(st, cfg.q, cfg.r, 1.0),
+]
+assert all(s.status == "Optimal" for s in sols)
+""")
+    assert blocked.returncode == 0, blocked.stderr
+    plain = run_python("import sys, ddlqr.harness.cli; assert 'scipy' not in sys.modules")
+    assert plain.returncode == 0, plain.stderr
