@@ -93,9 +93,6 @@ class _Block:
         self.dc = dc
         self.corner = slice(v0, v0 + svec_len(dc))
 
-    def vars_touched(self) -> np.ndarray:
-        return np.concatenate([self.lv, np.arange(self.corner.start, self.corner.stop)])
-
     def apply(self, y: np.ndarray) -> np.ndarray:
         """F0 + sum_i y_i F_i as a dense symmetric matrix."""
         return self.apply_lin(y) + self.F0

@@ -22,8 +22,8 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     ExcitationViolation,
-    NotPositiveDefinite,
     ParseError,
+    SingularCovariance,
     StateRankViolation,
 )
 from .matlin import RANK_TOL, as_matrix, sym
@@ -161,7 +161,7 @@ def _cov_factor(name: str, power: int) -> cached_property:
     covariance's block T = U diag(s) V^T of R: cov^-1 = ell V diag(s^-2) V^T
     and cov^(-1/2) = sqrt(ell) V diag(s^-1) V^T, so the covariance's
     condition number is never squared. A singular covariance,
-    (s_min / s_max)^2 <= RANK_TOL, raises NotPositiveDefinite on every
+    (s_min / s_max)^2 <= RANK_TOL, raises SingularCovariance on every
     request; nothing is cached for it. Both powers of one covariance come
     from one SVD: the first request stores its sibling factor too."""
 
@@ -170,13 +170,13 @@ def _cov_factor(name: str, power: int) -> cached_property:
         # round-off: uniformly tiny, so no relative singular-value test can
         # reject it. The data-level rank flag is the scale-aware signal.
         if name == "cov_resid_x" and not self.rank_report.full_rank_holds:
-            raise NotPositiveDefinite(
+            raise SingularCovariance(
                 "cov_resid_x is singular: the stacked data matrix is rank deficient"
             )
         b = _COV_BLOCKS[name](self.n, self.n + self.m)
         _, s, vt = np.linalg.svd(self.r_factor[b, b])
         if s[-1] ** 2 <= RANK_TOL * s[0] ** 2:
-            raise NotPositiveDefinite(
+            raise SingularCovariance(
                 f"{name} is singular: its block's singular values {s[-1]:.3e} and "
                 f"{s[0]:.3e} have a squared ratio at or below {RANK_TOL:g}"
             )
@@ -199,7 +199,7 @@ class DataStats:
     stored as computed, singular or not. Their inverses and inverse square
     roots (`cov_x0_inv`, `cov_x0_inv_sqrt`, ...) are read off the SVD of
     that block, once per instance, on first use; a singular one raises
-    NotPositiveDefinite, and consumers decide how to fail.
+    SingularCovariance, and consumers decide how to fail.
     """
 
     n: int

@@ -15,21 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datamodel import Dataset, DataStats, compute_stats, kernel_projector, row_space_basis
-from .errors import (
-    DimensionMismatch,
-    IndefiniteInput,
-    InfeasibleConstraint,
-    NotPositiveDefinite,
-    SingularCovariance,
-)
-from .matlin import (
-    RANK_TOL,
-    as_matrix,
-    pinv,
-    require_symmetric,
-    sym,
-    sym_sqrt,
-)
+from .errors import DimensionMismatch, InfeasibleConstraint, NotPositiveDefinite
+from .matlin import RANK_TOL, _psd_eigh, _shaped, as_matrix, pinv, require_symmetric, sym_sqrt
 
 __all__ = [
     "EffectBreakdown",
@@ -118,20 +105,6 @@ class OracleCertificate:
     constraint_residual: float
 
 
-def _check_gain(K, stats: DataStats) -> np.ndarray:
-    K = as_matrix(K, "K")
-    if K.shape != (stats.m, stats.n):
-        raise DimensionMismatch(f"K must be {stats.m} x {stats.n}, got {K.shape}")
-    return K
-
-
-def _check_square(M, n: int, name: str) -> np.ndarray:
-    M = as_matrix(M, name)
-    if M.shape != (n, n):
-        raise DimensionMismatch(f"{name} must be {n} x {n}, got {M.shape}")
-    return M
-
-
 def eval_reg_gram(G, P, lam: float, projected: bool, d: Dataset) -> float:
     """Quadratic regularizer lam * |Pi G P^(1/2)|_F^2 on the raw variable.
 
@@ -142,7 +115,7 @@ def eval_reg_gram(G, P, lam: float, projected: bool, d: Dataset) -> float:
     G = as_matrix(G, "G")
     if G.shape[0] != d.ell:
         raise DimensionMismatch(f"G must have {d.ell} rows, got {G.shape[0]}")
-    P = _check_square(P, G.shape[1], "P")
+    P = _shaped(P, (G.shape[1],) * 2, "P")
     half = sym_sqrt(P, "P")
     M = G @ half
     if projected:
@@ -157,15 +130,11 @@ def eval_reg_covar(K, P, lam: float, stats: DataStats) -> float:
     Returns lam * tr(cov_d0^{-1} [I; K] P [I; K]^T). The sample covariance
     of the stacked state-input data must be invertible.
     """
-    K = _check_gain(K, stats)
-    P = _check_square(P, stats.n, "P")
+    K = _shaped(K, (stats.m, stats.n), "K")
+    P = _shaped(P, (stats.n, stats.n), "P")
     require_symmetric(P, "P")
-    try:
-        inv = stats.cov_d0_inv
-    except NotPositiveDefinite as e:
-        raise SingularCovariance(str(e)) from e
     ik = np.vstack([np.eye(stats.n), K])
-    return float(lam) * float(np.trace(inv @ ik @ P @ ik.T))
+    return float(lam) * float(np.trace(stats.cov_d0_inv @ ik @ P @ ik.T))
 
 
 def param_effect_closed(
@@ -177,17 +146,14 @@ def param_effect_closed(
     is zero (it contributes nothing); with a positive weight the singularity
     is an error naming the offending covariance.
     """
-    K = _check_gain(K, stats)
-    A_cl = _check_square(A_cl, stats.n, "A_cl")
-    P = _check_square(P, stats.n, "P")
+    K = _shaped(K, (stats.m, stats.n), "K")
+    A_cl = _shaped(A_cl, (stats.n, stats.n), "A_cl")
+    P = _shaped(P, (stats.n, stats.n), "P")
     # One eigendecomposition gives P's square root and its definiteness.
-    p_eigs, V = np.linalg.eigh(require_symmetric(P, "P"))
-    scale = float(np.max(np.abs(p_eigs)))
-    if scale > 0.0 and float(np.min(p_eigs)) < -1e-10 * scale:
-        raise IndefiniteInput(f"P eigenvalue {np.min(p_eigs):.3e} below -1e-10 * {scale:.3e}")
-    if float(np.min(p_eigs)) <= RANK_TOL * scale:
+    p_eigs, root = _psd_eigh(P, "P")
+    if float(np.min(p_eigs)) <= RANK_TOL * float(np.max(np.abs(p_eigs))):
         raise NotPositiveDefinite("P must be positive definite for the parametric effect")
-    return _effect(K, A_cl, sym((V * np.sqrt(p_eigs)) @ V.T), stats, w)
+    return _effect(K, A_cl, root, stats, w)
 
 
 def _effect(K, A_cl, F_P, stats: DataStats, w: RegWeights) -> EffectBreakdown:
@@ -229,9 +195,9 @@ def param_effect_oracle(
     if kind not in _ORACLE_KINDS:
         raise ValueError(f"kind must be one of {_ORACLE_KINDS}, got {kind!r}")
     stats = compute_stats(d)
-    K = _check_gain(K, stats)
-    A_cl = _check_square(A_cl, stats.n, "A_cl")
-    P = _check_square(P, stats.n, "P")
+    K = _shaped(K, (stats.m, stats.n), "K")
+    A_cl = _shaped(A_cl, (stats.n, stats.n), "A_cl")
+    P = _shaped(P, (stats.n, stats.n), "P")
     half = sym_sqrt(P, "P")
     lam = float(lam)
 

@@ -76,14 +76,14 @@ class SweepRow:
     status: str
     n: int
     m: int
-    K: np.ndarray | None
-    A_cl: np.ndarray | None
-    deviation: float | None
-    dist_to_kls: float | None
-    h2_on_truth: float | None
-    truth_stable: bool | None
-    objective: float | None
-    wall_time_s: float
+    K: np.ndarray | None = None
+    A_cl: np.ndarray | None = None
+    deviation: float | None = None
+    dist_to_kls: float | None = None
+    h2_on_truth: float | None = None
+    truth_stable: bool | None = None
+    objective: float | None = None
+    wall_time_s: float = 0.0
 
 
 def deviation_grid(points: int = 41) -> np.ndarray:
@@ -130,51 +130,25 @@ def _sweep_point(case, lam, stats, Q, R, plant) -> SweepRow:
     fn = synth_reduced_gram if case.program == "reduced-gram" else synth_reduced_covar
     try:
         sol = fn(stats, Q, R, case.weights_at(lam))
-        status = sol.status
-    except SynthesisInfeasible as exc:
-        return _status_row(case, lam, stats, str(exc.status), time.perf_counter() - t0)
     except DdlqrError as exc:
-        return _status_row(case, lam, stats, type(exc).__name__, time.perf_counter() - t0)
+        status = str(exc.status) if isinstance(exc, SynthesisInfeasible) else type(exc).__name__
+        wall = time.perf_counter() - t0
+        return SweepRow(case.label, lam, status, stats.n, stats.m, wall_time_s=wall)
     wall = time.perf_counter() - t0
-    deviation = float(np.linalg.norm(sol.A_cl - (stats.a_ls + stats.b_ls @ sol.K)))
-    dist = float(np.linalg.norm(sol.K - stats.k_ls))
-    h2 = None
-    truth_stable = None
-    if plant is not None:
-        ev = evaluate_on_truth(sol, plant)
-        truth_stable = ev.stable
-        h2 = ev.h2_sq
+    ev = None if plant is None else evaluate_on_truth(sol, plant)
     return SweepRow(
         case_label=case.label,
         lam=lam,
-        status=status,
+        status=sol.status,
         n=stats.n,
         m=stats.m,
         K=sol.K,
         A_cl=sol.A_cl,
-        deviation=deviation,
-        dist_to_kls=dist,
-        h2_on_truth=h2,
-        truth_stable=truth_stable,
+        deviation=float(np.linalg.norm(sol.A_cl - (stats.a_ls + stats.b_ls @ sol.K))),
+        dist_to_kls=float(np.linalg.norm(sol.K - stats.k_ls)),
+        h2_on_truth=None if ev is None else ev.h2_sq,
+        truth_stable=None if ev is None else ev.stable,
         objective=sol.objective,
-        wall_time_s=wall,
-    )
-
-
-def _status_row(case, lam, stats, status, wall) -> SweepRow:
-    return SweepRow(
-        case_label=case.label,
-        lam=lam,
-        status=status,
-        n=stats.n,
-        m=stats.m,
-        K=None,
-        A_cl=None,
-        deviation=None,
-        dist_to_kls=None,
-        h2_on_truth=None,
-        truth_stable=None,
-        objective=None,
         wall_time_s=wall,
     )
 

@@ -63,6 +63,14 @@ def _square(a, name: str) -> np.ndarray:
     return A
 
 
+def _shaped(a, shape: tuple[int, int], name: str) -> np.ndarray:
+    """`as_matrix` for a matrix of the given shape."""
+    A = as_matrix(a, name)
+    if A.shape != shape:
+        raise DimensionMismatch(f"{name} must be {shape[0]} x {shape[1]}, got {A.shape}")
+    return A
+
+
 def sym(S: np.ndarray) -> np.ndarray:
     """Symmetric part (S + S.T) / 2."""
     return 0.5 * (S + S.T)
@@ -88,15 +96,17 @@ def sym_sqrt(S, name: str = "matrix") -> np.ndarray:
     Eigenvalues below ``-1e-10 * max|eig|`` reject the input; anything
     negative above that floor is clamped to zero before taking roots.
     """
-    S = require_symmetric(S, name)
-    if S.shape[0] == 0:
-        return S.copy()
-    w, V = np.linalg.eigh(S)
+    return _psd_eigh(S, name)[1]
+
+
+def _psd_eigh(S, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and symmetric square root of a symmetric positive
+    semidefinite matrix, under `sym_sqrt`'s rule for negative eigenvalues."""
+    w, V = np.linalg.eigh(require_symmetric(S, name))
     scale = float(np.max(np.abs(w))) if w.size else 0.0
     if scale > 0.0 and float(np.min(w)) < -1e-10 * scale:
         raise IndefiniteInput(f"{name} eigenvalue {np.min(w):.3e} below -1e-10 * {scale:.3e}")
-    root = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
-    return sym(root)
+    return w, sym((V * np.sqrt(np.clip(w, 0.0, None))) @ V.T)
 
 
 def pinv(M) -> np.ndarray:

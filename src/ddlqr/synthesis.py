@@ -54,11 +54,10 @@ from .errors import (
     DimensionMismatch,
     NoConvergence,
     NotPositiveDefinite,
-    SingularCovariance,
     SynthesisInfeasible,
     UnstableMatrix,
 )
-from .matlin import _dare, _dlyap, _h2, _rho, _square, as_matrix, require_symmetric, sym
+from .matlin import _dare, _dlyap, _h2, _rho, _shaped, _square, as_matrix, require_symmetric, sym
 
 __all__ = [
     "LqrSolution",
@@ -256,6 +255,18 @@ def _h2_program(lay: SdpLayout, q_p, a_cl, bounds) -> LmiProblem:
     return p
 
 
+def _lqr_program(A, B, q_p, R, bounds) -> tuple[LmiProblem, SdpLayout]:
+    """The _h2_program of LQR on the model (A, B): the layout (P, K tilde),
+    the closed loop A P + B K tilde and the input cost ("L", K tilde, R)
+    before the further bounds. The known-model, reduced covariance and
+    baseline covariance programs are this program."""
+    lay = SdpLayout()
+    lay.add_sym("P", A.shape[0])
+    lay.add_full("Kt", B.shape[1], A.shape[0])
+    bounds = [("L", lambda Kt: Kt, R), *bounds]
+    return _h2_program(lay, q_p, lambda P, Kt: A @ P + B @ Kt, bounds), lay
+
+
 def _check_qr(n: int, m: int, Q, R) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric positive definite Q (n x n) and R (m x m)."""
     Q = require_symmetric(Q, "Q")
@@ -296,11 +307,7 @@ def _solve_and_extract(p: LmiProblem, lay: SdpLayout, program_id: str) -> LqrSol
 
 def build_model_lqr_problem(pm: PlantModel) -> tuple[LmiProblem, SdpLayout]:
     """Known-model H2 program in the lifted variables (P, K tilde, L)."""
-    lay = SdpLayout()
-    lay.add_sym("P", pm.n)
-    lay.add_full("Kt", pm.m, pm.n)
-    bounds = [("L", lambda Kt: Kt, pm.R)]
-    return _h2_program(lay, pm.Q, lambda P, Kt: pm.A @ P + pm.B @ Kt, bounds), lay
+    return _lqr_program(pm.A, pm.B, pm.Q, pm.R, [])
 
 
 def model_lqr_sdp(pm: PlantModel) -> LqrSolution:
@@ -370,14 +377,8 @@ def build_reduced_covar_problem(
     over A_LS P + B_LS K tilde directly.
     """
     Q, R, d0, du, _ = _reduced_weights(stats, Q, R, w, "covariance")
-    A_LS, B_LS, K_LS = stats.a_ls, stats.b_ls, stats.k_ls
-    lay = SdpLayout()
-    lay.add_sym("P", stats.n)
-    lay.add_full("Kt", stats.m, stats.n)
-    bounds = [("L", lambda Kt: Kt, R)]
-    if w.lambda2 > 0.0:
-        bounds.append(("N", lambda P, Kt: Kt - K_LS @ P, du))
-    return _h2_program(lay, Q + d0, lambda P, Kt: A_LS @ P + B_LS @ Kt, bounds), lay
+    bounds = [("N", lambda P, Kt: Kt - stats.k_ls @ P, du)] if w.lambda2 > 0.0 else []
+    return _lqr_program(stats.a_ls, stats.b_ls, Q + d0, R, bounds)
 
 
 def reduced_sdp(stats: DataStats, Q, R, w: RegWeights) -> LqrSolution:
@@ -529,20 +530,9 @@ def build_baseline_covar_problem(
     enters the objective as lam * tr(Z cov_d0^{-1}).
     """
     Q, R, lam = _baseline_weights(stats, Q, R, lam)
-    try:
-        cov_inv = stats.cov_d0_inv
-    except NotPositiveDefinite as e:
-        raise SingularCovariance(str(e)) from e
-    A_LS, B_LS = stats.a_ls, stats.b_ls
-    lay = SdpLayout()
-    lay.add_sym("P", stats.n)
-    lay.add_full("Kt", stats.m, stats.n)
-    bounds = [
-        ("L", lambda Kt: Kt, R),
-        # [P; Kt] joined on axis -2, the row axis of a matrix and of a stack alike.
-        ("Z", lambda P, Kt: np.concatenate((P, Kt), axis=-2), lam * cov_inv),
-    ]
-    return _h2_program(lay, Q, lambda P, Kt: A_LS @ P + B_LS @ Kt, bounds), lay
+    # [P; Kt] joined on axis -2, the row axis of a matrix and of a stack alike.
+    bounds = [("Z", lambda P, Kt: np.concatenate((P, Kt), axis=-2), lam * stats.cov_d0_inv)]
+    return _lqr_program(stats.a_ls, stats.b_ls, Q, R, bounds)
 
 
 def synth_baseline_covar(stats: DataStats, Q, R, lam: float) -> LqrSolution:
@@ -555,9 +545,7 @@ def synth_baseline_covar(stats: DataStats, Q, R, lam: float) -> LqrSolution:
 
 def evaluate_on_truth(sol: LqrSolution, pm: PlantModel) -> TruthEvaluation:
     """Spectral radius and H2 cost (None at rho >= 1 - 1e-9) of the gain on the true plant."""
-    K = as_matrix(sol.K, "K")
-    if K.shape != (pm.m, pm.n):
-        raise DimensionMismatch(f"K must be {pm.m} x {pm.n}, got {K.shape}")
+    K = _shaped(sol.K, (pm.m, pm.n), "K")
     A_cl = pm.A + pm.B @ K
     rho = _rho(A_cl)
     try:

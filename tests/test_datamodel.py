@@ -21,6 +21,7 @@ from ddlqr.errors import (
     ExcitationViolation,
     NotPositiveDefinite,
     ParseError,
+    SingularCovariance,
     StateRankViolation,
 )
 from ddlqr.matlin import RANK_TOL
@@ -418,6 +419,21 @@ def test_singular_residual_factor_is_never_cached():
     )
     assert br.h1 == 0.0
     assert br.h3 > 0.0
+
+
+def test_singular_covariance_factors_raise_singular_covariance():
+    # A noiseless record: the residual covariance is zero, caught by the
+    # stacked data's rank flag.
+    with pytest.raises(SingularCovariance, match="cov_resid_x is singular"):
+        compute_stats(noiseless_dataset(3)).cov_resid_x_inv
+    # Nearly parallel state rows pass the rank check, but their block's
+    # singular values fail the squared-ratio test.
+    gen = np.random.default_rng(5)
+    base = gen.standard_normal(12)
+    x0 = np.vstack([base, base + 1e-8 * gen.standard_normal(12)])
+    d = Dataset(x0=x0, u0=gen.standard_normal((1, 12)), x1=gen.standard_normal((2, 12)))
+    with pytest.raises(SingularCovariance, match="cov_x0 is singular"):
+        compute_stats(d).cov_x0_inv
 
 
 def test_stats_reject_unexciting_data():

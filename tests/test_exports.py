@@ -10,6 +10,7 @@ from pathlib import Path
 
 import ddlqr
 from ddlqr.conic import LmiProblem
+from ddlqr.conic.problem import _Block
 from ddlqr.datamodel import DataStats
 from ddlqr.synthesis import SdpLayout
 
@@ -43,6 +44,9 @@ DELETED = {
     "_CornerCoupling",
     "_pair_terms",
     "_block_schur",
+    "_status_row",
+    "_check_gain",
+    "_check_square",
 }
 
 
@@ -59,6 +63,7 @@ def test_every_export_resolves_and_no_removed_name_is_exported():
                    "add_corner_slack", "add_column_family"):
         assert not hasattr(LmiProblem, method), method
     assert not hasattr(SdpLayout, "var_grid")
+    assert not hasattr(_Block, "vars_touched")
     assert "ab_ls" not in DataStats.__dataclass_fields__
 
 

@@ -43,7 +43,7 @@ def fake_row(case="{2}", lam=1.0, status="Optimal", stable=True, h2=3.5, wall=0.
     k = np.array([[0.5, -0.25]])
     acl = np.array([[0.1, 0.2], [0.3, 0.4]])
     if status != "Optimal":
-        return SweepRow(case, lam, status, 2, 1, None, None, None, None, None, None, None, wall)
+        return SweepRow(case, lam, status, 2, 1, wall_time_s=wall)
     return SweepRow(
         case_label=case,
         lam=lam,
@@ -128,7 +128,10 @@ def test_run_sweep_records_failures_per_row():
     x0 = rng.standard_normal((2, 12))
     st = compute_stats(Dataset(x0=x0, u0=rng.standard_normal((1, 12)), x1=2.0 * x0))
     rows = run_sweep(st, [reduced_case("{2}", "covariance")], [0.0, 1.0], np.eye(2), np.eye(1))
-    assert [r.status for r in rows] == ["Infeasible", "Infeasible"]
+    # x1 = 2 x0 exactly, so the residual covariance is singular: a row that
+    # needs its inverse carries the error's type.
+    rows += run_sweep(st, [reduced_case("{1}")], [1.0], np.eye(2), np.eye(1))
+    assert [r.status for r in rows] == ["Infeasible", "Infeasible", "SingularCovariance"]
     for r in rows:
         assert r.K is None and r.objective is None and r.deviation is None
     with pytest.raises(DimensionMismatch):
@@ -200,7 +203,7 @@ def test_emit_csv_empty_and_mixed_dims(tmp_path):
     with pytest.raises(DimensionMismatch):
         emit_csv([], path)
     assert not path.exists()
-    other = SweepRow("{2}", 1.0, "Optimal", 3, 1, None, None, None, None, None, None, None, 0.0)
+    other = SweepRow("{2}", 1.0, "Optimal", 3, 1)
     with pytest.raises(DimensionMismatch):
         emit_csv([fake_row(), other], tmp_path / "mixed.csv")
 

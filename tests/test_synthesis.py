@@ -686,7 +686,9 @@ def random_plant_stats(seed, n, m):
     return compute_stats(random_plant_data(seed, n, m))
 
 
-def random_plant_data(seed, n, m):
+def random_plant_data(seed, n, m, ell=None):
+    """A record of length ell (default 5(n+m)) from a random plant with
+    rho(A) = 0.9, no offset and no exploration gain."""
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((n, n))
     cfg = ReferenceExperimentConfig(
@@ -694,7 +696,7 @@ def random_plant_data(seed, n, m):
         b=rng.standard_normal((n, m)),
         q=np.eye(n),
         r=np.eye(m),
-        ell=5 * (n + m),
+        ell=ell or 5 * (n + m),
         v=np.zeros(n),
         offset_scale=0.0,
         k_expl=np.zeros((m, n)),
@@ -758,3 +760,40 @@ def test_baseline_covar_matches_reduced_twin(seed, ell):
     red = synth_reduced_covar(st, Q2, R1, covar_weights(lambda2=1.0, lambda3=1.0))
     base = synth_baseline_covar(st, Q2, R1, 1.0)
     assert np.linalg.norm(red.K - base.K) <= 1e-5
+
+
+# Each baseline against its reduced twin, solved by the Riccati path, on the
+# random-plant recipe at a short record, ell = 3(n+m).
+@pytest.mark.parametrize("lam", [1e-2, 1e2])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_baselines_match_reduced_twins_on_random_plants(seed, lam):
+    n, m = seed + 2, 2
+    d = random_plant_data(seed, n, m, ell=3 * (n + m))
+    st = compute_stats(d)
+    Q, R = np.eye(n), np.eye(m)
+    twins = (
+        (synth_baseline_gram(d, st, Q, R, lam, projected=False),
+         synth_reduced_gram(st, Q, R, RegWeights(lambda1=lam, lambda2=lam, lambda3=lam))),
+        (synth_baseline_gram(d, st, Q, R, lam, projected=True),
+         synth_reduced_gram(st, Q, R, RegWeights(lambda1=lam))),
+        (synth_baseline_covar(st, Q, R, lam),
+         synth_reduced_covar(st, Q, R, covar_weights(lambda2=lam, lambda3=lam))),
+    )
+    for base, red in twins:
+        assert_matches_sdp(red, base)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_model_sdp_matches_riccati_on_random_plants(n):
+    rng = np.random.default_rng(n)
+    M = rng.standard_normal((n, n))
+    m = 1 + n // 4
+    pm = PlantModel(
+        A=0.9 * M / spectral_radius(M), B=rng.standard_normal((n, m)), Q=np.eye(n), R=np.eye(m)
+    )
+    sdp = model_lqr_sdp(pm)
+    K, _ = solve_dare(pm.A, pm.B, pm.Q, pm.R)
+    cost = h2norm_sq(pm.A + pm.B @ K, K, pm.Q, pm.R)
+    assert sdp.status == "Optimal"
+    assert np.linalg.norm(K - sdp.K) <= 1e-5 * max(1.0, np.linalg.norm(sdp.K))
+    assert abs(cost - sdp.objective) <= 1e-5 * (1.0 + abs(sdp.objective))
