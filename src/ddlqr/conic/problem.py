@@ -127,7 +127,12 @@ class _Block:
 
 
 class LmiProblem:
-    """Container for min c.T y subject to F0_b + sum_i y_i F_{b,i} >= 0."""
+    """Container for min c.T y subject to F0_b + sum_i y_i F_{b,i} >= 0.
+
+    `new_block` checks and records the variables' split into ordinary and
+    corner (slack only) ones: a block whose corner overlaps another corner or
+    any ordinary coefficient raises DimensionMismatch and changes nothing.
+    """
 
     def __init__(self, objective):
         c = np.asarray(objective, dtype=float).reshape(-1)
@@ -136,7 +141,8 @@ class LmiProblem:
         self.objective = c.copy()
         self.num_vars = c.size
         self._blocks: list[_Block] = []
-        self._checked = False
+        self._ordinary = np.zeros(c.size, dtype=bool)
+        self._corner = np.zeros(c.size, dtype=bool)
 
     # -- construction ---------------------------------------------------------
 
@@ -179,8 +185,17 @@ class LmiProblem:
             raise AsymmetricInput(f"coefficient of variable {bad[0]} is not symmetric")
         keep = np.any(F != 0.0, axis=(1, 2))
         F = np.concatenate((F[:, :dc], 0.5 * (Fp + Ft)), axis=1)[keep]
-        self._blocks.append(_Block(F0, var[keep], F, int(dc), int(var_start)))
-        self._checked = False
+        block = _Block(F0, var[keep], F, int(dc), int(var_start))
+        twice = np.flatnonzero(self._corner[block.corner]) + block.corner.start
+        if twice.size:
+            raise DimensionMismatch(f"corner variables {twice.tolist()} declared twice")
+        ordinary, corner_vars = self._ordinary.copy(), self._corner.copy()
+        ordinary[block.lv] = corner_vars[block.corner] = True
+        bad = np.flatnonzero(ordinary & corner_vars)[:4].tolist()
+        if bad:
+            raise DimensionMismatch(f"corner variables {bad} also appear as ordinary coefficients")
+        self._blocks.append(block)
+        self._ordinary, self._corner = ordinary, corner_vars
         return len(self._blocks) - 1
 
     # -- inspection -----------------------------------------------------------
@@ -189,23 +204,7 @@ class LmiProblem:
         return [b.dim for b in self._blocks]
 
     def compiled(self) -> list[_Block]:
-        """The blocks, once their corner variables are checked to be slack
-        only: declared by one corner and no ordinary coefficient."""
-        if not self._checked:
-            corner_vars: set[int] = set()
-            for b in self._blocks:
-                vs = range(b.corner.start, b.corner.stop)
-                overlap = corner_vars.intersection(vs)
-                if overlap:
-                    raise DimensionMismatch(f"corner variables {sorted(overlap)} declared twice")
-                corner_vars.update(vs)
-            for b in self._blocks:
-                bad = corner_vars.intersection(b.lv.tolist())
-                if bad:
-                    raise DimensionMismatch(
-                        f"corner variables {sorted(bad)[:4]} also appear as ordinary coefficients"
-                    )
-            self._checked = True
+        """The blocks in the form the solver consumes."""
         return self._blocks
 
     def evaluate_blocks(self, y) -> list[np.ndarray]:

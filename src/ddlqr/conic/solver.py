@@ -82,9 +82,11 @@ _DUAL_CAP = 1e-5
 
 
 def _nt_scaling(S: np.ndarray, Z: np.ndarray):
-    """Per-block NT scaling: lam (diagonal of the scaled point), Rinv and the
+    """Per-block NT scaling: lam (diagonal of the scaled point), Rinv, the
     metric Wm = Rinv.T Rinv, so that Rinv S Rinv.T = R.T Z R = diag(lam)
-    with R = Rinv^-1."""
+    with R = Rinv^-1, and L, lower triangular with Wm = L L.T. L is read off
+    the R factor of Rinv's QR: a Cholesky factor of Wm can fail on iterates
+    where Wm is too ill-conditioned to factor again."""
     try:
         L_s = np.linalg.cholesky(S)
         L_z = np.linalg.cholesky(Z)
@@ -96,7 +98,7 @@ def _nt_scaling(S: np.ndarray, Z: np.ndarray):
     root = np.sqrt(lam)
     Rinv = (Vt * root[:, None]) @ np.linalg.inv(L_s)
     Wm = Rinv.T @ Rinv
-    return lam, Rinv, Wm
+    return lam, Rinv, Wm, np.linalg.qr(Rinv, mode="r").T
 
 
 def _boundary_step(lam: np.ndarray, D_scaled: np.ndarray) -> float:
@@ -227,7 +229,7 @@ def _direction(cb, scal, dy, Rp, C):
     Rinv dS Rinv.T, and the dual step there is C minus it. The step is the
     largest alpha that keeps both diag(lam) + alpha * step PSD.
     """
-    lam, Rinv, _ = scal
+    lam, Rinv, _, _ = scal
     dS = cb.apply_lin(dy) - Rp
     dst = sym(Rinv @ dS @ Rinv.T)
     dzt = C - dst
@@ -261,14 +263,10 @@ def solve(problem: LmiProblem) -> ConicSolution:
         reason = "no constraints restrain a nonzero objective" if np.any(c != 0.0) else ""
         return _trivial_solution(k, t0, reason)
 
-    # Ordinary and corner variables, disjoint (LmiProblem.compiled checks it).
-    ordinary, corner = np.zeros(k, dtype=bool), np.zeros(k, dtype=bool)
-    for cb in compiled:
-        ordinary[cb.lv] = True
-        corner[cb.corner] = True
-    if np.any(c[~(ordinary | corner)] != 0.0):
+    # The variable partition LmiProblem.new_block checked and recorded.
+    if np.any(c[~(problem._ordinary | problem._corner)] != 0.0):
         return _trivial_solution(k, t0, "objective moves along an unconstrained variable")
-    oidx = np.flatnonzero(ordinary)
+    oidx = np.flatnonzero(problem._ordinary)
     pos_of = np.full(k, -1, dtype=np.intp)
     pos_of[oidx] = np.arange(oidx.size)
 
@@ -348,12 +346,9 @@ def solve(problem: LmiProblem) -> ConicSolution:
                 breakdown = "stagnation"
                 break
 
+        _, _, Wms, Ls = zip(*scal)
         try:
-            # W = Rinv.T Rinv = L L.T with L lower triangular, read off R of
-            # Rinv's QR: a Cholesky factor of W itself can fail on iterates
-            # where W is too ill-conditioned to factor again.
-            Ls = [np.linalg.qr(sc[1], mode="r").T for sc in scal]
-            fact = _Factorization(compiled, [sc[2] for sc in scal], Ls, oidx, pos_of, k)
+            fact = _Factorization(compiled, Wms, Ls, oidx, pos_of, k)
         except _FactorError as exc:
             breakdown = f"next factorization failed: {exc}"
             break
@@ -361,9 +356,7 @@ def solve(problem: LmiProblem) -> ConicSolution:
         mu = gap / sum_dim
 
         # Predictor: pure Newton step toward the boundary.
-        E_aff = [
-            -Z[i] + scal[i][2] @ Rp[i] @ scal[i][2] for i in range(len(compiled))
-        ]
+        E_aff = [-Z[i] + Wms[i] @ Rp[i] @ Wms[i] for i in range(len(compiled))]
         dy_aff = fact.solve_kkt(E_aff, rd)
         aff = [
             _direction(cb, scal[i], dy_aff, Rp[i], -np.diag(scal[i][0]))
@@ -388,7 +381,7 @@ def solve(problem: LmiProblem) -> ConicSolution:
         E_cor = []
         C_mats = []
         for i in range(len(compiled)):
-            lam, Rinv, Wm = scal[i]
+            lam, Rinv, Wm, _ = scal[i]
             cross = ds_aff[i] @ dz_aff[i]
             C_raw = sigma * mu * np.eye(lam.size) - np.diag(lam**2) - sym(cross)
             C_mat = 2.0 * C_raw / np.add.outer(lam, lam)
@@ -411,11 +404,9 @@ def solve(problem: LmiProblem) -> ConicSolution:
             tiny_steps = 0
 
         y = y + alpha * dy
-        for i in range(len(compiled)):
-            Rinv = scal[i][1]
-            dZ = Rinv.T @ dzt_list[i] @ Rinv
+        for i, (_, Rinv, _, _) in enumerate(scal):
             S[i] = sym(S[i] + alpha * ds_list[i])
-            Z[i] = sym(Z[i] + alpha * dZ)
+            Z[i] = sym(Z[i] + alpha * (Rinv.T @ dzt_list[i] @ Rinv))
 
     if breakdown and snap_pmerit <= _PRIMAL_CAP:
         status, message = SolverStatus.OPTIMAL, f"attainable precision; {breakdown}"

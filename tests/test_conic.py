@@ -331,9 +331,23 @@ def test_corner_slack_matches_dense():
 def test_corner_variables_must_stay_slack_only():
     p = LmiProblem(np.ones(4))
     # corner var 0 reused as an ordinary coefficient
-    p.new_block(np.eye(3), [0], [[[0.0], [0.0], [1.0]]], corner=(2, 0))
     with pytest.raises(DimensionMismatch):
-        p.compiled()
+        p.new_block(np.eye(3), [0], [[[0.0], [0.0], [1.0]]], corner=(2, 0))
+
+
+def test_partition_is_checked_where_blocks_are_declared():
+    p = LmiProblem(np.ones(4))
+    p.new_block(np.eye(3), corner=(2, 0))  # corner variables 0, 1, 2
+    p.new_block(np.eye(1), [3], [[[1.0]]])  # ordinary variable 3
+    partition = (p._ordinary.copy(), p._corner.copy())
+    with pytest.raises(DimensionMismatch, match=r"corner variables \[1\] declared twice"):
+        p.new_block(np.eye(2), corner=(1, 1))
+    # ordinary coefficient on corner variable 2; corner on ordinary variable 3
+    for var, F, corner in (([2], np.ones((1, 2, 2)), None), ([], np.zeros((0, 2, 1)), (1, 3))):
+        with pytest.raises(DimensionMismatch, match="also appear as ordinary coefficients"):
+            p.new_block(np.eye(2), var, F, corner)
+    assert p.block_dims() == [3, 1]
+    assert all(np.array_equal(a, b) for a, b in zip(partition, (p._ordinary, p._corner)))
 
 
 def test_adjoint_pairs_with_apply():

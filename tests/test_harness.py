@@ -9,7 +9,8 @@ import pytest
 
 from ddlqr.datamodel import Dataset, compute_stats, save_dataset
 from ddlqr.effects import RegWeights
-from ddlqr.errors import DimensionMismatch
+from ddlqr.errors import DimensionMismatch, NumericalError
+from ddlqr.harness import sweep as sweep_mod
 from ddlqr.harness.cli import main
 from ddlqr.harness.emit import (
     emit_bench_csv,
@@ -402,3 +403,24 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     written = ("b.csv", "r.csv", "s.csv", "g.csv", "portraits", "z.json", "n.csv", "p.csv",
                "fig3", "sd.csv", "pd")
     assert not any((tmp_path / name).exists() for name in written)
+
+
+# A sweep row that fails at the endpoint carries no gain: each endpoint check
+# reports it as a failure naming its status instead of crashing on the gap.
+@pytest.mark.parametrize(
+    "synth,check",
+    [("synth_reduced_gram", "deviation-endpoint"), ("synth_reduced_covar", "gain-path-endpoint")],
+)
+def test_verify_reports_a_failed_endpoint_row(tmp_path, monkeypatch, synth, check):
+    real = getattr(sweep_mod, synth)
+
+    def failing(stats, Q, R, w):
+        if max(w.lambda1, w.lambda2, w.lambda3) >= 1e6:
+            raise NumericalError("probe")
+        return real(stats, Q, R, w)
+
+    monkeypatch.setattr(sweep_mod, synth, failing)
+    results = {r.name: r for r in run_verify(tmp_path, seed=0)}
+    assert not results[check].passed
+    assert "NumericalError" in results[check].detail
+    assert all(r.passed for name, r in results.items() if name != check)

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 from ddlqr.datamodel import Dataset, compute_stats, kernel_projector
-from ddlqr.effects import RegWeights, param_effect_closed
+from ddlqr.effects import RegWeights, eval_reg_covar, eval_reg_gram, param_effect_closed
 from ddlqr.errors import (
     DimensionMismatch,
     NotPositiveDefinite,
@@ -781,6 +781,38 @@ def test_baselines_match_reduced_twins_on_random_plants(seed, lam):
     )
     for base, red in twins:
         assert_matches_sdp(red, base)
+
+
+# The paper's identity at each baseline's optimum, on the records above: the
+# regularizer evaluated directly on the baseline's variable equals the
+# parametric effect of its reduced twin's weights at the same (K, A_cl, P).
+# The gram variable is G = Y P^-1, with Y = X0^+ P + N Z and Z read off the
+# solution through the builder's layout.
+@pytest.mark.parametrize("lam", [1e-2, 1e2])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_baseline_regularizers_equal_parametric_effects_at_optimum(seed, lam):
+    n, m = seed + 2, 2
+    d = random_plant_data(seed, n, m, ell=3 * (n + m))
+    st = compute_stats(d)
+    Q, R = np.eye(n), np.eye(m)
+    x0_pinv, N = baseline_y_map(d.x0)
+    cases = []
+    gram_twins = (
+        (False, RegWeights(lambda1=lam, lambda2=lam, lambda3=lam)),
+        (True, RegWeights(lambda1=lam)),
+    )
+    for projected, w in gram_twins:
+        _, lay = build_baseline_gram_problem(d, st, Q, R, lam, projected)
+        sol = synth_baseline_gram(d, st, Q, R, lam, projected)
+        Y = x0_pinv @ sol.P + N @ lay.extract("Z", sol.solver.y)
+        G = np.linalg.solve(sol.P, Y.T).T
+        cases.append((sol, eval_reg_gram(G, sol.P, lam, projected, d), w))
+    sol = synth_baseline_covar(st, Q, R, lam)
+    w = covar_weights(lambda2=lam, lambda3=lam)
+    cases.append((sol, eval_reg_covar(sol.K, sol.P, lam, st), w))
+    for sol, reg, w in cases:
+        effect = param_effect_closed(sol.K, sol.A_cl, sol.P, st, w).total
+        assert abs(reg - effect) <= 1e-8 * max(1.0, abs(effect)), sol.program_id
 
 
 @pytest.mark.parametrize("n", range(2, 11))
