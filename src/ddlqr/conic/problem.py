@@ -212,11 +212,11 @@ class LmiProblem:
         y = np.asarray(y, dtype=float).reshape(-1)
         if y.shape != (self.num_vars,):
             raise DimensionMismatch("y length does not match num_vars")
-        return [cb.apply(y) for cb in self.compiled()]
+        return [cb.apply(y) for cb in self._blocks]
 
     def adjoint(self, Z_list) -> np.ndarray:
         """A*(Z): vector of sum_b tr(F_{b,i} Z_b)."""
         g = np.zeros(self.num_vars)
-        for cb, Z in zip(self.compiled(), Z_list):
+        for cb, Z in zip(self._blocks, Z_list):
             cb.adjoint(Z, g)
         return g

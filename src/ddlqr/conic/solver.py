@@ -124,17 +124,16 @@ class _Factorization:
     the plain tr(F_i W F_j W). Each block adds H H.T once at M[gp, gp].
     """
 
-    def __init__(self, compiled, Wms, Ls, oidx, pos_of, num_vars):
-        self.compiled = compiled
+    def __init__(self, problem, Wms, Ls, oidx, pos_of):
+        self.problem = problem
         self.Wms = Wms
         self.oidx = oidx
-        self.num_vars = num_vars
         ko = oidx.size
         M = np.zeros((ko, ko))
         # (block, Li = L_cc^-1, Wh = L[:, :dc]) for each corner
         self.corners = []
 
-        for cb, L in zip(compiled, Ls):
+        for cb, L in zip(problem.compiled(), Ls):
             dc = cb.dc
             H = L.T @ cb.F @ L[dc:, dc:]
             H[:, :dc] *= SQRT2
@@ -172,14 +171,10 @@ class _Factorization:
         per baseline iteration at ell = 30 to 90; CVXOPT's cone solvers also
         refine once for matrix inequalities.
         """
-        g = np.zeros(self.num_vars)
-        for cb, E in zip(self.compiled, E_list):
-            cb.adjoint(E, g)
-        full_rhs = g - rd
+        p = self.problem
+        full_rhs = p.adjoint(E_list) - rd
         dy = self._reduced_solve(full_rhs)
-        g[:] = 0.0
-        for cb, W in zip(self.compiled, self.Wms):
-            cb.adjoint(W @ cb.apply_lin(dy) @ W, g)
+        g = p.adjoint([W @ cb.apply_lin(dy) @ W for cb, W in zip(p.compiled(), self.Wms)])
         return dy + self._reduced_solve(full_rhs - g)
 
     def _reduced_solve(self, full_rhs):
@@ -187,21 +182,20 @@ class _Factorization:
         # = rhs_c, with A_o the block's ordinary apply. With Th = Li rhs_c Li.T
         # the ordinary rows lose the block's adjoint at Wh Th Wh.T, and then
         # dW = Li.T (Th - Wh.T A_o(dy) Wh) Li.
-        g = np.zeros(self.num_vars)
+        g = np.zeros(self.problem.num_vars)
         Ths = []
         for cb, Li, Wh in self.corners:
             Th = Li @ smat(full_rhs[cb.corner], cb.dc) @ Li.T
             cb.adjoint(Wh @ Th @ Wh.T, g)
             Ths.append(Th)
-        dy = np.zeros(self.num_vars)
+        dy = np.zeros(self.problem.num_vars)
         dy[self.oidx] = self.chol_inv.T @ (self.chol_inv @ (full_rhs - g)[self.oidx])
-        # apply_lin reads the corner entries of dy, still zero here: A_o(dy).
-        dWs = [
-            Li.T @ (Th - Wh.T @ cb.apply_lin(dy) @ Wh) @ Li
-            for (cb, Li, Wh), Th in zip(self.corners, Ths)
-        ]
-        for (cb, _, _), dW in zip(self.corners, dWs):
-            dy[cb.corner] = svec(sym(dW))
+        # A block's apply_lin reads its own ordinary variables and its own
+        # corner, which new_block keeps apart from every other corner: while
+        # that corner of dy is still zero it gives A_o(dy), so each dW is
+        # written as soon as it is formed.
+        for (cb, Li, Wh), Th in zip(self.corners, Ths):
+            dy[cb.corner] = svec(sym(Li.T @ (Th - Wh.T @ cb.apply_lin(dy) @ Wh) @ Li))
         return dy
 
 
@@ -222,18 +216,22 @@ def _trivial_solution(k: int, t0: float, unbounded_because: str = "") -> ConicSo
     )
 
 
-def _direction(cb, scal, dy, Rp, C):
-    """One block's search direction and its largest feasible step.
+def _directions(compiled, scal, dy, Rp, C):
+    """Every block's search direction and the largest step all blocks allow.
 
-    dS = A(dy) - Rp is the slack step; in the scaled space it is
-    Rinv dS Rinv.T, and the dual step there is C minus it. The step is the
-    largest alpha that keeps both diag(lam) + alpha * step PSD.
+    dS = A(dy) - Rp is a block's slack step; in the scaled space it is
+    Rinv dS Rinv.T, and the dual step there is C minus it. A block allows
+    the largest alpha that keeps both diag(lam) + alpha * step PSD.
+    Returns the per-block lists of dS and both scaled steps, and the step.
     """
-    lam, Rinv, _, _ = scal
-    dS = cb.apply_lin(dy) - Rp
-    dst = sym(Rinv @ dS @ Rinv.T)
-    dzt = C - dst
-    return dS, dst, dzt, min(_boundary_step(lam, dst), _boundary_step(lam, dzt))
+    out = []
+    for cb, (lam, Rinv, _, _), R, Cb in zip(compiled, scal, Rp, C):
+        dS = cb.apply_lin(dy) - R
+        dst = sym(Rinv @ dS @ Rinv.T)
+        dzt = Cb - dst
+        out.append((dS, dst, dzt, min(_boundary_step(lam, dst), _boundary_step(lam, dzt))))
+    dS, dst, dzt, steps = zip(*out)
+    return dS, dst, dzt, min(steps)
 
 
 def solve(problem: LmiProblem) -> ConicSolution:
@@ -270,8 +268,7 @@ def solve(problem: LmiProblem) -> ConicSolution:
     pos_of = np.full(k, -1, dtype=np.intp)
     pos_of[oidx] = np.arange(oidx.size)
 
-    dims = np.array([cb.dim for cb in compiled])
-    sum_dim = float(dims.sum())
+    sum_dim = float(sum(cb.dim for cb in compiled))
     normF0 = np.array([1.0 + np.linalg.norm(cb.F0, "fro") for cb in compiled])
     cnorm = 1.0 + float(np.linalg.norm(c))
 
@@ -285,16 +282,11 @@ def solve(problem: LmiProblem) -> ConicSolution:
     snap = None
     status = SolverStatus.MAX_ITERS
     message = breakdown = ""
-    it = 0
-    obj = float(c @ y)
-    gap = sum_dim
-    pres = dres = np.inf
-
     snap_pmerit = np.inf
 
+    # The first iteration sets it, obj, gap, pres and dres before any exit.
     for it in range(1, _MAX_ITERS + 1):
-        Sy = [cb.apply(y) for cb in compiled]
-        Rp = [S[i] - Sy[i] for i in range(len(compiled))]
+        Rp = [S[i] - cb.apply(y) for i, cb in enumerate(compiled)]
         rd = c - problem.adjoint(Z)
         gap = float(sum(np.vdot(S[i], Z[i]) for i in range(len(compiled))))
         obj = float(c @ y)
@@ -348,25 +340,22 @@ def solve(problem: LmiProblem) -> ConicSolution:
 
         _, _, Wms, Ls = zip(*scal)
         try:
-            fact = _Factorization(compiled, Wms, Ls, oidx, pos_of, k)
+            fact = _Factorization(problem, Wms, Ls, oidx, pos_of)
         except _FactorError as exc:
             breakdown = f"next factorization failed: {exc}"
             break
 
         mu = gap / sum_dim
+        WRW = [Wm @ R @ Wm for Wm, R in zip(Wms, Rp)]
 
         # Predictor: pure Newton step toward the boundary.
-        E_aff = [-Z[i] + Wms[i] @ Rp[i] @ Wms[i] for i in range(len(compiled))]
-        dy_aff = fact.solve_kkt(E_aff, rd)
-        aff = [
-            _direction(cb, scal[i], dy_aff, Rp[i], -np.diag(scal[i][0]))
-            for i, cb in enumerate(compiled)
-        ]
-        _, ds_aff, dz_aff, steps = zip(*aff)
+        dy_aff = fact.solve_kkt([-Zb + T for Zb, T in zip(Z, WRW)], rd)
+        C_aff = [-np.diag(lam) for lam, _, _, _ in scal]
+        _, ds_aff, dz_aff, a_step = _directions(compiled, scal, dy_aff, Rp, C_aff)
         # One common step length for (y, S) and Z: keeps both residual
         # recursions shrinking at the same rate, which separate step sizes
         # do not guarantee for infeasible starts.
-        a_aff = min(1.0, 0.9995 * min(steps))
+        a_aff = min(1.0, 0.9995 * a_step)
 
         mu_aff = 0.0
         for i in range(len(compiled)):
@@ -378,20 +367,16 @@ def solve(problem: LmiProblem) -> ConicSolution:
         sigma = min(1.0, max(0.0, mu_aff / mu) ** 3)
 
         # Corrector with Mehrotra's second-order term.
-        E_cor = []
-        C_mats = []
+        E_cor, C_mats = [], []
         for i in range(len(compiled)):
-            lam, Rinv, Wm, _ = scal[i]
+            lam, Rinv, _, _ = scal[i]
             cross = ds_aff[i] @ dz_aff[i]
             C_raw = sigma * mu * np.eye(lam.size) - np.diag(lam**2) - sym(cross)
             C_mat = 2.0 * C_raw / np.add.outer(lam, lam)
             C_mats.append(C_mat)
-            E_cor.append(Rinv.T @ C_mat @ Rinv + Wm @ Rp[i] @ Wm)
+            E_cor.append(Rinv.T @ C_mat @ Rinv + WRW[i])
         dy = fact.solve_kkt(E_cor, rd)
-
-        cor = [_direction(cb, scal[i], dy, Rp[i], C_mats[i]) for i, cb in enumerate(compiled)]
-        ds_list, _, dzt_list, steps = zip(*cor)
-        a_max = min(steps)
+        ds_list, _, dzt_list, a_max = _directions(compiled, scal, dy, Rp, C_mats)
 
         gamma = 0.9 + 0.09 * min(1.0, a_aff)
         alpha = min(1.0, gamma * a_max)

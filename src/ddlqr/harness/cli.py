@@ -24,6 +24,7 @@ from ..synthesis import (
 )
 from .emit import emit_bench_csv, emit_csv, emit_solution_json, emit_svg_phase_portrait
 from .experiments import ReferenceExperimentConfig, gen_reference_data, portrait_trajectories
+from .rng import _SEED_END
 from .sweep import (
     bench_scaling,
     deviation_grid,
@@ -57,26 +58,32 @@ _PROGRAM_FLAGS = {
 }
 
 
-def _at_least(least, cast=float, many=False):
-    """argparse type: a finite value >= least, or with many a comma-separated
-    list of them, so that a bad option is a usage error before any work."""
+def _at_least(least, cast=float, many=False, below=np.inf):
+    """argparse type: a value in [least, below), so a finite one, or with
+    many a comma-separated list of them, so that a bad option is a usage
+    error before any work."""
 
     def parse(text: str):
         try:
             vals = [cast(tok) for tok in (text.split(",") if many else [text])]
         except ValueError:
             vals = [np.nan]
-        if not all(np.isfinite(v) and v >= least for v in vals):
-            raise argparse.ArgumentTypeError(f"{text!r}: want finite {cast.__name__}s >= {least:g}")
+        if not all(least <= v < below for v in vals):
+            raise argparse.ArgumentTypeError(
+                f"{text!r}: want {cast.__name__}s in [{least:g}, {below})"
+            )
         return vals if many else vals[0]
 
     return parse
 
 
+_SEED = _at_least(0, int, below=_SEED_END)
+
+
 def _add_gen(sub) -> None:
     p = sub.add_parser("gen", help="generate one dataset and save it as CSV")
     p.set_defaults(run=_cmd_gen)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--ell", type=int, default=30)
     p.add_argument("--noise-std", type=_at_least(0.0), default=0.1)
     p.add_argument("--out", required=True)
@@ -97,7 +104,7 @@ def _add_sweep(sub) -> None:
     p.set_defaults(run=_cmd_sweep)
     p.add_argument("--preset", choices=sorted(_SWEEP_PRESETS), required=True)
     p.add_argument("--data", default=None, help="dataset CSV; generated when omitted")
-    p.add_argument("--seed", type=int, default=None, help="seed for generated data")
+    p.add_argument("--seed", type=_SEED, default=None, help="seed for generated data")
     p.add_argument("--points", type=_at_least(1, int), default=41)
     p.add_argument("--out", required=True)
 
@@ -107,7 +114,7 @@ def _add_portrait(sub) -> None:
     p.set_defaults(run=_cmd_portrait)
     p.add_argument("--lambdas", type=_at_least(0.0, many=True), default=[0.1, 1.0, 10.0, 100.0])
     p.add_argument("--data", default=None, help="dataset CSV; generated when omitted")
-    p.add_argument("--seed", type=int, default=None, help="seed for generated data")
+    p.add_argument("--seed", type=_SEED, default=None, help="seed for generated data")
     p.add_argument("--out", required=True, help="output directory")
 
 
@@ -117,14 +124,14 @@ def _add_bench(sub) -> None:
     p.add_argument("--ells", type=_at_least(1, int, many=True), default=[30, 60, 90, 120])
     p.add_argument("--repeats", type=_at_least(1, int), default=10)
     p.add_argument("--lambda", dest="lam", type=_at_least(0.0), default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", required=True)
 
 
 def _add_verify(sub) -> None:
     p = sub.add_parser("verify", help="run the oracle and equivalence self-checks")
     p.set_defaults(run=_cmd_verify)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", default="verify-artifacts", help="artifact directory")
 
 

@@ -18,8 +18,9 @@ STREAM_STATE = 0
 STREAM_INPUT = 1
 STREAM_NOISE = 2
 
-# Arbitrary fixed key half; the other half is the user seed.
+# Arbitrary fixed key half; the other half is the user seed, 0 <= seed < _SEED_END.
 _KEY_CONST = 0x9E3779B97F4A7C15
+_SEED_END = 2**64
 
 # Philox4x64-10 (Salmon et al., SC 2011): multipliers, Weyl key increments
 # and round count, as in numpy's Philox bit generator.

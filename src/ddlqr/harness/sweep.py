@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..datamodel import DataStats, compute_stats
-from ..effects import RegWeights
+from ..effects import _PARAMETERIZATIONS, RegWeights
 from ..errors import DdlqrError, DimensionMismatch, SynthesisInfeasible
 from ..matlin import spectral_radius
 from ..synthesis import (
@@ -60,6 +60,8 @@ def reduced_case(label: str, parameterization: str = "gram") -> SweepCase:
     if bad or not picks:
         raise DimensionMismatch(f"unrecognized case label {label!r}")
     active = tuple(str(i) in picks for i in (1, 2, 3))
+    if parameterization not in _PARAMETERIZATIONS:
+        raise DimensionMismatch(f"unknown parameterization {parameterization!r}")
     if parameterization == "covariance" and active[0]:
         raise DimensionMismatch("covariance cases cannot activate the first effect")
     program = "reduced-gram" if parameterization == "gram" else "reduced-covar"

@@ -207,7 +207,8 @@ def descent_toy():
 
 def break_at(monkeypatch, p, k, how):
     """Break the solve of p at iteration k: "factor" fails the Schur
-    factorization, "nan" makes the dual residual non-finite."""
+    factorization, "nan" makes the primal residual non-finite. The first
+    block's apply runs once per iteration, for the residuals."""
     calls = []
     if how == "factor":
         real = solver_mod._Factorization
@@ -220,14 +221,15 @@ def break_at(monkeypatch, p, k, how):
 
         monkeypatch.setattr(solver_mod, "_Factorization", factorization)
     else:
-        real = p.adjoint
+        block = p.compiled()[0]
+        real = block.apply
 
-        def adjoint(Z_list):
+        def apply(y):
             calls.append(None)
-            g = real(Z_list)
-            return np.full_like(g, np.nan) if len(calls) >= k else g
+            S = real(y)
+            return np.full_like(S, np.nan) if len(calls) >= k else S
 
-        monkeypatch.setattr(p, "adjoint", adjoint)
+        monkeypatch.setattr(block, "apply", apply)
 
 
 BREAKDOWNS = [("factor", "next factorization failed: probe"), ("nan", "non-finite iterate")]
@@ -411,17 +413,18 @@ def test_solution_metadata():
 def structured_problem_with_dense_twin(seed):
     """Random problem mixing a 1-D block, a sparse 4 x 4 block, a block of
     entries and two column families (coefficients C[:, t] e_q.T + e_q C[:, t].T
-    of variable varmat[t, q], e_q the basis vector at column col0 + q), and a
-    corner block holding entries and such a family in its border rows (the
-    shape of the baseline W block). Each block is declared by its coefficient
-    stack, columns dc.. of it for the corner block. Returns the problem, the
-    corner variables and the explicit coefficient F_{b,i} of every variable in
-    every block, built apart from the problem's own code."""
+    of variable varmat[t, q], e_q the basis vector at column col0 + q), and two
+    corner blocks of different dimensions, each holding entries and such a
+    family in its border rows (the shape of the baseline W block). Each block
+    is declared by its coefficient stack, columns dc.. of it for a corner
+    block. Returns the problem, the corner variables and the explicit
+    coefficient F_{b,i} of every variable in every block, built apart from
+    the problem's own code."""
     rng = np.random.default_rng(seed)
-    dc, nq = 3, 2
+    dc = 3
     ncv = svec_len(dc)
-    k = ncv + 16
-    ordinary = np.arange(ncv, k)
+    k = 2 * ncv + 16
+    ordinary = np.arange(2 * ncv, k)
     p = LmiProblem(rng.standard_normal(k))
     dense = []
 
@@ -444,18 +447,16 @@ def structured_problem_with_dense_twin(seed):
             e[col0 + q] = 1.0
             F[var] += np.outer(C[:, t], e) + np.outer(e, C[:, t])
 
-    def block(F, dc=0):
+    def block(F, corner=None):
         """Declare a random symmetric F0 plus the coefficients F of every
         variable whose F is nonzero; a corner block's F is zero in its
         corner, and the twin gets the corner's packed identity."""
         dim = F.shape[1]
         F0 = rng.standard_normal((dim, dim))
         var = np.flatnonzero(np.any(F != 0.0, axis=(1, 2)))
-        corner = None
-        if dc:
-            corner = (dc, 0)
-            for kk, (i, j) in enumerate(zip(*np.triu_indices(dc))):
-                F[kk, i, j] = F[kk, j, i] = 1.0 if i == j else 1.0 / np.sqrt(2.0)
+        dc, v0 = (0, 0) if corner is None else corner
+        for kk, (i, j) in enumerate(zip(*np.triu_indices(dc))):
+            F[v0 + kk, i, j] = F[v0 + kk, j, i] = 1.0 if i == j else 1.0 / np.sqrt(2.0)
         dense.append(F)
         return p.new_block(0.5 * (F0 + F0.T), var, F[var][:, :, dc:], corner=corner)
 
@@ -468,13 +469,14 @@ def structured_problem_with_dense_twin(seed):
     family(F, rng.standard_normal((6, 3)), 1, fam_vars[4:7].reshape(3, 1))
     block(F)
 
-    fam_vars = rng.permutation(ordinary)
-    F = single_entries(fam_vars[6:9], dc + nq, dc + np.arange(nq))
-    C = np.zeros((dc + nq, 3))
-    C[:dc] = rng.standard_normal((dc, 3))
-    family(F, C, dc, fam_vars[:6].reshape(3, nq))
-    block(F, dc)
-    return p, np.arange(ncv), dense
+    for v0, nq in ((0, 2), (ncv, 3)):
+        fam_vars = rng.permutation(ordinary)
+        F = single_entries(fam_vars[3 * nq : 3 * nq + 3], dc + nq, dc + np.arange(nq))
+        C = np.zeros((dc + nq, 3))
+        C[:dc] = rng.standard_normal((dc, 3))
+        family(F, C, dc, fam_vars[: 3 * nq].reshape(3, nq))
+        block(F, (dc, v0))
+    return p, np.arange(2 * ncv), dense
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -508,7 +510,7 @@ def test_schur_assembly_matches_brute_force(seed):
 
     pos_of = np.full(k, -1, dtype=np.intp)
     pos_of[o] = np.arange(o.size)
-    fact = _Factorization(p.compiled(), Ws, [np.linalg.cholesky(W) for W in Ws], o, pos_of, k)
+    fact = _Factorization(p, Ws, [np.linalg.cholesky(W) for W in Ws], o, pos_of)
     L = fact.chol
     assert np.abs(L @ L.T - M_red).max() <= 1e-9 * np.abs(M_red).max()
 
@@ -519,5 +521,7 @@ def test_schur_assembly_matches_brute_force(seed):
     dy = fact.solve_kkt(E_list, rd)
     assert np.abs(dy - dy_ref).max() <= 1e-9 * np.abs(dy_ref).max()
     # One refinement step repairs an elimination that drops either corner
-    # coupling, so the unrefined solve is checked on its own as well.
+    # coupling, so the unrefined solve is checked on its own as well. Both
+    # corners share dc, so one that takes another corner's factor is wrong
+    # in value rather than in shape.
     assert np.abs(fact._reduced_solve(rhs) - dy_ref).max() <= 1e-9 * np.abs(dy_ref).max()

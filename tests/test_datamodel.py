@@ -117,6 +117,11 @@ def test_config_validation():
         ReferenceExperimentConfig(noise_std=-0.1)
     with pytest.raises(DimensionMismatch):
         ReferenceExperimentConfig(k_expl=np.array([[1.0, 2.0, 3.0]]))
+    # The seed is one 64-bit word of the generator's key.
+    for seed in (-1, 2**64):
+        with pytest.raises(DimensionMismatch, match="seed"):
+            ReferenceExperimentConfig(seed=seed)
+    assert ReferenceExperimentConfig(seed=2**64 - 1).seed == 2**64 - 1
 
 
 # -- rank checks --------------------------------------------------------------

@@ -81,6 +81,10 @@ def test_case_label_parsing():
         reduced_case("{4}")
     with pytest.raises(DimensionMismatch):
         reduced_case("{}")
+    # Only the two parameterizations the sweep's programs take are accepted.
+    for label, param in (("{2}", "covar"), ("{1}", "Gram"), ("{3}", "")):
+        with pytest.raises(DimensionMismatch, match="parameterization"):
+            reduced_case(label, param)
 
 
 def test_lambda_grids():
@@ -392,6 +396,13 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         ["sweep", "--preset", "deviation", "--data", str(data), "--seed", "5",
          "--out", str(tmp_path / "sd.csv")],
         ["portrait", "--data", str(data), "--seed", "0", "--out", str(tmp_path / "pd")],
+        # A seed is one 64-bit word of the generator's key.
+        ["gen", "--seed", "-1", "--out", str(tmp_path / "s1.csv")],
+        ["gen", "--seed", str(2**64), "--out", str(tmp_path / "s2.csv")],
+        ["verify", "--seed", "-1", "--out", str(tmp_path / "v1")],
+        ["sweep", "--preset", "gain-path", "--seed", "-3", "--out", str(tmp_path / "s3.csv")],
+        ["portrait", "--seed", str(2**64), "--out", str(tmp_path / "ps")],
+        ["bench", "--seed", "-1", "--out", str(tmp_path / "b1.csv")],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -401,7 +412,7 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         # The usage line is the subcommand's, with the flags it takes.
         assert err.startswith(f"usage: ddlqr {argv[0]} "), err
     written = ("b.csv", "r.csv", "s.csv", "g.csv", "portraits", "z.json", "n.csv", "p.csv",
-               "fig3", "sd.csv", "pd")
+               "fig3", "sd.csv", "pd", "s1.csv", "s2.csv", "v1", "s3.csv", "ps", "b1.csv")
     assert not any((tmp_path / name).exists() for name in written)
 
 
