@@ -66,15 +66,16 @@ class _FactorError(Exception):
     pass
 
 
-# Every program asks for 1e-11 in the residuals and the relative gap: gains
-# are compared at 1e-5, and near a flat optimum the gain error scales like
-# the square root of the objective gap. That target is below what the reduced
-# and model SDPs attain: as mu shrinks the Schur complement's conditioning
-# degrades and the residuals bottom out above it (snapshot dual residuals up
-# to 1.4e-6 on the paper grids). So the snapshot is the iterate with the least
-# primal merit max(primal residual, relative gap) among those whose dual
-# residual is at most _DUAL_CAP, and every breakdown returns it as optimal
-# when that merit is at most _PRIMAL_CAP; above it the breakdown is a failure.
+# A solve ends by convergence, an infeasible or unbounded ray, the
+# _MAX_ITERS cap or a breakdown: a non-finite iterate or a failed
+# factorization. Convergence asks 1e-11 of the residuals and the relative
+# gap, as gains are compared at 1e-5 and their error scales like the square
+# root of the gap. The reduced and model SDPs stop short of that: as mu
+# shrinks the Schur complement degrades until a factorization fails (dual
+# residuals of snapshots reach 1.4e-6 on the paper grids). So a
+# breakdown returns as optimal the snapshot, the iterate with the least
+# max(primal residual, relative gap) among those whose dual residual is at
+# most _DUAL_CAP, if that merit is at most _PRIMAL_CAP.
 _TOL = 1e-11
 _MAX_ITERS = 200
 _PRIMAL_CAP = 1e-6
@@ -144,8 +145,6 @@ class _Factorization:
                 self.corners.append((cb, np.linalg.inv(L[:dc, :dc]), L[:, :dc]))
 
         scale = float(np.max(np.diag(M))) if ko else 1.0
-        if not np.isfinite(scale) or scale <= 0.0:
-            scale = 1.0
         # M = C C.T, applied as Ci.T (Ci r) with Ci = C^-1 (module docstring).
         for jitter in (0.0, 1e-12 * scale, 1e-9 * scale):
             try:
@@ -237,15 +236,15 @@ def _directions(compiled, scal, dy, Rp, C):
 def solve(problem: LmiProblem) -> ConicSolution:
     """Minimize c.T y over the intersection of the problem's LMI blocks.
 
-    Statuses are values, never exceptions. Optimal with an empty message
-    means the convergence test passed: both residuals and the relative gap
-    at most _TOL. Infeasible and Unbounded come from residual-growth
-    heuristics, MaxIters from the _MAX_ITERS cap. Every other exit is a
-    breakdown: a non-finite iterate, stagnation, a failed factorization or
-    two collapsed steps. One rule decides them all: the snapshot is returned
-    as Optimal with message "attainable precision; <reason>" when its primal
-    merit is at most _PRIMAL_CAP, else the status is NumericalError with the
-    reason.
+    Statuses are values, never exceptions, and a solve ends in one of four
+    ways. Optimal with an empty message means the convergence test passed:
+    both residuals and the relative gap at most _TOL. Infeasible and
+    Unbounded come from residual-growth heuristics, MaxIters from the
+    _MAX_ITERS cap. A breakdown, a non-finite iterate or a failed
+    factorization (NT scaling or Schur complement), ends on the snapshot
+    rule: the snapshot is returned as Optimal with message "attainable
+    precision; <reason>" when its primal merit is at most _PRIMAL_CAP, else
+    the status is NumericalError with the reason.
     """
     t0 = time.perf_counter()
     k = problem.num_vars
@@ -276,13 +275,9 @@ def solve(problem: LmiProblem) -> ConicSolution:
     S = [normF0[i] * np.eye(cb.dim) for i, cb in enumerate(compiled)]
     Z = [np.eye(cb.dim) for cb in compiled]
 
-    best_merit = np.inf
-    stall = 0
-    tiny_steps = 0
-    snap = None
+    snap, snap_pmerit = None, np.inf
     status = SolverStatus.MAX_ITERS
     message = breakdown = ""
-    snap_pmerit = np.inf
 
     # The first iteration sets it, obj, gap, pres and dres before any exit.
     for it in range(1, _MAX_ITERS + 1):
@@ -314,32 +309,17 @@ def solve(problem: LmiProblem) -> ConicSolution:
             if f0z < 0.0 and adj_ratio <= 1e-8:
                 status, message = SolverStatus.INFEASIBLE, "dual improving ray detected"
                 break
+        # The snapshot is the best-primal iterate whose slacks factored, taken
+        # before its Schur factorization: in the degenerate tail the dual
+        # residual decays while (pres, relgap) keep polishing, so dual quality
+        # gates insertion but never selects the snapshot.
         try:
             scal = [_nt_scaling(S[i], Z[i]) for i in range(len(compiled))]
-        except _FactorError as exc:
-            breakdown = f"next factorization failed: {exc}"
-            break
-        # The returned iterate is the best-primal one whose slacks factored:
-        # in the degenerate tail the dual residual decays while (pres,
-        # relgap) keep polishing, so dual quality gates insertion but never
-        # selects the snapshot.
-        pmerit = max(pres, relgap)
-        if dres <= _DUAL_CAP and pmerit < snap_pmerit:
-            snap_pmerit = pmerit
-            snap = (y.copy(), obj, gap, pres, dres)
-        if pmerit < 0.9 * best_merit:
-            best_merit = pmerit
-            stall = 0
-        else:
-            stall += 1
-            # A stall ends the solve sooner when the snapshot already meets the cap.
-            snap_ok = snap_pmerit <= _PRIMAL_CAP
-            if stall >= 4 and snap_ok or stall >= 12 and pmerit <= 1e-2 or stall >= 25:
-                breakdown = "stagnation"
-                break
-
-        _, _, Wms, Ls = zip(*scal)
-        try:
+            pmerit = max(pres, relgap)
+            if dres <= _DUAL_CAP and pmerit < snap_pmerit:
+                snap_pmerit = pmerit
+                snap = (y.copy(), obj, gap, pres, dres)
+            _, _, Wms, Ls = zip(*scal)
             fact = _Factorization(problem, Wms, Ls, oidx, pos_of)
         except _FactorError as exc:
             breakdown = f"next factorization failed: {exc}"
@@ -380,14 +360,6 @@ def solve(problem: LmiProblem) -> ConicSolution:
 
         gamma = 0.9 + 0.09 * min(1.0, a_aff)
         alpha = min(1.0, gamma * a_max)
-        if alpha < 1e-10:
-            tiny_steps += 1
-            if tiny_steps >= 2:
-                breakdown = "step lengths collapsed"
-                break
-        else:
-            tiny_steps = 0
-
         y = y + alpha * dy
         for i, (_, Rinv, _, _) in enumerate(scal):
             S[i] = sym(S[i] + alpha * ds_list[i])

@@ -86,8 +86,7 @@ class ReferenceExperimentConfig:
             raise DimensionMismatch("standard deviations must be non-negative")
         if self.ell < n + m:
             raise DimensionMismatch(f"ell={self.ell} below n+m={n + m}")
-        if not 0 <= self.seed < rng._SEED_END:
-            raise DimensionMismatch(f"seed={self.seed} outside [0, 2**64)")
+        rng._check_seed(self.seed, DimensionMismatch)
 
     @property
     def n(self) -> int:

@@ -10,6 +10,8 @@ reimplementing the same two steps over the same counters.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 __all__ = ["STREAM_STATE", "STREAM_INPUT", "STREAM_NOISE", "normal_matrix"]
@@ -29,6 +31,15 @@ _PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)
 _PHILOX_ROUNDS = 10
 _LO32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
+
+
+def _check_seed(seed, error=ValueError) -> int:
+    """The seed as the key's 64-bit word. Anything but an integer in
+    [0, _SEED_END) raises error, since the key would truncate or wrap it."""
+    word = operator.index(seed) if hasattr(seed, "__index__") else -1
+    if not 0 <= word < _SEED_END:
+        raise error(f"seed={seed!r} is not an integer in [0, 2**64)")
+    return word
 
 
 def _mulhilo(a: np.ndarray, mult: int) -> tuple[np.ndarray, np.ndarray]:
@@ -85,4 +96,4 @@ def normal_matrix(seed: int, stream: int, rows: int, cols: int, std: float = 1.0
     cols."""
     if std < 0:
         raise ValueError("std must be non-negative")
-    return std * _normals(seed, stream, np.arange(cols), rows)
+    return std * _normals(_check_seed(seed), stream, np.arange(cols), rows)

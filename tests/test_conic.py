@@ -183,6 +183,14 @@ def test_untouched_variable_with_zero_cost():
     assert sol.status == "Optimal"
     assert sol.y[2] == 0.0
     assert sol.objective == pytest.approx(-1.5, abs=1e-6)
+    # With a cost, the untouched variable moves the objective without bound.
+    p = LmiProblem([-1.0, 0.5, 2.0])
+    add_dense_block(p, np.eye(2), [np.array([[0.0, 1.0], [1.0, 0.0]])])
+    add_dense_block(p, np.eye(1), [None, np.array([[1.0]])])
+    sol = solve(p)
+    assert sol.status == "Unbounded"
+    assert sol.message == "objective moves along an unconstrained variable"
+    assert sol.iters == 0
 
 
 def test_max_iters_status(monkeypatch):

@@ -78,6 +78,14 @@ def test_draws_match_numpy_philox_bitwise(seed):
             assert np.array_equal(rng.normal_matrix(seed, stream, rows, 36), z[:, :36])
 
 
+# The key holds the seed as one 64-bit word: a seed it would wrap or truncate
+# is refused, as a negative std is.
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+def test_normal_matrix_rejects_seeds_outside_the_key(seed):
+    with pytest.raises(ValueError, match="seed"):
+        rng.normal_matrix(seed, rng.STREAM_STATE, 2, 3)
+
+
 def test_streams_are_distinct_and_deterministic():
     a = rng.normal_matrix(3, rng.STREAM_STATE, 4, 8)
     b = rng.normal_matrix(3, rng.STREAM_INPUT, 4, 8)
@@ -118,7 +126,7 @@ def test_config_validation():
     with pytest.raises(DimensionMismatch):
         ReferenceExperimentConfig(k_expl=np.array([[1.0, 2.0, 3.0]]))
     # The seed is one 64-bit word of the generator's key.
-    for seed in (-1, 2**64):
+    for seed in (-1, 2**64, 1.5):
         with pytest.raises(DimensionMismatch, match="seed"):
             ReferenceExperimentConfig(seed=seed)
     assert ReferenceExperimentConfig(seed=2**64 - 1).seed == 2**64 - 1

@@ -730,13 +730,16 @@ def assert_matches_sdp(sol, sdp):
 # A subsample of the paper's two sweep presets: the deviation path (data seed
 # 42, gram) up to lambda = 1e6 and the gain path (data seed 0, covariance)
 # from lambda = 0 to 1e10. The gram cases without the first effect, lambda = 0
-# included, take the closed form for a free closed loop.
+# included, take the closed form for a free closed loop. Data seed 3's {2}
+# points from lambda = 4e8 on are the grids' longest solves (42 to 44
+# iterations): an exit that cuts a slow solve short fails them.
 @pytest.mark.parametrize(
     "seed,param,labels,lams",
     [
         (42, "gram", ("{1}", "{1,2}", "{1,3}", "{1,2,3}"), (1e-4, 1.0, 1e6)),
         (42, "gram", ("{2}", "{3}", "{2,3}"), (0.0, 1e-2, 1e6)),
         (0, "covariance", ("{2}", "{3}", "{2,3}"), (0.0, 1e-4, 1.0, 1e6, 1e10)),
+        (3, "covariance", ("{2}",), (4e8, 1e10)),
     ],
 )
 def test_reduced_programs_match_sdp_on_paper_sweeps(seed, param, labels, lams):
