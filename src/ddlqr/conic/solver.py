@@ -6,21 +6,23 @@ slack of every block is an independent iterate. Problems carry inequality
 blocks only: an affine equation is met by parameterizing its solution set,
 as the baseline gram program does for X0 Y = P.
 
-The Schur complement M_ij = sum_b tr(F_bi W_b F_bj W_b) is assembled per
-block from dense BLAS products, in the forms of SDPT3 (Toh, Todd & Tutuncu,
-1999) and CVXOPT (Vandenberghe, 2010). A declared slack corner, whose packed
+The Schur complement M_ij = sum_b tr(F_bi W_b F_bj W_b) is assembled from
+dense BLAS products, in the forms of SDPT3 (Toh, Todd & Tutuncu, 1999) and
+CVXOPT (Vandenberghe, 2010). A declared slack corner, whose packed
 coefficients form an identity, is eliminated analytically, and every block
 takes one formula with or without one: with W = L L.T read off the NT
 scaling, the corner-eliminated term is the Gram matrix of the whitened
 columns L.T F_i[:, dc:] L[dc:, dc:], and the corner-corner operator is never
-formed.
+formed. M is one Gram product over all blocks, and a corner's step is
+back-substituted in closed form.
 
 The Schur complement M = C C.T is factored by Cholesky, with a small
 diagonal jitter when that fails, and applied as Ci.T (Ci r) with Ci = C^-1,
 never through M^-1. C's condition number is the square root of M's, and M
 grows ill conditioned as the iterates approach the optimum: directions taken
 through M^-1 are poorer there, and more solves end on a snapshot rather
-than by the convergence test.
+than by the convergence test. Ci and each corner's L_cc^-1 come from
+_tril_inv, and the NT scaling inverts no factor.
 """
 
 from __future__ import annotations
@@ -93,11 +95,12 @@ def _nt_scaling(S: np.ndarray, Z: np.ndarray):
         L_z = np.linalg.cholesky(Z)
     except np.linalg.LinAlgError as exc:
         raise _FactorError(f"iterate lost positive definiteness: {exc}") from None
-    U, lam, Vt = np.linalg.svd(L_z.T @ L_s)
+    U, lam, _ = np.linalg.svd(L_z.T @ L_s)
     if np.min(lam) <= 0.0:
         raise _FactorError("NT scaling hit a zero singular value")
-    root = np.sqrt(lam)
-    Rinv = (Vt * root[:, None]) @ np.linalg.inv(L_s)
+    # L_z.T L_s = U diag(lam) Vt gives Vt L_s^-1 = diag(lam)^-1 U.T L_z.T, so
+    # Rinv = diag(lam)^1/2 Vt L_s^-1 needs no inverse of L_s.
+    Rinv = (U.T / np.sqrt(lam)[:, None]) @ L_z.T
     Wm = Rinv.T @ Rinv
     return lam, Rinv, Wm, np.linalg.qr(Rinv, mode="r").T
 
@@ -113,6 +116,22 @@ def _boundary_step(lam: np.ndarray, D_scaled: np.ndarray) -> float:
     return 1.0 / (-m)
 
 
+def _tril_inv(L: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular lower-triangular L by halving (Du Croz &
+    Higham, 1992): inv([[A, 0], [B, D]]) = [[A^-1, 0], [-D^-1 B A^-1, D^-1]].
+    A leaf of order <= 32 is inv(L.T).T, whose LU swaps no rows: exactly 0
+    above the diagonal, which inv(L)'s pivoting is not."""
+    n = L.shape[0]
+    if n <= 32:
+        return np.linalg.inv(L.T).T
+    h = n // 2
+    X = np.zeros_like(L)
+    X[:h, :h] = _tril_inv(L[:h, :h])
+    X[h:, h:] = _tril_inv(L[h:, h:])
+    X[h:, :h] = -X[h:, h:] @ (L[h:, :h] @ X[:h, :h])
+    return X
+
+
 class _Factorization:
     """One iteration's Schur complement M_ij = sum_b tr(F_i W_b F_j W_b)
     over the ordinary variables, with every declared slack corner eliminated.
@@ -122,7 +141,9 @@ class _Factorization:
     W - T vanishes outside its trailing block. So the term is the Gram
     matrix H H.T of H_i = L.T F_i[:, dc:] L[dc:, dc:] with the dc border rows
     scaled by sqrt(2), which count in both triangles; without a corner it is
-    the plain tr(F_i W F_j W). Each block adds H H.T once at M[gp, gp].
+    the plain tr(F_i W F_j W). Each block writes its H into its own columns
+    of one array over all ordinary variables, H_all, and M = H_all H_all.T
+    is one product.
     """
 
     def __init__(self, problem, Wms, Ls, oidx, pos_of):
@@ -130,19 +151,21 @@ class _Factorization:
         self.Wms = Wms
         self.oidx = oidx
         ko = oidx.size
-        M = np.zeros((ko, ko))
-        # (block, Li = L_cc^-1, Wh = L[:, :dc]) for each corner
+        compiled = problem.compiled()
+        cols = np.cumsum([0] + [cb.dim * (cb.dim - cb.dc) for cb in compiled])
+        H_all = np.zeros((ko, cols[-1]))
+        # (block, E = L[dc:, :dc] L_cc^-1, W_cc^-1) for each corner
         self.corners = []
 
-        for cb, L in zip(problem.compiled(), Ls):
+        for cb, L, c0, c1 in zip(compiled, Ls, cols, cols[1:]):
             dc = cb.dc
             H = L.T @ cb.F @ L[dc:, dc:]
             H[:, :dc] *= SQRT2
-            H = H.reshape(cb.lv.size, cb.dim * (cb.dim - dc))
-            gp = pos_of[cb.lv]
-            M[np.ix_(gp, gp)] += H @ H.T
+            H_all[pos_of[cb.lv], c0:c1] = H.reshape(cb.lv.size, c1 - c0)
             if dc:
-                self.corners.append((cb, np.linalg.inv(L[:dc, :dc]), L[:, :dc]))
+                Li = _tril_inv(L[:dc, :dc])
+                self.corners.append((cb, L[dc:, :dc] @ Li, Li.T @ Li))
+        M = H_all @ H_all.T
 
         scale = float(np.max(np.diag(M))) if ko else 1.0
         # M = C C.T, applied as Ci.T (Ci r) with Ci = C^-1 (module docstring).
@@ -154,7 +177,7 @@ class _Factorization:
                 continue
         else:
             raise _FactorError("Schur complement not positive definite after jitter")
-        self.chol_inv = np.linalg.inv(self.chol)
+        self.chol_inv = _tril_inv(self.chol)
 
     def solve_kkt(self, E_list, rd):
         """Solve M dy = A*(E) - rd, with corner back-substitution and one
@@ -165,10 +188,9 @@ class _Factorization:
         that decide convergence are measured through the same apply and
         adjoint, so dy is made consistent with them to working precision.
         Without the refinement every status stayed Optimal, but fewer solves
-        passed the convergence test (107 rather than 154 of 300 random LMIs,
-        33 rather than 36 of 125 synthesis SDPs) for about 30 % less time
-        per baseline iteration at ell = 30 to 90; CVXOPT's cone solvers also
-        refine once for matrix inequalities.
+        passed the convergence test (107 rather than 154 of 300 random LMIs)
+        for about 20 % less time per baseline iteration at ell = 30 to 90;
+        CVXOPT's cone solvers also refine once for matrix inequalities.
         """
         p = self.problem
         full_rhs = p.adjoint(E_list) - rd
@@ -177,24 +199,25 @@ class _Factorization:
         return dy + self._reduced_solve(full_rhs - g)
 
     def _reduced_solve(self, full_rhs):
-        # Corner rows of the full system read W_cc dW W_cc + (W A_o(dy) W)_cc
-        # = rhs_c, with A_o the block's ordinary apply. With Th = Li rhs_c Li.T
-        # the ordinary rows lose the block's adjoint at Wh Th Wh.T, and then
-        # dW = Li.T (Th - Wh.T A_o(dy) Wh) Li.
+        # Corner rows read W_cc dW W_cc + (W A_o(dy) W)_cc = r_c, A_o the
+        # block's ordinary apply. With [I; E] = L[:, :dc] L_cc^-1 the ordinary
+        # rows lose the adjoint at [I; E] r_c [I; E].T (its corner unread), and
+        # dW = W_cc^-1 r_c W_cc^-1 - [I; E].T A_o(dy) [I; E]
+        #    = W_cc^-1 r_c W_cc^-1 - (B E + E.T B.T + E.T T E), [B; T] = A_o(dy)[:, dc:].
         g = np.zeros(self.problem.num_vars)
-        Ths = []
-        for cb, Li, Wh in self.corners:
-            Th = Li @ smat(full_rhs[cb.corner], cb.dc) @ Li.T
-            cb.adjoint(Wh @ Th @ Wh.T, g)
-            Ths.append(Th)
+        r_cs = []
+        for cb, E, _ in self.corners:
+            r_c = smat(full_rhs[cb.corner], cb.dc)
+            rEt = r_c @ E.T
+            # The border rows meet the adjoint twice, once in each triangle.
+            g[cb.lv] += cb.F_flat @ np.vstack((2.0 * rEt, E @ rEt)).ravel()
+            r_cs.append(r_c)
         dy = np.zeros(self.problem.num_vars)
         dy[self.oidx] = self.chol_inv.T @ (self.chol_inv @ (full_rhs - g)[self.oidx])
-        # A block's apply_lin reads its own ordinary variables and its own
-        # corner, which new_block keeps apart from every other corner: while
-        # that corner of dy is still zero it gives A_o(dy), so each dW is
-        # written as soon as it is formed.
-        for (cb, Li, Wh), Th in zip(self.corners, Ths):
-            dy[cb.corner] = svec(sym(Li.T @ (Th - Wh.T @ cb.apply_lin(dy) @ Wh) @ Li))
+        for (cb, E, Wi), r_c in zip(self.corners, r_cs):
+            BT = (dy[cb.lv] @ cb.F_flat).reshape(cb.dim, cb.dim - cb.dc)
+            BE = BT[: cb.dc] @ E
+            dy[cb.corner] = svec(sym(Wi @ r_c @ Wi - (BE + BE.T + E.T @ BT[cb.dc :] @ E)))
         return dy
 
 

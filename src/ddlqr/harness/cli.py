@@ -248,7 +248,8 @@ def _cmd_bench(args) -> int:
     for r in rows:
         print(
             f"ell {r.ell:4d} {r.program_label:20s} mean {r.mean_s * 1e3:9.1f} ms "
-            f"(vars {r.num_vars}, max block {r.max_block_dim})"
+            f"(vars {r.num_vars}, max block {r.max_block_dim}, "
+            f"Schur order {r.schur_order}, {r.iters} iterations)"
         )
     print(f"wrote {args.out}")
     return 0

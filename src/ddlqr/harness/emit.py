@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import xml.etree.ElementTree as ET
+from dataclasses import astuple, fields
 
 import numpy as np
 
@@ -82,22 +83,11 @@ def emit_bench_csv(rows: list[BenchRow], path) -> None:
         raise DimensionMismatch("refusing to write an empty benchmark table")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["ell", "program", "repeats", "mean_s", "min_s", "max_s", "num_vars", "max_block_dim"]
-        )
+        # One column per BenchRow field, in order; program_label is "program".
+        names = [f.name for f in fields(BenchRow)]
+        writer.writerow(["program" if n == "program_label" else n for n in names])
         for r in rows:
-            writer.writerow(
-                [
-                    r.ell,
-                    r.program_label,
-                    r.repeats,
-                    _fmt(r.mean_s),
-                    _fmt(r.min_s),
-                    _fmt(r.max_s),
-                    r.num_vars,
-                    r.max_block_dim,
-                ]
-            )
+            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in astuple(r)])
 
 
 def emit_solution_json(sol: LqrSolution, path) -> None:

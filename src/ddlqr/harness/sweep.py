@@ -165,7 +165,8 @@ def zero_wall_times(rows: list[SweepRow]) -> list[SweepRow]:
 
 @dataclass(frozen=True)
 class BenchRow:
-    """Mean wall time of one program at one data length."""
+    """Wall times of one program at one data length, the iterations of its
+    timed solve and its Schur complement's order (variables outside corners)."""
 
     ell: int
     program_label: str
@@ -175,6 +176,8 @@ class BenchRow:
     max_s: float
     num_vars: int
     max_block_dim: int
+    iters: int
+    schur_order: int
 
 
 _BENCH_PROGRAMS = (
@@ -215,14 +218,15 @@ def bench_scaling(
     rows: list[BenchRow] = []
     for base, reduced in _BENCH_PROGRAMS:
         for label, bench in ((base, _bench_baseline), (reduced, _bench_reduced)):
-            sizes, runners = zip(*(bench(d, cfg, lam, label) for d in data))
+            problems, runners = zip(*(bench(d, cfg, lam, label) for d in data))
             for runner in runners:
                 runner()
             times = [[] for _ in runners]
             for _ in range(repeats):
+                iters = []
                 for runner, t in zip(runners, times):
                     t0 = time.perf_counter()
-                    runner()
+                    iters.append(runner())
                     t.append(time.perf_counter() - t0)
             rows += [
                 BenchRow(
@@ -232,31 +236,33 @@ def bench_scaling(
                     mean_s=float(np.mean(t)),
                     min_s=float(np.min(t)),
                     max_s=float(np.max(t)),
-                    num_vars=num_vars,
-                    max_block_dim=max_dim,
+                    num_vars=p.num_vars,
+                    max_block_dim=max(p.block_dims()),
+                    iters=it,
+                    schur_order=np.unique(np.concatenate([cb.lv for cb in p.compiled()])).size,
                 )
-                for ell, t, (num_vars, max_dim) in zip(ells, times, sizes)
+                for ell, t, it, p in zip(ells, times, iters, problems)
             ]
     return sorted(rows, key=lambda r: ells.index(r.ell))
 
 
 def _bench_baseline(d, cfg, lam, kind):
-    """((num_vars, max_block_dim), timed run) for one baseline program."""
+    """(problem, timed run returning its iterations) for one baseline program."""
     projected = kind == "baseline-gram-proj"
     p, _ = build_baseline_gram_problem(d, compute_stats(d), cfg.q, cfg.r, lam, projected)
 
     def run():
-        synth_baseline_gram(d, compute_stats(d), cfg.q, cfg.r, lam, projected)
+        return synth_baseline_gram(d, compute_stats(d), cfg.q, cfg.r, lam, projected).solver.iters
 
-    return (p.num_vars, max(p.block_dims())), run
+    return p, run
 
 
 def _bench_reduced(d, cfg, lam, label):
-    """((num_vars, max_block_dim), timed run) for one reduced gram SDP."""
+    """(problem, timed run returning its iterations) for one reduced gram SDP."""
     w = reduced_case(label, "gram").weights_at(lam)
     p, _ = build_reduced_gram_problem(compute_stats(d), cfg.q, cfg.r, w)
 
     def run():
-        reduced_sdp(compute_stats(d), cfg.q, cfg.r, w)
+        return reduced_sdp(compute_stats(d), cfg.q, cfg.r, w).solver.iters
 
-    return (p.num_vars, max(p.block_dims())), run
+    return p, run

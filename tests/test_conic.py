@@ -338,6 +338,23 @@ def test_corner_slack_matches_dense():
     assert np.abs(W - np.outer(a, a) / 2.0).max() <= 1e-4
 
 
+def test_all_corner_block_and_no_ordinary_variables():
+    # min tr(W) st W >= diag(1, 2, 3): the block is all corner (dc = d), the
+    # problem has no ordinary variables and its optimum is W = diag(1, 2, 3).
+    nw = svec_len(3)
+    only = LmiProblem(svec(np.eye(3)))
+    only.new_block(-np.diag([1.0, 2.0, 3.0]), corner=(3, 0))
+    # The same block beside an ordinary variable t >= 1, objective tr(W) + t.
+    mixed = LmiProblem(np.append(svec(np.eye(3)), 1.0))
+    mixed.new_block(-np.diag([1.0, 2.0, 3.0]), corner=(3, 0))
+    add_dense_block(mixed, -np.eye(1), [None] * nw + [np.eye(1)])
+    for p, objective in ((only, 6.0), (mixed, 7.0)):
+        sol = solve(p)
+        assert sol.status == "Optimal"
+        assert sol.objective == pytest.approx(objective, abs=1e-6)
+        assert np.abs(smat(sol.y[:nw], 3) - np.diag([1.0, 2.0, 3.0])).max() <= 1e-6
+
+
 def test_corner_variables_must_stay_slack_only():
     p = LmiProblem(np.ones(4))
     # corner var 0 reused as an ordinary coefficient
@@ -418,20 +435,20 @@ def test_solution_metadata():
 # -- Schur assembly against brute force -----------------------------------------
 
 
-def structured_problem_with_dense_twin(seed):
-    """Random problem mixing a 1-D block, a sparse 4 x 4 block, a block of
+def structured_problem_with_dense_twin(seed, dc=3, n_ord=16, ds=4):
+    """Random problem mixing a 1-D block, a sparse ds x ds block, a block of
     entries and two column families (coefficients C[:, t] e_q.T + e_q C[:, t].T
     of variable varmat[t, q], e_q the basis vector at column col0 + q), and two
-    corner blocks of different dimensions, each holding entries and such a
-    family in its border rows (the shape of the baseline W block). Each block
-    is declared by its coefficient stack, columns dc.. of it for a corner
-    block. Returns the problem, the corner variables and the explicit
-    coefficient F_{b,i} of every variable in every block, built apart from
-    the problem's own code."""
+    corner blocks of different dimensions, each with a dc x dc corner and
+    holding entries, such a family in its border rows (the shape of the
+    baseline W block) and an identity in its trailing block, over n_ord
+    ordinary variables. Each block is declared by its coefficient stack,
+    columns dc.. of it for a corner block. Returns the problem, the corner
+    variables and the explicit coefficient F_{b,i} of every variable in
+    every block, built apart from the problem's own code."""
     rng = np.random.default_rng(seed)
-    dc = 3
     ncv = svec_len(dc)
-    k = 2 * ncv + 16
+    k = 2 * ncv + n_ord
     ordinary = np.arange(2 * ncv, k)
     p = LmiProblem(rng.standard_normal(k))
     dense = []
@@ -469,7 +486,8 @@ def structured_problem_with_dense_twin(seed):
         return p.new_block(0.5 * (F0 + F0.T), var, F[var][:, :, dc:], corner=corner)
 
     block(entries(rng.choice(ordinary, 5, replace=False), rng.standard_normal((5, 1, 1))))
-    block(entries(ordinary, rng.standard_normal((16, 4, 4)) * (rng.uniform(size=(16, 4, 4)) < 0.3)))
+    sparse = rng.uniform(size=(n_ord, ds, ds)) < 0.3
+    block(entries(ordinary, rng.standard_normal((n_ord, ds, ds)) * sparse))
 
     fam_vars = rng.permutation(ordinary)
     F = single_entries(fam_vars[7:10], 6, np.arange(6))
@@ -483,15 +501,26 @@ def structured_problem_with_dense_twin(seed):
         C = np.zeros((dc + nq, 3))
         C[:dc] = rng.standard_normal((dc, 3))
         family(F, C, dc, fam_vars[: 3 * nq].reshape(3, nq))
+        # Entries land mostly in the border rows once dc >> nq, so one
+        # variable also gets the identity in the trailing block.
+        F[fam_vars[3 * nq], dc:, dc:] += np.eye(nq)
         block(F, (dc, v0))
     return p, np.arange(2 * ncv), dense
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_schur_assembly_matches_brute_force(seed):
+# Corners of 3 and 16 ordinary variables keep every triangular factor at
+# order 32 or less; corners of 40 and 40 ordinary variables make _tril_inv
+# halve both the corner factors and the Schur factor. The sparse block grows
+# with them so that M stays nonsingular: a 4 x 4 block spans 10 directions.
+@pytest.mark.parametrize(
+    "seed,dc,n_ord,ds",
+    [pytest.param(s, 3, 16, 4, id=str(s)) for s in range(6)]
+    + [pytest.param(s, 40, 40, 8, id=f"{s}-dc40") for s in (6, 7)],
+)
+def test_schur_assembly_matches_brute_force(seed, dc, n_ord, ds):
     from ddlqr.conic.solver import _Factorization
 
-    p, corner, dense = structured_problem_with_dense_twin(seed)
+    p, corner, dense = structured_problem_with_dense_twin(seed, dc, n_ord, ds)
     k = p.num_vars
     rng = np.random.default_rng(100 + seed)
 
@@ -506,11 +535,8 @@ def test_schur_assembly_matches_brute_force(seed):
     for d in p.block_dims():
         A = rng.standard_normal((d, d))
         Ws.append(A @ A.T + d * np.eye(d))
-    M = np.zeros((k, k))
-    for Fd, W in zip(dense, Ws):
-        for i in range(k):
-            for j in range(k):
-                M[i, j] += np.trace(Fd[i] @ W @ Fd[j] @ W)
+    # M_ij = sum_b tr(F_i W F_j W) = sum_b vec(F_i) . vec(W F_j W), W F_j W symmetric
+    M = sum(Fd.reshape(k, -1) @ (W @ Fd @ W).reshape(k, -1).T for Fd, W in zip(dense, Ws))
     o = np.setdiff1d(np.arange(k), corner)
     M_red = M[np.ix_(o, o)] - M[np.ix_(o, corner)] @ np.linalg.solve(
         M[np.ix_(corner, corner)], M[np.ix_(corner, o)]
@@ -533,3 +559,33 @@ def test_schur_assembly_matches_brute_force(seed):
     # corners share dc, so one that takes another corner's factor is wrong
     # in value rather than in shape.
     assert np.abs(fact._reduced_solve(rhs) - dy_ref).max() <= 1e-9 * np.abs(dy_ref).max()
+
+
+# -- triangular inverse -----------------------------------------------------------
+
+
+def lower_factor(n, cond, rng):
+    """Lower-triangular L with positive diagonal and 2-norm condition number
+    cond: the transposed R factor of U diag(s) V.T, s log-spaced from 1 to
+    1/cond, so L L.T is a Cholesky factorization."""
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    R = np.linalg.qr((U * np.geomspace(1.0, 1.0 / cond, n)) @ V.T, mode="r")
+    return (np.sign(np.diag(R))[:, None] * R).T
+
+
+@pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 64, 119, 179, 250])
+def test_tril_inv_is_lower_triangular_and_accurate(n):
+    from ddlqr.conic.solver import _tril_inv
+
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, n))
+    u = np.finfo(float).eps / 2
+    for L in (np.linalg.cholesky(A @ A.T + n * np.eye(n)), lower_factor(n, 1e12, rng)):
+        X = _tril_inv(L)
+        assert X.shape == (n, n)
+        assert np.all(np.triu(X, 1) == 0.0)
+        if n:
+            # a backward-stable inverse leaves a residual of order n u cond(L)
+            cond = np.linalg.cond(L)
+            assert np.linalg.norm(X @ L - np.eye(n)) <= n * u * cond

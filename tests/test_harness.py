@@ -169,6 +169,13 @@ def test_bench_scaling_rows():
     )
     assert base[0][1] < base[1][1]
     assert all(r.mean_s > 0.0 and r.min_s <= r.mean_s <= r.max_s for r in rows)
+    assert all(r.iters > 0 for r in rows)
+    # A baseline's Schur complement is over P and Z, (ell - n) n + n(n+1)/2
+    # variables; its ell x ell slack is a corner.
+    base_order = sorted(
+        (r.ell, r.schur_order) for r in rows if r.program_label.startswith("baseline")
+    )
+    assert base_order == [(30, 59), (30, 59), (60, 119), (60, 119)]
     with pytest.raises(DimensionMismatch):
         bench_scaling([30], repeats=0)
 
@@ -229,6 +236,7 @@ def test_emit_bench_csv(tmp_path):
     with open(path, newline="") as fh:
         got = list(csv.reader(fh))
     assert got[0][:4] == ["ell", "program", "repeats", "mean_s"]
+    assert got[0][-2:] == ["iters", "schur_order"]
     assert len(got) == 1 + len(rows)
     with pytest.raises(DimensionMismatch):
         emit_bench_csv([], tmp_path / "no.csv")
