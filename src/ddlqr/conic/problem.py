@@ -81,7 +81,8 @@ class _Block:
     every other coefficient is zero there. F[k] holds columns dc.. of F_k,
     shape (d, d - dc): the border rows 0..dc and the symmetric trailing
     block below them, which determine F_k whole. F_flat is the same stack
-    with each matrix flattened.
+    with each matrix flattened. The solver holds a corner's value apart from
+    y, as a dc x dc matrix Yc (0 x 0 without a corner), never packed.
     """
 
     def __init__(self, F0: np.ndarray, lv: np.ndarray, F: np.ndarray, dc: int, v0: int):
@@ -95,10 +96,10 @@ class _Block:
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """F0 + sum_i y_i F_i as a dense symmetric matrix."""
-        return self.apply_lin(y) + self.F0
+        return self.apply_lin(y, smat(y[self.corner], self.dc)) + self.F0
 
-    def apply_lin(self, y: np.ndarray) -> np.ndarray:
-        """sum_i y_i F_i without the constant term.
+    def apply_lin(self, y: np.ndarray, Yc: np.ndarray) -> np.ndarray:
+        """sum_i y_i F_i without the constant term, with Yc in the corner.
 
         Search directions must use this form: going through apply() and
         subtracting F0 back leaves eps*|F0| noise on a result that can be
@@ -112,18 +113,17 @@ class _Block:
         S = np.empty((self.dim, self.dim))
         S[:, dc:] = B
         S[dc:, :dc] = B[:dc].T
-        S[:dc, :dc] = smat(y[self.corner], dc)
+        S[:dc, :dc] = Yc
         return S
 
-    def adjoint(self, Z: np.ndarray, g: np.ndarray) -> None:
-        """g_i += tr(F_i Z) for this block's coefficients; Z symmetric. The
-        border rows meet Z twice, once in each triangle."""
+    def adjoint(self, Z: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """g_i += tr(F_i Z) for the block's ordinary coefficients, Z symmetric;
+        returns Z[:dc, :dc]. The border rows meet Z twice, once per triangle."""
         dc = self.dc
         Zb = Z[:, dc:].copy()
         Zb[:dc] *= 2.0
         g[self.lv] += self.F_flat @ Zb.ravel()
-        if dc:
-            g[self.corner] += svec(Z[:dc, :dc])
+        return Z[:dc, :dc]
 
 
 class LmiProblem:
@@ -216,7 +216,13 @@ class LmiProblem:
 
     def adjoint(self, Z_list) -> np.ndarray:
         """A*(Z): vector of sum_b tr(F_{b,i} Z_b)."""
-        g = np.zeros(self.num_vars)
-        for cb, Z in zip(self._blocks, Z_list):
-            cb.adjoint(Z, g)
+        g, corners = self.adjoint_split(Z_list)
+        for cb, Zc in zip(self._blocks, corners):
+            g[cb.corner] += svec(Zc)
         return g
+
+    def adjoint_split(self, Z_list) -> tuple[np.ndarray, list[np.ndarray]]:
+        """A*(Z) with 0 in the corner entries, and each block's corner part
+        as the dc x dc matrix Z_b[:dc, :dc] (0 x 0 without a corner)."""
+        g = np.zeros(self.num_vars)
+        return g, [cb.adjoint(Z, g) for cb, Z in zip(self._blocks, Z_list)]

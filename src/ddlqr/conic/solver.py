@@ -6,23 +6,21 @@ slack of every block is an independent iterate. Problems carry inequality
 blocks only: an affine equation is met by parameterizing its solution set,
 as the baseline gram program does for X0 Y = P.
 
-The Schur complement M_ij = sum_b tr(F_bi W_b F_bj W_b) is assembled from
-dense BLAS products, in the forms of SDPT3 (Toh, Todd & Tutuncu, 1999) and
-CVXOPT (Vandenberghe, 2010). A declared slack corner, whose packed
-coefficients form an identity, is eliminated analytically, and every block
-takes one formula with or without one: with W = L L.T read off the NT
-scaling, the corner-eliminated term is the Gram matrix of the whitened
-columns L.T F_i[:, dc:] L[dc:, dc:], and the corner-corner operator is never
-formed. M is one Gram product over all blocks, and a corner's step is
-back-substituted in closed form.
+The Schur complement M_ij = sum_b tr(F_bi W_b F_bj W_b) is one Gram product
+over all blocks, in the forms of SDPT3 (Toh, Todd & Tutuncu, 1999) and
+CVXOPT (Vandenberghe, 2010). A declared slack corner is eliminated
+analytically, without forming its corner-corner operator (_Factorization),
+and its step is back-substituted in closed form. Each corner's iterate,
+step, residual and cost stay dc x dc matrices, and y's corner entries are
+packed once, at exit. The predictor reads both boundaries of its step from
+one eigvalsh per block, and only the corrector's KKT solve is refined.
 
-The Schur complement M = C C.T is factored by Cholesky, with a small
-diagonal jitter when that fails, and applied as Ci.T (Ci r) with Ci = C^-1,
-never through M^-1. C's condition number is the square root of M's, and M
-grows ill conditioned as the iterates approach the optimum: directions taken
-through M^-1 are poorer there, and more solves end on a snapshot rather
-than by the convergence test. Ci and each corner's L_cc^-1 come from
-_tril_inv, and the NT scaling inverts no factor.
+M = C C.T is factored by Cholesky, with a small diagonal jitter when that
+fails, and applied as Ci.T (Ci r) with Ci = C^-1, never through M^-1: C's
+condition number is the square root of M's, and M grows ill conditioned
+near the optimum, where directions taken through M^-1 are poorer and more
+solves end on a snapshot rather than by the convergence test. Ci and each
+corner's L_cc^-1 come from _tril_inv, and the NT scaling inverts no factor.
 """
 
 from __future__ import annotations
@@ -105,12 +103,13 @@ def _nt_scaling(S: np.ndarray, Z: np.ndarray):
     return lam, Rinv, Wm, np.linalg.qr(Rinv, mode="r").T
 
 
-def _boundary_step(lam: np.ndarray, D_scaled: np.ndarray) -> float:
-    """Largest alpha with diag(lam) + alpha * D_scaled still PSD. D_scaled is
-    exactly symmetric (every caller builds it so), and so is Dn."""
-    scale = np.sqrt(lam)
-    Dn = D_scaled / np.outer(scale, scale)
-    m = float(np.linalg.eigvalsh(Dn)[0])
+def _boundary_step(lam: np.ndarray, dst: np.ndarray, dzt: np.ndarray | None = None) -> float:
+    """Largest alpha keeping diag(lam) + alpha * D PSD for D = dst and dzt,
+    both exactly symmetric. dzt defaults to the predictor's -diag(lam) - dst,
+    -I - Dn once normalized, whose least eigenvalue is -1 - max eig(Dn)."""
+    outer = np.outer(np.sqrt(lam), np.sqrt(lam))
+    ev = np.linalg.eigvalsh(dst / outer)
+    m = float(min(ev[0], -1.0 - ev[-1] if dzt is None else np.linalg.eigvalsh(dzt / outer)[0]))
     if m >= -1e-13:
         return np.inf
     return 1.0 / (-m)
@@ -154,17 +153,17 @@ class _Factorization:
         compiled = problem.compiled()
         cols = np.cumsum([0] + [cb.dim * (cb.dim - cb.dc) for cb in compiled])
         H_all = np.zeros((ko, cols[-1]))
-        # (block, E = L[dc:, :dc] L_cc^-1, W_cc^-1) for each corner
+        # (block index, block, E = L[dc:, :dc] L_cc^-1, W_cc^-1) for each corner
         self.corners = []
 
-        for cb, L, c0, c1 in zip(compiled, Ls, cols, cols[1:]):
+        for b, (cb, L, c0, c1) in enumerate(zip(compiled, Ls, cols, cols[1:])):
             dc = cb.dc
             H = L.T @ cb.F @ L[dc:, dc:]
             H[:, :dc] *= SQRT2
             H_all[pos_of[cb.lv], c0:c1] = H.reshape(cb.lv.size, c1 - c0)
             if dc:
                 Li = _tril_inv(L[:dc, :dc])
-                self.corners.append((cb, L[dc:, :dc] @ Li, Li.T @ Li))
+                self.corners.append((b, cb, L[dc:, :dc] @ Li, Li.T @ Li))
         M = H_all @ H_all.T
 
         scale = float(np.max(np.diag(M))) if ko else 1.0
@@ -179,46 +178,51 @@ class _Factorization:
             raise _FactorError("Schur complement not positive definite after jitter")
         self.chol_inv = _tril_inv(self.chol)
 
-    def solve_kkt(self, E_list, rd):
-        """Solve M dy = A*(E) - rd, with corner back-substitution and one
-        step of iterative refinement.
+    def solve_kkt(self, E_list, rd, rdc, refine):
+        """Solve M dy = A*(E) - rd, with corner back-substitution, and with
+        refine one step of iterative refinement. Each corner's part of rd
+        and dy is a dc x dc matrix apart (rdc, dYc), as in adjoint_split.
 
         The refinement residual comes from the operator itself,
         sum_b A_b*(W_b A_b(dy) W_b), not from the assembled M: the residuals
         that decide convergence are measured through the same apply and
         adjoint, so dy is made consistent with them to working precision.
-        Without the refinement every status stayed Optimal, but fewer solves
-        passed the convergence test (107 rather than 154 of 300 random LMIs)
-        for about 20 % less time per baseline iteration at ell = 30 to 90;
-        CVXOPT's cone solvers also refine once for matrix inequalities.
+        Only the corrector refines; without it every status stayed Optimal,
+        but 107 rather than 158 of the first 300 random LMIs passed the
+        convergence test, for 5-10 % less time per baseline iteration at
+        ell = 30 to 90. CVXOPT's cone solvers also refine once.
         """
         p = self.problem
-        full_rhs = p.adjoint(E_list) - rd
-        dy = self._reduced_solve(full_rhs)
-        g = p.adjoint([W @ cb.apply_lin(dy) @ W for cb, W in zip(p.compiled(), self.Wms)])
-        return dy + self._reduced_solve(full_rhs - g)
+        g, gc = p.adjoint_split(E_list)
+        rhs, r_cs = g - rd, [G - R for G, R in zip(gc, rdc)]
+        dy, dYc = self._reduced_solve(rhs, r_cs)
+        if not refine:
+            return dy, dYc
+        W_list = [W @ cb.apply_lin(dy, D) @ W for cb, W, D in zip(p.compiled(), self.Wms, dYc)]
+        g, gc = p.adjoint_split(W_list)
+        ddy, ddYc = self._reduced_solve(rhs - g, [r - G for r, G in zip(r_cs, gc)])
+        return dy + ddy, [D + dD for D, dD in zip(dYc, ddYc)]
 
-    def _reduced_solve(self, full_rhs):
+    def _reduced_solve(self, rhs, r_cs):
         # Corner rows read W_cc dW W_cc + (W A_o(dy) W)_cc = r_c, A_o the
         # block's ordinary apply. With [I; E] = L[:, :dc] L_cc^-1 the ordinary
         # rows lose the adjoint at [I; E] r_c [I; E].T (its corner unread), and
         # dW = W_cc^-1 r_c W_cc^-1 - [I; E].T A_o(dy) [I; E]
         #    = W_cc^-1 r_c W_cc^-1 - (B E + E.T B.T + E.T T E), [B; T] = A_o(dy)[:, dc:].
+        # A block without a corner keeps its 0 x 0 part of r_cs in dYc.
         g = np.zeros(self.problem.num_vars)
-        r_cs = []
-        for cb, E, _ in self.corners:
-            r_c = smat(full_rhs[cb.corner], cb.dc)
-            rEt = r_c @ E.T
+        for b, cb, E, _ in self.corners:
+            rEt = r_cs[b] @ E.T
             # The border rows meet the adjoint twice, once in each triangle.
             g[cb.lv] += cb.F_flat @ np.vstack((2.0 * rEt, E @ rEt)).ravel()
-            r_cs.append(r_c)
         dy = np.zeros(self.problem.num_vars)
-        dy[self.oidx] = self.chol_inv.T @ (self.chol_inv @ (full_rhs - g)[self.oidx])
-        for (cb, E, Wi), r_c in zip(self.corners, r_cs):
+        dy[self.oidx] = self.chol_inv.T @ (self.chol_inv @ (rhs - g)[self.oidx])
+        dYc = list(r_cs)
+        for b, cb, E, Wi in self.corners:
             BT = (dy[cb.lv] @ cb.F_flat).reshape(cb.dim, cb.dim - cb.dc)
             BE = BT[: cb.dc] @ E
-            dy[cb.corner] = svec(sym(Wi @ r_c @ Wi - (BE + BE.T + E.T @ BT[cb.dc :] @ E)))
-        return dy
+            dYc[b] = sym(Wi @ r_cs[b] @ Wi - (BE + BE.T + E.T @ BT[cb.dc :] @ E))
+        return dy, dYc
 
 
 def _trivial_solution(k: int, t0: float, unbounded_because: str = "") -> ConicSolution:
@@ -238,20 +242,20 @@ def _trivial_solution(k: int, t0: float, unbounded_because: str = "") -> ConicSo
     )
 
 
-def _directions(compiled, scal, dy, Rp, C):
+def _directions(compiled, scal, dy, dYc, Rp, C=None):
     """Every block's search direction and the largest step all blocks allow.
 
-    dS = A(dy) - Rp is a block's slack step; in the scaled space it is
-    Rinv dS Rinv.T, and the dual step there is C minus it. A block allows
-    the largest alpha that keeps both diag(lam) + alpha * step PSD.
-    Returns the per-block lists of dS and both scaled steps, and the step.
+    dS = A(dy, dYc) - Rp is a block's slack step; scaled, Rinv dS Rinv.T.
+    The scaled dual step is C (by default the predictor's -diag(lam)) minus
+    it. A block allows the largest alpha keeping both diag(lam) + alpha *
+    step PSD. Returns the per-block dS, both scaled steps and the step.
     """
     out = []
-    for cb, (lam, Rinv, _, _), R, Cb in zip(compiled, scal, Rp, C):
-        dS = cb.apply_lin(dy) - R
+    for b, (cb, (lam, Rinv, _, _), R) in enumerate(zip(compiled, scal, Rp)):
+        dS = cb.apply_lin(dy, dYc[b]) - R
         dst = sym(Rinv @ dS @ Rinv.T)
-        dzt = Cb - dst
-        out.append((dS, dst, dzt, min(_boundary_step(lam, dst), _boundary_step(lam, dzt))))
+        dzt = (-np.diag(lam) if C is None else C[b]) - dst
+        out.append((dS, dst, dzt, _boundary_step(lam, dst, None if C is None else dzt)))
     dS, dst, dzt, steps = zip(*out)
     return dS, dst, dzt, min(steps)
 
@@ -294,7 +298,12 @@ def solve(problem: LmiProblem) -> ConicSolution:
     normF0 = np.array([1.0 + np.linalg.norm(cb.F0, "fro") for cb in compiled])
     cnorm = 1.0 + float(np.linalg.norm(c))
 
+    # Corners stay dc x dc matrices (0 x 0 without one) and y's corner
+    # entries 0 until the exit packs them; svec is an isometry.
     y = np.zeros(k)
+    Yc = [np.zeros((cb.dc, cb.dc)) for cb in compiled]
+    Cc = [smat(c[cb.corner], cb.dc) for cb in compiled]
+    c_o = np.where(problem._ordinary, c, 0.0)
     S = [normF0[i] * np.eye(cb.dim) for i, cb in enumerate(compiled)]
     Z = [np.eye(cb.dim) for cb in compiled]
 
@@ -304,13 +313,14 @@ def solve(problem: LmiProblem) -> ConicSolution:
 
     # The first iteration sets it, obj, gap, pres and dres before any exit.
     for it in range(1, _MAX_ITERS + 1):
-        Rp = [S[i] - cb.apply(y) for i, cb in enumerate(compiled)]
-        rd = c - problem.adjoint(Z)
+        Rp = [S[i] - (cb.apply_lin(y, Yc[i]) + cb.F0) for i, cb in enumerate(compiled)]
+        g, Zc = problem.adjoint_split(Z)
+        rd, rdc = c_o - g, [Cb - Zb for Cb, Zb in zip(Cc, Zc)]
         gap = float(sum(np.vdot(S[i], Z[i]) for i in range(len(compiled))))
-        obj = float(c @ y)
+        obj = float(c_o @ y + sum(np.vdot(Cb, Yb) for Cb, Yb in zip(Cc, Yc)))
         # np.max, unlike max, carries a NaN in any term into the result.
         pres = float(np.max([np.linalg.norm(R, "fro") for R in Rp] / normF0))
-        dres = float(np.linalg.norm(rd)) / cnorm
+        dres = float(np.sqrt(sum(np.vdot(R, R) for R in (rd, *rdc)))) / cnorm
         # Convergence is judged in the problem's own scale: measuring the gap
         # against the scaled-down objective would relax it by s_obj.
         relgap = s_obj * gap / (1.0 + s_obj * abs(obj))
@@ -328,7 +338,7 @@ def solve(problem: LmiProblem) -> ConicSolution:
         zn = float(sum(np.linalg.norm(Zb, "fro") for Zb in Z))
         if zn >= 1e10:
             f0z = float(sum(np.vdot(cb.F0, Zb) for cb, Zb in zip(compiled, Z)))
-            adj_ratio = float(np.linalg.norm(c - rd)) / zn
+            adj_ratio = float(np.sqrt(sum(np.vdot(G, G) for G in (g, *Zc)))) / zn
             if f0z < 0.0 and adj_ratio <= 1e-8:
                 status, message = SolverStatus.INFEASIBLE, "dual improving ray detected"
                 break
@@ -336,12 +346,13 @@ def solve(problem: LmiProblem) -> ConicSolution:
         # before its Schur factorization: in the degenerate tail the dual
         # residual decays while (pres, relgap) keep polishing, so dual quality
         # gates insertion but never selects the snapshot.
+        fact = None  # free the last iteration's Ci before the next is built
         try:
             scal = [_nt_scaling(S[i], Z[i]) for i in range(len(compiled))]
             pmerit = max(pres, relgap)
             if dres <= _DUAL_CAP and pmerit < snap_pmerit:
                 snap_pmerit = pmerit
-                snap = (y.copy(), obj, gap, pres, dres)
+                snap = (y.copy(), Yc, obj, gap, pres, dres)
             _, _, Wms, Ls = zip(*scal)
             fact = _Factorization(problem, Wms, Ls, oidx, pos_of)
         except _FactorError as exc:
@@ -352,9 +363,9 @@ def solve(problem: LmiProblem) -> ConicSolution:
         WRW = [Wm @ R @ Wm for Wm, R in zip(Wms, Rp)]
 
         # Predictor: pure Newton step toward the boundary.
-        dy_aff = fact.solve_kkt([-Zb + T for Zb, T in zip(Z, WRW)], rd)
-        C_aff = [-np.diag(lam) for lam, _, _, _ in scal]
-        _, ds_aff, dz_aff, a_step = _directions(compiled, scal, dy_aff, Rp, C_aff)
+        # Its dy only sets sigma and the second-order term: no refinement.
+        dy_aff = fact.solve_kkt([-Zb + T for Zb, T in zip(Z, WRW)], rd, rdc, False)
+        _, ds_aff, dz_aff, a_step = _directions(compiled, scal, *dy_aff, Rp)
         # One common step length for (y, S) and Z: keeps both residual
         # recursions shrinking at the same rate, which separate step sizes
         # do not guarantee for infeasible starts.
@@ -378,21 +389,24 @@ def solve(problem: LmiProblem) -> ConicSolution:
             C_mat = 2.0 * C_raw / np.add.outer(lam, lam)
             C_mats.append(C_mat)
             E_cor.append(Rinv.T @ C_mat @ Rinv + WRW[i])
-        dy = fact.solve_kkt(E_cor, rd)
-        ds_list, _, dzt_list, a_max = _directions(compiled, scal, dy, Rp, C_mats)
+        dy, dYc = fact.solve_kkt(E_cor, rd, rdc, True)
+        ds_list, _, dzt_list, a_max = _directions(compiled, scal, dy, dYc, Rp, C_mats)
 
         gamma = 0.9 + 0.09 * min(1.0, a_aff)
         alpha = min(1.0, gamma * a_max)
         y = y + alpha * dy
+        Yc = [Yb + alpha * dYb for Yb, dYb in zip(Yc, dYc)]
         for i, (_, Rinv, _, _) in enumerate(scal):
             S[i] = sym(S[i] + alpha * ds_list[i])
             Z[i] = sym(Z[i] + alpha * (Rinv.T @ dzt_list[i] @ Rinv))
 
     if breakdown and snap_pmerit <= _PRIMAL_CAP:
         status, message = SolverStatus.OPTIMAL, f"attainable precision; {breakdown}"
-        y, obj, gap, pres, dres = snap
+        y, Yc, obj, gap, pres, dres = snap
     elif breakdown:
         status, message = SolverStatus.NUMERICAL_ERROR, breakdown
+    for cb, Yb in zip(compiled, Yc):
+        y[cb.corner] = svec(Yb)
     return ConicSolution(
         status=status,
         y=y,

@@ -249,7 +249,8 @@ def _cmd_bench(args) -> int:
         print(
             f"ell {r.ell:4d} {r.program_label:20s} mean {r.mean_s * 1e3:9.1f} ms "
             f"(vars {r.num_vars}, max block {r.max_block_dim}, "
-            f"Schur order {r.schur_order}, {r.iters} iterations)"
+            f"Schur order {r.schur_order}, {r.iters} iterations, "
+            f"{r.ms_per_iter:.2f} ms per iteration)"
         )
     print(f"wrote {args.out}")
     return 0

@@ -165,8 +165,8 @@ def zero_wall_times(rows: list[SweepRow]) -> list[SweepRow]:
 
 @dataclass(frozen=True)
 class BenchRow:
-    """Wall times of one program at one data length, the iterations of its
-    timed solve and its Schur complement's order (variables outside corners)."""
+    """Wall times of one program at one data length, the fastest per
+    iteration, its timed solve's iterations and Schur order (outside corners)."""
 
     ell: int
     program_label: str
@@ -174,6 +174,7 @@ class BenchRow:
     mean_s: float
     min_s: float
     max_s: float
+    ms_per_iter: float
     num_vars: int
     max_block_dim: int
     iters: int
@@ -236,6 +237,7 @@ def bench_scaling(
                     mean_s=float(np.mean(t)),
                     min_s=float(np.min(t)),
                     max_s=float(np.max(t)),
+                    ms_per_iter=1e3 * float(np.min(t)) / it,
                     num_vars=p.num_vars,
                     max_block_dim=max(p.block_dims()),
                     iters=it,

@@ -216,7 +216,8 @@ def descent_toy():
 def break_at(monkeypatch, p, k, how):
     """Break the solve of p at iteration k: "factor" fails the Schur
     factorization, "nan" makes the primal residual non-finite. The first
-    block's apply runs once per iteration, for the residuals."""
+    block's apply_lin runs four times per iteration, first for the residuals,
+    then for the predictor's step, the corrector's refinement and its step."""
     calls = []
     if how == "factor":
         real = solver_mod._Factorization
@@ -230,14 +231,14 @@ def break_at(monkeypatch, p, k, how):
         monkeypatch.setattr(solver_mod, "_Factorization", factorization)
     else:
         block = p.compiled()[0]
-        real = block.apply
+        real = block.apply_lin
 
-        def apply(y):
+        def apply_lin(y, Yc):
             calls.append(None)
-            S = real(y)
-            return np.full_like(S, np.nan) if len(calls) >= k else S
+            S = real(y, Yc)
+            return np.full_like(S, np.nan) if len(calls) > 4 * (k - 1) else S
 
-        monkeypatch.setattr(block, "apply", apply)
+        monkeypatch.setattr(block, "apply_lin", apply_lin)
 
 
 BREAKDOWNS = [("factor", "next factorization failed: probe"), ("nan", "non-finite iterate")]
@@ -552,13 +553,85 @@ def test_schur_assembly_matches_brute_force(seed, dc, n_ord, ds):
     rd = rng.standard_normal(k)
     rhs = sum(np.array([np.vdot(F, E) for F in Fd]) for Fd, E in zip(dense, E_list)) - rd
     dy_ref = np.linalg.solve(M, rhs)
-    dy = fact.solve_kkt(E_list, rd)
+    blocks = p.compiled()
+
+    def split(v):
+        """v with 0 in the corner entries, and each block's corner unpacked."""
+        o_only = np.where(np.isin(np.arange(k), corner), 0.0, v)
+        return o_only, [smat(v[cb.corner], cb.dc) for cb in blocks]
+
+    def packed(dy, dYc):
+        for cb, D in zip(blocks, dYc):
+            dy[cb.corner] = svec(D)
+        return dy
+
+    dy = packed(*fact.solve_kkt(E_list, *split(rd), True))
     assert np.abs(dy - dy_ref).max() <= 1e-9 * np.abs(dy_ref).max()
     # One refinement step repairs an elimination that drops either corner
     # coupling, so the unrefined solve is checked on its own as well. Both
     # corners share dc, so one that takes another corner's factor is wrong
     # in value rather than in shape.
-    assert np.abs(fact._reduced_solve(rhs) - dy_ref).max() <= 1e-9 * np.abs(dy_ref).max()
+    dy = packed(*fact._reduced_solve(*split(rhs)))
+    assert np.abs(dy - dy_ref).max() <= 1e-9 * np.abs(dy_ref).max()
+
+
+def bounded_corner_problem_and_twin(seed, dc, n_ord, ds):
+    """structured_problem_with_dense_twin's blocks made solvable: each F0
+    shifted so that y = 0 is strictly feasible, a box |y_i| <= 10 on the
+    ordinary variables and a positive-definite cost on each corner, which
+    the corner's block bounds below. Returns the cornered problem, its twin
+    declared with every coefficient explicit, and the corner variables."""
+    p, corner, dense = structured_problem_with_dense_twin(seed, dc, n_ord, ds)
+    rng = np.random.default_rng(200 + seed)
+    k = p.num_vars
+    c = p.objective.copy()
+    for cb in p.compiled():
+        if cb.dc:
+            G = rng.standard_normal((cb.dc, cb.dc))
+            c[cb.corner] = svec(G @ G.T / cb.dc + np.eye(cb.dc))
+    cor, twin = LmiProblem(c), LmiProblem(c)
+    for cb, Fd in zip(p.compiled(), dense):
+        F0 = cb.F0 + (1.0 - min(0.0, np.linalg.eigvalsh(cb.F0)[0])) * np.eye(cb.dim)
+        cor.new_block(F0, cb.lv, cb.F, corner=(cb.dc, cb.corner.start) if cb.dc else None)
+        var = np.flatnonzero(np.any(Fd != 0.0, axis=(1, 2)))
+        twin.new_block(F0, var, Fd[var])
+    # One 1 x 1 block per bound: two n_ord x n_ord box blocks would nearly
+    # double the columns of the twin's Gram product, of order 1680 at dc = 40.
+    for q in (cor, twin):
+        for i in np.setdiff1d(np.arange(k), corner):
+            for sign in (1.0, -1.0):
+                q.new_block([[10.0]], [i], [[[sign]]])
+    return cor, twin, corner
+
+
+@pytest.mark.parametrize("seed,dc,n_ord,ds", [(0, 3, 16, 4), (6, 40, 40, 8)])
+def test_dense_corner_state_matches_explicit_twin(seed, dc, n_ord, ds):
+    # The solver keeps each corner as a dense matrix and packs it into y at
+    # exit; the twin carries the same variables as ordinary coefficients.
+    cor, twin, corner = bounded_corner_problem_and_twin(seed, dc, n_ord, ds)
+    s_cor, s_twin = solve(cor), solve(twin)
+    assert s_cor.status == s_twin.status == "Optimal"
+    assert abs(s_cor.objective - s_twin.objective) <= 1e-7 * abs(s_twin.objective)
+    assert np.abs(s_cor.y[corner] - s_twin.y[corner]).max() <= 1e-5
+    assert s_cor.objective == pytest.approx(float(cor.objective @ s_cor.y), rel=1e-12)
+    scale = 1.0 + max(np.linalg.norm(cb.F0) for cb in cor.compiled())
+    assert min_eig_at(cor, s_cor.y) >= -1e-9 * scale
+
+
+def test_dual_residual_counts_the_corner_entries(monkeypatch):
+    # A solve capped at one iteration reports the residuals of its start,
+    # y = 0 and Z = I: the dual residual is |c - A*(I)| / (1 + |c|), c
+    # scaled to max |c_i| <= 1, with the corner entries, held apart as
+    # matrices, counted as their packed form.
+    monkeypatch.setattr(solver_mod, "_MAX_ITERS", 1)
+    cor, _, corner = bounded_corner_problem_and_twin(0, 3, 16, 4)
+    c = cor.objective / max(1.0, np.abs(cor.objective).max())
+    rd = c - cor.adjoint([np.eye(d) for d in cor.block_dims()])
+    # the corner entries move the norm far beyond the tolerance below
+    assert np.linalg.norm(rd) > 1.01 * np.linalg.norm(np.delete(rd, corner))
+    sol = solve(cor)
+    assert sol.status == "MaxIters"
+    assert sol.dual_res == pytest.approx(np.linalg.norm(rd) / (1.0 + np.linalg.norm(c)), rel=1e-12)
 
 
 # -- triangular inverse -----------------------------------------------------------
@@ -589,3 +662,79 @@ def test_tril_inv_is_lower_triangular_and_accurate(n):
             # a backward-stable inverse leaves a residual of order n u cond(L)
             cond = np.linalg.cond(L)
             assert np.linalg.norm(X @ L - np.eye(n)) <= n * u * cond
+
+
+# -- step lengths -----------------------------------------------------------------
+
+
+def test_predictor_step_reads_both_boundaries_from_one_eigvalsh():
+    # The predictor's scaled dual step is -diag(lam) - dst, -I - Dn once
+    # normalized, so its boundary -1 - max eig(Dn) comes from the eigvalsh
+    # of the primal one. Blocks of orders 1-8 and one of order 62 with a
+    # 60 x 60 corner, at random NT-scaled iterates; a shift of Rp by beta S
+    # moves Dn by -beta I, so either boundary can be the nearer one.
+    from ddlqr.conic.solver import _boundary_step, _directions, _nt_scaling
+
+    rng = np.random.default_rng(26)
+    ncv = svec_len(60)
+    k = ncv + 10
+    ordinary = np.arange(ncv, k)
+    p = LmiProblem(np.zeros(k))
+    for d in range(1, 9):
+        G = rng.standard_normal((ordinary.size, d, d))
+        p.new_block(np.eye(d), ordinary, G + G.swapaxes(1, 2))
+    G = rng.standard_normal((ordinary.size, 62, 2))
+    G[:, 60:] += G[:, 60:].swapaxes(1, 2)
+    p.new_block(np.eye(62), ordinary, G, corner=(60, 0))
+    compiled = p.compiled()
+
+    def sym_rand(d):
+        G = rng.standard_normal((d, d))
+        return G + G.T
+
+    def spd(d):
+        G = rng.standard_normal((d, d))
+        return G @ G.T + 0.1 * np.eye(d)
+
+    def one_side(lam, D):
+        """The step of one side alone: both steps the same."""
+        return _boundary_step(lam, D, D)
+
+    eps = np.finfo(float).eps
+    nearer = set()
+    for _ in range(20):
+        S = [spd(cb.dim) for cb in compiled]
+        scal = [_nt_scaling(Sb, spd(cb.dim)) for Sb, cb in zip(S, compiled)]
+        Rp = [
+            10.0 ** rng.uniform(-1, 1) * sym_rand(cb.dim) + rng.uniform(0, 3) * Sb
+            for Sb, cb in zip(S, compiled)
+        ]
+        dYc = [sym_rand(cb.dc) for cb in compiled]
+        _, dst, dzt, step = _directions(compiled, scal, rng.standard_normal(k), dYc, Rp)
+        steps = []
+        for (lam, _, _, _), Ds, Dz in zip(scal, dst, dzt):
+            assert np.array_equal(Dz, -np.diag(lam) - Ds)
+            got = _boundary_step(lam, Ds)
+            primal, dual = one_side(lam, Ds), one_side(lam, Dz)
+            assert _boundary_step(lam, Ds, Dz) == min(primal, dual)
+            # Both are 1 / -(least eigenvalue), of -I - Dn formed two ways:
+            # their difference is rounding of order eps |Dn| per entry.
+            Dn = Ds / np.outer(np.sqrt(lam), np.sqrt(lam))
+            tol = 10 * lam.size * eps * (1.0 + np.linalg.norm(Dn))
+            assert abs(1.0 / got - 1.0 / min(primal, dual)) <= tol
+            nearer.add(primal < dual)
+            steps.append(got)
+        assert step == min(steps)
+    assert nearer == {True, False}
+
+    # No boundary on one side: a PSD step P leaves only the dual's, and
+    # -diag(lam) - P only the primal's.
+    for d in (1, 4, 62):
+        lam = _nt_scaling(spd(d), spd(d))[0]
+        P = spd(d)
+        D = -np.diag(lam) - P
+        assert _boundary_step(lam, np.zeros((d, d))) == 1.0
+        assert one_side(lam, P) == np.inf
+        assert _boundary_step(lam, P) == pytest.approx(one_side(lam, D), rel=1e-12)
+        assert one_side(lam, -np.diag(lam) - D) == np.inf
+        assert _boundary_step(lam, D) == pytest.approx(one_side(lam, D), rel=1e-12)

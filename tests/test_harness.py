@@ -170,6 +170,7 @@ def test_bench_scaling_rows():
     assert base[0][1] < base[1][1]
     assert all(r.mean_s > 0.0 and r.min_s <= r.mean_s <= r.max_s for r in rows)
     assert all(r.iters > 0 for r in rows)
+    assert all(r.ms_per_iter == pytest.approx(1e3 * r.min_s / r.iters) for r in rows)
     # A baseline's Schur complement is over P and Z, (ell - n) n + n(n+1)/2
     # variables; its ell x ell slack is a corner.
     base_order = sorted(
@@ -237,6 +238,7 @@ def test_emit_bench_csv(tmp_path):
         got = list(csv.reader(fh))
     assert got[0][:4] == ["ell", "program", "repeats", "mean_s"]
     assert got[0][-2:] == ["iters", "schur_order"]
+    assert "ms_per_iter" in got[0]
     assert len(got) == 1 + len(rows)
     with pytest.raises(DimensionMismatch):
         emit_bench_csv([], tmp_path / "no.csv")
