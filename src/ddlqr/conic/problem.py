@@ -12,12 +12,11 @@ ell + n with an ell x ell corner stores O(ell n) numbers per variable.
 
 Symmetric matrix variables are packed in scaled upper-triangle order
 (off-diagonals multiplied by sqrt(2)), which makes the packing an isometry
-for the trace inner product. ``svec``/``smat`` implement that convention.
+for the trace inner product. ``svec``/``smat`` implement that convention; they
+run outside the solver's loop, so each forms the triangle's indices anew.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -39,23 +38,12 @@ def svec_len(d: int) -> int:
     return d * (d + 1) // 2
 
 
-@lru_cache(maxsize=64)
-def _triu(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and off-diagonal mask of the upper triangle (read-only:
-    the cache hands the same arrays to every caller)."""
-    iu, ju = np.triu_indices(d)
-    out = (iu, ju, iu != ju)
-    for a in out:
-        a.setflags(write=False)
-    return out
-
-
 def svec(S: np.ndarray) -> np.ndarray:
     """Pack a symmetric matrix; off-diagonals scaled by sqrt(2)."""
     S = np.asarray(S, dtype=float)
-    iu, ju, off = _triu(S.shape[0])
+    iu, ju = np.triu_indices(S.shape[0])
     out = S[iu, ju]
-    out[off] *= SQRT2
+    out[iu != ju] *= SQRT2
     return out
 
 
@@ -66,8 +54,8 @@ def smat(v: np.ndarray, d: int) -> np.ndarray:
     if v.shape[-1:] != (svec_len(d),):
         raise DimensionMismatch(f"svec vector length {v.shape} does not match dim {d}")
     S = np.zeros(v.shape[:-1] + (d, d))
-    iu, ju, off = _triu(d)
-    vals = np.where(off, v / SQRT2, v)
+    iu, ju = np.triu_indices(d)
+    vals = np.where(iu != ju, v / SQRT2, v)
     S[..., iu, ju] = vals
     S[..., ju, iu] = vals
     return S

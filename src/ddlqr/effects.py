@@ -37,6 +37,14 @@ _ORACLE_KINDS = ("full_gram", "projected_gram", "covariance")
 _FEAS_TOL = 1e-6
 
 
+def _weight(name: str, value) -> float:
+    """A regularizer weight as a float: finite and non-negative."""
+    val = float(value)
+    if not np.isfinite(val) or val < 0.0:
+        raise ValueError(f"{name} must be finite and non-negative, got {val!r}")
+    return val
+
+
 @dataclass(frozen=True)
 class RegWeights:
     """Weights and bookkeeping for one regularizer configuration."""
@@ -48,10 +56,7 @@ class RegWeights:
 
     def __post_init__(self):
         for name in ("lambda1", "lambda2", "lambda3"):
-            val = float(getattr(self, name))
-            if not np.isfinite(val) or val < 0.0:
-                raise ValueError(f"{name} must be finite and non-negative, got {val!r}")
-            object.__setattr__(self, name, val)
+            object.__setattr__(self, name, _weight(name, getattr(self, name)))
         if self.parameterization not in _PARAMETERIZATIONS:
             raise ValueError(
                 f"parameterization must be one of {_PARAMETERIZATIONS}, "

@@ -39,17 +39,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SweepCase:
-    """One curve of a sweep: a reduced program plus the weights that track
-    lambda; `active` marks which of the three effect weights follow it."""
+    """One curve of a sweep: the weights of a reduced program, of which
+    `active` marks the three effect weights that track lambda."""
 
     label: str
-    program: str
+    parameterization: str
     active: tuple[bool, bool, bool]
 
     def weights_at(self, lam: float) -> RegWeights:
         l1, l2, l3 = (lam if on else 0.0 for on in self.active)
-        param = "gram" if self.program == "reduced-gram" else "covariance"
-        return RegWeights(lambda1=l1, lambda2=l2, lambda3=l3, parameterization=param)
+        return RegWeights(l1, l2, l3, self.parameterization)
 
 
 def reduced_case(label: str, parameterization: str = "gram") -> SweepCase:
@@ -64,9 +63,8 @@ def reduced_case(label: str, parameterization: str = "gram") -> SweepCase:
         raise DimensionMismatch(f"unknown parameterization {parameterization!r}")
     if parameterization == "covariance" and active[0]:
         raise DimensionMismatch("covariance cases cannot activate the first effect")
-    program = "reduced-gram" if parameterization == "gram" else "reduced-covar"
     canonical = "{" + ",".join(s for s in ("1", "2", "3") if s in picks) + "}"
-    return SweepCase(label=canonical, program=program, active=active)
+    return SweepCase(label=canonical, parameterization=parameterization, active=active)
 
 
 @dataclass(frozen=True)
@@ -129,7 +127,7 @@ def run_sweep(
 
 def _sweep_point(case, lam, stats, Q, R, plant) -> SweepRow:
     t0 = time.perf_counter()
-    fn = synth_reduced_gram if case.program == "reduced-gram" else synth_reduced_covar
+    fn = synth_reduced_gram if case.parameterization == "gram" else synth_reduced_covar
     try:
         sol = fn(stats, Q, R, case.weights_at(lam))
     except DdlqrError as exc:

@@ -28,7 +28,14 @@ from ..synthesis import (
 )
 from .emit import emit_csv, emit_svg_phase_portrait
 from .experiments import ReferenceExperimentConfig, gen_reference_data, portrait_trajectories
-from .sweep import ls_gain_stabilizes, reduced_case, run_sweep, zero_wall_times
+from .sweep import (
+    deviation_grid,
+    gain_path_grid,
+    ls_gain_stabilizes,
+    reduced_case,
+    run_sweep,
+    zero_wall_times,
+)
 
 __all__ = ["CheckResult", "run_verify"]
 
@@ -173,9 +180,7 @@ def _check_sweep_artifacts(cfg, stats, out_dir: Path) -> list[CheckResult]:
     pm = PlantModel(A=cfg.a, B=cfg.b, Q=cfg.q, R=cfg.r)
     results = []
 
-    dev_rows = run_sweep(
-        stats, [reduced_case("{1}")], np.logspace(-4, 6, 7), Q=cfg.q, R=cfg.r, plant=pm
-    )
+    dev_rows = run_sweep(stats, [reduced_case("{1}")], deviation_grid(7), cfg.q, cfg.r, plant=pm)
     emit_csv(zero_wall_times(dev_rows), out_dir / "deviation_path.csv")
     # A row that is not Optimal has no gain to measure: the check fails and
     # names the row's status.
@@ -186,7 +191,7 @@ def _check_sweep_artifacts(cfg, stats, out_dir: Path) -> list[CheckResult]:
         detail = f"deviation at 1e6 = {end.deviation:.2e}"
     results.append(CheckResult("deviation-endpoint", ok, detail))
 
-    grid = np.concatenate(([0.0], np.logspace(-4, 10, 8)))
+    grid = gain_path_grid(8)
     cases = [reduced_case("{2}", "covariance"), reduced_case("{2,3}", "covariance")]
     gain_rows = run_sweep(stats, cases, grid, Q=cfg.q, R=cfg.r, plant=pm)
     emit_csv(zero_wall_times(gain_rows), out_dir / "gain_path.csv")

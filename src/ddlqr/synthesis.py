@@ -49,7 +49,7 @@ from .conic import (
     svec_len,
 )
 from .datamodel import Dataset, DataStats, kernel_projector
-from .effects import RegWeights, _effect
+from .effects import RegWeights, _effect, _weight
 from .errors import (
     DimensionMismatch,
     NoConvergence,
@@ -223,18 +223,20 @@ def _border(lay: SdpLayout, off) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return var, off(*(U[s] for s in names)), U["P"]
 
 
-def _h2_program(lay: SdpLayout, q_p, a_cl, bounds) -> LmiProblem:
+def _h2_program(lay: SdpLayout, q_p, a_cl, kp, R, bounds) -> LmiProblem:
     """The lifted H2 program every builder shares, over a layout that holds
     the primal slots (P first).
 
     Block 0 is [[P - I, A_cl P], [*, P]] >= 0 with A_cl P = a_cl(...), and the
-    objective starts at tr(q_p P). Each (name, dev, D) in bounds allocates a
-    symmetric slack S after the primal slots, sized by D, adds the block
-    [[S, dev], [*, P]] >= 0 with S a corner, declared by its columns right of
-    the corner, [dev; P], and adds tr(D S). Builders pass ("L", K P, R) first,
-    so block 1's border is K P (see _solve_and_extract).
+    objective starts at tr(q_p P). The input cost ("L", K P = kp(...), R) is
+    the first bound, so block 1's border is K P (see _solve_and_extract).
+    Each bound (name, dev, D) allocates a symmetric slack S after the primal
+    slots, sized by D, adds the block [[S, dev], [*, P]] >= 0 with S a
+    corner, declared by its columns right of the corner, [dev; P], and adds
+    tr(D S).
     """
     n = lay.slot("P").rows
+    bounds = [("L", kp, R), *bounds]
     for name, _, D in bounds:
         lay.add_sym(name, D.shape[0])
     c = np.zeros(lay.num_vars)
@@ -256,15 +258,13 @@ def _h2_program(lay: SdpLayout, q_p, a_cl, bounds) -> LmiProblem:
 
 
 def _lqr_program(A, B, q_p, R, bounds) -> tuple[LmiProblem, SdpLayout]:
-    """The _h2_program of LQR on the model (A, B): the layout (P, K tilde),
-    the closed loop A P + B K tilde and the input cost ("L", K tilde, R)
-    before the further bounds. The known-model, reduced covariance and
-    baseline covariance programs are this program."""
+    """The _h2_program of LQR on the model (A, B): the layout (P, K tilde)
+    and the closed loop A P + B K tilde. The known-model, reduced covariance
+    and baseline covariance programs are this program."""
     lay = SdpLayout()
     lay.add_sym("P", A.shape[0])
     lay.add_full("Kt", B.shape[1], A.shape[0])
-    bounds = [("L", lambda Kt: Kt, R), *bounds]
-    return _h2_program(lay, q_p, lambda P, Kt: A @ P + B @ Kt, bounds), lay
+    return _h2_program(lay, q_p, lambda P, Kt: A @ P + B @ Kt, lambda Kt: Kt, R, bounds), lay
 
 
 def _check_qr(n: int, m: int, Q, R) -> tuple[np.ndarray, np.ndarray]:
@@ -360,12 +360,12 @@ def build_reduced_gram_problem(
     lay.add_sym("P", n)
     lay.add_full("Kt", m, n)
     lay.add_full("At", n, n)
-    bounds = [("L", lambda Kt: Kt, R)]
+    bounds = []
     if w.lambda2 > 0.0:
         bounds.append(("N", lambda P, Kt: Kt - K_LS @ P, du))
     if w.lambda1 > 0.0:
         bounds.append(("M", lambda P, Kt, At: At - A_LS @ P - B_LS @ Kt, dx))
-    return _h2_program(lay, Q + d0, lambda At: At, bounds), lay
+    return _h2_program(lay, Q + d0, lambda At: At, lambda Kt: Kt, R, bounds), lay
 
 
 def build_reduced_covar_problem(
@@ -401,8 +401,9 @@ def _riccati_path(stats: DataStats, Q, R, w: RegWeights, parameterization: str) 
     u.T R u + (u - K_LS x).T du (u - K_LS x) = (u - F x).T (R + du) (u - F x)
     + x.T K_LS.T E K_LS x with F = (R + du)^-1 du K_LS and E = du (R + du)^-1 R,
     leaves LQR in the shifted input u - F x on (A_LS + B_LS F, B) with every
-    weight a sum of positive semidefinite terms and no cross weight.
-    Estimates (A_LS, B_LS) that are not stabilizable raise SynthesisInfeasible.
+    weight a sum of positive semidefinite terms and no cross weight. A failed
+    DARE or a gain with no Gramian (_dlyap: rho >= 1 - 1e-9), as from estimates
+    (A_LS, B_LS) that are not stabilizable, raises SynthesisInfeasible.
     """
     Q, R, d0, du, dx = _reduced_weights(stats, Q, R, w, parameterization)
     gram = parameterization == "gram"
@@ -411,8 +412,8 @@ def _riccati_path(stats: DataStats, Q, R, w: RegWeights, parameterization: str) 
     A_LS, B_LS, K_LS = stats.a_ls, stats.b_ls, stats.k_ls
     F = np.linalg.solve(R + du, du @ K_LS)
     if gram and w.lambda1 == 0.0:
-        # A free closed loop costs nothing: A_cl = 0 (rho = 0), P = I and K = F.
-        K, A_cl, rho = F, np.zeros((n, n)), 0.0
+        # A free closed loop costs nothing: A_cl = 0, P = I and K = F.
+        K, A_cl, P = F, np.zeros((n, n)), np.eye(n)
     else:
         E = sym(du @ np.linalg.solve(R + du, R))
         B, r = B_LS, R + du
@@ -423,12 +424,9 @@ def _riccati_path(stats: DataStats, Q, R, w: RegWeights, parameterization: str) 
             G, _ = _dare(A_LS + B_LS @ F, B, sym(Q + d0 + K_LS.T @ E @ K_LS), r)
             G[:m] += F  # the gain on the unshifted inputs; under covariance G = K
             K, A_cl = G[:m], A_LS + B @ G
-            rho = _rho(A_cl)  # once: the DARE's stability test and the Gramian's
-            if rho >= 1.0:
-                raise NoConvergence(f"Riccati gain does not stabilize (rho = {rho:.6f})")
-        except NoConvergence as exc:
+            P = _dlyap(A_cl, _rho(A_cl))
+        except (NoConvergence, UnstableMatrix) as exc:
             raise SynthesisInfeasible(program_id, "Infeasible") from exc
-    P = _dlyap(A_cl, rho)
     # The SDP's optimum: nominal H2 cost plus the regularizer's effect.
     eff = _effect(K, A_cl, np.linalg.cholesky(P), stats, w)
     return LqrSolution(
@@ -479,15 +477,6 @@ def baseline_y_map(x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.solve(r[:n], q[:, :n].T).T, q[:, n:]
 
 
-def _baseline_weights(stats: DataStats, Q, R, lam) -> tuple[np.ndarray, np.ndarray, float]:
-    """Checked (Q, R, lam) of a baseline program: lam must be non-negative."""
-    Q, R = _check_qr(stats.n, stats.m, Q, R)
-    lam = float(lam)
-    if lam < 0.0:
-        raise ValueError(f"lambda must be non-negative, got {lam}")
-    return Q, R, lam
-
-
 def build_baseline_gram_problem(
     d: Dataset, stats: DataStats, Q, R, lam: float, projected: bool
 ) -> tuple[LmiProblem, SdpLayout]:
@@ -497,7 +486,8 @@ def build_baseline_gram_problem(
     border C Y is the expression (C X0^+) P + (C N) Z over the slots P and Z,
     with no equality rows. The regularizer slack W is an ell x ell corner.
     """
-    Q, R, lam = _baseline_weights(stats, Q, R, lam)
+    Q, R = _check_qr(stats.n, stats.m, Q, R)
+    lam = _weight("lambda", lam)
     n, ell = stats.n, stats.ell
     lay = SdpLayout()
     lay.add_sym("P", n)
@@ -506,11 +496,9 @@ def build_baseline_gram_problem(
     Pi = kernel_projector(d) if projected else np.eye(ell)
     X1p, U0p, Pip = d.x1 @ x0_pinv, d.u0 @ x0_pinv, Pi @ x0_pinv
     X1N, U0N, PiN = d.x1 @ N, d.u0 @ N, Pi @ N
-    bounds = [
-        ("L", lambda P, Z: U0p @ P + U0N @ Z, R),
-        ("W", lambda P, Z: Pip @ P + PiN @ Z, lam * np.eye(ell)),
-    ]
-    return _h2_program(lay, Q, lambda P, Z: X1p @ P + X1N @ Z, bounds), lay
+    bounds = [("W", lambda P, Z: Pip @ P + PiN @ Z, lam * np.eye(ell))]
+    a_cl, kp = (lambda P, Z: X1p @ P + X1N @ Z), (lambda P, Z: U0p @ P + U0N @ Z)
+    return _h2_program(lay, Q, a_cl, kp, R, bounds), lay
 
 
 def synth_baseline_gram(
@@ -529,7 +517,8 @@ def build_baseline_covar_problem(
     Z >= [P; K tilde] P^{-1} [P; K tilde]^T via one LMI; the regularizer
     enters the objective as lam * tr(Z cov_d0^{-1}).
     """
-    Q, R, lam = _baseline_weights(stats, Q, R, lam)
+    Q, R = _check_qr(stats.n, stats.m, Q, R)
+    lam = _weight("lambda", lam)
     # [P; Kt] joined on axis -2, the row axis of a matrix and of a stack alike.
     bounds = [("Z", lambda P, Kt: np.concatenate((P, Kt), axis=-2), lam * stats.cov_d0_inv)]
     return _lqr_program(stats.a_ls, stats.b_ls, Q, R, bounds)

@@ -12,6 +12,7 @@ import ddlqr
 from ddlqr.conic import LmiProblem
 from ddlqr.conic.problem import _Block
 from ddlqr.datamodel import DataStats
+from ddlqr.harness import SweepCase
 from ddlqr.synthesis import SdpLayout
 
 # Removed API: helpers only tests called, the sweep's baseline cases, the
@@ -21,7 +22,8 @@ from ddlqr.synthesis import SdpLayout
 # the Riccati path's expanded gain-deviation penalty, now a completed square,
 # and the builders' entry-by-entry placement, now one dense stack per block,
 # and the column families with their special-case Schur terms, now one Gram
-# formula for every block.
+# formula for every block, and the cached triangle indices and the baseline
+# builders' own weight check, now computed where used and one weight rule.
 DELETED = {
     "svec_index",
     "new_problem",
@@ -47,6 +49,8 @@ DELETED = {
     "_status_row",
     "_check_gain",
     "_check_square",
+    "_triu",
+    "_baseline_weights",
 }
 
 
@@ -65,6 +69,7 @@ def test_every_export_resolves_and_no_removed_name_is_exported():
     assert not hasattr(SdpLayout, "var_grid")
     assert not hasattr(_Block, "vars_touched")
     assert "ab_ls" not in DataStats.__dataclass_fields__
+    assert "program" not in SweepCase.__dataclass_fields__
 
 
 def run_python(code):

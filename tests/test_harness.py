@@ -69,11 +69,11 @@ def test_case_label_parsing():
     c = reduced_case("{3,1}")
     assert c.label == "{1,3}"
     assert c.active == (True, False, True)
-    assert c.program == "reduced-gram"
+    assert c.parameterization == "gram"
     w = c.weights_at(2.0)
     assert (w.lambda1, w.lambda2, w.lambda3) == (2.0, 0.0, 2.0)
     cc = reduced_case("{2}", "covariance")
-    assert cc.program == "reduced-covar"
+    assert cc.parameterization == "covariance"
     assert cc.weights_at(5.0).parameterization == "covariance"
     with pytest.raises(DimensionMismatch):
         reduced_case("{1,2}", "covariance")

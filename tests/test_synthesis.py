@@ -14,7 +14,7 @@ from ddlqr.errors import (
     SynthesisInfeasible,
 )
 from ddlqr.harness.experiments import ReferenceExperimentConfig, gen_reference_data
-from ddlqr.harness.sweep import deviation_grid, gain_path_grid, reduced_case
+from ddlqr.harness.sweep import deviation_grid, gain_path_grid, reduced_case, run_sweep
 from ddlqr.matlin import h2norm_sq, solve_dare, solve_dlyap, spectral_radius
 from ddlqr.synthesis import (
     LqrSolution,
@@ -266,6 +266,22 @@ def test_noiseless_baseline_recovers_true_lqr(projected):
     sol = synth_baseline_gram(d, st, pm.Q, pm.R, 1e-8, projected=projected)
     k_opt, _ = solve_dare(pm.A, pm.B, pm.Q, pm.R)
     assert np.linalg.norm(sol.K - k_opt) <= 1e-4
+
+
+@pytest.mark.parametrize("lam", [np.inf, np.nan, -1.0])
+def test_baseline_weight_must_be_finite_and_non_negative(lam):
+    d, st = noisy(0)
+    calls = [
+        lambda: build_baseline_gram_problem(d, st, Q2, R1, lam, projected=False),
+        lambda: build_baseline_gram_problem(d, st, Q2, R1, lam, projected=True),
+        lambda: synth_baseline_gram(d, st, Q2, R1, lam, projected=False),
+        lambda: synth_baseline_gram(d, st, Q2, R1, lam, projected=True),
+        lambda: build_baseline_covar_problem(st, Q2, R1, lam),
+        lambda: synth_baseline_covar(st, Q2, R1, lam),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^lambda must be finite and non-negative"):
+            call()
 
 
 def test_problem_size_ell_independence():
@@ -586,6 +602,36 @@ def test_reduced_covar_infeasible_on_nonstabilizable_estimates():
         synth_reduced_covar(st, Q2, np.eye(1), covar_weights())
     assert exc.value.program_id == "reduced-covar"
     assert exc.value.status == "Infeasible"
+
+
+def test_riccati_gain_with_no_gramian_is_infeasible():
+    # A = diag(1 - 5e-10, 0.5) with B = [0; 1]: the first mode is stable but
+    # out of the input's reach, so every gain leaves rho within 1e-9 of one,
+    # where no Gramian exists. The record's residual lies in the kernel of
+    # the regressors [x0; u0]: (A_LS, B_LS) = (A, B) to round-off, and the
+    # residual covariance gram's lambda1 reads is invertible.
+    rng = np.random.default_rng(0)
+    A, B = np.diag([1.0 - 5e-10, 0.5]), np.array([[0.0], [1.0]])
+    x0, u0 = rng.standard_normal((2, 40)), rng.standard_normal((1, 40))
+    D = np.vstack([x0, u0])
+    E = 1e-4 * rng.standard_normal((2, 40))
+    E -= E @ np.linalg.pinv(D) @ D
+    st = compute_stats(Dataset(x0=x0, u0=u0, x1=A @ x0 + B @ u0 + E))
+    assert 1.0 - 1e-9 <= spectral_radius(st.a_ls) < 1.0
+    # A gram deviation weight this large leaves the first mode where it is.
+    cases = [
+        (synth_reduced_covar, covar_weights(), "reduced-covar"),
+        (synth_reduced_covar, covar_weights(lambda2=1.0, lambda3=1.0), "reduced-covar"),
+        (synth_reduced_gram, RegWeights(lambda1=1e16), "reduced-gram"),
+        (synth_reduced_gram, RegWeights(1e16, 1.0, 1.0), "reduced-gram"),
+    ]
+    for synth, w, program_id in cases:
+        with pytest.raises(SynthesisInfeasible) as exc:
+            synth(st, Q2, np.eye(1), w)
+        assert (exc.value.program_id, exc.value.status) == (program_id, "Infeasible")
+    cases = [reduced_case("{2}", "covariance"), reduced_case("{1}")]
+    rows = run_sweep(st, cases, [1e16], Q2, np.eye(1))
+    assert [r.status for r in rows] == ["Infeasible", "Infeasible"]
 
 
 def test_evaluate_on_truth_self_consistency():
