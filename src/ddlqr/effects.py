@@ -126,7 +126,7 @@ def eval_reg_gram(G, P, lam: float, projected: bool, d: Dataset) -> float:
     if projected:
         q0 = row_space_basis(d)
         M = M - q0 @ (q0.T @ M)
-    return float(lam) * float(np.sum(M * M))
+    return _weight("lambda", lam) * float(np.sum(M * M))
 
 
 def eval_reg_covar(K, P, lam: float, stats: DataStats) -> float:
@@ -139,7 +139,7 @@ def eval_reg_covar(K, P, lam: float, stats: DataStats) -> float:
     P = _shaped(P, (stats.n, stats.n), "P")
     require_symmetric(P, "P")
     ik = np.vstack([np.eye(stats.n), K])
-    return float(lam) * float(np.trace(stats.cov_d0_inv @ ik @ P @ ik.T))
+    return _weight("lambda", lam) * float(np.trace(stats.cov_d0_inv @ ik @ P @ ik.T))
 
 
 def param_effect_closed(
@@ -204,7 +204,7 @@ def param_effect_oracle(
     A_cl = _shaped(A_cl, (stats.n, stats.n), "A_cl")
     P = _shaped(P, (stats.n, stats.n), "P")
     half = sym_sqrt(P, "P")
-    lam = float(lam)
+    lam = _weight("lambda", lam)
 
     if kind == "covariance":
         objective = eval_reg_covar(K, P, lam, stats)

@@ -6,7 +6,7 @@ doubling and the Lyapunov equation as one Kronecker system. Each public
 function validates its input, then calls one private core on the checked
 arrays (`_rho`, `_dlyap`, `_dare`, `_h2`), which the Riccati path in
 `synthesis` also calls directly. The cores keep every numerical check but
-one: `_dare` leaves rho(A + B K) < 1 to its caller, which computes that
+one: `_dare` leaves the stability test to its caller, which computes the
 spectral radius once and reuses it.
 
 Tolerance conventions
@@ -30,6 +30,7 @@ from .errors import (
 )
 
 RANK_TOL = 1e-10
+_RHO_MARGIN = 1e-9  # a stable loop has rho < 1 - _RHO_MARGIN: _dlyap finds its Gramian
 
 __all__ = [
     "RANK_TOL",
@@ -127,9 +128,9 @@ def _rho(A) -> float:
 def solve_dlyap(A_cl) -> np.ndarray:
     """Solve P = A_cl P A_cl.T + I for the closed-loop Gramian P.
 
-    The spectral radius must sit below 1 - 1e-9. P solves the n^2 x n^2
-    Kronecker system (I - A_cl kron A_cl) vec P = vec I; the residual is
-    verified to 1e-9 before the symmetrized P is returned.
+    The spectral radius must sit below 1 - _RHO_MARGIN. P solves the
+    n^2 x n^2 Kronecker system (I - A_cl kron A_cl) vec P = vec I; the
+    residual is verified to 1e-9 before the symmetrized P is returned.
     """
     A = _square(A_cl, "A_cl")
     return _dlyap(A, _rho(A))
@@ -137,8 +138,8 @@ def solve_dlyap(A_cl) -> np.ndarray:
 
 def _dlyap(A, rho: float) -> np.ndarray:
     """`solve_dlyap` on a checked square A whose spectral radius is rho."""
-    if rho >= 1.0 - 1e-9:
-        raise UnstableMatrix(f"spectral radius {rho:.12f} not below 1 - 1e-9")
+    if rho >= 1.0 - _RHO_MARGIN:
+        raise UnstableMatrix(f"spectral radius {rho:.12f} not below 1 - {_RHO_MARGIN:g}")
     n = A.shape[0]
     # One Kronecker system at every size: a bilinear transform loses about
     # three digits, enough to fail the residual check near rho = 1.
@@ -168,7 +169,7 @@ def solve_dare(A, B, Q, R) -> tuple[np.ndarray, np.ndarray]:
     optimal state feedback u = K x, K = -(R + B.T S B)^-1 B.T S A, and the
     cost matrix S solving S = A.T S A - A.T S B (R + B.T S B)^-1 B.T S A + Q.
     A pair that is not stabilizable raises NoConvergence, whether the doubling
-    finds no finite limit or its gain leaves rho(A + B K) >= 1.
+    finds no finite limit or its gain leaves rho(A + B K) >= 1 - _RHO_MARGIN.
     """
     A = _square(A, "A")
     B = as_matrix(B, "B")
@@ -178,13 +179,13 @@ def solve_dare(A, B, Q, R) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatch(f"B/Q/R shapes do not match A {A.shape}")
     K, S = _dare(A, B, Q, R)
     rho = _rho(A + B @ K)
-    if rho >= 1.0:
-        raise NoConvergence(f"Riccati gain does not stabilize (rho = {rho:.6f})")
+    if rho >= 1.0 - _RHO_MARGIN:
+        raise NoConvergence(f"Riccati gain does not stabilize (rho = {rho:.12f})")
     return K, S
 
 
 def _dare(A, B, Q, R) -> tuple[np.ndarray, np.ndarray]:
-    """`solve_dare` on checked arrays; the caller tests rho(A + B K) < 1."""
+    """`solve_dare` on checked arrays; the caller tests rho(A + B K)."""
 
     def gain(S):
         BtS = B.T @ S

@@ -634,6 +634,59 @@ def test_dual_residual_counts_the_corner_entries(monkeypatch):
     assert sol.dual_res == pytest.approx(np.linalg.norm(rd) / (1.0 + np.linalg.norm(c)), rel=1e-12)
 
 
+# -- final dual correction ----------------------------------------------------
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_dual_correction_removes_rd_and_refuses_an_indefinite_z(sign):
+    # A 2 x 2 block whose three coefficients span the symmetric matrices makes
+    # A* one-to-one, so at any scaling W the correction is the one dZ with
+    # A*(dZ) = rd: here D. Z's least eigenvalue is 1e-8, and D's -1e-6 there
+    # would leave Z + D indefinite, so that correction is refused.
+    from ddlqr.conic.solver import _Factorization
+
+    p = LmiProblem(np.zeros(3))
+    add_dense_block(
+        p, np.eye(2), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(2)[::-1] / np.sqrt(2.0)]
+    )
+    W = np.array([[2.0, 0.5], [0.5, 1.0]])
+    fact = _Factorization(p, [W], [np.linalg.cholesky(W)], np.arange(3), np.arange(3))
+    Z = np.diag([1.0, 1e-8])
+    D = np.array([[0.3, 1e-4], [1e-4, sign * 1e-6]])
+    Zn = solver_mod._dual_correction(fact, p.compiled(), [Z], p.adjoint([D]), [np.zeros((0, 0))])
+    if sign > 0:
+        assert np.abs(Zn[0] - (Z + D)).max() <= 1e-14
+    else:
+        assert Zn is None
+
+
+def test_refused_correction_leaves_the_solve_as_it_was(monkeypatch):
+    # t I on both box blocks of random_feasible_problem is in the kernel of
+    # A* and positive semidefinite, so a correction padded with it keeps the
+    # dual residual and Z's definiteness but adds t tr(S_box) to the gap: the
+    # gap re-check must refuse it, and the solve then runs on exactly as one
+    # whose every correction is refused.
+    seeds = range(12)
+    plain = [solve(random_feasible_problem(s)) for s in seeds]
+    correct = solver_mod._dual_correction
+
+    def padded(*args):
+        Zn = correct(*args)
+        if Zn is None:
+            return None
+        return [Zb + 1e-6 * np.eye(len(Zb)) for Zb in Zn[:2]] + Zn[2:]
+
+    monkeypatch.setattr(solver_mod, "_dual_correction", padded)
+    gapped = [solve(random_feasible_problem(s)) for s in seeds]
+    monkeypatch.setattr(solver_mod, "_dual_correction", lambda *args: None)
+    refused = [solve(random_feasible_problem(s)) for s in seeds]
+    for g, r in zip(gapped, refused):
+        assert (g.iters, g.message, g.gap) == (r.iters, r.message, r.gap)
+        assert np.array_equal(g.y, r.y)
+    # the correction ends some of these solves early when it is accepted
+    assert sum(p.iters < r.iters for p, r in zip(plain, refused)) >= 6
+
+
 # -- triangular inverse -----------------------------------------------------------
 
 

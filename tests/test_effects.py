@@ -137,6 +137,35 @@ def test_reg_covar_at_ls_gain_reduces_to_state_term():
     assert val == pytest.approx(expect, rel=1e-9)
 
 
+# A weight that is NaN, negative or infinite is a ValueError naming lambda in
+# every evaluator, as in RegWeights and the baseline builders, not a nan, a
+# negative or an infinite regularizer.
+BAD_WEIGHTS = [float("nan"), -1.0, float("inf")]
+
+
+@pytest.mark.parametrize("lam", BAD_WEIGHTS)
+def test_reg_gram_rejects_bad_weight(lam):
+    d = noisy_dataset(0)
+    with pytest.raises(ValueError, match="lambda"):
+        eval_reg_gram(np.zeros((d.ell, d.n)), np.eye(d.n), lam, False, d)
+
+
+@pytest.mark.parametrize("lam", BAD_WEIGHTS)
+def test_reg_covar_rejects_bad_weight(lam):
+    stats = compute_stats(noisy_dataset(0))
+    with pytest.raises(ValueError, match="lambda"):
+        eval_reg_covar(stats.k_ls, np.eye(stats.n), lam, stats)
+
+
+@pytest.mark.parametrize("lam", BAD_WEIGHTS)
+def test_oracle_rejects_bad_weight(lam):
+    d = noiseless_dataset(11)
+    stats = compute_stats(d)
+    K = np.zeros((stats.m, stats.n))
+    with pytest.raises(ValueError, match="lambda"):
+        param_effect_oracle(K, stats.a_ls, np.eye(stats.n), d, lam, "full_gram")
+
+
 def test_reg_covar_singular_covariance_raises():
     # Rows of x0 nearly parallel: the data passes the rank check but the
     # sample covariance condition number is beyond the inversion cutoff.

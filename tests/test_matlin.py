@@ -243,6 +243,14 @@ def test_dare_rejects_unstabilizable_pair(A, B):
         matlin.solve_dare(A, B, np.eye(2), np.eye(1))
 
 
+def test_dare_refuses_gain_inside_the_stability_margin():
+    # rho(A + B K) = 1 - 5e-10 sits below 1 but inside the margin where
+    # solve_dlyap finds no Gramian, so the gain does not count as stabilizing.
+    A, B = np.diag([1.0 - 5e-10, 0.5]), np.array([[0.0], [1.0]])
+    with pytest.raises(NoConvergence, match="stabilize"):
+        matlin.solve_dare(A, B, np.eye(2), np.eye(1))
+
+
 # -- h2norm_sq ----------------------------------------------------------------
 
 
