@@ -8,7 +8,9 @@ coefficient stack of the variables it touches (one matrix per variable, the
 form SDPT3's block data takes) and an optional slack corner. A corner's
 coefficients are implicit and every other coefficient is zero there, so the
 stack holds only the columns right of the corner: a block of dimension
-ell + n with an ell x ell corner stores O(ell n) numbers per variable.
+dc + n with a dc x dc corner stores O(dc n) numbers per variable. A block is
+a stack of g members of one shape, each with its own variables and corner,
+as SDPT3 stores block-diagonal data; a single block is a stack of one.
 
 Symmetric matrix variables are packed in scaled upper-triangle order
 (off-diagonals multiplied by sqrt(2)), which makes the packing an isometry
@@ -39,11 +41,12 @@ def svec_len(d: int) -> int:
 
 
 def svec(S: np.ndarray) -> np.ndarray:
-    """Pack a symmetric matrix; off-diagonals scaled by sqrt(2)."""
+    """Pack a symmetric matrix; off-diagonals scaled by sqrt(2). A stack of
+    matrices (..., d, d) gives the stack of packed vectors."""
     S = np.asarray(S, dtype=float)
-    iu, ju = np.triu_indices(S.shape[0])
-    out = S[iu, ju]
-    out[iu != ju] *= SQRT2
+    iu, ju = np.triu_indices(S.shape[-1])
+    out = S[..., iu, ju]
+    out[..., iu != ju] *= SQRT2
     return out
 
 
@@ -62,32 +65,42 @@ def smat(v: np.ndarray, d: int) -> np.ndarray:
 
 
 class _Block:
-    """One block F0 + sum_k y_{lv[k]} F_k >= 0 in the form the solver consumes.
+    """A stack of g blocks of one shape, F0[j] + sum_k y_{lv[j, k]} F[j, k] >= 0
+    for each member j, in the form the solver consumes.
 
-    A block with a slack corner of size dc (dc = 0 without one) makes its
-    top-left dc x dc submatrix the packed symmetric variable y[corner], and
-    every other coefficient is zero there. F[k] holds columns dc.. of F_k,
-    shape (d, d - dc): the border rows 0..dc and the symmetric trailing
+    A block with a slack corner of size dc (dc = 0 without one) makes each
+    member's top-left dc x dc submatrix a packed symmetric variable, member j
+    the j-th of the consecutive packs in y[corner], and every other
+    coefficient is zero there. F[j, k] holds columns dc.. of member j's
+    F_k, shape (d, d - dc): the border rows 0..dc and the symmetric trailing
     block below them, which determine F_k whole. F_flat is the same stack
     with each matrix flattened. The solver holds a corner's value apart from
-    y, as a dc x dc matrix Yc (0 x 0 without a corner), never packed.
+    y, as a (g, dc, dc) stack Yc, never packed.
     """
 
     def __init__(self, F0: np.ndarray, lv: np.ndarray, F: np.ndarray, dc: int, v0: int):
-        self.dim = F0.shape[0]
+        self.g, self.dim = F0.shape[:2]
         self.F0 = F0
-        self.lv = lv
-        self.F = F
-        self.F_flat = F.reshape(lv.size, self.dim * (self.dim - dc))
+        # C order throughout, so that every member takes the same kernels as
+        # a single block: y[lv] keeps lv's layout.
+        self.lv = np.ascontiguousarray(lv)
+        self.F = np.ascontiguousarray(F)
+        self.F_flat = self.F.reshape(self.g, lv.shape[1], self.dim * (self.dim - dc))
         self.dc = dc
-        self.corner = slice(v0, v0 + svec_len(dc))
+        self.corner = slice(v0, v0 + self.g * svec_len(dc))
 
     def apply(self, y: np.ndarray) -> np.ndarray:
-        """F0 + sum_i y_i F_i as a dense symmetric matrix."""
-        return self.apply_lin(y, smat(y[self.corner], self.dc)) + self.F0
+        """F0 + sum_i y_i F_i as a dense (g, d, d) stack."""
+        Yc = smat(y[self.corner].reshape(self.g, svec_len(self.dc)), self.dc)
+        return self.apply_lin(y, Yc) + self.F0
+
+    def border(self, y: np.ndarray) -> np.ndarray:
+        """Columns dc.. of sum_i y_i F_i over the ordinary variables."""
+        B = y[self.lv][:, None] @ self.F_flat
+        return B.reshape(self.g, self.dim, self.dim - self.dc)
 
     def apply_lin(self, y: np.ndarray, Yc: np.ndarray) -> np.ndarray:
-        """sum_i y_i F_i without the constant term, with Yc in the corner.
+        """sum_i y_i F_i without the constant term, with Yc in the corners.
 
         Search directions must use this form: going through apply() and
         subtracting F0 back leaves eps*|F0| noise on a result that can be
@@ -95,23 +108,35 @@ class _Block:
         amplifies that noise by |W|^2.
         """
         dc = self.dc
-        B = (y[self.lv] @ self.F_flat).reshape(self.dim, self.dim - dc)
+        B = self.border(y)
         if not dc:
             return B
-        S = np.empty((self.dim, self.dim))
-        S[:, dc:] = B
-        S[dc:, :dc] = B[:dc].T
-        S[:dc, :dc] = Yc
+        S = np.empty((self.g, self.dim, self.dim))
+        S[:, :, dc:] = B
+        S[:, dc:, :dc] = B[:, :dc].swapaxes(1, 2)
+        S[:, :dc, :dc] = Yc
         return S
 
-    def adjoint(self, Z: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """g_i += tr(F_i Z) for the block's ordinary coefficients, Z symmetric;
-        returns Z[:dc, :dc]. The border rows meet Z twice, once per triangle."""
+    def pull(self, V: np.ndarray) -> np.ndarray:
+        """sum(F[j, k] * V[j]) in lv's order, V a (g, d, d - dc) stack of
+        columns dc..; `gather` sums them per variable."""
+        return (self.F_flat @ V.reshape(self.g, -1, 1)).ravel()
+
+    def adjoint(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """tr(F_i Z) for the block's ordinary coefficients, as `pull` gives
+        them, and the corner part Z[:, :dc, :dc], Z a symmetric (g, d, d)
+        stack. The border rows meet Z twice, once per triangle."""
         dc = self.dc
-        Zb = Z[:, dc:].copy()
-        Zb[:dc] *= 2.0
-        g[self.lv] += self.F_flat @ Zb.ravel()
-        return Z[:dc, :dc]
+        Zb = Z[:, :, dc:].copy()
+        Zb[:, :dc] *= 2.0
+        return self.pull(Zb), Z[:, :dc, :dc]
+
+
+def gather(blocks, vals, k: int) -> np.ndarray:
+    """The length-k vector summing vals[b] at blocks[b].lv for every block, by
+    one bincount that adds in order: a stack sums exactly as its members."""
+    lv = np.concatenate([np.zeros(0, np.intp)] + [cb.lv.ravel() for cb in blocks])
+    return np.bincount(lv, np.concatenate([np.zeros(0), *vals]), minlength=k)
 
 
 class LmiProblem:
@@ -144,36 +169,46 @@ class LmiProblem:
         dc.. are symmetric. F_k is zero in the corner, so these columns give
         it whole. A variable whose coefficient is all zero is left out of the
         block.
+
+        A stack of g members has F0 (g, d, d), var (g, nv), one row of
+        variables per member, and F (g, nv, d, d - dc); member j's corner
+        follows member j - 1's. A position zero in every member is left out.
         """
-        F0 = require_symmetric(F0, "F0")
-        d = F0.shape[0]
+        single = np.ndim(F0) == 2
+        F0 = np.stack([require_symmetric(M, "F0") for M in ([F0] if single else F0)])
+        g, d = F0.shape[:2]
         if d < 1:
             raise DimensionMismatch("block dim must be >= 1")
         var = np.asarray(var, dtype=np.intp)
-        if var.ndim != 1 or np.any(np.diff(var) <= 0):
-            raise DimensionMismatch("var must be a strictly increasing 1-D array")
-        if var.size and not (0 <= var[0] and var[-1] < self.num_vars):
+        if var.ndim != 2 - single:
+            raise DimensionMismatch(f"var must be {2 - single}-D")
+        var = var.reshape(g, -1) if single else var
+        if len(var) != g or np.any(np.diff(var) <= 0):
+            raise DimensionMismatch("var must be strictly increasing, one row per member")
+        if var.size and not (0 <= var.min() and var.max() < self.num_vars):
             raise DimensionMismatch(f"variable index out of range [0, {self.num_vars})")
         dc, var_start = (0, 0) if corner is None else corner
         if corner is not None and not (
-            1 <= dc <= d and 0 <= var_start and var_start + svec_len(dc) <= self.num_vars
+            1 <= dc <= d and 0 <= var_start and var_start + g * svec_len(dc) <= self.num_vars
         ):
             raise DimensionMismatch(f"corner {corner} outside block dim {d} or the variables")
-        F = np.zeros((0, d, d - dc)) if F is None else np.asarray(F, dtype=float)
-        if F.shape != (var.size, d, d - dc):
-            raise DimensionMismatch(f"F shape {F.shape} != {(var.size, d, d - dc)}")
+        F = np.zeros(var.shape + (d, d - dc)) if F is None else np.asarray(F, dtype=float)
+        F = F[None] if single and F.ndim == 3 else F
+        want = var.shape + (d, d - dc)
+        if F.shape != want:
+            raise DimensionMismatch(f"F shape {F.shape[single:]} != {want[single:]}")
         if not np.all(np.isfinite(F)):
             raise ValueError("F contains non-finite entries")
-        Fp = F[:, dc:]
-        Ft = Fp.transpose(0, 2, 1)
+        Fp = F[:, :, dc:]
+        Ft = Fp.swapaxes(2, 3)
         # require_symmetric's rule, per coefficient: max|F - F.T| <= 1e-12 (1 + max|F|)
-        asym = np.abs(Fp - Ft).max(axis=(1, 2), initial=0.0)
-        bad = var[asym > 1e-12 * (1.0 + np.abs(F).max(axis=(1, 2), initial=0.0))]
+        asym = np.abs(Fp - Ft).max(axis=(2, 3), initial=0.0)
+        bad = var[asym > 1e-12 * (1.0 + np.abs(F).max(axis=(2, 3), initial=0.0))]
         if bad.size:
             raise AsymmetricInput(f"coefficient of variable {bad[0]} is not symmetric")
-        keep = np.any(F != 0.0, axis=(1, 2))
-        F = np.concatenate((F[:, :dc], 0.5 * (Fp + Ft)), axis=1)[keep]
-        block = _Block(F0, var[keep], F, int(dc), int(var_start))
+        keep = np.any(F != 0.0, axis=(0, 2, 3))
+        F = np.concatenate((F[:, :, :dc], 0.5 * (Fp + Ft)), axis=2)[:, keep]
+        block = _Block(F0, var[:, keep], F, int(dc), int(var_start))
         twice = np.flatnonzero(self._corner[block.corner]) + block.corner.start
         if twice.size:
             raise DimensionMismatch(f"corner variables {twice.tolist()} declared twice")
@@ -189,28 +224,34 @@ class LmiProblem:
     # -- inspection -----------------------------------------------------------
 
     def block_dims(self) -> list[int]:
-        return [b.dim for b in self._blocks]
+        """The dimension of each LMI, a stack's members one by one."""
+        return [b.dim for b in self._blocks for _ in range(b.g)]
 
     def compiled(self) -> list[_Block]:
         """The blocks in the form the solver consumes."""
         return self._blocks
 
     def evaluate_blocks(self, y) -> list[np.ndarray]:
-        """Dense S_b = F0_b + sum_i y_i F_{b,i} at the given y."""
+        """Dense F0 + sum_i y_i F_i of each LMI at the given y, a stack's
+        members one by one, in block_dims' order."""
         y = np.asarray(y, dtype=float).reshape(-1)
         if y.shape != (self.num_vars,):
             raise DimensionMismatch("y length does not match num_vars")
-        return [cb.apply(y) for cb in self._blocks]
+        return [S for cb in self._blocks for S in cb.apply(y)]
 
     def adjoint(self, Z_list) -> np.ndarray:
-        """A*(Z): vector of sum_b tr(F_{b,i} Z_b)."""
-        g, corners = self.adjoint_split(Z_list)
+        """A*(Z): vector of sum_b tr(F_{b,i} Z_b), one symmetric Z_b per LMI
+        in block_dims' order."""
+        bounds = np.cumsum([0] + [cb.g for cb in self._blocks])
+        Zs = [np.asarray(Z_list[i:j], dtype=float) for i, j in zip(bounds, bounds[1:])]
+        g, corners = self.adjoint_split(Zs)
         for cb, Zc in zip(self._blocks, corners):
-            g[cb.corner] += svec(Zc)
+            g[cb.corner] += svec(Zc).ravel()
         return g
 
     def adjoint_split(self, Z_list) -> tuple[np.ndarray, list[np.ndarray]]:
-        """A*(Z) with 0 in the corner entries, and each block's corner part
-        as the dc x dc matrix Z_b[:dc, :dc] (0 x 0 without a corner)."""
-        g = np.zeros(self.num_vars)
-        return g, [cb.adjoint(Z, g) for cb, Z in zip(self._blocks, Z_list)]
+        """A*(Z) for one (g, d, d) stack Z_b per block, with 0 in the corner
+        entries, and each block's corner part as the (g, dc, dc) stack
+        Z_b[:, :dc, :dc] (dc = 0 without a corner)."""
+        parts = [cb.adjoint(Z) for cb, Z in zip(self._blocks, Z_list)]
+        return gather(self._blocks, [v for v, _ in parts], self.num_vars), [Zc for _, Zc in parts]

@@ -6,12 +6,17 @@ slack of every block is an independent iterate. Problems carry inequality
 blocks only: an affine equation is met by parameterizing its solution set,
 as the baseline gram program does for X0 Y = P.
 
-The Schur complement M_ij = sum_b tr(F_bi W_b F_bj W_b) is one Gram product
-over all blocks, in the forms of SDPT3 (Toh, Todd & Tutuncu, 1999) and
+Every block is a (g, d, d) stack of members of one shape, and each per-block
+step runs once per stack through numpy's stacked linalg and matmul. Every
+sum over members runs member by member in order (gather, _mdot, one bincount
+for M), so a stack takes bitwise the steps of its members one by one.
+
+The Schur complement M_ij = sum_b tr(F_bi W_b F_bj W_b) is the sum of every
+member's Gram matrix, in the forms of SDPT3 (Toh, Todd & Tutuncu, 1999) and
 CVXOPT (Vandenberghe, 2010). A declared slack corner is eliminated
 analytically, without forming its corner-corner operator (_Factorization),
 and its step is back-substituted in closed form. Each corner's iterate,
-step, residual and cost stay dc x dc matrices, and y's corner entries are
+step, residual and cost stay (g, dc, dc) stacks, and y's corner entries are
 packed once, at exit. The predictor reads both boundaries of its step from
 one eigvalsh per block, and only the corrector's KKT solve is refined.
 
@@ -36,7 +41,7 @@ from enum import Enum
 import numpy as np
 
 from ..matlin import sym
-from .problem import SQRT2, LmiProblem, smat, svec
+from .problem import SQRT2, LmiProblem, gather, smat, svec, svec_len
 
 __all__ = ["SolverStatus", "ConicSolution", "solve"]
 
@@ -86,34 +91,54 @@ _PRIMAL_CAP = 1e-6
 _DUAL_CAP = 1e-5
 
 
+def _t(X: np.ndarray) -> np.ndarray:
+    """The transpose of each matrix in a stack."""
+    return X.swapaxes(-1, -2)
+
+
+def _diag(lam: np.ndarray) -> np.ndarray:
+    """The stack of diagonal matrices diag(lam[j])."""
+    return lam[..., None] * np.eye(lam.shape[-1])
+
+
+def _mdot(A: list, B: list) -> float:
+    """sum_b tr(A_b B_b) over blocks' (g, ...) stacks, member by member in
+    order: a stack sums exactly as its members declared one by one would."""
+    return float(np.sum(np.concatenate([(a * b).sum(axis=(1, 2)) for a, b in zip(A, B)])))
+
+
 def _nt_scaling(S: np.ndarray, Z: np.ndarray):
-    """Per-block NT scaling: lam (diagonal of the scaled point), Rinv, the
-    metric Wm = Rinv.T Rinv, so that Rinv S Rinv.T = R.T Z R = diag(lam)
-    with R = Rinv^-1, and L, lower triangular with Wm = L L.T. L is read off
-    the R factor of Rinv's QR: a Cholesky factor of Wm can fail on iterates
-    where Wm is too ill-conditioned to factor again."""
+    """NT scaling of each member of a block's (g, d, d) stack: lam (the
+    diagonal of the scaled point), Rinv, the metric Wm = Rinv.T Rinv, so that
+    Rinv S Rinv.T = R.T Z R = diag(lam) with R = Rinv^-1, and L, lower
+    triangular with Wm = L L.T. L is read off the R factor of Rinv's QR: a
+    Cholesky factor of Wm can fail on iterates where Wm is too
+    ill-conditioned to factor again."""
     try:
         L_s = np.linalg.cholesky(S)
         L_z = np.linalg.cholesky(Z)
     except np.linalg.LinAlgError as exc:
         raise _FactorError(f"iterate lost positive definiteness: {exc}") from None
-    U, lam, _ = np.linalg.svd(L_z.T @ L_s)
+    U, lam, _ = np.linalg.svd(_t(L_z) @ L_s)
     if np.min(lam) <= 0.0:
         raise _FactorError("NT scaling hit a zero singular value")
     # L_z.T L_s = U diag(lam) Vt gives Vt L_s^-1 = diag(lam)^-1 U.T L_z.T, so
     # Rinv = diag(lam)^1/2 Vt L_s^-1 needs no inverse of L_s.
-    Rinv = (U.T / np.sqrt(lam)[:, None]) @ L_z.T
-    Wm = Rinv.T @ Rinv
-    return lam, Rinv, Wm, np.linalg.qr(Rinv, mode="r").T
+    Rinv = (_t(U) / np.sqrt(lam)[..., None]) @ _t(L_z)
+    Wm = _t(Rinv) @ Rinv
+    return lam, Rinv, Wm, _t(np.linalg.qr(Rinv, mode="r"))
 
 
 def _boundary_step(lam: np.ndarray, dst: np.ndarray, dzt: np.ndarray | None = None) -> float:
     """Largest alpha keeping diag(lam) + alpha * D PSD for D = dst and dzt,
-    both exactly symmetric. dzt defaults to the predictor's -diag(lam) - dst,
-    -I - Dn once normalized, whose least eigenvalue is -1 - max eig(Dn)."""
-    outer = np.outer(np.sqrt(lam), np.sqrt(lam))
+    both exactly symmetric, in every member of a stack. dzt defaults to the
+    predictor's -diag(lam) - dst, -I - Dn once normalized, whose least
+    eigenvalue is -1 - max eig(Dn)."""
+    s = np.sqrt(lam)
+    outer = s[..., :, None] * s[..., None, :]
     ev = np.linalg.eigvalsh(dst / outer)
-    m = float(min(ev[0], -1.0 - ev[-1] if dzt is None else np.linalg.eigvalsh(dzt / outer)[0]))
+    dual = -1.0 - ev[..., -1] if dzt is None else np.linalg.eigvalsh(dzt / outer)[..., 0]
+    m = float(min(ev[..., 0].min(), dual.min()))
     if m >= -1e-13:
         return np.inf
     return 1.0 / (-m)
@@ -123,16 +148,27 @@ def _tril_inv(L: np.ndarray) -> np.ndarray:
     """Inverse of a nonsingular lower-triangular L by halving (Du Croz &
     Higham, 1992): inv([[A, 0], [B, D]]) = [[A^-1, 0], [-D^-1 B A^-1, D^-1]].
     A leaf of order <= 32 is inv(L.T).T, whose LU swaps no rows: exactly 0
-    above the diagonal, which inv(L)'s pivoting is not."""
-    n = L.shape[0]
+    above the diagonal, which inv(L)'s pivoting is not. A stack of factors
+    gives the stack of inverses."""
+    n = L.shape[-1]
     if n <= 32:
-        return np.linalg.inv(L.T).T
+        return _t(np.linalg.inv(_t(L)))
     h = n // 2
     X = np.zeros_like(L)
-    X[:h, :h] = _tril_inv(L[:h, :h])
-    X[h:, h:] = _tril_inv(L[h:, h:])
-    X[h:, :h] = -X[h:, h:] @ (L[h:, :h] @ X[:h, :h])
+    X[..., :h, :h] = _tril_inv(L[..., :h, :h])
+    X[..., h:, h:] = _tril_inv(L[..., h:, h:])
+    X[..., h:, :h] = -X[..., h:, h:] @ (L[..., h:, :h] @ X[..., :h, :h])
     return X
+
+
+def _gram_index(problem: LmiProblem, oidx: np.ndarray) -> np.ndarray:
+    """Where each entry of every member's Gram matrix lands in the flattened
+    Schur complement over the ordinary variables oidx, in _Factorization's order."""
+    ko = oidx.size
+    pos_of = np.full(problem.num_vars, -1, dtype=np.intp)
+    pos_of[oidx] = np.arange(ko)
+    rows = [pos_of[cb.lv] for cb in problem.compiled()]
+    return np.concatenate([(r[:, :, None] * ko + r[:, None, :]).ravel() for r in rows])
 
 
 class _Factorization:
@@ -144,31 +180,31 @@ class _Factorization:
     W - T vanishes outside its trailing block. So the term is the Gram
     matrix H H.T of H_i = L.T F_i[:, dc:] L[dc:, dc:] with the dc border rows
     scaled by sqrt(2), which count in both triangles; without a corner it is
-    the plain tr(F_i W F_j W). Each block writes its H into its own columns
-    of one array over all ordinary variables, H_all, and M = H_all H_all.T
-    is one product.
+    the plain tr(F_i W F_j W). One bincount adds every member's H H.T at its
+    variables (_gram_index): a member touches few of the ordinary variables,
+    and one dense product over every member's columns cost more.
     """
 
-    def __init__(self, problem, Wms, Ls, oidx, pos_of):
+    def __init__(self, problem, Wms, Ls, oidx, gram_idx):
         self.problem = problem
         self.Wms = Wms
         self.oidx = oidx
         ko = oidx.size
         compiled = problem.compiled()
-        cols = np.cumsum([0] + [cb.dim * (cb.dim - cb.dc) for cb in compiled])
-        H_all = np.zeros((ko, cols[-1]))
+        grams = []
         # (block index, block, E = L[dc:, :dc] L_cc^-1, W_cc^-1) for each corner
         self.corners = []
 
-        for b, (cb, L, c0, c1) in enumerate(zip(compiled, Ls, cols, cols[1:])):
+        for b, (cb, L) in enumerate(zip(compiled, Ls)):
             dc = cb.dc
-            H = L.T @ cb.F @ L[dc:, dc:]
-            H[:, :dc] *= SQRT2
-            H_all[pos_of[cb.lv], c0:c1] = H.reshape(cb.lv.size, c1 - c0)
+            H = _t(L)[:, None] @ cb.F @ L[:, None, dc:, dc:]
+            H[:, :, :dc] *= SQRT2
+            H = H.reshape(cb.F_flat.shape)
+            grams.append((H @ _t(H)).ravel())
             if dc:
-                Li = _tril_inv(L[:dc, :dc])
-                self.corners.append((b, cb, L[dc:, :dc] @ Li, Li.T @ Li))
-        M = H_all @ H_all.T
+                Li = _tril_inv(L[:, :dc, :dc])
+                self.corners.append((b, cb, L[:, dc:, :dc] @ Li, _t(Li) @ Li))
+        M = np.bincount(gram_idx, np.concatenate(grams), minlength=ko * ko).reshape(ko, ko)
 
         scale = float(np.max(np.diag(M))) if ko else 1.0
         # M = C C.T, applied as Ci.T (Ci r) with Ci = C^-1 (module docstring).
@@ -185,7 +221,7 @@ class _Factorization:
     def solve_kkt(self, E_list, rd, rdc, refine):
         """Solve M dy = A*(E) - rd, with corner back-substitution, and with
         refine one step of iterative refinement. Each corner's part of rd
-        and dy is a dc x dc matrix apart (rdc, dYc), as in adjoint_split.
+        and dy is a (g, dc, dc) stack apart (rdc, dYc), as in adjoint_split.
 
         The refinement residual comes from the operator itself,
         sum_b A_b*(W_b A_b(dy) W_b), not from the assembled M: the residuals
@@ -214,19 +250,22 @@ class _Factorization:
         # rows lose the adjoint at [I; E] r_c [I; E].T (its corner unread), and
         # dW = W_cc^-1 r_c W_cc^-1 - [I; E].T A_o(dy) [I; E]
         #    = W_cc^-1 r_c W_cc^-1 - (B E + E.T B.T + E.T T E), [B; T] = A_o(dy)[:, dc:].
-        # A block without a corner keeps its 0 x 0 part of r_cs in dYc.
-        g = np.zeros(self.problem.num_vars)
+        # A block without a corner keeps its empty part of r_cs in dYc. Each
+        # step runs on a block's whole stack of members.
+        k = self.problem.num_vars
+        vals = []
         for b, cb, E, _ in self.corners:
-            rEt = r_cs[b] @ E.T
+            rEt = r_cs[b] @ _t(E)
             # The border rows meet the adjoint twice, once in each triangle.
-            g[cb.lv] += cb.F_flat @ np.vstack((2.0 * rEt, E @ rEt)).ravel()
-        dy = np.zeros(self.problem.num_vars)
+            vals.append(cb.pull(np.concatenate((2.0 * rEt, E @ rEt), axis=1)))
+        g = gather([cb for _, cb, _, _ in self.corners], vals, k)
+        dy = np.zeros(k)
         dy[self.oidx] = self.chol_inv.T @ (self.chol_inv @ (rhs - g)[self.oidx])
         dYc = list(r_cs)
         for b, cb, E, Wi in self.corners:
-            BT = (dy[cb.lv] @ cb.F_flat).reshape(cb.dim, cb.dim - cb.dc)
-            BE = BT[: cb.dc] @ E
-            dYc[b] = sym(Wi @ r_cs[b] @ Wi - (BE + BE.T + E.T @ BT[cb.dc :] @ E))
+            BT = cb.border(dy)
+            BE = BT[:, : cb.dc] @ E
+            dYc[b] = sym(Wi @ r_cs[b] @ Wi - (BE + _t(BE) + _t(E) @ BT[:, cb.dc :] @ E))
         return dy, dYc
 
 
@@ -251,6 +290,7 @@ def _directions(compiled, scal, dy, dYc, Rp, C=None):
     """Every block's search direction and the largest step all blocks allow.
 
     dS = A(dy, dYc) - Rp is a block's slack step; scaled, Rinv dS Rinv.T.
+    Each is a (g, d, d) stack, and a block's step is its members' least.
     The scaled dual step is C (by default the predictor's -diag(lam)) minus
     it. A block allows the largest alpha keeping both diag(lam) + alpha *
     step PSD. Returns the per-block dS, both scaled steps and the step.
@@ -258,8 +298,8 @@ def _directions(compiled, scal, dy, dYc, Rp, C=None):
     out = []
     for b, (cb, (lam, Rinv, _, _), R) in enumerate(zip(compiled, scal, Rp)):
         dS = cb.apply_lin(dy, dYc[b]) - R
-        dst = sym(Rinv @ dS @ Rinv.T)
-        dzt = (-np.diag(lam) if C is None else C[b]) - dst
+        dst = sym(Rinv @ dS @ _t(Rinv))
+        dzt = (-_diag(lam) if C is None else C[b]) - dst
         out.append((dS, dst, dzt, _boundary_step(lam, dst, None if C is None else dzt)))
     dS, dst, dzt, steps = zip(*out)
     return dS, dst, dzt, min(steps)
@@ -309,28 +349,29 @@ def solve(problem: LmiProblem) -> ConicSolution:
     if np.any(c[~(problem._ordinary | problem._corner)] != 0.0):
         return _trivial_solution(k, t0, "objective moves along an unconstrained variable")
     oidx = np.flatnonzero(problem._ordinary)
-    pos_of = np.full(k, -1, dtype=np.intp)
-    pos_of[oidx] = np.arange(oidx.size)
+    gram_idx = _gram_index(problem, oidx)
 
-    sum_dim = float(sum(cb.dim for cb in compiled))
-    normF0 = np.array([1.0 + np.linalg.norm(cb.F0, "fro") for cb in compiled])
+    # Every block's values are (g, d, d) stacks, and each member is scaled
+    # and measured as a block of its own.
+    sum_dim = float(sum(cb.g * cb.dim for cb in compiled))
+    normF0 = [1.0 + np.linalg.norm(cb.F0, axis=(1, 2)) for cb in compiled]
     cnorm = 1.0 + float(np.linalg.norm(c))
 
-    # Corners stay dc x dc matrices (0 x 0 without one) and y's corner
+    # Corners stay (g, dc, dc) stacks (dc = 0 without one) and y's corner
     # entries 0 until the exit packs them; svec is an isometry.
     y = np.zeros(k)
-    Yc = [np.zeros((cb.dc, cb.dc)) for cb in compiled]
-    Cc = [smat(c[cb.corner], cb.dc) for cb in compiled]
+    Yc = [np.zeros((cb.g, cb.dc, cb.dc)) for cb in compiled]
+    Cc = [smat(c[cb.corner].reshape(cb.g, svec_len(cb.dc)), cb.dc) for cb in compiled]
     c_o = np.where(problem._ordinary, c, 0.0)
-    S = [normF0[i] * np.eye(cb.dim) for i, cb in enumerate(compiled)]
-    Z = [np.eye(cb.dim) for cb in compiled]
+    S = [nf[:, None, None] * np.eye(cb.dim) for nf, cb in zip(normF0, compiled)]
+    Z = [np.ones((cb.g, 1, 1)) * np.eye(cb.dim) for cb in compiled]
 
     def dual_side(Z):
         """A*(Z) and c - A*(Z), split as in adjoint_split, |c - A*(Z)| and tr(S Z)."""
         g, Zc = problem.adjoint_split(Z)
         rd, rdc = c_o - g, [Cb - Zb for Cb, Zb in zip(Cc, Zc)]
-        dres = float(np.sqrt(sum(np.vdot(R, R) for R in (rd, *rdc)))) / cnorm
-        return g, Zc, rd, rdc, dres, float(sum(np.vdot(Sb, Zb) for Sb, Zb in zip(S, Z)))
+        dres = float(np.sqrt(rd @ rd + _mdot(rdc, rdc))) / cnorm
+        return g, Zc, rd, rdc, dres, _mdot(S, Z)
 
     snap, snap_pmerit = None, np.inf
     status = SolverStatus.MAX_ITERS
@@ -340,9 +381,10 @@ def solve(problem: LmiProblem) -> ConicSolution:
     for it in range(1, _MAX_ITERS + 1):
         Rp = [S[i] - (cb.apply_lin(y, Yc[i]) + cb.F0) for i, cb in enumerate(compiled)]
         g, Zc, rd, rdc, dres, gap = dual_side(Z)
-        obj = float(c_o @ y + sum(np.vdot(Cb, Yb) for Cb, Yb in zip(Cc, Yc)))
+        obj = float(c_o @ y + _mdot(Cc, Yc))
         # np.max, unlike max, carries a NaN in any term into the result.
-        pres = float(np.max([np.linalg.norm(R, "fro") for R in Rp] / normF0))
+        norms = [np.linalg.norm(R, axis=(1, 2)) / nf for R, nf in zip(Rp, normF0)]
+        pres = float(np.max(np.concatenate(norms)))
         # Convergence is judged in the problem's own scale: measuring the gap
         # against the scaled-down objective would relax it by s_obj.
         relgap = s_obj * gap / (1.0 + s_obj * abs(obj))
@@ -357,10 +399,10 @@ def solve(problem: LmiProblem) -> ConicSolution:
         if obj <= -1e10 and pres <= 1e-6:
             status, message = SolverStatus.UNBOUNDED, "objective diverges along feasible iterates"
             break
-        zn = float(sum(np.linalg.norm(Zb, "fro") for Zb in Z))
+        zn = float(np.sum(np.concatenate([np.linalg.norm(Zb, axis=(1, 2)) for Zb in Z])))
         if zn >= 1e10:
-            f0z = float(sum(np.vdot(cb.F0, Zb) for cb, Zb in zip(compiled, Z)))
-            adj_ratio = float(np.sqrt(sum(np.vdot(G, G) for G in (g, *Zc)))) / zn
+            f0z = _mdot([cb.F0 for cb in compiled], Z)
+            adj_ratio = float(np.sqrt(g @ g + _mdot(Zc, Zc))) / zn
             if f0z < 0.0 and adj_ratio <= 1e-8:
                 status, message = SolverStatus.INFEASIBLE, "dual improving ray detected"
                 break
@@ -376,7 +418,7 @@ def solve(problem: LmiProblem) -> ConicSolution:
                 snap_pmerit = pmerit
                 snap = (y.copy(), Yc, obj, gap, pres, dres)
             _, _, Wms, Ls = zip(*scal)
-            fact = _Factorization(problem, Wms, Ls, oidx, pos_of)
+            fact = _Factorization(problem, Wms, Ls, oidx, gram_idx)
         except _FactorError as exc:
             breakdown = f"next factorization failed: {exc}"
             break
@@ -400,13 +442,9 @@ def solve(problem: LmiProblem) -> ConicSolution:
         # do not guarantee for infeasible starts.
         a_aff = min(1.0, 0.9995 * a_step)
 
-        mu_aff = 0.0
-        for i in range(len(compiled)):
-            lam = scal[i][0]
-            Sa = np.diag(lam) + a_aff * ds_aff[i]
-            Za = np.diag(lam) + a_aff * dz_aff[i]
-            mu_aff += float(np.vdot(Sa, Za))
-        mu_aff /= sum_dim
+        lams = [_diag(sc[0]) for sc in scal]
+        Sa = [L + a_aff * D for L, D in zip(lams, ds_aff)]
+        mu_aff = _mdot(Sa, [L + a_aff * D for L, D in zip(lams, dz_aff)]) / sum_dim
         sigma = min(1.0, max(0.0, mu_aff / mu) ** 3)
 
         # Corrector with Mehrotra's second-order term.
@@ -414,10 +452,10 @@ def solve(problem: LmiProblem) -> ConicSolution:
         for i in range(len(compiled)):
             lam, Rinv, _, _ = scal[i]
             cross = ds_aff[i] @ dz_aff[i]
-            C_raw = sigma * mu * np.eye(lam.size) - np.diag(lam**2) - sym(cross)
-            C_mat = 2.0 * C_raw / np.add.outer(lam, lam)
+            C_raw = sigma * mu * np.eye(lam.shape[-1]) - _diag(lam**2) - sym(cross)
+            C_mat = 2.0 * C_raw / (lam[..., :, None] + lam[..., None, :])
             C_mats.append(C_mat)
-            E_cor.append(Rinv.T @ C_mat @ Rinv + WRW[i])
+            E_cor.append(_t(Rinv) @ C_mat @ Rinv + WRW[i])
         dy, dYc = fact.solve_kkt(E_cor, rd, rdc, True)
         ds_list, _, dzt_list, a_max = _directions(compiled, scal, dy, dYc, Rp, C_mats)
 
@@ -427,7 +465,7 @@ def solve(problem: LmiProblem) -> ConicSolution:
         Yc = [Yb + alpha * dYb for Yb, dYb in zip(Yc, dYc)]
         for i, (_, Rinv, _, _) in enumerate(scal):
             S[i] = sym(S[i] + alpha * ds_list[i])
-            Z[i] = sym(Z[i] + alpha * (Rinv.T @ dzt_list[i] @ Rinv))
+            Z[i] = sym(Z[i] + alpha * (_t(Rinv) @ dzt_list[i] @ Rinv))
 
     if breakdown and snap_pmerit <= _PRIMAL_CAP:
         status, message = SolverStatus.OPTIMAL, f"attainable precision; {breakdown}"
@@ -435,7 +473,7 @@ def solve(problem: LmiProblem) -> ConicSolution:
     elif breakdown:
         status, message = SolverStatus.NUMERICAL_ERROR, breakdown
     for cb, Yb in zip(compiled, Yc):
-        y[cb.corner] = svec(Yb)
+        y[cb.corner] = svec(Yb).ravel()
     return ConicSolution(
         status=status,
         y=y,

@@ -7,8 +7,8 @@ of a size fixed by n and m and read off one triangular factor R of the
 stacked record. Each covariance is the Gram matrix of a diagonal block of
 R, and its inverse and inverse square root come from the SVD of that
 block, so no covariance is factored a second time. The ell x ell kernel
-projector, which only the trajectory-sized programs and the oracle use, is
-formed on request by kernel_projector.
+projector, which only the oracle uses, is formed on request by
+kernel_projector.
 """
 
 from __future__ import annotations
@@ -290,9 +290,8 @@ def row_space_basis(d: Dataset) -> np.ndarray:
 
 def kernel_projector(d: Dataset) -> np.ndarray:
     """The ell x ell orthogonal projector I - Q0 Q0^T onto the kernel of the
-    stacked state-input data. Only the trajectory-sized programs and the
-    oracle need it; anything that only applies it should use
-    row_space_basis instead."""
+    stacked state-input data. Only the oracle needs it; anything that only
+    applies it should use row_space_basis instead."""
     q0 = row_space_basis(d)
     return np.eye(d.ell) - q0 @ q0.T
 

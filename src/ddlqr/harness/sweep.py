@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..datamodel import DataStats, compute_stats
-from ..effects import _PARAMETERIZATIONS, RegWeights
+from ..effects import RegWeights
 from ..errors import DdlqrError, DimensionMismatch, SynthesisInfeasible
 from ..matlin import spectral_radius
 from ..synthesis import (
@@ -52,19 +52,18 @@ class SweepCase:
 
 
 def reduced_case(label: str, parameterization: str = "gram") -> SweepCase:
-    """Parse a weight-set label like "{1,3}" into a sweep case."""
+    """Parse a weight-set label like "{1,3}" into a sweep case; an unparsable
+    label raises DimensionMismatch, weights RegWeights refuses its ValueError."""
     inner = label.strip().lstrip("{").rstrip("}")
     picks = {tok.strip() for tok in inner.split(",") if tok.strip()}
     bad = picks - {"1", "2", "3"}
     if bad or not picks:
         raise DimensionMismatch(f"unrecognized case label {label!r}")
     active = tuple(str(i) in picks for i in (1, 2, 3))
-    if parameterization not in _PARAMETERIZATIONS:
-        raise DimensionMismatch(f"unknown parameterization {parameterization!r}")
-    if parameterization == "covariance" and active[0]:
-        raise DimensionMismatch("covariance cases cannot activate the first effect")
     canonical = "{" + ",".join(s for s in ("1", "2", "3") if s in picks) + "}"
-    return SweepCase(label=canonical, parameterization=parameterization, active=active)
+    case = SweepCase(label=canonical, parameterization=parameterization, active=active)
+    case.weights_at(1.0)  # RegWeights states the parameterization rules
+    return case
 
 
 @dataclass(frozen=True)
@@ -239,7 +238,7 @@ def bench_scaling(
                     num_vars=p.num_vars,
                     max_block_dim=max(p.block_dims()),
                     iters=it,
-                    schur_order=np.unique(np.concatenate([cb.lv for cb in p.compiled()])).size,
+                    schur_order=np.unique(np.concatenate([b.lv for b in p.compiled()], None)).size,
                 )
                 for ell, t, it, p in zip(ells, times, iters, problems)
             ]

@@ -73,8 +73,8 @@ def _shaped(a, shape: tuple[int, int], name: str) -> np.ndarray:
 
 
 def sym(S: np.ndarray) -> np.ndarray:
-    """Symmetric part (S + S.T) / 2."""
-    return 0.5 * (S + S.T)
+    """Symmetric part (S + S.T) / 2, of each matrix in a stack."""
+    return 0.5 * (S + S.swapaxes(-1, -2))
 
 
 def require_symmetric(S, name: str = "matrix") -> np.ndarray:

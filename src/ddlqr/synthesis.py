@@ -10,8 +10,9 @@ program states K P as block 1's border and A_cl P as block 0's, and
 extraction reads both at the solution and multiplies by P^{-1}, well
 conditioned because P >= I. P >= I needs no block of its own: P - I is the
 leading principal block of the stability LMI. The reduced programs have size
-independent of the data length; the baseline programs carry the raw data
-matrices and an ell x ell slack, which is what makes them scale badly.
+independent of the data length. The baseline gram programs carry (ell - n) n
+kernel coordinates, the order of their Schur complement, and a regularizer
+of up to ell - n (n+1)-blocks, one row slack each; no block exceeds 2n.
 
 Each block is written once, as the paper's matrix: the off-diagonal part is
 a linear matrix expression whose parameters name layout slots, for example
@@ -48,7 +49,7 @@ from .conic import (
     svec,
     svec_len,
 )
-from .datamodel import Dataset, DataStats, kernel_projector
+from .datamodel import Dataset, DataStats
 from .effects import RegWeights, _effect, _weight
 from .errors import (
     DimensionMismatch,
@@ -129,8 +130,9 @@ class SdpLayout:
         self._slots: dict[str, _Slot] = {}
         self._size = 0
 
-    def add_sym(self, name: str, dim: int) -> None:
-        self._add(name, "sym", dim, dim, svec_len(dim))
+    def add_sym(self, name: str, dim: int, count: int = 1) -> None:
+        """A symmetric dim x dim slot, or count of them packed one after another."""
+        self._add(name, "sym", dim, dim, count * svec_len(dim))
 
     def add_full(self, name: str, rows: int, cols: int) -> None:
         self._add(name, "full", rows, cols, rows * cols)
@@ -171,15 +173,18 @@ class SdpLayout:
         s = self._slots[name]
         seg = np.asarray(y, dtype=float)[s.offset : s.offset + s.size]
         if s.kind == "sym":
-            return smat(seg, s.rows)
+            S = smat(seg.reshape(-1, svec_len(s.rows)), s.rows)
+            return S[0] if len(S) == 1 else S
         return seg.reshape(s.rows, s.cols)
 
     def add_sym_cost(self, c: np.ndarray, name: str, C) -> None:
-        """c.T y accumulates tr(C V) for the symmetric slot V."""
+        """c.T y accumulates tr(C V) for the symmetric slot V, or for each
+        matrix V of a stacked slot."""
         s = self._slots[name]
         if s.kind != "sym":
             raise DimensionMismatch(f"slot {name!r} is not symmetric")
-        c[s.offset : s.offset + s.size] += svec(require_symmetric(C, "cost matrix"))
+        v = svec(require_symmetric(C, "cost matrix"))
+        c[s.offset : s.offset + s.size] += np.tile(v, s.size // v.size)
 
 
 @dataclass(frozen=True)
@@ -230,18 +235,23 @@ def _h2_program(lay: SdpLayout, q_p, a_cl, kp, R, bounds) -> LmiProblem:
     Block 0 is [[P - I, A_cl P], [*, P]] >= 0 with A_cl P = a_cl(...), and the
     objective starts at tr(q_p P). The input cost ("L", K P = kp(...), R) is
     the first bound, so block 1's border is K P (see _solve_and_extract).
-    Each bound (name, dev, D) allocates a symmetric slack S after the primal
-    slots, sized by D, adds the block [[S, dev], [*, P]] >= 0 with S a
-    corner, declared by its columns right of the corner, [dev; P], and adds
-    tr(D S).
+    Each bound (name, dev, D) is a stack of g members [[S_j, dev_j], [*, P]]
+    >= 0, with dev(...) one r x n border (g = 1) or a (..., g, r, n) stack
+    of them. It allocates the symmetric r x r slacks S_j after the primal
+    slots, one after another, adds sum_j tr(D S_j) and adds the members as
+    one stacked block with the S_j as corners, each declared by its columns
+    right of the corner, [dev_j; P], over the variables it touches.
     """
     n = lay.slot("P").rows
-    bounds = [("L", kp, R), *bounds]
-    for name, _, D in bounds:
-        lay.add_sym(name, D.shape[0])
+    stacks = []
+    for name, dev, D in [("L", kp, R), *bounds]:
+        var, X, U_P = _border(lay, dev)
+        X = X.reshape(var.size, -1, D.shape[0], n).swapaxes(0, 1)
+        lay.add_sym(name, D.shape[0], len(X))
+        stacks.append((name, var, X, U_P, D))
     c = np.zeros(lay.num_vars)
     lay.add_sym_cost(c, "P", q_p)
-    for name, _, D in bounds:
+    for name, *_, D in stacks:
         lay.add_sym_cost(c, name, D)
     p = LmiProblem(c)
 
@@ -249,11 +259,14 @@ def _h2_program(lay: SdpLayout, q_p, a_cl, kp, R, bounds) -> LmiProblem:
     F0 = np.zeros((2 * n, 2 * n))
     F0[:n, :n] = -np.eye(n)
     p.new_block(F0, var, np.block([[U_P, X], [X.swapaxes(1, 2), U_P]]))
-    for name, dev, _ in bounds:
-        s = lay.slot(name)
-        var, X, U_P = _border(lay, dev)
-        F = np.concatenate((X, U_P), axis=1)
-        p.new_block(np.zeros((s.rows + n, s.rows + n)), var, F, corner=(s.rows, s.offset))
+    for name, var, X, U_P, D in stacks:
+        g, r = X.shape[0], D.shape[0]
+        F = np.concatenate((X, np.broadcast_to(U_P, (g,) + U_P.shape)), axis=2)
+        # Each member lists the variables it touches, padded to the most any member does.
+        keep = np.any(F != 0.0, axis=(2, 3))
+        pos = np.sort(np.argsort(~keep, axis=1, kind="stable")[:, : keep.sum(1).max()], axis=1)
+        F = np.take_along_axis(F, pos[:, :, None, None], axis=1)
+        p.new_block(np.zeros((g, r + n, r + n)), var[pos], F, corner=(r, lay.slot(name).offset))
     return p
 
 
@@ -287,7 +300,7 @@ def _solve_and_extract(p: LmiProblem, lay: SdpLayout, program_id: str) -> LqrSol
     if not sol.optimal:
         raise SynthesisInfeasible(program_id, sol.status.value, sol)
     P = lay.extract("P", sol.y)
-    stab, cost = (cb.apply(sol.y) for cb in p.compiled()[:2])
+    stab, cost = (cb.apply(sol.y)[0] for cb in p.compiled()[:2])
     n = P.shape[0]
     m = cost.shape[0] - n
     KA = np.linalg.solve(P, np.vstack((cost[:m, m:], stab[:n, n:])).T).T
@@ -467,14 +480,15 @@ def synth_reduced_covar(stats: DataStats, Q, R, w: RegWeights) -> LqrSolution:
 # -- baseline data-driven programs (size grows with ell) ----------------------
 
 
-def baseline_y_map(x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(X0^+, N) with Y = X0^+ P + N Z the general solution of X0 Y = P:
-    one complete QR X0^T = [Q1 Q2] [R1; 0] gives X0^+ = Q1 R1^-T (ell x n) and
-    N = Q2, an orthonormal basis of ker X0. X0 must have rank n, as
-    compute_stats checks."""
-    n = x0.shape[0]
-    q, r = np.linalg.qr(x0.T, mode="complete")
-    return np.linalg.solve(r[:n], q[:, :n].T).T, q[:, n:]
+def baseline_y_map(d: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """(X0^+, N) with Y = X0^+ P + N Z the general solution of X0 Y = P: one
+    complete QR [X0; U0]^T = [Q1 Q2 Q3] R (n, m and ell - n - m columns) gives
+    X0^+ = Q1 R[:n, :n]^-T and N = [Q3, Q2], an orthonormal basis of ker X0
+    orthogonal to X0^+ whose leading columns Q3 span ker [X0; U0], the range
+    of the projector Pi. [X0; U0] must have rank n + m, as compute_stats checks."""
+    n, m = d.n, d.m
+    q, r = np.linalg.qr(d.data0().T, mode="complete")
+    return np.linalg.solve(r[:n, :n], q[:, :n].T).T, np.hstack((q[:, n + m :], q[:, n : n + m]))
 
 
 def build_baseline_gram_problem(
@@ -484,7 +498,12 @@ def build_baseline_gram_problem(
 
     Y = X0^+ P + N Z (baseline_y_map) meets X0 Y = P for every Z, so each
     border C Y is the expression (C X0^+) P + (C N) Z over the slots P and Z,
-    with no equality rows. The regularizer slack W is an ell x ell corner.
+    with no equality rows. As N is orthonormal and orthogonal to X0^+,
+    tr(Y P^-1 Y^T) = tr((X0 X0^T)^-1 P) + sum_j z_j P^-1 z_j^T over the rows
+    z_j of Z, and Pi Y = Q3 Z_b keeps the leading ell - n - m rows Z_b alone.
+    So lam tr(Pi Y P^-1 Y^T Pi) is lam tr((X0 X0^T)^-1 P), plain only, plus
+    a stack of members [[w_j, z_j], [*, P]] >= 0 priced lam w_j, one per row
+    of Z, or of Z_b when projected.
     """
     Q, R = _check_qr(stats.n, stats.m, Q, R)
     lam = _weight("lambda", lam)
@@ -492,13 +511,14 @@ def build_baseline_gram_problem(
     lay = SdpLayout()
     lay.add_sym("P", n)
     lay.add_full("Z", ell - n, n)
-    x0_pinv, N = baseline_y_map(d.x0)
-    Pi = kernel_projector(d) if projected else np.eye(ell)
-    X1p, U0p, Pip = d.x1 @ x0_pinv, d.u0 @ x0_pinv, Pi @ x0_pinv
-    X1N, U0N, PiN = d.x1 @ N, d.u0 @ N, Pi @ N
-    bounds = [("W", lambda P, Z: Pip @ P + PiN @ Z, lam * np.eye(ell))]
+    x0_pinv, N = baseline_y_map(d)
+    X1p, U0p, X1N, U0N = d.x1 @ x0_pinv, d.u0 @ x0_pinv, d.x1 @ N, d.u0 @ N
+    # X0^+.T X0^+ = (X0 X0^T)^-1, and Pi X0^+ = 0.
+    q_p = Q if projected else Q + lam * sym(x0_pinv.T @ x0_pinv)
+    rows = ell - n - stats.m if projected else ell - n
+    bounds = [("W", lambda Z: Z[..., :rows, None, :], np.array([[lam]]))] if rows else []
     a_cl, kp = (lambda P, Z: X1p @ P + X1N @ Z), (lambda P, Z: U0p @ P + U0N @ Z)
-    return _h2_program(lay, Q, a_cl, kp, R, bounds), lay
+    return _h2_program(lay, q_p, a_cl, kp, R, bounds), lay
 
 
 def synth_baseline_gram(

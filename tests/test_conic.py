@@ -293,7 +293,7 @@ def test_entry_api_matches_dense_blocks():
         ent = LmiProblem(rng.standard_normal(k))
         ent.new_block(F0, np.arange(k), Fs)
         (cb,) = ent.compiled()
-        assert np.array_equal(cb.lv, np.delete(np.arange(k), zero))
+        assert np.array_equal(cb.lv, [np.delete(np.arange(k), zero)])
 
         y = rng.standard_normal(k)
         (S,) = ent.evaluate_blocks(y)
@@ -376,6 +376,36 @@ def test_partition_is_checked_where_blocks_are_declared():
             p.new_block(np.eye(2), var, F, corner)
     assert p.block_dims() == [3, 1]
     assert all(np.array_equal(a, b) for a, b in zip(partition, (p._ordinary, p._corner)))
+
+
+# A stack of g blocks of one shape is the same LMI as its g members: the
+# solver runs each per-block step once per stack, on every member at once.
+# Each member has its own variables and, with dc = 1, its own 1 x 1 corner,
+# priced so that the corner is bounded; a box bounds the ordinary variables.
+@pytest.mark.parametrize("dc", [0, 1])
+@pytest.mark.parametrize("seed", range(4))
+def test_stack_is_the_same_as_its_members(seed, dc):
+    rng = np.random.default_rng(700 + seed)
+    ko, g, d, nv = 6, int(rng.integers(2, 6)), int(rng.integers(dc + 1, 5)), 3
+    c = np.append(rng.standard_normal(ko), np.ones(g * dc))
+    var = np.sort([rng.choice(ko, nv, replace=False) for _ in range(g)], axis=1)
+    G = rng.standard_normal((g, nv, d, d))
+    F = (0.5 * (G + G.swapaxes(2, 3)))[:, :, :, dc:]
+    G0 = rng.standard_normal((g, d, d))
+    F0 = G0 @ G0.swapaxes(1, 2) + 0.5 * np.eye(d)
+    stacked, members = LmiProblem(c), LmiProblem(c)
+    box = [np.diag((np.arange(ko) == i).astype(float)) for i in range(ko)] + [None] * (g * dc)
+    for q in (stacked, members):
+        add_dense_block(q, 10.0 * np.eye(ko), box)
+        add_dense_block(q, 10.0 * np.eye(ko), [None if B is None else -B for B in box])
+    stacked.new_block(F0, var, F, corner=(dc, ko) if dc else None)
+    for j in range(g):
+        members.new_block(F0[j], var[j], F[j], corner=(dc, ko + j) if dc else None)
+    assert stacked.block_dims() == members.block_dims()
+    a, b = solve(stacked), solve(members)
+    assert a.status == b.status == "Optimal"
+    assert a.iters == b.iters
+    assert np.abs(a.y - b.y).max() <= 1e-9
 
 
 def test_adjoint_pairs_with_apply():
@@ -519,7 +549,7 @@ def structured_problem_with_dense_twin(seed, dc=3, n_ord=16, ds=4):
     + [pytest.param(s, 40, 40, 8, id=f"{s}-dc40") for s in (6, 7)],
 )
 def test_schur_assembly_matches_brute_force(seed, dc, n_ord, ds):
-    from ddlqr.conic.solver import _Factorization
+    from ddlqr.conic.solver import _Factorization, _gram_index
 
     p, corner, dense = structured_problem_with_dense_twin(seed, dc, n_ord, ds)
     k = p.num_vars
@@ -543,9 +573,8 @@ def test_schur_assembly_matches_brute_force(seed, dc, n_ord, ds):
         M[np.ix_(corner, corner)], M[np.ix_(corner, o)]
     )
 
-    pos_of = np.full(k, -1, dtype=np.intp)
-    pos_of[o] = np.arange(o.size)
-    fact = _Factorization(p, Ws, [np.linalg.cholesky(W) for W in Ws], o, pos_of)
+    Ws = [W[None] for W in Ws]
+    fact = _Factorization(p, Ws, [np.linalg.cholesky(W) for W in Ws], o, _gram_index(p, o))
     L = fact.chol
     assert np.abs(L @ L.T - M_red).max() <= 1e-9 * np.abs(M_red).max()
 
@@ -558,14 +587,14 @@ def test_schur_assembly_matches_brute_force(seed, dc, n_ord, ds):
     def split(v):
         """v with 0 in the corner entries, and each block's corner unpacked."""
         o_only = np.where(np.isin(np.arange(k), corner), 0.0, v)
-        return o_only, [smat(v[cb.corner], cb.dc) for cb in blocks]
+        return o_only, [smat(v[cb.corner], cb.dc)[None] for cb in blocks]
 
     def packed(dy, dYc):
         for cb, D in zip(blocks, dYc):
-            dy[cb.corner] = svec(D)
+            dy[cb.corner] = svec(D[0])
         return dy
 
-    dy = packed(*fact.solve_kkt(E_list, *split(rd), True))
+    dy = packed(*fact.solve_kkt([E[None] for E in E_list], *split(rd), True))
     assert np.abs(dy - dy_ref).max() <= 1e-9 * np.abs(dy_ref).max()
     # One refinement step repairs an elimination that drops either corner
     # coupling, so the unrefined solve is checked on its own as well. Both
@@ -591,8 +620,8 @@ def bounded_corner_problem_and_twin(seed, dc, n_ord, ds):
             c[cb.corner] = svec(G @ G.T / cb.dc + np.eye(cb.dc))
     cor, twin = LmiProblem(c), LmiProblem(c)
     for cb, Fd in zip(p.compiled(), dense):
-        F0 = cb.F0 + (1.0 - min(0.0, np.linalg.eigvalsh(cb.F0)[0])) * np.eye(cb.dim)
-        cor.new_block(F0, cb.lv, cb.F, corner=(cb.dc, cb.corner.start) if cb.dc else None)
+        F0 = cb.F0[0] + (1.0 - min(0.0, np.linalg.eigvalsh(cb.F0[0])[0])) * np.eye(cb.dim)
+        cor.new_block(F0, cb.lv[0], cb.F[0], corner=(cb.dc, cb.corner.start) if cb.dc else None)
         var = np.flatnonzero(np.any(Fd != 0.0, axis=(1, 2)))
         twin.new_block(F0, var, Fd[var])
     # One 1 x 1 block per bound: two n_ord x n_ord box blocks would nearly
@@ -649,11 +678,12 @@ def test_dual_correction_removes_rd_and_refuses_an_indefinite_z(sign):
     add_dense_block(
         p, np.eye(2), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(2)[::-1] / np.sqrt(2.0)]
     )
-    W = np.array([[2.0, 0.5], [0.5, 1.0]])
-    fact = _Factorization(p, [W], [np.linalg.cholesky(W)], np.arange(3), np.arange(3))
-    Z = np.diag([1.0, 1e-8])
+    W = np.array([[[2.0, 0.5], [0.5, 1.0]]])
+    o = np.arange(3)
+    fact = _Factorization(p, [W], [np.linalg.cholesky(W)], o, solver_mod._gram_index(p, o))
+    Z = np.diag([1.0, 1e-8])[None]
     D = np.array([[0.3, 1e-4], [1e-4, sign * 1e-6]])
-    Zn = solver_mod._dual_correction(fact, p.compiled(), [Z], p.adjoint([D]), [np.zeros((0, 0))])
+    Zn = solver_mod._dual_correction(fact, p.compiled(), [Z], p.adjoint([D]), [np.zeros((1, 0, 0))])
     if sign > 0:
         assert np.abs(Zn[0] - (Z + D)).max() <= 1e-14
     else:
@@ -674,7 +704,7 @@ def test_refused_correction_leaves_the_solve_as_it_was(monkeypatch):
         Zn = correct(*args)
         if Zn is None:
             return None
-        return [Zb + 1e-6 * np.eye(len(Zb)) for Zb in Zn[:2]] + Zn[2:]
+        return [Zb + 1e-6 * np.eye(Zb.shape[-1]) for Zb in Zn[:2]] + Zn[2:]
 
     monkeypatch.setattr(solver_mod, "_dual_correction", padded)
     gapped = [solve(random_feasible_problem(s)) for s in seeds]

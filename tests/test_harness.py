@@ -75,7 +75,7 @@ def test_case_label_parsing():
     cc = reduced_case("{2}", "covariance")
     assert cc.parameterization == "covariance"
     assert cc.weights_at(5.0).parameterization == "covariance"
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match="lambda1 must be 0"):
         reduced_case("{1,2}", "covariance")
     with pytest.raises(DimensionMismatch):
         reduced_case("{4}")
@@ -83,7 +83,7 @@ def test_case_label_parsing():
         reduced_case("{}")
     # Only the two parameterizations the sweep's programs take are accepted.
     for label, param in (("{2}", "covar"), ("{1}", "Gram"), ("{3}", "")):
-        with pytest.raises(DimensionMismatch, match="parameterization"):
+        with pytest.raises(ValueError, match="^parameterization must be one of"):
             reduced_case(label, param)
 
 

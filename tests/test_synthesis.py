@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ddlqr.datamodel import Dataset, compute_stats, kernel_projector
+from ddlqr.conic import svec
+from ddlqr.datamodel import Dataset, compute_stats
 from ddlqr.effects import RegWeights, eval_reg_covar, eval_reg_gram, param_effect_closed
 from ddlqr.errors import (
     DimensionMismatch,
@@ -293,29 +294,39 @@ def test_problem_size_ell_independence():
         pg, _ = build_reduced_gram_problem(st, Q2, R1, w)
         pc, _ = build_reduced_covar_problem(st, Q2, R1, covar_weights(1.0, 1.0))
         dims.append((pg.num_vars, tuple(pg.block_dims()), pc.num_vars, tuple(pc.block_dims())))
-        pb, lb = build_baseline_gram_problem(d, st, Q2, R1, 1.0, projected=False)
+        for projected in (False, True):
+            pb, lb = build_baseline_gram_problem(d, st, Q2, R1, 1.0, projected)
+            # The Schur complement runs over P and Z, (ell - n) n + n(n+1)/2
+            # ordinary variables; the regularizer adds one 1 x 1 row slack per
+            # priced row of Z, and no block is larger than the stability LMI.
+            ordinary = np.unique(np.concatenate([cb.lv.ravel() for cb in pb.compiled()]))
+            assert ordinary.size == (ell - st.n) * st.n + st.n * (st.n + 1) // 2
+            assert lb.slot("W").size == ell - st.n - (st.m if projected else 0)
+            assert lb.slot("Z").rows == ell - st.n
+            assert max(pb.block_dims()) == 2 * st.n
         base_vars.append(pb.num_vars)
-        assert lb.slot("W").rows == ell
-        assert lb.slot("Z").rows == ell - st.n
-        assert pb.block_dims() == [2 * st.n, st.m + st.n, ell + st.n]
     assert len(set(dims)) == 1
     assert base_vars == sorted(base_vars) and len(set(base_vars)) == len(base_vars)
 
 
 def test_baseline_corner_blocks_store_their_border_columns_only():
-    # A corner block stores columns dc.. of each coefficient, O(ell n) numbers
-    # per variable: a full (var, ell + n, ell + n) stack of the W block would
-    # take about 12 MB at ell = 90.
+    # A corner block stores columns dc.. of each coefficient, and each member
+    # of the regularizer's stack lists only the variables it touches: P's
+    # n (n + 1) / 2 entries and the n entries of its own row of Z.
     ell = 90
     d, st = noisy(9, ell=ell)
     n = st.n
     p, lay = build_baseline_gram_problem(d, st, Q2, R1, 1.0, projected=False)
     blocks = p.compiled()
     for cb in blocks[1:]:
-        assert cb.F.shape == (cb.lv.size, cb.dim, n)
-    z = lay.slot("Z")
+        assert cb.F.shape == cb.lv.shape + (cb.dim, n)
+    P, z, w = lay.slot("P"), lay.slot("Z"), lay.slot("W")
     assert z.size == (ell - n) * n
-    assert np.isin(z.offset + np.arange(z.size), blocks[2].lv).all()
+    own_row = z.offset + n * np.arange(ell - n)[:, None] + np.arange(n)
+    P_vars = np.broadcast_to(P.offset + np.arange(P.size), (ell - n, P.size))
+    assert (blocks[2].g, blocks[2].dim, blocks[2].dc) == (ell - n, n + 1, 1)
+    assert np.array_equal(blocks[2].lv, np.hstack((P_vars, own_row)))
+    assert blocks[2].corner == slice(w.offset, w.offset + ell - n)
 
 
 def bordered(T, X, P):
@@ -331,17 +342,20 @@ def test_builders_state_the_paper_lmis():
         n, m = st.n, st.m
         A, B, K_LS = st.a_ls, st.b_ls, st.k_ls
         Q, R = np.eye(n), np.eye(m)
-        x0_pinv, N = baseline_y_map(d.x0)
+        x0_pinv, N = baseline_y_map(d)
 
         def stab(P, X):
             return bordered(P - np.eye(n), X, P)
 
-        def baseline_gram(Pi):
-            # The data equation X0 Y = P holds by construction of the Y map.
+        def baseline_gram(rows):
+            # The data equation X0 Y = P holds by construction of the Y map,
+            # and the regularizer is one member [[w_j, z_j], [*, P]] per
+            # priced row z_j of Z.
             def blocks(P, Z, L, W):
                 Y = x0_pinv @ P + N @ Z
                 assert np.abs(d.x0 @ Y - P).max() <= 1e-12 * (1.0 + np.abs(P).max())
-                return [stab(P, d.x1 @ Y), bordered(L, d.u0 @ Y, P), bordered(W, Pi @ Y, P)]
+                members = [bordered(w, z[None], P) for w, z in zip(W, Z[:rows])]
+                return [stab(P, d.x1 @ Y), bordered(L, d.u0 @ Y, P), *members]
 
             return blocks
 
@@ -372,9 +386,9 @@ def test_builders_state_the_paper_lmis():
                 ],
             ),
         ]
-        for projected, Pi in ((False, np.eye(d.ell)), (True, kernel_projector(d))):
+        for projected, rows in ((False, d.ell - n), (True, d.ell - n - m)):
             programs.append(
-                (build_baseline_gram_problem(d, st, Q, R, 1.0, projected), baseline_gram(Pi))
+                (build_baseline_gram_problem(d, st, Q, R, 1.0, projected), baseline_gram(rows))
             )
         for (p, lay), paper_blocks in programs:
             y = rng.standard_normal(p.num_vars)
@@ -404,7 +418,7 @@ def test_solution_invariants_across_programs():
         n, m = st.n, st.m
         Q, R = np.eye(n), 0.1 * np.eye(m)
         A, B = st.a_ls, st.b_ls
-        x0_pinv, N = baseline_y_map(d.x0)
+        x0_pinv, N = baseline_y_map(d)
 
         def lifted_gain(v):
             return v["Kt"] @ np.linalg.inv(v["P"])
@@ -844,7 +858,7 @@ def test_baseline_regularizers_equal_parametric_effects_at_optimum(seed, lam):
     d = random_plant_data(seed, n, m, ell=3 * (n + m))
     st = compute_stats(d)
     Q, R = np.eye(n), np.eye(m)
-    x0_pinv, N = baseline_y_map(d.x0)
+    x0_pinv, N = baseline_y_map(d)
     cases = []
     gram_twins = (
         (False, RegWeights(lambda1=lam, lambda2=lam, lambda3=lam)),
@@ -862,6 +876,38 @@ def test_baseline_regularizers_equal_parametric_effects_at_optimum(seed, lam):
     for sol, reg, w in cases:
         effect = param_effect_closed(sol.K, sol.A_cl, sol.P, st, w).total
         assert abs(reg - effect) <= 1e-8 * max(1.0, abs(effect)), sol.program_id
+
+
+# The row-slack form of the gram regularizer is exact. At the least row
+# slacks w_j = z_j P^-1 z_j^T, the builder's objective less tr(Q P), with the
+# input-cost slack at 0, is the regularizer lam |Pi Y P^-1/2|_F^2 that
+# eval_reg_gram prices on G = Y P^-1 itself, for random P > 0 and Z on random
+# plants with m != n: the plain program through its folded
+# lam tr((X0 X0^T)^-1 P) and every row of Z, the projected one through the
+# rows that N's leading columns, a basis of ker [X0; U0], carry.
+@pytest.mark.parametrize("projected", [False, True])
+@pytest.mark.parametrize("seed,n,m", [(1, 2, 1), (2, 3, 2), (3, 4, 2)])
+def test_baseline_row_slacks_price_the_gram_regularizer_exactly(seed, n, m, projected):
+    d = random_plant_data(seed, n, m)
+    st = compute_stats(d)
+    lam = 0.7
+    p, lay = build_baseline_gram_problem(d, st, np.eye(n), np.eye(m), lam, projected)
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    P = A @ A.T + 0.1 * np.eye(n)
+    Z = rng.standard_normal((d.ell - n, n))
+    w_slot = lay.slot("W")
+    Zw = Z[: w_slot.size]
+    y = np.zeros(p.num_vars)
+    least = np.sum(Zw @ np.linalg.inv(P) * Zw, axis=1)
+    for name, value in (("P", svec(P)), ("Z", Z.ravel()), ("W", least)):
+        s = lay.slot(name)
+        y[s.offset : s.offset + s.size] = value
+    reg = float(p.objective @ y) - float(np.trace(P))
+    x0_pinv, N = baseline_y_map(d)
+    G = np.linalg.solve(P, (x0_pinv @ P + N @ Z).T).T
+    ref = eval_reg_gram(G, P, lam, projected, d)
+    assert abs(reg - ref) <= 1e-10 * abs(ref)
 
 
 # The baselines end at the convergence test, through the final dual
