@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import AsymmetricInput, DimensionMismatch
-from ..matlin import require_symmetric
+from ..matlin import sym
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -132,10 +132,15 @@ class _Block:
         return self.pull(Zb), Z[:, :dc, :dc]
 
 
-def gather(blocks, vals, k: int) -> np.ndarray:
-    """The length-k vector summing vals[b] at blocks[b].lv for every block, by
-    one bincount that adds in order: a stack sums exactly as its members."""
-    lv = np.concatenate([np.zeros(0, np.intp)] + [cb.lv.ravel() for cb in blocks])
+def _asymmetric(D: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Which matrices of a stack break require_symmetric's max|D - D.T| <= 1e-12 (1 + max|S|)."""
+    asym = np.abs(D - D.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    return asym > 1e-12 * (1.0 + np.abs(S).max(axis=(-2, -1), initial=0.0))
+
+
+def gather(lv: np.ndarray, vals, k: int) -> np.ndarray:
+    """The length-k vector summing vals[b] at blocks[b].lv, lv the blocks' lv
+    raveled and joined, by one bincount: a stack sums exactly as its members."""
     return np.bincount(lv, np.concatenate([np.zeros(0), *vals]), minlength=k)
 
 
@@ -154,6 +159,8 @@ class LmiProblem:
         self.objective = c.copy()
         self.num_vars = c.size
         self._blocks: list[_Block] = []
+        self._lv = np.zeros(0, np.intp)  # gather's index over every block
+        self._corner_lv = self._lv  # and over the blocks with a corner
         self._ordinary = np.zeros(c.size, dtype=bool)
         self._corner = np.zeros(c.size, dtype=bool)
 
@@ -175,10 +182,10 @@ class LmiProblem:
         follows member j - 1's. A position zero in every member is left out.
         """
         single = np.ndim(F0) == 2
-        F0 = np.stack([require_symmetric(M, "F0") for M in ([F0] if single else F0)])
+        F0 = np.asarray([F0] if single else F0, dtype=float)
+        if F0.ndim != 3 or not (len(F0) and F0.shape[1] == F0.shape[2] > 0):
+            raise DimensionMismatch(f"F0 must be one or a stack of square blocks, got {F0.shape}")
         g, d = F0.shape[:2]
-        if d < 1:
-            raise DimensionMismatch("block dim must be >= 1")
         var = np.asarray(var, dtype=np.intp)
         if var.ndim != 2 - single:
             raise DimensionMismatch(f"var must be {2 - single}-D")
@@ -197,18 +204,19 @@ class LmiProblem:
         want = var.shape + (d, d - dc)
         if F.shape != want:
             raise DimensionMismatch(f"F shape {F.shape[single:]} != {want[single:]}")
-        if not np.all(np.isfinite(F)):
-            raise ValueError("F contains non-finite entries")
+        if not (np.all(np.isfinite(F0)) and np.all(np.isfinite(F))):
+            raise ValueError("F0 or F contains non-finite entries")
+        # require_symmetric's rule for each member's F0 and each coefficient below the corner
+        bad = np.flatnonzero(_asymmetric(F0, F0))
+        if bad.size:
+            raise AsymmetricInput("F0" + ("" if single else f"[{bad[0]}]") + " is not symmetric")
         Fp = F[:, :, dc:]
-        Ft = Fp.swapaxes(2, 3)
-        # require_symmetric's rule, per coefficient: max|F - F.T| <= 1e-12 (1 + max|F|)
-        asym = np.abs(Fp - Ft).max(axis=(2, 3), initial=0.0)
-        bad = var[asym > 1e-12 * (1.0 + np.abs(F).max(axis=(2, 3), initial=0.0))]
+        bad = var[_asymmetric(Fp, F)]
         if bad.size:
             raise AsymmetricInput(f"coefficient of variable {bad[0]} is not symmetric")
         keep = np.any(F != 0.0, axis=(0, 2, 3))
-        F = np.concatenate((F[:, :, :dc], 0.5 * (Fp + Ft)), axis=2)[:, keep]
-        block = _Block(F0, var[:, keep], F, int(dc), int(var_start))
+        F = np.concatenate((F[:, :, :dc], sym(Fp)), axis=2)[:, keep]
+        block = _Block(sym(F0), var[:, keep], F, int(dc), int(var_start))
         twice = np.flatnonzero(self._corner[block.corner]) + block.corner.start
         if twice.size:
             raise DimensionMismatch(f"corner variables {twice.tolist()} declared twice")
@@ -218,6 +226,9 @@ class LmiProblem:
         if bad:
             raise DimensionMismatch(f"corner variables {bad} also appear as ordinary coefficients")
         self._blocks.append(block)
+        self._lv = np.concatenate((self._lv, block.lv.ravel()))
+        if dc:
+            self._corner_lv = np.concatenate((self._corner_lv, block.lv.ravel()))
         self._ordinary, self._corner = ordinary, corner_vars
         return len(self._blocks) - 1
 
@@ -254,4 +265,4 @@ class LmiProblem:
         entries, and each block's corner part as the (g, dc, dc) stack
         Z_b[:, :dc, :dc] (dc = 0 without a corner)."""
         parts = [cb.adjoint(Z) for cb, Z in zip(self._blocks, Z_list)]
-        return gather(self._blocks, [v for v, _ in parts], self.num_vars), [Zc for _, Zc in parts]
+        return gather(self._lv, [v for v, _ in parts], self.num_vars), [Zc for _, Zc in parts]

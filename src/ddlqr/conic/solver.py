@@ -37,6 +37,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -89,6 +90,7 @@ _TOL = 1e-11
 _MAX_ITERS = 200
 _PRIMAL_CAP = 1e-6
 _DUAL_CAP = 1e-5
+_eye = lru_cache(lambda d: np.broadcast_to(np.eye(d), (d, d)))  # formed once per order, read only
 
 
 def _t(X: np.ndarray) -> np.ndarray:
@@ -98,7 +100,7 @@ def _t(X: np.ndarray) -> np.ndarray:
 
 def _diag(lam: np.ndarray) -> np.ndarray:
     """The stack of diagonal matrices diag(lam[j])."""
-    return lam[..., None] * np.eye(lam.shape[-1])
+    return lam[..., None] * _eye(lam.shape[-1])
 
 
 def _mdot(A: list, B: list) -> float:
@@ -148,11 +150,11 @@ def _tril_inv(L: np.ndarray) -> np.ndarray:
     """Inverse of a nonsingular lower-triangular L by halving (Du Croz &
     Higham, 1992): inv([[A, 0], [B, D]]) = [[A^-1, 0], [-D^-1 B A^-1, D^-1]].
     A leaf of order <= 32 is inv(L.T).T, whose LU swaps no rows: exactly 0
-    above the diagonal, which inv(L)'s pivoting is not. A stack of factors
-    gives the stack of inverses."""
+    above the diagonal, which inv(L)'s pivoting is not, and at order 1 the
+    reciprocal bitwise. A stack of factors gives the stack of inverses."""
     n = L.shape[-1]
     if n <= 32:
-        return _t(np.linalg.inv(_t(L)))
+        return 1.0 / L if n == 1 else _t(np.linalg.inv(_t(L)))
     h = n // 2
     X = np.zeros_like(L)
     X[..., :h, :h] = _tril_inv(L[..., :h, :h])
@@ -161,14 +163,16 @@ def _tril_inv(L: np.ndarray) -> np.ndarray:
     return X
 
 
-def _gram_index(problem: LmiProblem, oidx: np.ndarray) -> np.ndarray:
+def _gram_index(problem: LmiProblem, oidx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where each entry of every member's Gram matrix lands in the flattened
-    Schur complement over the ordinary variables oidx, in _Factorization's order."""
+    Schur complement over the ordinary variables oidx, in _Factorization's
+    order, and a buffer of that length that each _Factorization fills in turn."""
     ko = oidx.size
     pos_of = np.full(problem.num_vars, -1, dtype=np.intp)
     pos_of[oidx] = np.arange(ko)
     rows = [pos_of[cb.lv] for cb in problem.compiled()]
-    return np.concatenate([(r[:, :, None] * ko + r[:, None, :]).ravel() for r in rows])
+    idx = np.concatenate([(r[:, :, None] * ko + r[:, None, :]).ravel() for r in rows])
+    return idx, np.empty(idx.size)
 
 
 class _Factorization:
@@ -182,29 +186,33 @@ class _Factorization:
     scaled by sqrt(2), which count in both triangles; without a corner it is
     the plain tr(F_i W F_j W). One bincount adds every member's H H.T at its
     variables (_gram_index): a member touches few of the ordinary variables,
-    and one dense product over every member's columns cost more.
+    and one dense product over every member's columns cost more. The order
+    of M's sum decides exits: one GEMM for both full-width blocks saved 130 us
+    an iteration at ell = 90 but sent 4 of the 36 baseline records to snapshots.
     """
 
-    def __init__(self, problem, Wms, Ls, oidx, gram_idx):
+    def __init__(self, problem, Wms, Ls, oidx, index):
         self.problem = problem
         self.Wms = Wms
         self.oidx = oidx
         ko = oidx.size
-        compiled = problem.compiled()
-        grams = []
+        gram_idx, buf = index
+        o = 0  # where the next block's Gram matrices start in buf
         # (block index, block, E = L[dc:, :dc] L_cc^-1, W_cc^-1) for each corner
         self.corners = []
 
-        for b, (cb, L) in enumerate(zip(compiled, Ls)):
+        for b, (cb, L) in enumerate(zip(problem.compiled(), Ls)):
             dc = cb.dc
             H = _t(L)[:, None] @ cb.F @ L[:, None, dc:, dc:]
             H[:, :, :dc] *= SQRT2
             H = H.reshape(cb.F_flat.shape)
-            grams.append((H @ _t(H)).ravel())
+            g, nv = H.shape[:2]
+            np.matmul(H, _t(H), out=buf[o : o + g * nv * nv].reshape(g, nv, nv))
+            o += g * nv * nv
             if dc:
                 Li = _tril_inv(L[:, :dc, :dc])
                 self.corners.append((b, cb, L[:, dc:, :dc] @ Li, _t(Li) @ Li))
-        M = np.bincount(gram_idx, np.concatenate(grams), minlength=ko * ko).reshape(ko, ko)
+        M = np.bincount(gram_idx, buf, minlength=ko * ko).reshape(ko, ko)
 
         scale = float(np.max(np.diag(M))) if ko else 1.0
         # M = C C.T, applied as Ci.T (Ci r) with Ci = C^-1 (module docstring).
@@ -258,7 +266,7 @@ class _Factorization:
             rEt = r_cs[b] @ _t(E)
             # The border rows meet the adjoint twice, once in each triangle.
             vals.append(cb.pull(np.concatenate((2.0 * rEt, E @ rEt), axis=1)))
-        g = gather([cb for _, cb, _, _ in self.corners], vals, k)
+        g = gather(self.problem._corner_lv, vals, k)
         dy = np.zeros(k)
         dy[self.oidx] = self.chol_inv.T @ (self.chol_inv @ (rhs - g)[self.oidx])
         dYc = list(r_cs)
@@ -349,7 +357,7 @@ def solve(problem: LmiProblem) -> ConicSolution:
     if np.any(c[~(problem._ordinary | problem._corner)] != 0.0):
         return _trivial_solution(k, t0, "objective moves along an unconstrained variable")
     oidx = np.flatnonzero(problem._ordinary)
-    gram_idx = _gram_index(problem, oidx)
+    index = _gram_index(problem, oidx)
 
     # Every block's values are (g, d, d) stacks, and each member is scaled
     # and measured as a block of its own.
@@ -382,8 +390,9 @@ def solve(problem: LmiProblem) -> ConicSolution:
         Rp = [S[i] - (cb.apply_lin(y, Yc[i]) + cb.F0) for i, cb in enumerate(compiled)]
         g, Zc, rd, rdc, dres, gap = dual_side(Z)
         obj = float(c_o @ y + _mdot(Cc, Yc))
-        # np.max, unlike max, carries a NaN in any term into the result.
-        norms = [np.linalg.norm(R, axis=(1, 2)) / nf for R, nf in zip(Rp, normF0)]
+        # Frobenius norms by np.linalg.norm's formula without its wrapper; np.max,
+        # unlike max, carries a NaN in any term into the result.
+        norms = [np.sqrt(np.add.reduce(R * R, axis=(1, 2))) / nf for R, nf in zip(Rp, normF0)]
         pres = float(np.max(np.concatenate(norms)))
         # Convergence is judged in the problem's own scale: measuring the gap
         # against the scaled-down objective would relax it by s_obj.
@@ -418,7 +427,7 @@ def solve(problem: LmiProblem) -> ConicSolution:
                 snap_pmerit = pmerit
                 snap = (y.copy(), Yc, obj, gap, pres, dres)
             _, _, Wms, Ls = zip(*scal)
-            fact = _Factorization(problem, Wms, Ls, oidx, gram_idx)
+            fact = _Factorization(problem, Wms, Ls, oidx, index)
         except _FactorError as exc:
             breakdown = f"next factorization failed: {exc}"
             break
@@ -452,7 +461,7 @@ def solve(problem: LmiProblem) -> ConicSolution:
         for i in range(len(compiled)):
             lam, Rinv, _, _ = scal[i]
             cross = ds_aff[i] @ dz_aff[i]
-            C_raw = sigma * mu * np.eye(lam.shape[-1]) - _diag(lam**2) - sym(cross)
+            C_raw = sigma * mu * _eye(lam.shape[-1]) - _diag(lam**2) - sym(cross)
             C_mat = 2.0 * C_raw / (lam[..., :, None] + lam[..., None, :])
             C_mats.append(C_mat)
             E_cor.append(_t(Rinv) @ C_mat @ Rinv + WRW[i])

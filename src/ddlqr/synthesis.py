@@ -218,16 +218,6 @@ class TruthEvaluation:
 # -- blocks as linear matrix expressions --------------------------------------
 
 
-def _border(lay: SdpLayout, off) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(var, X, U_P): X[k] is the border X = off(...) and U_P[k] the value of
-    P at y = e_{var[k]}. off is a linear matrix expression over the layout
-    slots its parameters name, so X[k] is the border's coefficient of
-    variable var[k]."""
-    names = tuple(inspect.signature(off).parameters)
-    var, U = lay.units(("P",) + names)
-    return var, off(*(U[s] for s in names)), U["P"]
-
-
 def _h2_program(lay: SdpLayout, q_p, a_cl, kp, R, bounds) -> LmiProblem:
     """The lifted H2 program every builder shares, over a layout that holds
     the primal slots (P first).
@@ -243,29 +233,37 @@ def _h2_program(lay: SdpLayout, q_p, a_cl, kp, R, bounds) -> LmiProblem:
     right of the corner, [dev_j; P], over the variables it touches.
     """
     n = lay.slot("P").rows
+    var, U = lay.units(lay.names())  # every primal slot's, shared by all borders
+
+    def border(off):
+        """off(...), a linear matrix expression over the slots its parameters
+        name, at y = e_{var[k]} for each k: the border's coefficients."""
+        return off(*(U[s] for s in inspect.signature(off).parameters))
+
     stacks = []
     for name, dev, D in [("L", kp, R), *bounds]:
-        var, X, U_P = _border(lay, dev)
-        X = X.reshape(var.size, -1, D.shape[0], n).swapaxes(0, 1)
-        lay.add_sym(name, D.shape[0], len(X))
-        stacks.append((name, var, X, U_P, D))
+        X = border(dev).reshape(var.size, -1, D.shape[0], n)  # (variable, member, r, n)
+        lay.add_sym(name, D.shape[0], X.shape[1])
+        stacks.append((name, X, D))
     c = np.zeros(lay.num_vars)
     lay.add_sym_cost(c, "P", q_p)
     for name, *_, D in stacks:
         lay.add_sym_cost(c, name, D)
     p = LmiProblem(c)
 
-    var, X, U_P = _border(lay, a_cl)
+    X = border(a_cl)
     F0 = np.zeros((2 * n, 2 * n))
     F0[:n, :n] = -np.eye(n)
-    p.new_block(F0, var, np.block([[U_P, X], [X.swapaxes(1, 2), U_P]]))
-    for name, var, X, U_P, D in stacks:
-        g, r = X.shape[0], D.shape[0]
-        F = np.concatenate((X, np.broadcast_to(U_P, (g,) + U_P.shape)), axis=2)
-        # Each member lists the variables it touches, padded to the most any member does.
-        keep = np.any(F != 0.0, axis=(2, 3))
-        pos = np.sort(np.argsort(~keep, axis=1, kind="stable")[:, : keep.sum(1).max()], axis=1)
-        F = np.take_along_axis(F, pos[:, :, None, None], axis=1)
+    p.new_block(F0, var, np.block([[U["P"], X], [X.swapaxes(1, 2), U["P"]]]))
+    for name, X, D in stacks:
+        k, g, r = *X.shape[:2], D.shape[0]
+        # Member j takes, in order, the variables whose [X_j; P] is not zero (a product
+        # counts them faster than any()), padded with its first untouched ones to the widest.
+        keep = ((X != 0.0).reshape(k, g, -1) @ np.ones(r * n) > 0.0) | U["P"].any((1, 2))[:, None]
+        touched = keep.sum(0)
+        keep |= np.cumsum(~keep, axis=0) <= touched.max() - touched
+        pos = np.flatnonzero(keep.T).reshape(g, -1) % k
+        F = np.concatenate((X[pos, np.arange(g)[:, None]], U["P"][pos]), axis=2)
         p.new_block(np.zeros((g, r + n, r + n)), var[pos], F, corner=(r, lay.slot(name).offset))
     return p
 

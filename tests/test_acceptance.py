@@ -275,14 +275,18 @@ def test_c09_reduced_program_cost_is_size_invariant():
         # can double one mean of 3 repeats, but rarely every repeat.
         per_iter = [r.min_s / it for r, it in zip(group, iters)]
         ratio = max(per_iter) / min(per_iter)
-        dims = {(r.num_vars, r.max_block_dim) for r in group}
+        dims = {(r.num_vars, r.max_block_dim, r.schur_order) for r in group}
         lines.append(f"{lbl} per-iteration ratio {ratio:.2f} (iterations {iters})")
         assert ratio <= 2.0
+        # Sizes that no host changes: the reduced program's Schur order too.
         assert len(dims) == 1
+    n = ReferenceExperimentConfig().a.shape[0]
     for lbl in ("baseline-gram", "baseline-gram-proj"):
         group = sorted(by_label[lbl], key=lambda r: r.ell)
         means = [r.mean_s for r in group]
         assert all(a < b for a, b in zip(means, means[1:]))
+        # The baseline solves over Z's (ell - n) n kernel coordinates and P.
+        assert all(r.schur_order == (r.ell - n) * n + n * (n + 1) // 2 for r in group)
         lines.append(f"{lbl} times " + "/".join(f"{m:.3f}" for m in means))
     elapsed = time.perf_counter() - t0
     print(f"c09 scaling: " + ", ".join(lines) + f", {elapsed:.1f}s (budget 600s)")

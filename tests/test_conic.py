@@ -456,6 +456,39 @@ def test_rejects_bad_indices():
     assert p.block_dims() == []
 
 
+def test_stacked_f0_keeps_the_symmetry_rule_member_by_member():
+    # new_block checks a stack's F0 in one pass of require_symmetric's rule:
+    # max|F0_j - F0_j.T| <= 1e-12 (1 + max|F0_j|) for each member j, with the
+    # error naming the member, and stores each member's symmetric part.
+    from ddlqr.matlin import require_symmetric
+
+    rng = np.random.default_rng(41)
+    g, d = 5, 3
+    G = rng.standard_normal((g, d, d))
+    F0 = G + G.swapaxes(1, 2) + 1e-13 * rng.standard_normal((g, d, d))
+    var = np.tile([0, 1], (g, 1))
+    H = rng.standard_normal((g, 2, d, d))
+    F = H + H.swapaxes(2, 3)
+    p = LmiProblem(np.zeros(2))
+    asym = F0.copy()
+    asym[3, 0, 2] += 1e-9
+    nonfinite = F0.copy()
+    nonfinite[1, 1, 1] = np.nan
+    for bad, err, match in (
+        (asym, AsymmetricInput, r"F0\[3\]"),
+        (nonfinite, ValueError, "non-finite"),
+        (np.zeros((g, d, d - 1)), DimensionMismatch, "square"),
+        (np.zeros((0, d, d)), DimensionMismatch, "square"),
+    ):
+        with pytest.raises(err, match=match):
+            p.new_block(bad, var, F)
+        assert p.block_dims() == []
+    p.new_block(F0, var, F)
+    assert p.block_dims() == [d] * g
+    stored = p.compiled()[0].F0
+    assert np.array_equal(stored, np.stack([require_symmetric(M, "F0") for M in F0]))
+
+
 def test_solution_metadata():
     sol = solve(random_feasible_problem(0))
     assert sol.wall_time >= 0.0
@@ -730,7 +763,7 @@ def lower_factor(n, cond, rng):
     return (np.sign(np.diag(R))[:, None] * R).T
 
 
-@pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 64, 119, 179, 250])
+@pytest.mark.parametrize("n", [0, 1, 3, 31, 32, 33, 64, 119, 179, 250])
 def test_tril_inv_is_lower_triangular_and_accurate(n):
     from ddlqr.conic.solver import _tril_inv
 
@@ -745,6 +778,13 @@ def test_tril_inv_is_lower_triangular_and_accurate(n):
             # a backward-stable inverse leaves a residual of order n u cond(L)
             cond = np.linalg.cond(L)
             assert np.linalg.norm(X @ L - np.eye(n)) <= n * u * cond
+    # A stack of factors gives each member's own inverse bitwise; at order 1
+    # that is the reciprocal, as the row-slack corners of the baselines take it.
+    Ls = np.stack([lower_factor(n, 10.0 ** (3 * j), rng) for j in range(4)])
+    Xs = _tril_inv(Ls)
+    assert all(np.array_equal(X, _tril_inv(L)) for X, L in zip(Xs, Ls))
+    if n == 1:
+        assert np.array_equal(Xs, 1.0 / Ls)
 
 
 # -- step lengths -----------------------------------------------------------------

@@ -333,6 +333,64 @@ def bordered(T, X, P):
     return np.block([[T, X], [X.T, P]])
 
 
+def test_stacked_bound_pads_members_that_touch_fewer_variables():
+    # No builder has a bound whose members touch different numbers of
+    # variables. Here member j's border is row j of W Z with W sparse, so it
+    # touches P and the rows of Z that W's row j names. Each member must list
+    # the variables of the dense selection: those with a nonzero column
+    # [dev_j; P] in order, padded with its first untouched ones, whose
+    # coefficients are zero.
+    from ddlqr.conic import LmiProblem
+    from ddlqr.synthesis import SdpLayout, _h2_program
+
+    rng = np.random.default_rng(3)
+    n, rows, g = 2, 5, 6
+    W = rng.standard_normal((g, rows)) * (rng.uniform(size=(g, rows)) < 0.5)
+    W[0] = 0.0  # a member with P's variables alone
+
+    def layout():
+        lay = SdpLayout()
+        lay.add_sym("P", n)
+        lay.add_full("Z", rows, n)
+        return lay
+
+    def dev(Z):
+        return (W @ Z)[..., None, :]
+
+    lay = layout()
+    p = _h2_program(
+        lay, np.eye(n), lambda P, Z: 0.5 * P + Z[..., :n, :], lambda Z: Z[..., :1, :],
+        np.eye(1), [("S", dev, np.eye(1))],
+    )
+    cb = p.compiled()[2]
+
+    # The dense selection: every variable's full column [dev_j; P] per member.
+    ref_lay = layout()
+    var, U = ref_lay.units(ref_lay.names())
+    X = dev(U["Z"]).swapaxes(0, 1)
+    F = np.concatenate((X, np.broadcast_to(U["P"], (g,) + U["P"].shape)), axis=2)
+    keep = np.any(F != 0.0, axis=(2, 3))
+    assert len(set(keep.sum(1))) > 1
+    pos = np.sort(np.argsort(~keep, axis=1, kind="stable")[:, : keep.sum(1).max()], axis=1)
+    ref = LmiProblem(p.objective)
+    ref.new_block(
+        np.zeros((g, 1 + n, 1 + n)), var[pos], np.take_along_axis(F, pos[:, :, None, None], axis=1),
+        corner=(1, lay.slot("S").offset),
+    )
+    assert np.array_equal(cb.lv, ref.compiled()[0].lv)
+    assert np.array_equal(cb.F, ref.compiled()[0].F)
+    assert np.any(np.all(cb.F == 0.0, axis=(2, 3)))  # the padding
+
+    y = rng.standard_normal(p.num_vars)
+    P = lay.extract("P", y)
+    Z = lay.extract("Z", y)
+    s = lay.slot("S")
+    want = [bordered(w[None, None], x[None], P) for w, x in zip(y[s.offset : s.offset + g], W @ Z)]
+    got = p.evaluate_blocks(y)[2:]
+    assert len(got) == g
+    assert all(np.abs(a - b).max() <= 1e-12 for a, b in zip(got, want))
+
+
 def test_builders_state_the_paper_lmis():
     """Every block of every builder, at a random y, is the paper's LMI written
     out densely from the layout's values of the decision variables."""
