@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import AsymmetricInput, DimensionMismatch
-from ..matlin import sym
+from ..matlin import _asymmetric, sym
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -132,12 +132,6 @@ class _Block:
         return self.pull(Zb), Z[:, :dc, :dc]
 
 
-def _asymmetric(D: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """Which matrices of a stack break require_symmetric's max|D - D.T| <= 1e-12 (1 + max|S|)."""
-    asym = np.abs(D - D.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
-    return asym > 1e-12 * (1.0 + np.abs(S).max(axis=(-2, -1), initial=0.0))
-
-
 def gather(lv: np.ndarray, vals, k: int) -> np.ndarray:
     """The length-k vector summing vals[b] at blocks[b].lv, lv the blocks' lv
     raveled and joined, by one bincount: a stack sums exactly as its members."""
@@ -206,7 +200,7 @@ class LmiProblem:
             raise DimensionMismatch(f"F shape {F.shape[single:]} != {want[single:]}")
         if not (np.all(np.isfinite(F0)) and np.all(np.isfinite(F))):
             raise ValueError("F0 or F contains non-finite entries")
-        # require_symmetric's rule for each member's F0 and each coefficient below the corner
+        # The symmetry rule, _asymmetric, on each member's F0 and each coefficient below the corner
         bad = np.flatnonzero(_asymmetric(F0, F0))
         if bad.size:
             raise AsymmetricInput("F0" + ("" if single else f"[{bad[0]}]") + " is not symmetric")

@@ -15,34 +15,22 @@ from ..effects import RegWeights
 from ..errors import DdlqrError, SynthesisInfeasible
 from ..matlin import spectral_radius
 from ..synthesis import (
+    _BASELINES,
     PlantModel,
+    _synth_baseline,
     model_lqr_sdp,
-    synth_baseline_covar,
-    synth_baseline_gram,
     synth_reduced_covar,
     synth_reduced_gram,
 )
 from .emit import emit_bench_csv, emit_csv, emit_solution_json, emit_svg_phase_portrait
 from .experiments import ReferenceExperimentConfig, gen_reference_data, portrait_trajectories
 from .rng import _SEED_END
-from .sweep import (
-    bench_scaling,
-    deviation_grid,
-    gain_path_grid,
-    ls_gain_stabilizes,
-    reduced_case,
-    run_sweep,
-)
+from .sweep import _PRESETS, bench_scaling, ls_gain_stabilizes, reduced_case, run_sweep
 from .verify import run_verify
 
 __all__ = ["main"]
 
-_SWEEP_PRESETS = {
-    "deviation": "deviation",
-    "fig1": "deviation",
-    "gain-path": "gain-path",
-    "fig2": "gain-path",
-}
+_SWEEP_PRESETS = {**{name: name for name in _PRESETS}, "fig1": "deviation", "fig2": "gain-path"}
 
 # The weight flags each synth program reads; a non-zero value of any other
 # weight flag is a usage error, so no flag is silently dropped.
@@ -50,9 +38,7 @@ _WEIGHT_FLAGS = {"--l1": "l1", "--l2": "l2", "--l3": "l3", "--lambda": "lam"}
 _PROGRAM_FLAGS = {
     "reduced-gram": ("--l1", "--l2", "--l3"),
     "reduced-covar": ("--l2", "--l3"),
-    "baseline-gram": ("--lambda",),
-    "baseline-gram-proj": ("--lambda",),
-    "baseline-covar": ("--lambda",),
+    **{program_id: ("--lambda",) for program_id in _BASELINES},
     "ce": (),
     "model": (),
 }
@@ -182,11 +168,8 @@ def _cmd_synth(args) -> int:
     elif args.program == "reduced-gram":
         w = RegWeights(lambda1=args.l1, lambda2=args.l2, lambda3=args.l3)
         sol = synth_reduced_gram(stats, Q, R, w)
-    elif args.program == "baseline-covar":
-        sol = synth_baseline_covar(stats, Q, R, args.lam)
     else:
-        projected = args.program == "baseline-gram-proj"
-        sol = synth_baseline_gram(d, stats, Q, R, args.lam, projected=projected)
+        sol = _synth_baseline(args.program, d, stats, Q, R, args.lam)
     emit_solution_json(sol, args.out)
     gain = np.array2string(sol.K, precision=6, suppress_small=True)
     print(f"{sol.program_id}: {sol.status}, objective {sol.objective:.6f}, K = {gain}")
@@ -194,20 +177,14 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    kind = _SWEEP_PRESETS[args.preset]
-    default_seed = 42 if kind == "deviation" else 0
+    default_seed, param, labels, grid = _PRESETS[_SWEEP_PRESETS[args.preset]]
     d, generated = _load_or_gen(args.data, args.seed, default_seed)
     stats = compute_stats(d)
     cfg = ReferenceExperimentConfig()
     plant = PlantModel(A=cfg.a, B=cfg.b, Q=cfg.q, R=cfg.r) if generated else None
-    if kind == "deviation":
-        cases = [reduced_case(lab) for lab in ("{1}", "{1,2}", "{1,3}", "{1,2,3}")]
-        grid = deviation_grid(args.points)
-    else:
-        cases = [reduced_case(lab, "covariance") for lab in ("{2}", "{3}", "{2,3}")]
-        grid = gain_path_grid(args.points)
+    cases = [reduced_case(lab, param) for lab in labels]
     _report_conditions(stats)
-    rows = run_sweep(stats, cases, grid, Q=cfg.q, R=cfg.r, plant=plant)
+    rows = run_sweep(stats, cases, grid(args.points), Q=cfg.q, R=cfg.r, plant=plant)
     emit_csv(rows, args.out)
     bad = [r for r in rows if r.status != "Optimal"]
     print(f"wrote {args.out}: {len(rows)} rows, {len(bad)} non-optimal")

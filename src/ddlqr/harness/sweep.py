@@ -10,16 +10,15 @@ import numpy as np
 from ..datamodel import DataStats, compute_stats
 from ..effects import RegWeights
 from ..errors import DdlqrError, DimensionMismatch, SynthesisInfeasible
-from ..matlin import spectral_radius
+from ..matlin import _RHO_MARGIN, spectral_radius
 from ..synthesis import (
+    _BASELINES,
     PlantModel,
-    build_baseline_gram_problem,
+    _synth_baseline,
     build_reduced_gram_problem,
     evaluate_on_truth,
     reduced_sdp,
-    synth_baseline_gram,
-    synth_reduced_covar,
-    synth_reduced_gram,
+    synth_reduced,
 )
 from .experiments import ReferenceExperimentConfig, gen_reference_data
 
@@ -95,9 +94,18 @@ def gain_path_grid(points: int = 41) -> np.ndarray:
     return np.concatenate(([0.0], np.logspace(-4.0, 10.0, points)))
 
 
+# The paper's two sweeps (`ddlqr sweep --preset`): the seed of the record they
+# generate, the parameterization, one curve per case label and the lambda grid.
+_PRESETS = {
+    "deviation": (42, "gram", ("{1}", "{1,2}", "{1,3}", "{1,2,3}"), deviation_grid),
+    "gain-path": (0, "covariance", ("{2}", "{3}", "{2,3}"), gain_path_grid),
+}
+
+
 def ls_gain_stabilizes(stats: DataStats) -> bool:
-    """Whether the LS gain stabilizes the LS estimates on this draw."""
-    return spectral_radius(stats.a_ls + stats.b_ls @ stats.k_ls) < 1.0
+    """Whether the LS gain stabilizes the LS estimates on this draw: by the
+    program's stability rule, rho < 1 - _RHO_MARGIN."""
+    return spectral_radius(stats.a_ls + stats.b_ls @ stats.k_ls) < 1.0 - _RHO_MARGIN
 
 
 def run_sweep(
@@ -126,9 +134,8 @@ def run_sweep(
 
 def _sweep_point(case, lam, stats, Q, R, plant) -> SweepRow:
     t0 = time.perf_counter()
-    fn = synth_reduced_gram if case.parameterization == "gram" else synth_reduced_covar
     try:
-        sol = fn(stats, Q, R, case.weights_at(lam))
+        sol = synth_reduced(stats, Q, R, case.weights_at(lam))
     except DdlqrError as exc:
         status = str(exc.status) if isinstance(exc, SynthesisInfeasible) else type(exc).__name__
         wall = time.perf_counter() - t0
@@ -178,19 +185,13 @@ class BenchRow:
     schur_order: int
 
 
-_BENCH_PROGRAMS = (
-    ("baseline-gram", "{1,2,3}"),
-    ("baseline-gram-proj", "{1}"),
-)
-
-
 def bench_scaling(
     ell_list,
     repeats: int,
     cfg: ReferenceExperimentConfig | None = None,
     lam: float = 1.0,
 ) -> list[BenchRow]:
-    """Time each baseline against its equivalent reduced program.
+    """Time each baseline gram program against its reduced twin.
 
     Both sides are solved as SDPs, the paper's formulations, so the rows
     compare program sizes and interior-point cost; the Riccati path of
@@ -214,9 +215,12 @@ def bench_scaling(
     ells = [int(ell) for ell in ell_list]
     data = [gen_reference_data(replace(cfg, ell=ell)) for ell in ells]
     rows: list[BenchRow] = []
-    for base, reduced in _BENCH_PROGRAMS:
-        for label, bench in ((base, _bench_baseline), (reduced, _bench_reduced)):
-            problems, runners = zip(*(bench(d, cfg, lam, label) for d in data))
+    for program_id, (_, twin) in _BASELINES.items():
+        if twin(lam).parameterization != "gram":
+            continue  # the covariance baseline's size does not grow with ell
+        for label, reduced in ((program_id, False), (_case_label(twin(1.0)), True)):
+            runs = (_bench(d, cfg.q, cfg.r, lam, program_id, reduced) for d in data)
+            problems, runners = zip(*runs)
             for runner in runners:
                 runner()
             times = [[] for _ in runners]
@@ -245,23 +249,19 @@ def bench_scaling(
     return sorted(rows, key=lambda r: ells.index(r.ell))
 
 
-def _bench_baseline(d, cfg, lam, kind):
-    """(problem, timed run returning its iterations) for one baseline program."""
-    projected = kind == "baseline-gram-proj"
-    p, _ = build_baseline_gram_problem(d, compute_stats(d), cfg.q, cfg.r, lam, projected)
-
-    def run():
-        return synth_baseline_gram(d, compute_stats(d), cfg.q, cfg.r, lam, projected).solver.iters
-
-    return p, run
+def _case_label(w: RegWeights) -> str:
+    """The label of the weights' active effects, as `reduced_case` parses it."""
+    lams = (w.lambda1, w.lambda2, w.lambda3)
+    return "{" + ",".join(str(i) for i, lam in enumerate(lams, 1) if lam) + "}"
 
 
-def _bench_reduced(d, cfg, lam, label):
-    """(problem, timed run returning its iterations) for one reduced gram SDP."""
-    w = reduced_case(label, "gram").weights_at(lam)
-    p, _ = build_reduced_gram_problem(compute_stats(d), cfg.q, cfg.r, w)
-
-    def run():
-        return reduced_sdp(compute_stats(d), cfg.q, cfg.r, w).solver.iters
-
-    return p, run
+def _bench(d, Q, R, lam, program_id, reduced):
+    """(problem, timed run returning its iterations) for a baseline gram
+    program of `_BASELINES` or, with reduced, its twin's SDP."""
+    build, twin = _BASELINES[program_id]
+    w = twin(lam)
+    if reduced:
+        p, _ = build_reduced_gram_problem(compute_stats(d), Q, R, w)
+        return p, lambda: reduced_sdp(compute_stats(d), Q, R, w).solver.iters
+    p, _ = build(d, compute_stats(d), Q, R, lam)
+    return p, lambda: _synth_baseline(program_id, d, compute_stats(d), Q, R, lam).solver.iters

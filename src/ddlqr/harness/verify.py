@@ -18,13 +18,13 @@ from ..datamodel import compute_stats
 from ..effects import RegWeights, param_effect_closed
 from ..matlin import pinv, solve_dare, solve_dlyap, spectral_radius, sym
 from ..synthesis import (
+    _BASELINES,
     PlantModel,
+    _synth_baseline,
     model_lqr_sdp,
     reduced_sdp,
-    synth_baseline_covar,
-    synth_baseline_gram,
+    synth_reduced,
     synth_reduced_covar,
-    synth_reduced_gram,
 )
 from .emit import emit_csv, emit_svg_phase_portrait
 from .experiments import ReferenceExperimentConfig, gen_reference_data, portrait_trajectories
@@ -138,25 +138,12 @@ def _check_triangle(cfg, d, stats) -> CheckResult:
     """Each baseline, its reduced SDP and the Riccati form of that SDP."""
     worst = 0.0
     for lam in (1e-1, 1e1):
-        covar = RegWeights(lambda2=lam, lambda3=lam, parameterization="covariance")
-        triples = [
-            (
-                RegWeights(lambda1=lam, lambda2=lam, lambda3=lam),
-                synth_reduced_gram,
-                synth_baseline_gram(d, stats, cfg.q, cfg.r, lam, projected=False),
-            ),
-            (
-                RegWeights(lambda1=lam),
-                synth_reduced_gram,
-                synth_baseline_gram(d, stats, cfg.q, cfg.r, lam, projected=True),
-            ),
-            (covar, synth_reduced_covar, synth_baseline_covar(stats, cfg.q, cfg.r, lam)),
-        ]
-        for w, riccati, base in triples:
+        for program_id, (_, twin) in _BASELINES.items():
+            w = twin(lam)
             gains = (
-                riccati(stats, cfg.q, cfg.r, w).K,
+                synth_reduced(stats, cfg.q, cfg.r, w).K,
                 reduced_sdp(stats, cfg.q, cfg.r, w).K,
-                base.K,
+                _synth_baseline(program_id, d, stats, cfg.q, cfg.r, lam).K,
             )
             for i in range(3):
                 worst = max(worst, float(np.linalg.norm(gains[i] - gains[i - 1])))

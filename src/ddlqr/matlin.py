@@ -77,16 +77,21 @@ def sym(S: np.ndarray) -> np.ndarray:
     return 0.5 * (S + S.swapaxes(-1, -2))
 
 
+def _asymmetric(D: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """The symmetry rule per matrix of a stack: max|D - D.T| > 1e-12 (1 + max|S|)."""
+    asym = np.abs(D - D.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    return asym > 1e-12 * (1.0 + np.abs(S).max(axis=(-2, -1), initial=0.0))
+
+
 def require_symmetric(S, name: str = "matrix") -> np.ndarray:
     """Validate symmetry and return the symmetrized copy.
 
-    The asymmetry max|S - S.T| must not exceed ``1e-12 * (1 + max|S|)``;
-    beyond that the input is rejected rather than silently averaged.
+    An input that `_asymmetric` flags, max|S - S.T| > 1e-12 (1 + max|S|),
+    is rejected rather than silently averaged.
     """
     S = _square(S, name)
-    scale = 1.0 + (np.abs(S).max() if S.size else 0.0)
-    asym = np.abs(S - S.T).max() if S.size else 0.0
-    if asym > 1e-12 * scale:
+    if _asymmetric(S, S):
+        asym, scale = np.abs(S - S.T).max(), 1.0 + np.abs(S).max()
         raise AsymmetricInput(f"{name} asymmetry {asym:.3e} exceeds 1e-12 * {scale:.3e}")
     return sym(S)
 

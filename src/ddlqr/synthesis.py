@@ -76,6 +76,7 @@ __all__ = [
     "reduced_sdp",
     "synth_baseline_covar",
     "synth_baseline_gram",
+    "synth_reduced",
     "synth_reduced_covar",
     "synth_reduced_gram",
 ]
@@ -403,6 +404,13 @@ def reduced_sdp(stats: DataStats, Q, R, w: RegWeights) -> LqrSolution:
     return _solve_and_extract(*build_reduced_covar_problem(stats, Q, R, w), "reduced-covar")
 
 
+def synth_reduced(stats: DataStats, Q, R, w: RegWeights) -> LqrSolution:
+    """Solve the reduced program of w's parameterization through its Riccati
+    form: `synth_reduced_gram` or `synth_reduced_covar`."""
+    synth = synth_reduced_gram if w.parameterization == "gram" else synth_reduced_covar
+    return synth(stats, Q, R, w)
+
+
 def _riccati_path(stats: DataStats, Q, R, w: RegWeights, parameterization: str) -> LqrSolution:
     """Optimal gain of a reduced program through its Riccati form.
 
@@ -523,8 +531,8 @@ def synth_baseline_gram(
     d: Dataset, stats: DataStats, Q, R, lam: float, projected: bool
 ) -> LqrSolution:
     """Solve the baseline gram program, projected or plain, and extract K = U0 Y P^{-1}."""
-    p, lay = build_baseline_gram_problem(d, stats, Q, R, lam, projected)
-    return _solve_and_extract(p, lay, "baseline-gram-proj" if projected else "baseline-gram")
+    program_id = "baseline-gram-proj" if projected else "baseline-gram"
+    return _synth_baseline(program_id, d, stats, Q, R, lam)
 
 
 def build_baseline_covar_problem(
@@ -544,7 +552,31 @@ def build_baseline_covar_problem(
 
 def synth_baseline_covar(stats: DataStats, Q, R, lam: float) -> LqrSolution:
     """Solve the baseline covariance program and extract K = K tilde P^{-1}."""
-    return _solve_and_extract(*build_baseline_covar_problem(stats, Q, R, lam), "baseline-covar")
+    return _synth_baseline("baseline-covar", None, stats, Q, R, lam)
+
+
+# The paper's result, one row per baseline program id: the baseline at lam
+# equals its reduced twin, the reduced program at the weights twin(lam). Each
+# row holds build(d, stats, Q, R, lam), the baseline's builder, and twin.
+_BASELINES = {
+    "baseline-gram": (
+        lambda d, stats, Q, R, lam: build_baseline_gram_problem(d, stats, Q, R, lam, False),
+        lambda lam: RegWeights(lambda1=lam, lambda2=lam, lambda3=lam),
+    ),
+    "baseline-gram-proj": (
+        lambda d, stats, Q, R, lam: build_baseline_gram_problem(d, stats, Q, R, lam, True),
+        lambda lam: RegWeights(lambda1=lam),
+    ),
+    "baseline-covar": (
+        lambda d, stats, Q, R, lam: build_baseline_covar_problem(stats, Q, R, lam),
+        lambda lam: RegWeights(lambda2=lam, lambda3=lam, parameterization="covariance"),
+    ),
+}
+
+
+def _synth_baseline(program_id: str, d: Dataset, stats: DataStats, Q, R, lam) -> LqrSolution:
+    """Solve the baseline program_id of `_BASELINES` on the record d and extract K."""
+    return _solve_and_extract(*_BASELINES[program_id][0](d, stats, Q, R, lam), program_id)
 
 
 # -- evaluation on the true plant ---------------------------------------------

@@ -11,7 +11,9 @@ from ddlqr.harness.experiments import ReferenceExperimentConfig, gen_reference_d
 from ddlqr.harness.sweep import bench_scaling, deviation_grid
 from ddlqr.matlin import pinv, solve_dare, solve_dlyap, spectral_radius, sym
 from ddlqr.synthesis import (
+    _BASELINES,
     PlantModel,
+    _synth_baseline,
     build_baseline_covar_problem,
     build_baseline_gram_problem,
     build_model_lqr_problem,
@@ -21,6 +23,7 @@ from ddlqr.synthesis import (
     reduced_sdp,
     synth_baseline_covar,
     synth_baseline_gram,
+    synth_reduced,
     synth_reduced_covar,
     synth_reduced_gram,
 )
@@ -49,12 +52,17 @@ def rand_stable(rng, n, radius=0.7):
     return A * (radius / max(spectral_radius(A), 1e-12))
 
 
-def weights_for(kind, lam):
-    if kind == "full_gram":
-        return RegWeights(lambda1=lam, lambda2=lam, lambda3=lam)
-    if kind == "projected_gram":
-        return RegWeights(lambda1=lam)
-    return RegWeights(lambda2=lam, lambda3=lam, parameterization="covariance")
+# param_effect_oracle's name of each baseline regularizer, by program id.
+ORACLE_KIND = {
+    "baseline-gram": "full_gram",
+    "baseline-gram-proj": "projected_gram",
+    "baseline-covar": "covariance",
+}
+
+
+def weights_for(program_id, lam):
+    """The weights of the baseline's reduced twin at lam, from the synthesis table."""
+    return _BASELINES[program_id][1](lam)
 
 
 def test_c01_effect_closed_forms_match_oracles():
@@ -70,9 +78,9 @@ def test_c01_effect_closed_forms_match_oracles():
         A_cl = rng.standard_normal((st.n, st.n))
         P = rand_spd(rng, st.n)
         lam = float(10.0 ** rng.uniform(-2.0, 2.0))
-        for kind in ("full_gram", "projected_gram", "covariance"):
-            closed = param_effect_closed(K, A_cl, P, st, weights_for(kind, lam))
-            cert = param_effect_oracle(K, A_cl, P, d, lam, kind)
+        for program_id in _BASELINES:
+            closed = param_effect_closed(K, A_cl, P, st, weights_for(program_id, lam))
+            cert = param_effect_oracle(K, A_cl, P, d, lam, ORACLE_KIND[program_id])
             rel = abs(closed.total - cert.objective) / max(abs(cert.objective), 1e-12)
             worst_rel = max(worst_rel, rel)
             worst_res = max(worst_res, cert.constraint_residual)
@@ -154,27 +162,11 @@ def test_c05_reduced_and_baseline_programs_agree():
     d, st = noisy(5)
     worst_k = 0.0
     worst_obj = 0.0
+    # Every baseline of the synthesis table against its reduced twin.
     for lam in (1e-3, 1e-1, 1e1, 1e3):
-        pairs = [
-            (
-                synth_reduced_gram(
-                    st, Q2, R1, RegWeights(lambda1=lam, lambda2=lam, lambda3=lam)
-                ),
-                synth_baseline_gram(d, st, Q2, R1, lam, projected=False),
-            ),
-            (
-                synth_reduced_gram(st, Q2, R1, RegWeights(lambda1=lam)),
-                synth_baseline_gram(d, st, Q2, R1, lam, projected=True),
-            ),
-            (
-                synth_reduced_covar(
-                    st, Q2, R1,
-                    RegWeights(lambda2=lam, lambda3=lam, parameterization="covariance"),
-                ),
-                synth_baseline_covar(st, Q2, R1, lam),
-            ),
-        ]
-        for red, base in pairs:
+        for program_id in _BASELINES:
+            red = synth_reduced(st, Q2, R1, weights_for(program_id, lam))
+            base = _synth_baseline(program_id, d, st, Q2, R1, lam)
             worst_k = max(worst_k, float(np.linalg.norm(red.K - base.K)))
             worst_obj = max(
                 worst_obj,

@@ -23,7 +23,9 @@ from ddlqr.synthesis import SdpLayout
 # and the builders' entry-by-entry placement, now one dense stack per block,
 # and the column families with their special-case Schur terms, now one Gram
 # formula for every block, and the cached triangle indices and the baseline
-# builders' own weight check, now computed where used and one weight rule.
+# builders' own weight check, now computed where used and one weight rule,
+# and the benchmark's own list of baselines and twins with its two runners,
+# now the synthesis table of baseline twins and one runner.
 DELETED = {
     "svec_index",
     "new_problem",
@@ -51,6 +53,9 @@ DELETED = {
     "_check_square",
     "_triu",
     "_baseline_weights",
+    "_BENCH_PROGRAMS",
+    "_bench_baseline",
+    "_bench_reduced",
 }
 
 

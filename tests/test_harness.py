@@ -7,10 +7,10 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from ddlqr import synthesis
 from ddlqr.datamodel import Dataset, compute_stats, save_dataset
 from ddlqr.effects import RegWeights
-from ddlqr.errors import DimensionMismatch, NumericalError
-from ddlqr.harness import sweep as sweep_mod
+from ddlqr.errors import DimensionMismatch, NumericalError, SynthesisInfeasible, UnstableMatrix
 from ddlqr.harness.cli import main
 from ddlqr.harness.emit import (
     emit_bench_csv,
@@ -31,6 +31,7 @@ from ddlqr.harness.sweep import (
     zero_wall_times,
 )
 from ddlqr.harness.verify import run_verify
+from ddlqr.matlin import solve_dlyap, spectral_radius
 from ddlqr.synthesis import PlantModel, model_lqr_sdp, synth_reduced_covar
 
 SVG = "{http://www.w3.org/2000/svg}"
@@ -154,6 +155,25 @@ def test_gain_path_weak_monotone_trend():
     assert below
     tail = dists[below[0] :]
     assert all(tail[i + 1] <= tail[i] + 1e-6 for i in range(len(tail) - 1))
+
+
+def test_ls_gain_stabilizes_keeps_the_programs_stability_margin():
+    # A = diag(1 - 5e-10, 0.5), B = [0; 1], u0 orthogonal to x0's rows (so
+    # K_LS = 0) and a 1e-4 residual orthogonal to [x0; u0]: the LS loop has
+    # rho = 1 - 5e-10, inside the margin that solve_dlyap and the gain path's
+    # large-lambda2 end refuse, so the LS gain does not count as stabilizing.
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((40, 5)))
+    x0, u0 = q[:, :2].T, q[:, 2:3].T
+    x1 = np.diag([1.0 - 5e-10, 0.5]) @ x0 + np.array([[0.0], [1.0]]) @ u0 + 1e-4 * q[:, 3:].T
+    st = compute_stats(Dataset(x0=x0, u0=u0, x1=x1))
+    a_cl = st.a_ls + st.b_ls @ st.k_ls
+    assert 1.0 - 1e-9 <= spectral_radius(a_cl) < 1.0
+    assert not ls_gain_stabilizes(st)
+    with pytest.raises(UnstableMatrix):
+        solve_dlyap(a_cl)
+    w = RegWeights(lambda2=1e10, parameterization="covariance")
+    with pytest.raises(SynthesisInfeasible):
+        synth_reduced_covar(st, np.eye(2), np.eye(1), w)
 
 
 def test_bench_scaling_rows():
@@ -428,19 +448,20 @@ def test_cli_error_exit_codes(tmp_path, capsys):
 
 # A sweep row that fails at the endpoint carries no gain: each endpoint check
 # reports it as a failure naming its status instead of crashing on the gap.
+# The sweep reaches both Riccati forms through synthesis.synth_reduced.
 @pytest.mark.parametrize(
     "synth,check",
     [("synth_reduced_gram", "deviation-endpoint"), ("synth_reduced_covar", "gain-path-endpoint")],
 )
 def test_verify_reports_a_failed_endpoint_row(tmp_path, monkeypatch, synth, check):
-    real = getattr(sweep_mod, synth)
+    real = getattr(synthesis, synth)
 
     def failing(stats, Q, R, w):
         if max(w.lambda1, w.lambda2, w.lambda3) >= 1e6:
             raise NumericalError("probe")
         return real(stats, Q, R, w)
 
-    monkeypatch.setattr(sweep_mod, synth, failing)
+    monkeypatch.setattr(synthesis, synth, failing)
     results = {r.name: r for r in run_verify(tmp_path, seed=0)}
     assert not results[check].passed
     assert "NumericalError" in results[check].detail

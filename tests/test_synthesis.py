@@ -18,8 +18,10 @@ from ddlqr.harness.experiments import ReferenceExperimentConfig, gen_reference_d
 from ddlqr.harness.sweep import deviation_grid, gain_path_grid, reduced_case, run_sweep
 from ddlqr.matlin import h2norm_sq, solve_dare, solve_dlyap, spectral_radius
 from ddlqr.synthesis import (
+    _BASELINES,
     LqrSolution,
     PlantModel,
+    _synth_baseline,
     baseline_y_map,
     build_baseline_covar_problem,
     build_baseline_gram_problem,
@@ -31,6 +33,7 @@ from ddlqr.synthesis import (
     reduced_sdp,
     synth_baseline_covar,
     synth_baseline_gram,
+    synth_reduced,
     synth_reduced_covar,
     synth_reduced_gram,
 )
@@ -177,11 +180,10 @@ def test_riccati_objective_matches_closed_forms():
         (0, "covariance", ("{2}", "{3}", "{2,3}"), gain_path_grid),
     ):
         _, st = noisy(seed)
-        synth = synth_reduced_gram if param == "gram" else synth_reduced_covar
         for label in labels:
             for lam in [*grid(), 1e10]:
                 w = reduced_case(label, param).weights_at(float(lam))
-                assert_objective_identity(synth(st, Q2, R1, w), st, Q2, R1, w)
+                assert_objective_identity(synth_reduced(st, Q2, R1, w), st, Q2, R1, w)
     for seed, n, m in ((1, 4, 2), (3, 6, 3), (5, 10, 4), (6, 10, 1)):
         st = random_plant_stats(seed, n, m)
         Q, R = np.eye(n), np.eye(m)
@@ -767,8 +769,7 @@ def test_evaluate_on_truth_h2_equals_public_kernel():
     pm = ref_plant()
     _, st = noisy(1)
     for w in (RegWeights(1.0, 1.0, 1.0, "gram"), RegWeights(0.0, 1.0, 1.0, "covariance")):
-        synth = synth_reduced_gram if w.parameterization == "gram" else synth_reduced_covar
-        sol = synth(st, pm.Q, pm.R, w)
+        sol = synth_reduced(st, pm.Q, pm.R, w)
         ev, K = evaluate_on_truth(sol, pm), sol.K
         assert ev.rho == spectral_radius(pm.A + pm.B @ K)
         assert ev.h2_sq == h2norm_sq(pm.A + pm.B @ K, K, pm.Q, pm.R)
@@ -865,8 +866,7 @@ def test_reduced_programs_match_sdp_on_paper_sweeps(seed, param, labels, lams):
     for label in labels:
         for lam in lams:
             w = reduced_case(label, param).weights_at(lam)
-            synth = synth_reduced_gram if param == "gram" else synth_reduced_covar
-            assert_matches_sdp(synth(st, Q2, R1, w), reduced_sdp(st, Q2, R1, w))
+            assert_matches_sdp(synth_reduced(st, Q2, R1, w), reduced_sdp(st, Q2, R1, w))
 
 
 # The records farthest from the reduced twin while the corner elimination
@@ -883,8 +883,8 @@ def test_baseline_covar_matches_reduced_twin(seed, ell):
     assert np.linalg.norm(red.K - base.K) <= 1e-5
 
 
-# Each baseline against its reduced twin, solved by the Riccati path, on the
-# random-plant recipe at a short record, ell = 3(n+m).
+# Each baseline of the synthesis table against its reduced twin, solved by
+# the Riccati path, on the random-plant recipe at a short record, ell = 3(n+m).
 @pytest.mark.parametrize("lam", [1e-2, 1e2])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_baselines_match_reduced_twins_on_random_plants(seed, lam):
@@ -892,23 +892,18 @@ def test_baselines_match_reduced_twins_on_random_plants(seed, lam):
     d = random_plant_data(seed, n, m, ell=3 * (n + m))
     st = compute_stats(d)
     Q, R = np.eye(n), np.eye(m)
-    twins = (
-        (synth_baseline_gram(d, st, Q, R, lam, projected=False),
-         synth_reduced_gram(st, Q, R, RegWeights(lambda1=lam, lambda2=lam, lambda3=lam))),
-        (synth_baseline_gram(d, st, Q, R, lam, projected=True),
-         synth_reduced_gram(st, Q, R, RegWeights(lambda1=lam))),
-        (synth_baseline_covar(st, Q, R, lam),
-         synth_reduced_covar(st, Q, R, covar_weights(lambda2=lam, lambda3=lam))),
-    )
-    for base, red in twins:
-        assert_matches_sdp(red, base)
+    for program_id, (_, twin) in _BASELINES.items():
+        base = _synth_baseline(program_id, d, st, Q, R, lam)
+        assert base.program_id == program_id
+        assert_matches_sdp(synth_reduced(st, Q, R, twin(lam)), base)
 
 
 # The paper's identity at each baseline's optimum, on the records above: the
 # regularizer evaluated directly on the baseline's variable equals the
-# parametric effect of its reduced twin's weights at the same (K, A_cl, P).
-# The gram variable is G = Y P^-1, with Y = X0^+ P + N Z and Z read off the
-# solution through the builder's layout.
+# parametric effect of its reduced twin's weights at the same (K, A_cl, P),
+# for every baseline of the synthesis table. The gram variable is
+# G = Y P^-1, with Y = X0^+ P + N Z and Z read off the solution through the
+# builder's layout.
 @pytest.mark.parametrize("lam", [1e-2, 1e2])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_baseline_regularizers_equal_parametric_effects_at_optimum(seed, lam):
@@ -917,23 +912,18 @@ def test_baseline_regularizers_equal_parametric_effects_at_optimum(seed, lam):
     st = compute_stats(d)
     Q, R = np.eye(n), np.eye(m)
     x0_pinv, N = baseline_y_map(d)
-    cases = []
-    gram_twins = (
-        (False, RegWeights(lambda1=lam, lambda2=lam, lambda3=lam)),
-        (True, RegWeights(lambda1=lam)),
-    )
-    for projected, w in gram_twins:
-        _, lay = build_baseline_gram_problem(d, st, Q, R, lam, projected)
-        sol = synth_baseline_gram(d, st, Q, R, lam, projected)
-        Y = x0_pinv @ sol.P + N @ lay.extract("Z", sol.solver.y)
-        G = np.linalg.solve(sol.P, Y.T).T
-        cases.append((sol, eval_reg_gram(G, sol.P, lam, projected, d), w))
-    sol = synth_baseline_covar(st, Q, R, lam)
-    w = covar_weights(lambda2=lam, lambda3=lam)
-    cases.append((sol, eval_reg_covar(sol.K, sol.P, lam, st), w))
-    for sol, reg, w in cases:
-        effect = param_effect_closed(sol.K, sol.A_cl, sol.P, st, w).total
-        assert abs(reg - effect) <= 1e-8 * max(1.0, abs(effect)), sol.program_id
+    gram_projected = {"baseline-gram": False, "baseline-gram-proj": True}
+    for program_id, (build, twin) in _BASELINES.items():
+        sol = _synth_baseline(program_id, d, st, Q, R, lam)
+        if program_id == "baseline-covar":
+            reg = eval_reg_covar(sol.K, sol.P, lam, st)
+        else:
+            _, lay = build(d, st, Q, R, lam)
+            Y = x0_pinv @ sol.P + N @ lay.extract("Z", sol.solver.y)
+            G = np.linalg.solve(sol.P, Y.T).T
+            reg = eval_reg_gram(G, sol.P, lam, gram_projected[program_id], d)
+        effect = param_effect_closed(sol.K, sol.A_cl, sol.P, st, twin(lam)).total
+        assert abs(reg - effect) <= 1e-8 * max(1.0, abs(effect)), program_id
 
 
 # The row-slack form of the gram regularizer is exact. At the least row

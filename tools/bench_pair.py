@@ -9,16 +9,20 @@ PAIRS pairs runs the unchanged perfbench/run.py once on each side, for the
 run_seconds that BENCHMARK.json sets; pair i gives both sides seed --seed + i,
 so the two sides see the same inputs; the base runs first in even pairs and
 the change in odd ones, so that neither side always follows the other.
-After the pairs, one --trace 1 run per side gives the per-layer figures.
-BLAS is pinned to one thread, as run.py pins it.
+After the pairs, TRACED --trace 1 runs per side give the per-layer
+figures, alternated like the pairs (run i gives both sides seed --seed + i),
+and each layer's figure is the median over a side's runs, so that one run
+caught in a slow or fast phase of the host does not decide it. BLAS is
+pinned to one thread, as run.py pins it.
 
 Writes BENCH_<tag>.json: per workload and end-to-end metric, both sides'
 values, medians, quartiles and IQRs, and in how many pairs the change was
-better (the better direction is read from BENCHMARK.json); each traced run's
-metrics and exit messages; the machine; and the revisions, with the git
-tree ids of the directories the benchmark runs from (src/ and perfbench/)
-on each side, so that a measured working tree can be matched to the commit
-that later holds it: `git rev-parse <commit>:src`.
+better (the better direction is read from BENCHMARK.json); each side's
+per-layer medians over its traced runs, with every run's exit messages; the
+machine; and the revisions, with the git tree ids of the directories the
+benchmark runs from (src/ and perfbench/) on each side, so that a measured
+working tree can be matched to the commit that later holds it:
+`git rev-parse <commit>:src`.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from pathlib import Path
 ROOT = Path.cwd()
 BLAS_THREADS = 1
 PAIRS = 10
+TRACED = 3
 MEASURED = ("src", "perfbench")
 SOLVER_LAYERS = (
     "conic.solve.ms_per_iter",
@@ -119,14 +124,18 @@ def compare(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
     return out
 
 
-def traced(result: dict) -> dict:
-    metrics = {k: v["value"] for k, v in result["metrics"].items()}
+def traced(results: list[dict]) -> dict:
+    """One side's traced runs: the median of each layer's figure over the
+    runs, with every run's exit messages."""
+    names = [k for k in results[0]["metrics"] if all(k in r["metrics"] for r in results)]
+    metrics = {k: statistics.median(r["metrics"][k]["value"] for r in results) for k in names}
     return {
+        "runs": len(results),
         "solver": {k: metrics[k] for k in SOLVER_LAYERS if k in metrics},
         "metrics": metrics,
-        "exit_messages": result["detail"].get("solve_exit_messages", {}),
-        "correct": result["correct"],
-        "failed": result["failed"],
+        "exit_messages": [r["detail"].get("solve_exit_messages", {}) for r in results],
+        "correct": all(r["correct"] for r in results),
+        "failed": [r["failed"] for r in results],
     }
 
 
@@ -182,16 +191,17 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed}: " + " -> ".join(
                     f"{r['metrics']['point_p50_ms']['value']:.1f} ms" for r in pair
                 ), file=sys.stderr)
+            traces = {tmp: [], ROOT: []}
+            for i in range(TRACED):
+                for side in (tmp, ROOT) if i % 2 == 0 else (ROOT, tmp):
+                    traces[side].append(run(side, workload, args.seed + i, seconds, 1))
             report["workloads"][workload] = {
                 "seeds": [args.seed + i for i in range(PAIRS)],
                 "correct": all(r["correct"] for pair in pairs for r in pair),
                 "failed": {"base": [b["failed"] for b, _ in pairs],
                            "change": [c["failed"] for _, c in pairs]},
                 "end_to_end": compare(pairs, better),
-                "traced": {
-                    side: traced(run(path, workload, args.seed, seconds, 1))
-                    for side, path in (("base", tmp), ("change", ROOT))
-                },
+                "traced": {"base": traced(traces[tmp]), "change": traced(traces[ROOT])},
             }
     finally:
         shutil.rmtree(tmp, ignore_errors=True)

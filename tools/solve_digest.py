@@ -6,12 +6,13 @@ Run it from the root of a checkout: the program is imported from ./src. It
 takes no options. Two groups of solves:
 
 - baseline: the 36 baseline records, reference seeds 1-4 at ell = 30, 60
-  and 90, each solved as baseline gram, projected baseline gram and
-  baseline covariance at lambda = 1;
+  and 90, each solved as every baseline program of `synthesis._BASELINES`
+  (baseline gram, projected baseline gram and baseline covariance) at
+  lambda = 1;
 - grid: `reduced_sdp` at 11 points of every curve of the two paper sweep
-  presets (`ddlqr sweep --preset deviation` and `--preset gain-path`), on
-  `deviation_grid(11)` and on `gain_path_grid(10)`, zero and ten log-spaced
-  weights: 77 solves.
+  presets (`harness.sweep._PRESETS`, `ddlqr sweep --preset deviation` and
+  `--preset gain-path`), on `deviation_grid(11)` and on `gain_path_grid(10)`,
+  zero and ten log-spaced weights: 77 solves.
 
 For each group it prints the number of solves, how many ended at the
 convergence test (Optimal with an empty message), the total iterations,
@@ -37,23 +38,13 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, str(Path.cwd() / "src"))
 
 from ddlqr.datamodel import compute_stats  # noqa: E402
-from ddlqr.effects import RegWeights  # noqa: E402
 from ddlqr.errors import SynthesisInfeasible  # noqa: E402
 from ddlqr.harness.experiments import ReferenceExperimentConfig, gen_reference_data  # noqa: E402
-from ddlqr.harness.sweep import deviation_grid, gain_path_grid, reduced_case  # noqa: E402
-from ddlqr.synthesis import (  # noqa: E402
-    reduced_sdp,
-    synth_baseline_covar,
-    synth_baseline_gram,
-    synth_reduced_covar,
-    synth_reduced_gram,
-)
+from ddlqr.harness.sweep import _PRESETS, reduced_case  # noqa: E402
+from ddlqr.synthesis import _BASELINES, _synth_baseline, reduced_sdp, synth_reduced  # noqa: E402
 
-# The sweep presets' data seeds, parameterizations, curves and grids (cli.py).
-PAPER_GRIDS = (
-    (42, "gram", ("{1}", "{1,2}", "{1,3}", "{1,2,3}"), deviation_grid(11)),
-    (0, "covariance", ("{2}", "{3}", "{2,3}"), gain_path_grid(10)),
-)
+# The point count of each preset's grid: 11 weights each.
+GRID_POINTS = {"deviation": 11, "gain-path": 10}
 
 
 def record(seed: int, ell: int):
@@ -64,35 +55,30 @@ def record(seed: int, ell: int):
 
 def baseline_group():
     """(LqrSolution, Riccati twin) of the 36 baseline records."""
-    covar = RegWeights(lambda2=1.0, lambda3=1.0, parameterization="covariance")
     for seed in (1, 2, 3, 4):
         for ell in (30, 60, 90):
             cfg, d, st = record(seed, ell)
-            q, r = cfg.q, cfg.r
-            yield from (
-                (synth_baseline_gram(d, st, q, r, 1.0, False),
-                 synth_reduced_gram(st, q, r, RegWeights(1.0, 1.0, 1.0))),
-                (synth_baseline_gram(d, st, q, r, 1.0, True),
-                 synth_reduced_gram(st, q, r, RegWeights(lambda1=1.0))),
-                (synth_baseline_covar(st, q, r, 1.0), synth_reduced_covar(st, q, r, covar)),
-            )
+            for program_id, (_, twin) in _BASELINES.items():
+                yield (
+                    _synth_baseline(program_id, d, st, cfg.q, cfg.r, 1.0),
+                    synth_reduced(st, cfg.q, cfg.r, twin(1.0)),
+                )
 
 
 def grid_group():
     """(LqrSolution, Riccati twin) of reduced_sdp on the paper grids; a
     refused solve gives (ConicSolution, None)."""
-    for seed, param, labels, grid in PAPER_GRIDS:
+    for name, (seed, param, labels, grid) in _PRESETS.items():
         cfg, _, st = record(seed, 30)
-        twin = synth_reduced_gram if param == "gram" else synth_reduced_covar
         for label in labels:
-            for lam in grid:
+            for lam in grid(GRID_POINTS[name]):
                 w = reduced_case(label, param).weights_at(float(lam))
                 try:
                     sol = reduced_sdp(st, cfg.q, cfg.r, w)
                 except SynthesisInfeasible as exc:
                     yield exc.solution, None
                     continue
-                yield sol, twin(st, cfg.q, cfg.r, w)
+                yield sol, synth_reduced(st, cfg.q, cfg.r, w)
 
 
 def digest(name: str, pairs) -> str:
