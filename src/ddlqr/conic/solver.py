@@ -37,11 +37,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
-from ..matlin import sym
+from ..matlin import _eye, sym
 from .problem import SQRT2, LmiProblem, gather, smat, svec, svec_len
 
 __all__ = ["SolverStatus", "ConicSolution", "solve"]
@@ -90,7 +89,6 @@ _TOL = 1e-11
 _MAX_ITERS = 200
 _PRIMAL_CAP = 1e-6
 _DUAL_CAP = 1e-5
-_eye = lru_cache(lambda d: np.broadcast_to(np.eye(d), (d, d)))  # formed once per order, read only
 
 
 def _t(X: np.ndarray) -> np.ndarray:

@@ -18,6 +18,8 @@ Every routine that ranks or pseudo-inverts uses it.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import (
@@ -25,12 +27,14 @@ from .errors import (
     DimensionMismatch,
     IndefiniteInput,
     NoConvergence,
+    NotPositiveDefinite,
     NumericalError,
     UnstableMatrix,
 )
 
 RANK_TOL = 1e-10
 _RHO_MARGIN = 1e-9  # a stable loop has rho < 1 - _RHO_MARGIN: _dlyap finds its Gramian
+_eye = lru_cache(lambda d: np.broadcast_to(np.eye(d), (d, d)))  # formed once per order, read only
 
 __all__ = [
     "RANK_TOL",
@@ -70,6 +74,12 @@ def _shaped(a, shape: tuple[int, int], name: str) -> np.ndarray:
     if A.shape != shape:
         raise DimensionMismatch(f"{name} must be {shape[0]} x {shape[1]}, got {A.shape}")
     return A
+
+
+def _fro(X: np.ndarray) -> np.float64:
+    """np.linalg.norm(X) of a C-ordered X by its own formula, without its dispatch."""
+    x = X.ravel()
+    return np.sqrt(x.dot(x))
 
 
 def sym(S: np.ndarray) -> np.ndarray:
@@ -115,6 +125,12 @@ def _psd_eigh(S, name: str) -> tuple[np.ndarray, np.ndarray]:
     return w, sym((V * np.sqrt(np.clip(w, 0.0, None))) @ V.T)
 
 
+def _require_pd(M: np.ndarray, name: str) -> None:
+    """The positive-definite rule for a symmetric M: min eig M > 1e-12 tr M."""
+    if float(np.min(np.linalg.eigvalsh(M))) <= 1e-12 * float(np.trace(M)):
+        raise NotPositiveDefinite(f"{name} must be positive definite")
+
+
 def pinv(M) -> np.ndarray:
     """Moore-Penrose pseudoinverse with the package rank cutoff."""
     M = as_matrix(M)
@@ -148,8 +164,8 @@ def _dlyap(A, rho: float) -> np.ndarray:
     n = A.shape[0]
     # One Kronecker system at every size: a bilinear transform loses about
     # three digits, enough to fail the residual check near rho = 1.
-    P = _kron_lyap(A, np.eye(n))
-    resid = float(np.linalg.norm(A @ P @ A.T - P + np.eye(n), "fro"))
+    P = _kron_lyap(A, _eye(n))
+    resid = float(_fro(A @ P @ A.T - P + _eye(n)))
     if resid > 1e-9:
         raise NumericalError(f"Lyapunov residual {resid:.3e} exceeds 1e-9")
     return P
@@ -164,7 +180,7 @@ def _kron(A) -> np.ndarray:
 def _kron_lyap(A, W) -> np.ndarray:
     """Symmetrized solution of P = A P A.T + W through its Kronecker system."""
     n = A.shape[0]
-    return sym(np.linalg.solve(np.eye(n * n) - _kron(A), W.ravel()).reshape(n, n))
+    return sym(np.linalg.solve(_eye(n * n) - _kron(A), W.ravel()).reshape(n, n))
 
 
 def solve_dare(A, B, Q, R) -> tuple[np.ndarray, np.ndarray]:
@@ -175,6 +191,8 @@ def solve_dare(A, B, Q, R) -> tuple[np.ndarray, np.ndarray]:
     cost matrix S solving S = A.T S A - A.T S B (R + B.T S B)^-1 B.T S A + Q.
     A pair that is not stabilizable raises NoConvergence, whether the doubling
     finds no finite limit or its gain leaves rho(A + B K) >= 1 - _RHO_MARGIN.
+    An R that is not positive definite raises NotPositiveDefinite and a Q
+    that is not positive semidefinite IndefiniteInput, before any iteration.
     """
     A = _square(A, "A")
     B = as_matrix(B, "B")
@@ -182,6 +200,8 @@ def solve_dare(A, B, Q, R) -> tuple[np.ndarray, np.ndarray]:
     R = require_symmetric(R, "R")
     if B.shape[0] != A.shape[0] or Q.shape != A.shape or R.shape[0] != B.shape[1]:
         raise DimensionMismatch(f"B/Q/R shapes do not match A {A.shape}")
+    _require_pd(R, "R")
+    _psd_eigh(Q, "Q")
     K, S = _dare(A, B, Q, R)
     rho = _rho(A + B @ K)
     if rho >= 1.0 - _RHO_MARGIN:
@@ -219,15 +239,16 @@ def _doubling(A, G, H) -> np.ndarray:
     H settling to 1e-15 relative raise NoConvergence; a singular I + GH raises
     LinAlgError."""
     n = A.shape[0]
-    eye = np.eye(n)
+    AG = np.empty((n, 2 * n))  # [A, G] of the step, the right-hand side of its solve
     for _ in range(64):
-        W = np.linalg.solve(eye + G @ H, np.hstack([A, G]))
+        AG[:, :n], AG[:, n:] = A, G
+        W = np.linalg.solve(_eye(n) + G @ H, AG)
         H_next = sym(H + A.T @ H @ W[:, :n])
         A, G = A @ W[:, :n], sym(G + A @ W[:, n:] @ A.T)
-        size = np.linalg.norm(H_next)
+        size = _fro(H_next)
         if not np.isfinite(size):
             raise NoConvergence("no stabilizing Riccati solution: doubling diverged")
-        if np.linalg.norm(H_next - H) <= 1e-15 * size:
+        if _fro(H_next - H) <= 1e-15 * size:
             return H_next
         H = H_next
     raise NoConvergence("no stabilizing Riccati solution: doubling did not settle in 64 steps")

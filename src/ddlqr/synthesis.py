@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,16 +50,11 @@ from .conic import (
     svec,
     svec_len,
 )
-from .datamodel import Dataset, DataStats
+from .datamodel import Dataset, DataStats, _frozen
 from .effects import RegWeights, _effect, _weight
-from .errors import (
-    DimensionMismatch,
-    NoConvergence,
-    NotPositiveDefinite,
-    SynthesisInfeasible,
-    UnstableMatrix,
-)
-from .matlin import _dare, _dlyap, _h2, _rho, _shaped, _square, as_matrix, require_symmetric, sym
+from .errors import DimensionMismatch, NoConvergence, SynthesisInfeasible, UnstableMatrix
+from .matlin import _dare, _dlyap, _h2, _require_pd, _rho, _shaped, _square, as_matrix
+from .matlin import require_symmetric, sym
 
 __all__ = [
     "LqrSolution",
@@ -280,16 +276,22 @@ def _lqr_program(A, B, q_p, R, bounds) -> tuple[LmiProblem, SdpLayout]:
 
 
 def _check_qr(n: int, m: int, Q, R) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric positive definite Q (n x n) and R (m x m)."""
-    Q = require_symmetric(Q, "Q")
-    R = require_symmetric(R, "R")
+    """Symmetric positive definite Q (n x n) and R (m x m), read only. Each
+    content, the shape and bytes of Q and of R, is checked once per process."""
+    Q, R = np.asarray(Q, dtype=float), np.asarray(R, dtype=float)
+    return _checked_qr(n, m, Q.shape, Q.tobytes(), R.shape, R.tobytes())
+
+
+@lru_cache(maxsize=32)
+def _checked_qr(n: int, m: int, q_shape, q_bytes, r_shape, r_bytes):
+    """`_check_qr` on one content; a content that fails raises, so it is never stored."""
+    Q = require_symmetric(np.frombuffer(q_bytes).reshape(q_shape), "Q")
+    R = require_symmetric(np.frombuffer(r_bytes).reshape(r_shape), "R")
     if Q.shape[0] != n or R.shape[0] != m:
         raise DimensionMismatch(f"Q/R dimensions do not match n={n}, m={m}")
-    for M, name in ((Q, "Q"), (R, "R")):
-        w = np.linalg.eigvalsh(M)
-        if float(np.min(w)) <= 1e-12 * float(np.trace(M)):
-            raise NotPositiveDefinite(f"{name} must be positive definite")
-    return Q, R
+    _require_pd(Q, "Q")
+    _require_pd(R, "R")
+    return _frozen(Q), _frozen(R)
 
 
 def _solve_and_extract(p: LmiProblem, lay: SdpLayout, program_id: str) -> LqrSolution:

@@ -10,6 +10,7 @@ from ddlqr.errors import (
     DimensionMismatch,
     IndefiniteInput,
     NoConvergence,
+    NotPositiveDefinite,
     UnstableMatrix,
 )
 
@@ -308,6 +309,24 @@ def test_public_kernels_validate_their_inputs(args, error):
         matlin.solve_dare(A, B, Q, R)
     with pytest.raises(error):
         matlin.h2norm_sq(A, B.T, Q, R)
+
+
+@pytest.mark.parametrize(
+    "Q, R, error",
+    [
+        (Q2, [[0.0]], NotPositiveDefinite),
+        (Q2, [[-1.0]], NotPositiveDefinite),
+        (-Q2, R1, IndefiniteInput),
+    ],
+    ids=["singular-R", "negative-R", "negative-Q"],
+)
+def test_dare_rejects_weights_before_iterating(Q, R, error):
+    # The pair is stabilizable, so only the weight is at fault: R must be
+    # positive definite and Q positive semidefinite. Unchecked, a singular R
+    # fails the doubling's first solve and a negative weight runs all 64
+    # steps, both as NoConvergence.
+    with pytest.raises(error, match="Q" if error is IndefiniteInput else "R"):
+        matlin.solve_dare(A2, B2, Q, R)
 
 
 @pytest.mark.parametrize(

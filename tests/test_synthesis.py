@@ -10,6 +10,7 @@ from ddlqr.conic import svec
 from ddlqr.datamodel import Dataset, compute_stats
 from ddlqr.effects import RegWeights, eval_reg_covar, eval_reg_gram, param_effect_closed
 from ddlqr.errors import (
+    AsymmetricInput,
     DimensionMismatch,
     NotPositiveDefinite,
     SynthesisInfeasible,
@@ -21,6 +22,7 @@ from ddlqr.synthesis import (
     _BASELINES,
     LqrSolution,
     PlantModel,
+    _check_qr,
     _synth_baseline,
     baseline_y_map,
     build_baseline_covar_problem,
@@ -86,6 +88,56 @@ def test_plant_model_validation():
         PlantModel(A=np.zeros((2, 2)), B=np.zeros((2, 1)), Q=Q2, R=np.array([[-1.0]]))
     pm = ref_plant()
     assert pm.n == 2 and pm.m == 1
+
+
+# -- checked cost weights -----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "Q, error",
+    [
+        (np.array([[1.0, 0.1], [0.0, 1.0]]), AsymmetricInput),
+        (np.diag([1.0, -1.0]), NotPositiveDefinite),
+        (np.eye(3), DimensionMismatch),
+    ],
+    ids=["asymmetric", "indefinite", "mis-shaped"],
+)
+def test_weight_check_raises_on_every_call(Q, error):
+    # Only a content that passes is cached, so a failing Q raises its typed
+    # error on each call, before and after a valid content was cached.
+    _, st = noisy(1)
+    w = RegWeights(lambda1=1.0)
+    for _ in range(2):
+        with pytest.raises(error):
+            synth_reduced_gram(st, Q, R1, w)
+    synth_reduced_gram(st, Q2, R1, w)
+    for _ in range(2):
+        with pytest.raises(error):
+            synth_reduced_gram(st, Q, R1, w)
+
+
+def test_weight_check_keys_on_content_not_object():
+    # A Q that passed once and is then made indefinite in place is checked
+    # again: the cache key is its content.
+    _, st = noisy(1)
+    w = RegWeights(lambda1=1.0)
+    Q = np.eye(2)
+    synth_reduced_gram(st, Q, R1, w)
+    Q[1, 1] = -1.0
+    with pytest.raises(NotPositiveDefinite):
+        synth_reduced_gram(st, Q, R1, w)
+
+
+def test_checked_weights_are_read_only():
+    # The checked Q and R are shared by every call with their content, so
+    # they refuse writes; PlantModel holds them too.
+    Q, R = _check_qr(2, 1, [[2.0, 0.5], [0.5, 1.0]], [[0.1]])
+    assert np.array_equal(Q, [[2.0, 0.5], [0.5, 1.0]]) and np.array_equal(R, [[0.1]])
+    pm = ref_plant()
+    for M in (Q, R, pm.Q, pm.R):
+        assert not M.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            M[0, 0] = 3.0
 
 
 # -- model-based program ------------------------------------------------------

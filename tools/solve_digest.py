@@ -3,7 +3,7 @@
     python3 tools/solve_digest.py
 
 Run it from the root of a checkout: the program is imported from ./src. It
-takes no options. Two groups of solves:
+takes no options. Two groups of solves, then one of Riccati syntheses:
 
 - baseline: the 36 baseline records, reference seeds 1-4 at ell = 30, 60
   and 90, each solved as every baseline program of `synthesis._BASELINES`
@@ -12,13 +12,19 @@ takes no options. Two groups of solves:
 - grid: `reduced_sdp` at 11 points of every curve of the two paper sweep
   presets (`harness.sweep._PRESETS`, `ddlqr sweep --preset deviation` and
   `--preset gain-path`), on `deviation_grid(11)` and on `gain_path_grid(10)`,
-  zero and ten log-spaced weights: 77 solves.
+  zero and ten log-spaced weights: 77 solves;
+- riccati: `synth_reduced` at every point of both presets' grids at their
+  default size, `deviation_grid()` and `gain_path_grid()`: 4 x 41 + 3 x 42
+  = 290 syntheses, the points of `ddlqr sweep` on either preset.
 
-For each group it prints the number of solves, how many ended at the
-convergence test (Optimal with an empty message), the total iterations,
+For each group of solves it prints the number of solves, how many ended at
+the convergence test (Optimal with an empty message), the total iterations,
 the worst |dK| (Frobenius) against the Riccati twin and one SHA-256 over
 every `ConicSolution`'s status, y, objective, iters and message in order.
-Two checkouts whose lines are equal solved every program bitwise alike.
+For the syntheses it prints their number and one SHA-256 over every
+`LqrSolution`'s status, K, P, A_cl and objective in order, or the status of
+a refused synthesis. Two checkouts whose lines are equal solved every
+program bitwise alike.
 BLAS is pinned to one thread, as perfbench/run.py pins it: a threaded GEMM
 may sum in another order.
 """
@@ -81,6 +87,33 @@ def grid_group():
                 yield sol, synth_reduced(st, cfg.q, cfg.r, w)
 
 
+def riccati_group():
+    """synth_reduced at every point of the paper grids at their default size;
+    a refused synthesis gives its SynthesisInfeasible."""
+    for seed, param, labels, grid in _PRESETS.values():
+        cfg, _, st = record(seed, 30)
+        for label in labels:
+            for lam in grid():
+                w = reduced_case(label, param).weights_at(float(lam))
+                try:
+                    yield synth_reduced(st, cfg.q, cfg.r, w)
+                except SynthesisInfeasible as exc:
+                    yield exc
+
+
+def riccati_digest(sols) -> str:
+    h = hashlib.sha256()
+    count = 0
+    for sol in sols:
+        count += 1
+        h.update(str(sol.status).encode() + b"\0")
+        if not isinstance(sol, SynthesisInfeasible):
+            for M in (sol.K, sol.P, sol.A_cl):
+                h.update(np.ascontiguousarray(M, dtype=float).tobytes())
+            h.update(np.float64(sol.objective).tobytes())
+    return f"riccati: {count} syntheses, sha256 {h.hexdigest()}"
+
+
 def digest(name: str, pairs) -> str:
     h = hashlib.sha256()
     count = converged = iters = 0
@@ -106,6 +139,7 @@ def digest(name: str, pairs) -> str:
 def main() -> int:
     print(digest("baseline", baseline_group()))
     print(digest("grid", grid_group()))
+    print(riccati_digest(riccati_group()))
     return 0
 
 
