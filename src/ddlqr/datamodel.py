@@ -5,17 +5,20 @@ column-per-time-step. DataStats holds what the reduced programs and the
 closed-form effects need: least-squares fits and sample covariances, all
 of a size fixed by n and m and read off one triangular factor R of the
 stacked record. Each covariance is the Gram matrix of a diagonal block of
-R, and its inverse and inverse square root come from the SVD of that
-block, so no covariance is factored a second time. The ell x ell kernel
-projector, which only the oracle uses, is formed on request by
-kernel_projector.
+R, and compute_stats takes one SVD of each such block: the rank checks read
+its singular values and the covariance's inverse and inverse square root
+are products of it, so no covariance is factored a second time. The
+ell x ell kernel projector, which only the oracle uses, is formed on
+request by kernel_projector.
 """
 
 from __future__ import annotations
 
 import csv
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -128,11 +131,10 @@ def _numerical_rank(sv: np.ndarray) -> int:
     return int(np.sum(sv > RANK_TOL * sv[0])) if sv.size and sv[0] > 0 else 0
 
 
-def _rank_report(d: Dataset, r: np.ndarray) -> RankReport:
+def _rank_report(d: Dataset, r: np.ndarray, sv0: np.ndarray) -> RankReport:
     k = d.n + d.m
-    # Singular values of R and of its leading block equal those of the
-    # full and of the state-input stacks; nothing is squared.
-    sv0 = np.linalg.svd(r[:k, :k], compute_uv=False)
+    # Singular values of R and of its leading block R[:k, :k] (sv0) equal
+    # those of the full and of the state-input stacks; nothing is squared.
     sv = np.linalg.svd(r[: min(d.ell, r.shape[0])], compute_uv=False)
     rank_data0 = _numerical_rank(sv0)
     rank_full = _numerical_rank(sv)
@@ -157,13 +159,12 @@ _COV_BLOCKS = {
 
 def _cov_factor(name: str, power: int) -> cached_property:
     """Read-only cov^(-power/2) of the covariance field `name`, computed on
-    first use and kept in the instance. It comes from the SVD of the
-    covariance's block T = U diag(s) V^T of R: cov^-1 = ell V diag(s^-2) V^T
-    and cov^(-1/2) = sqrt(ell) V diag(s^-1) V^T, so the covariance's
-    condition number is never squared. A singular covariance,
-    (s_min / s_max)^2 <= RANK_TOL, raises SingularCovariance on every
-    request; nothing is cached for it. Both powers of one covariance come
-    from one SVD: the first request stores its sibling factor too."""
+    first use and kept in the instance. It is a product of the SVD
+    T = U diag(s) V^T of the covariance's block of R, which compute_stats
+    took: cov^-1 = ell V diag(s^-2) V^T and cov^(-1/2) = sqrt(ell) V
+    diag(s^-1) V^T, so the covariance's condition number is never squared.
+    A singular covariance, (s_min / s_max)^2 <= RANK_TOL, raises
+    SingularCovariance on every request; nothing is cached for it."""
 
     def get(self):
         # cov_resid_x from rank-deficient stacked data is zero up to
@@ -173,17 +174,13 @@ def _cov_factor(name: str, power: int) -> cached_property:
             raise SingularCovariance(
                 "cov_resid_x is singular: the stacked data matrix is rank deficient"
             )
-        b = _COV_BLOCKS[name](self.n, self.n + self.m)
-        _, s, vt = np.linalg.svd(self.r_factor[b, b])
+        s, vt = self.cov_svd[name]
         if s[-1] ** 2 <= RANK_TOL * s[0] ** 2:
             raise SingularCovariance(
                 f"{name} is singular: its block's singular values {s[-1]:.3e} and "
                 f"{s[0]:.3e} have a squared ratio at or below {RANK_TOL:g}"
             )
-        for p, attr in ((1, f"{name}_inv_sqrt"), (2, f"{name}_inv")):
-            if attr in vars(DataStats):
-                self.__dict__[attr] = _frozen(sym((vt.T * (np.sqrt(self.ell) / s) ** p) @ vt))
-        return self.__dict__[f"{name}_inv_sqrt" if power == 1 else f"{name}_inv"]
+        return _frozen(sym((vt.T * (np.sqrt(self.ell) / s) ** power) @ vt))
 
     return cached_property(get)
 
@@ -194,12 +191,14 @@ class DataStats:
 
     Every field has a size fixed by n and m, whatever the record length
     ell. Covariances use population normalization 1/ell throughout; each is
-    T^T T / ell for one diagonal block T of `r_factor`, the (2n+m)^2
-    triangular factor of the stacked record. Residual covariances are
-    stored as computed, singular or not. Their inverses and inverse square
-    roots (`cov_x0_inv`, `cov_x0_inv_sqrt`, ...) are read off the SVD of
-    that block, once per instance, on first use; a singular one raises
-    SingularCovariance, and consumers decide how to fail.
+    T^T T / ell for one diagonal block T (_COV_BLOCKS) of the (2n+m)^2
+    triangular factor of the stacked record. `cov_svd` maps each
+    covariance's name to the read-only pair (s, V^T) of its block's SVD
+    T = U diag(s) V^T. Residual covariances are stored as computed,
+    singular or not. Their inverses and inverse square roots (`cov_x0_inv`,
+    `cov_x0_inv_sqrt`, ...) are products of that pair, formed once per
+    instance, on first use; a singular one raises SingularCovariance, and
+    consumers decide how to fail.
     """
 
     n: int
@@ -213,11 +212,13 @@ class DataStats:
     cov_resid_x: np.ndarray
     cov_resid_u: np.ndarray
     rank_report: RankReport = field(repr=False)
-    r_factor: np.ndarray = field(repr=False)
+    cov_svd: Mapping[str, tuple[np.ndarray, np.ndarray]] = field(repr=False)
 
     def __post_init__(self):
-        for name in ("a_ls", "b_ls", "k_ls", "r_factor", *_COV_BLOCKS):
+        for name in ("a_ls", "b_ls", "k_ls", *_COV_BLOCKS):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
+        pairs = {name: (_frozen(s), _frozen(vt)) for name, (s, vt) in self.cov_svd.items()}
+        object.__setattr__(self, "cov_svd", MappingProxyType(pairs))
 
     cov_x0_inv = _cov_factor("cov_x0", 2)
     cov_x0_inv_sqrt = _cov_factor("cov_x0", 1)
@@ -237,15 +238,16 @@ def compute_stats(d: Dataset) -> DataStats:
     O(ell (2n+m)^2) time and O((2n+m)^2) memory beyond the record: with
     k = n+m, the fits solve R[:k, :k] [A B]^T = R[:k, k:] and
     R[:n, :n] K^T = R[:n, n:k], and each covariance is the Gram matrix of
-    its diagonal block of R (_COV_BLOCKS).
+    its diagonal block of R (_COV_BLOCKS). One SVD of each block serves the
+    rank checks of R[:n, :n] and R[:k, :k] and the covariance's factors.
     """
     n, k = d.n, d.n + d.m
     r = _stack_factor(d)
-    rx, r0 = r[:n, :n], r[:k, :k]
-    sx = np.linalg.svd(rx, compute_uv=False)
-    if _numerical_rank(sx) < n:
+    blocks = {name: r[b(n, k), b(n, k)] for name, b in _COV_BLOCKS.items()}
+    svds = {name: np.linalg.svd(t)[1:] for name, t in blocks.items()}
+    if _numerical_rank(svds["cov_x0"][0]) < n:
         raise StateRankViolation(f"x0 has rank below {n}")
-    report = _rank_report(d, r)
+    report = _rank_report(d, r, svds["cov_d0"][0])
     if not report.pe_holds:
         raise ExcitationViolation(
             f"state-input stack has rank {report.rank_data0}, need {k}"
@@ -253,13 +255,9 @@ def compute_stats(d: Dataset) -> DataStats:
 
     # LU's partial pivoting leaves an upper-triangular R as it is, so each
     # solve is a back substitution.
-    ab_ls = np.linalg.solve(r0, r[:k, k:]).T
-    k_ls = np.linalg.solve(rx, r[:n, n:k]).T
+    ab_ls = np.linalg.solve(blocks["cov_d0"], r[:k, k:]).T
+    k_ls = np.linalg.solve(blocks["cov_x0"], r[:n, n:k]).T
     ell = float(d.ell)
-    covs = {}
-    for name, block in _COV_BLOCKS.items():
-        t = r[block(n, k), block(n, k)]
-        covs[name] = t.T @ t / ell
     return DataStats(
         n=n,
         m=d.m,
@@ -268,8 +266,8 @@ def compute_stats(d: Dataset) -> DataStats:
         b_ls=ab_ls[:, n:],
         k_ls=k_ls,
         rank_report=report,
-        r_factor=r,
-        **covs,
+        cov_svd=svds,
+        **{name: t.T @ t / ell for name, t in blocks.items()},
     )
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .datamodel import Dataset, DataStats, compute_stats, kernel_projector, row_space_basis
 from .errors import DimensionMismatch, InfeasibleConstraint, NotPositiveDefinite
-from .matlin import RANK_TOL, _psd_eigh, _shaped, as_matrix, pinv, require_symmetric, sym_sqrt
+from .matlin import RANK_TOL, _psd_eigh, _shaped, as_matrix, pinv, sym_sqrt
 
 __all__ = [
     "EffectBreakdown",
@@ -133,11 +133,12 @@ def eval_reg_covar(K, P, lam: float, stats: DataStats) -> float:
     """Covariance-parameterized regularizer evaluated directly.
 
     Returns lam * tr(cov_d0^{-1} [I; K] P [I; K]^T). The sample covariance
-    of the stacked state-input data must be invertible.
+    of the stacked state-input data must be invertible, and P positive
+    semidefinite (IndefiniteInput).
     """
     K = _shaped(K, (stats.m, stats.n), "K")
     P = _shaped(P, (stats.n, stats.n), "P")
-    require_symmetric(P, "P")
+    sym_sqrt(P, "P")
     ik = np.vstack([np.eye(stats.n), K])
     return _weight("lambda", lam) * float(np.trace(stats.cov_d0_inv @ ik @ P @ ik.T))
 

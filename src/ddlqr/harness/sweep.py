@@ -218,7 +218,7 @@ def bench_scaling(
     for program_id, (_, twin) in _BASELINES.items():
         if twin(lam).parameterization != "gram":
             continue  # the covariance baseline's size does not grow with ell
-        for label, reduced in ((program_id, False), (_case_label(twin(1.0)), True)):
+        for label, reduced in ((program_id, False), (twin(1.0).case_label, True)):
             runs = (_bench(d, cfg.q, cfg.r, lam, program_id, reduced) for d in data)
             problems, runners = zip(*runs)
             for runner in runners:
@@ -247,12 +247,6 @@ def bench_scaling(
                 for ell, t, it, p in zip(ells, times, iters, problems)
             ]
     return sorted(rows, key=lambda r: ells.index(r.ell))
-
-
-def _case_label(w: RegWeights) -> str:
-    """The label of the weights' active effects, as `reduced_case` parses it."""
-    lams = (w.lambda1, w.lambda2, w.lambda3)
-    return "{" + ",".join(str(i) for i, lam in enumerate(lams, 1) if lam) + "}"
 
 
 def _bench(d, Q, R, lam, program_id, reduced):

@@ -255,13 +255,16 @@ def _doubling(A, G, H) -> np.ndarray:
 
 
 def h2norm_sq(A_cl, K, Q, R) -> float:
-    """Squared closed-loop H2 cost tr(Q P) + tr(K.T R K P) with P the Gramian."""
+    """Squared closed-loop H2 cost tr(Q P) + tr(K.T R K P) with P the Gramian,
+    for weights that pass `solve_dare`'s checks (R definite, Q semidefinite)."""
     A_cl = _square(A_cl, "A_cl")
     K = as_matrix(K, "K")
     Q = require_symmetric(Q, "Q")
     R = require_symmetric(R, "R")
     if K.shape[1] != A_cl.shape[0] or Q.shape != A_cl.shape or R.shape[0] != K.shape[0]:
         raise DimensionMismatch("inconsistent shapes for closed-loop cost")
+    _require_pd(R, "R")
+    _psd_eigh(Q, "Q")
     return _h2(A_cl, _rho(A_cl), K, Q, R)
 
 

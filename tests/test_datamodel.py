@@ -392,6 +392,28 @@ def test_covariance_factors_are_computed_once_per_instance():
     assert ref() is None
 
 
+def test_each_covariance_block_is_factored_once(monkeypatch):
+    # compute_stats takes one SVD of each covariance block and one of the
+    # full stack for its rank report. The rank checks and all seven factors
+    # read those: 5 calls on the reference record, not a second factoring of
+    # any block.
+    d = gen_reference_data(ReferenceExperimentConfig(seed=0))
+    svd, calls = np.linalg.svd, []
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    st = compute_stats(d)
+    for attr in FACTORS:
+        getattr(st, attr)
+    assert len(calls) == 5, calls
+    assert not any(a.flags.writeable for pair in st.cov_svd.values() for a in pair)
+    with pytest.raises(TypeError):
+        st.cov_svd["cov_x0"] = st.cov_svd["cov_d0"]
+
+
 def test_covariance_inverse_keeps_precision_at_condition_1e8():
     # [x0; u0] = U diag(1e2, 1, 1e-2) V^T, so cov_d0 = U diag(s^2) U^T / ell
     # has condition number 1e8 and inverse ell U diag(s^-2) U^T. Squaring

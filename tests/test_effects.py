@@ -15,6 +15,7 @@ from ddlqr.effects import (
 )
 from ddlqr.errors import (
     DimensionMismatch,
+    IndefiniteInput,
     InfeasibleConstraint,
     NotPositiveDefinite,
     SingularCovariance,
@@ -164,6 +165,28 @@ def test_oracle_rejects_bad_weight(lam):
     K = np.zeros((stats.m, stats.n))
     with pytest.raises(ValueError, match="lambda"):
         param_effect_oracle(K, stats.a_ls, np.eye(stats.n), d, lam, "full_gram")
+
+
+# Every evaluator takes P through sym_sqrt's rule, so an indefinite P is an
+# IndefiniteInput naming P, not a negative regularizer or effect.
+INDEFINITE_P = {
+    "eval_reg_gram": lambda d, st, P: eval_reg_gram(np.zeros((d.ell, d.n)), P, 1.0, False, d),
+    "eval_reg_covar": lambda d, st, P: eval_reg_covar(np.zeros((st.m, st.n)), P, 1.0, st),
+    "param_effect_closed": lambda d, st, P: param_effect_closed(
+        st.k_ls, st.a_ls + st.b_ls @ st.k_ls, P, st, RegWeights(1.0, 1.0, 1.0)
+    ),
+    "param_effect_oracle": lambda d, st, P: param_effect_oracle(
+        st.k_ls, st.a_ls + st.b_ls @ st.k_ls, P, d, 1.0, "full_gram"
+    ),
+}
+
+
+@pytest.mark.parametrize("evaluator", INDEFINITE_P)
+def test_evaluators_reject_indefinite_p(evaluator):
+    d = noisy_dataset(0)
+    stats = compute_stats(d)
+    with pytest.raises(IndefiniteInput, match="P"):
+        INDEFINITE_P[evaluator](d, stats, -np.eye(stats.n))
 
 
 def test_reg_covar_singular_covariance_raises():

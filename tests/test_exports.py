@@ -25,7 +25,8 @@ from ddlqr.synthesis import SdpLayout
 # formula for every block, and the cached triangle indices and the baseline
 # builders' own weight check, now computed where used and one weight rule,
 # and the benchmark's own list of baselines and twins with its two runners,
-# now the synthesis table of baseline twins and one runner.
+# now the synthesis table of baseline twins and one runner, and the sweep's
+# restatement of RegWeights.case_label.
 DELETED = {
     "svec_index",
     "new_problem",
@@ -56,6 +57,7 @@ DELETED = {
     "_BENCH_PROGRAMS",
     "_bench_baseline",
     "_bench_reduced",
+    "_case_label",
 }
 
 
@@ -74,6 +76,7 @@ def test_every_export_resolves_and_no_removed_name_is_exported():
     assert not hasattr(SdpLayout, "var_grid")
     assert not hasattr(_Block, "vars_touched")
     assert "ab_ls" not in DataStats.__dataclass_fields__
+    assert "r_factor" not in DataStats.__dataclass_fields__
     assert "program" not in SweepCase.__dataclass_fields__
 
 

@@ -311,7 +311,9 @@ def test_public_kernels_validate_their_inputs(args, error):
         matlin.h2norm_sq(A, B.T, Q, R)
 
 
-@pytest.mark.parametrize(
+# Weights that solve_dare and h2norm_sq refuse: R must be positive definite
+# and Q positive semidefinite.
+BAD_QR = pytest.mark.parametrize(
     "Q, R, error",
     [
         (Q2, [[0.0]], NotPositiveDefinite),
@@ -320,13 +322,23 @@ def test_public_kernels_validate_their_inputs(args, error):
     ],
     ids=["singular-R", "negative-R", "negative-Q"],
 )
+
+
+@BAD_QR
 def test_dare_rejects_weights_before_iterating(Q, R, error):
-    # The pair is stabilizable, so only the weight is at fault: R must be
-    # positive definite and Q positive semidefinite. Unchecked, a singular R
-    # fails the doubling's first solve and a negative weight runs all 64
-    # steps, both as NoConvergence.
+    # The pair is stabilizable, so only the weight is at fault. Unchecked, a
+    # singular R fails the doubling's first solve and a negative weight runs
+    # all 64 steps, both as NoConvergence.
     with pytest.raises(error, match="Q" if error is IndefiniteInput else "R"):
         matlin.solve_dare(A2, B2, Q, R)
+
+
+@BAD_QR
+def test_h2norm_rejects_weights_as_solve_dare_does(Q, R, error):
+    # The closed loop is stable, so only the weight is at fault. Unchecked,
+    # Q = -I and R = -1 price this loop at -2.667.
+    with pytest.raises(error, match="Q" if error is IndefiniteInput else "R"):
+        matlin.h2norm_sq(0.5 * np.eye(2), np.zeros((1, 2)), Q, R)
 
 
 @pytest.mark.parametrize(
