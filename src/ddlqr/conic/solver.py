@@ -40,7 +40,7 @@ from enum import Enum
 
 import numpy as np
 
-from ..matlin import _eye, sym
+from ..matlin import _chol, _eigvalsh, _eye, _inv, sym
 from .problem import SQRT2, LmiProblem, gather, smat, svec, svec_len
 
 __all__ = ["SolverStatus", "ConicSolution", "solve"]
@@ -115,8 +115,8 @@ def _nt_scaling(S: np.ndarray, Z: np.ndarray):
     Cholesky factor of Wm can fail on iterates where Wm is too
     ill-conditioned to factor again."""
     try:
-        L_s = np.linalg.cholesky(S)
-        L_z = np.linalg.cholesky(Z)
+        L_s = _chol(S)
+        L_z = _chol(Z)
     except np.linalg.LinAlgError as exc:
         raise _FactorError(f"iterate lost positive definiteness: {exc}") from None
     U, lam, _ = np.linalg.svd(_t(L_z) @ L_s)
@@ -136,8 +136,8 @@ def _boundary_step(lam: np.ndarray, dst: np.ndarray, dzt: np.ndarray | None = No
     eigenvalue is -1 - max eig(Dn)."""
     s = np.sqrt(lam)
     outer = s[..., :, None] * s[..., None, :]
-    ev = np.linalg.eigvalsh(dst / outer)
-    dual = -1.0 - ev[..., -1] if dzt is None else np.linalg.eigvalsh(dzt / outer)[..., 0]
+    ev = _eigvalsh(dst / outer)
+    dual = -1.0 - ev[..., -1] if dzt is None else _eigvalsh(dzt / outer)[..., 0]
     m = float(min(ev[..., 0].min(), dual.min()))
     if m >= -1e-13:
         return np.inf
@@ -152,7 +152,7 @@ def _tril_inv(L: np.ndarray) -> np.ndarray:
     reciprocal bitwise. A stack of factors gives the stack of inverses."""
     n = L.shape[-1]
     if n <= 32:
-        return 1.0 / L if n == 1 else _t(np.linalg.inv(_t(L)))
+        return 1.0 / L if n == 1 else _t(_inv(_t(L)))
     h = n // 2
     X = np.zeros_like(L)
     X[..., :h, :h] = _tril_inv(L[..., :h, :h])
@@ -216,7 +216,7 @@ class _Factorization:
         # M = C C.T, applied as Ci.T (Ci r) with Ci = C^-1 (module docstring).
         for jitter in (0.0, 1e-12 * scale, 1e-9 * scale):
             try:
-                self.chol = np.linalg.cholesky(M + jitter * np.eye(ko) if jitter else M)
+                self.chol = _chol(M + jitter * np.eye(ko) if jitter else M)
                 break
             except np.linalg.LinAlgError:
                 continue
@@ -318,7 +318,7 @@ def _dual_correction(fact, compiled, Z, rd, rdc):
     Zn = [sym(Zb - W @ cb.apply_lin(dy, D) @ W) for cb, Zb, W, D in zip(compiled, Z, fact.Wms, dYc)]
     try:
         for Zb in Zn:
-            np.linalg.cholesky(Zb)
+            _chol(Zb)
     except np.linalg.LinAlgError:
         return None
     return Zn

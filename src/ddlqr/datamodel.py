@@ -29,7 +29,7 @@ from .errors import (
     SingularCovariance,
     StateRankViolation,
 )
-from .matlin import RANK_TOL, as_matrix, sym
+from .matlin import RANK_TOL, _solve, as_matrix, sym
 
 __all__ = [
     "DataStats",
@@ -255,8 +255,8 @@ def compute_stats(d: Dataset) -> DataStats:
 
     # LU's partial pivoting leaves an upper-triangular R as it is, so each
     # solve is a back substitution.
-    ab_ls = np.linalg.solve(blocks["cov_d0"], r[:k, k:]).T
-    k_ls = np.linalg.solve(blocks["cov_x0"], r[:n, n:k]).T
+    ab_ls = _solve(blocks["cov_d0"], r[:k, k:]).T
+    k_ls = _solve(blocks["cov_x0"], r[:n, n:k]).T
     ell = float(d.ell)
     return DataStats(
         n=n,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .datamodel import Dataset, DataStats, compute_stats, kernel_projector, row_space_basis
 from .errors import DimensionMismatch, InfeasibleConstraint, NotPositiveDefinite
-from .matlin import RANK_TOL, _psd_eigh, _shaped, as_matrix, pinv, sym_sqrt
+from .matlin import RANK_TOL, _eye, _psd_eigh, _shaped, as_matrix, pinv, sym_sqrt
 
 __all__ = [
     "EffectBreakdown",
@@ -157,7 +157,7 @@ def param_effect_closed(
     P = _shaped(P, (stats.n, stats.n), "P")
     # One eigendecomposition gives P's square root and its definiteness.
     p_eigs, root = _psd_eigh(P, "P")
-    if float(np.min(p_eigs)) <= RANK_TOL * float(np.max(np.abs(p_eigs))):
+    if float(p_eigs.min()) <= RANK_TOL * float(np.abs(p_eigs).max()):
         raise NotPositiveDefinite("P must be positive definite for the parametric effect")
     return _effect(K, A_cl, root, stats, w)
 
@@ -175,11 +175,11 @@ def _effect(K, A_cl, F_P, stats: DataStats, w: RegWeights) -> EffectBreakdown:
                 raise
             return 0.0
         M = root @ dev @ F_P
-        return float(np.sum(M * M))
+        return float((M * M).sum())
 
     h1 = term(A_cl - (stats.a_ls + stats.b_ls @ K), "cov_resid_x_inv_sqrt", w.lambda1)
     h2 = term(K - stats.k_ls, "cov_resid_u_inv_sqrt", w.lambda2)
-    h3 = term(np.eye(stats.n), "cov_x0_inv_sqrt", w.lambda3)
+    h3 = term(_eye(stats.n), "cov_x0_inv_sqrt", w.lambda3)
     total = w.lambda1 * h1 + w.lambda2 * h2 + w.lambda3 * h3
     if w.ell_scaling:
         total /= float(stats.ell)

@@ -119,8 +119,8 @@ def run_sweep(
     """Solve every (case, lambda) point serially and return ordered rows.
 
     Rows are ordered by the given case order, then ascending lambda. Solver
-    failures become status labels on their row instead of raising, so one
-    bad point cannot take down a whole sweep.
+    and truth-evaluation failures become status labels on their row instead
+    of raising, so one bad point cannot take down a whole sweep.
     """
     lambdas = np.asarray(lambdas, dtype=float).reshape(-1)
     if lambdas.size == 0:
@@ -136,12 +136,12 @@ def _sweep_point(case, lam, stats, Q, R, plant) -> SweepRow:
     t0 = time.perf_counter()
     try:
         sol = synth_reduced(stats, Q, R, case.weights_at(lam))
+        wall = time.perf_counter() - t0
+        ev = None if plant is None else evaluate_on_truth(sol, plant)
     except DdlqrError as exc:
         status = str(exc.status) if isinstance(exc, SynthesisInfeasible) else type(exc).__name__
         wall = time.perf_counter() - t0
         return SweepRow(case.label, lam, status, stats.n, stats.m, wall_time_s=wall)
-    wall = time.perf_counter() - t0
-    ev = None if plant is None else evaluate_on_truth(sol, plant)
     return SweepRow(
         case_label=case.label,
         lam=lam,

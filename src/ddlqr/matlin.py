@@ -1,13 +1,15 @@
 """Dense linear-algebra kernels used by every other module.
 
-All matrices are plain float64 numpy arrays. Factorizations are delegated to
-numpy's LAPACK bindings. The Riccati equation is solved by structure-preserving
-doubling and the Lyapunov equation as one Kronecker system. Each public
-function validates its input, then calls one private core on the checked
-arrays (`_rho`, `_dlyap`, `_dare`, `_h2`), which the Riccati path in
-`synthesis` also calls directly. The cores keep every numerical check but
-one: `_dare` leaves the stability test to its caller, which computes the
-spectral radius once and reuses it.
+All matrices are plain float64 numpy arrays. Every factorization is numpy's
+LAPACK: the kernels `_solve` to `_eigvals` call its gufuncs as numpy.linalg's
+wrappers do, bit for bit, without their per-call dispatch; SVD and QR stay
+public, as their gufunc names changed in numpy 2.0. The Riccati equation is
+solved by structure-preserving doubling and the Lyapunov equation as one
+Kronecker system. Each public function validates its input, then calls one
+private core on the checked arrays (`_rho`, `_dlyap`, `_dare`, `_h2`), which
+the Riccati path in `synthesis` also calls directly. The cores keep every
+numerical check but one: `_dare` leaves the stability test to its caller,
+which computes the spectral radius once and reuses it.
 
 Tolerance conventions
 ---------------------
@@ -21,6 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg as _gu
 
 from .errors import (
     AsymmetricInput,
@@ -55,7 +58,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     out = np.asarray(a, dtype=float)
     if out.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got ndim={out.ndim}")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValueError(f"{name} contains non-finite entries")
     return out
 
@@ -74,6 +77,31 @@ def _shaped(a, shape: tuple[int, int], name: str) -> np.ndarray:
     if A.shape != shape:
         raise DimensionMismatch(f"{name} must be {shape[0]} x {shape[1]}, got {A.shape}")
     return A
+
+
+def _lapack(gufunc, signature: str, failure: str, name: str):
+    """numpy.linalg's gufunc under the errstate that its wrapper sets: a failure
+    raises LinAlgError(failure), and overflow, divide and underflow are ignored."""
+
+    def fail(err, flag):
+        raise np.linalg.LinAlgError(failure)
+
+    @np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
+    def kernel(*args):
+        return gufunc(*args, signature=signature)
+
+    kernel.__doc__ = f"np.linalg.{name} bit for bit, without its dispatch."
+    return kernel
+
+
+_SINGULAR, _NO_EIGS = "Singular matrix", "Eigenvalues did not converge"
+_solve = _lapack(_gu.solve, "dd->d", _SINGULAR, "solve(a, b) of a 2-D b")
+_solve1 = _lapack(_gu.solve1, "dd->d", _SINGULAR, "solve(a, b) of a 1-D b")
+_inv = _lapack(_gu.inv, "d->d", _SINGULAR, "inv")
+_chol = _lapack(_gu.cholesky_lo, "d->d", "Matrix is not positive definite", "cholesky")
+_eigh = _lapack(_gu.eigh_lo, "d->dd", _NO_EIGS, "eigh")
+_eigvalsh = _lapack(_gu.eigvalsh_lo, "d->d", _NO_EIGS, "eigvalsh")
+_eigvals = _lapack(_gu.eigvals, "d->D", _NO_EIGS, "eigvals of a finite matrix, always complex,")
 
 
 def _fro(X: np.ndarray) -> np.float64:
@@ -118,16 +146,16 @@ def sym_sqrt(S, name: str = "matrix") -> np.ndarray:
 def _psd_eigh(S, name: str) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and symmetric square root of a symmetric positive
     semidefinite matrix, under `sym_sqrt`'s rule for negative eigenvalues."""
-    w, V = np.linalg.eigh(require_symmetric(S, name))
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    if scale > 0.0 and float(np.min(w)) < -1e-10 * scale:
-        raise IndefiniteInput(f"{name} eigenvalue {np.min(w):.3e} below -1e-10 * {scale:.3e}")
+    w, V = _eigh(require_symmetric(S, name))
+    scale = float(np.abs(w).max()) if w.size else 0.0
+    if scale > 0.0 and float(w.min()) < -1e-10 * scale:
+        raise IndefiniteInput(f"{name} eigenvalue {w.min():.3e} below -1e-10 * {scale:.3e}")
     return w, sym((V * np.sqrt(np.clip(w, 0.0, None))) @ V.T)
 
 
 def _require_pd(M: np.ndarray, name: str) -> None:
     """The positive-definite rule for a symmetric M: min eig M > 1e-12 tr M."""
-    if float(np.min(np.linalg.eigvalsh(M))) <= 1e-12 * float(np.trace(M)):
+    if float(_eigvalsh(M).min()) <= 1e-12 * float(M.trace()):
         raise NotPositiveDefinite(f"{name} must be positive definite")
 
 
@@ -142,8 +170,10 @@ def spectral_radius(A) -> float:
 
 
 def _rho(A) -> float:
-    """Spectral radius of a checked square matrix."""
-    return float(np.max(np.abs(np.linalg.eigvals(A)))) if A.size else 0.0
+    """Spectral radius of a checked square matrix; LinAlgError if A is not finite."""
+    if not np.isfinite(A).all():
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    return float(np.abs(_eigvals(A)).max()) if A.size else 0.0
 
 
 def solve_dlyap(A_cl) -> np.ndarray:
@@ -180,7 +210,7 @@ def _kron(A) -> np.ndarray:
 def _kron_lyap(A, W) -> np.ndarray:
     """Symmetrized solution of P = A P A.T + W through its Kronecker system."""
     n = A.shape[0]
-    return sym(np.linalg.solve(_eye(n * n) - _kron(A), W.ravel()).reshape(n, n))
+    return sym(_solve1(_eye(n * n) - _kron(A), W.ravel()).reshape(n, n))
 
 
 def solve_dare(A, B, Q, R) -> tuple[np.ndarray, np.ndarray]:
@@ -214,11 +244,11 @@ def _dare(A, B, Q, R) -> tuple[np.ndarray, np.ndarray]:
 
     def gain(S):
         BtS = B.T @ S
-        return -np.linalg.solve(R + BtS @ B, BtS @ A)
+        return -_solve(R + BtS @ B, BtS @ A)
 
     try:
         with np.errstate(all="ignore"):
-            S = _doubling(A, sym(B @ np.linalg.solve(R, B.T)), Q)  # the stabilizing solution
+            S = _doubling(A, sym(B @ _solve(R, B.T)), Q)  # the stabilizing solution
             # One Newton step, the exact cost of the doubling's gain, restores
             # the digits that solves with I + GH lose when |G| |H| is large.
             K = gain(S)
@@ -226,7 +256,7 @@ def _dare(A, B, Q, R) -> tuple[np.ndarray, np.ndarray]:
             K = gain(S)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"no stabilizing Riccati solution: {exc}") from None
-    if not np.all(np.isfinite(K)):
+    if not np.isfinite(K).all():
         raise NoConvergence("no stabilizing Riccati solution: the gain is not finite")
     return K, S
 
@@ -242,7 +272,7 @@ def _doubling(A, G, H) -> np.ndarray:
     AG = np.empty((n, 2 * n))  # [A, G] of the step, the right-hand side of its solve
     for _ in range(64):
         AG[:, :n], AG[:, n:] = A, G
-        W = np.linalg.solve(_eye(n) + G @ H, AG)
+        W = _solve(_eye(n) + G @ H, AG)
         H_next = sym(H + A.T @ H @ W[:, :n])
         A, G = A @ W[:, :n], sym(G + A @ W[:, n:] @ A.T)
         size = _fro(H_next)
@@ -271,4 +301,4 @@ def h2norm_sq(A_cl, K, Q, R) -> float:
 def _h2(A_cl, rho: float, K, Q, R) -> float:
     """`h2norm_sq` on checked arrays, with rho the spectral radius of A_cl."""
     P = _dlyap(A_cl, rho)
-    return float(np.trace(Q @ P) + np.trace(K.T @ R @ K @ P))
+    return float((Q @ P).trace() + (K.T @ R @ K @ P).trace())

@@ -54,7 +54,7 @@ from .datamodel import Dataset, DataStats, _frozen
 from .effects import RegWeights, _effect, _weight
 from .errors import DimensionMismatch, NoConvergence, SynthesisInfeasible, UnstableMatrix
 from .matlin import _dare, _dlyap, _h2, _require_pd, _rho, _shaped, _square, as_matrix
-from .matlin import require_symmetric, sym
+from .matlin import _chol, _eye, _solve, require_symmetric, sym
 
 __all__ = [
     "LqrSolution",
@@ -304,7 +304,7 @@ def _solve_and_extract(p: LmiProblem, lay: SdpLayout, program_id: str) -> LqrSol
     stab, cost = (cb.apply(sol.y)[0] for cb in p.compiled()[:2])
     n = P.shape[0]
     m = cost.shape[0] - n
-    KA = np.linalg.solve(P, np.vstack((cost[:m, m:], stab[:n, n:])).T).T
+    KA = _solve(P, np.vstack((cost[:m, m:], stab[:n, n:])).T).T
     return LqrSolution(
         K=KA[:m],
         P=P,
@@ -431,15 +431,15 @@ def _riccati_path(stats: DataStats, Q, R, w: RegWeights, parameterization: str) 
     program_id = "reduced-gram" if gram else "reduced-covar"
     n, m = stats.n, stats.m
     A_LS, B_LS, K_LS = stats.a_ls, stats.b_ls, stats.k_ls
-    F = np.linalg.solve(R + du, du @ K_LS)
+    F = _solve(R + du, du @ K_LS)
     if gram and w.lambda1 == 0.0:
         # A free closed loop costs nothing: A_cl = 0, P = I and K = F.
         K, A_cl, P = F, np.zeros((n, n)), np.eye(n)
     else:
-        E = sym(du @ np.linalg.solve(R + du, R))
+        E = sym(du @ _solve(R + du, R))
         B, r = B_LS, R + du
         if gram:
-            B, r = np.hstack([B_LS, np.eye(n)]), np.zeros((m + n, m + n))
+            B, r = np.hstack([B_LS, _eye(n)]), np.zeros((m + n, m + n))
             r[:m, :m], r[m:, m:] = R + du, dx
         try:
             G, _ = _dare(A_LS + B_LS @ F, B, sym(Q + d0 + K_LS.T @ E @ K_LS), r)
@@ -449,12 +449,12 @@ def _riccati_path(stats: DataStats, Q, R, w: RegWeights, parameterization: str) 
         except (NoConvergence, UnstableMatrix) as exc:
             raise SynthesisInfeasible(program_id, "Infeasible") from exc
     # The SDP's optimum: nominal H2 cost plus the regularizer's effect.
-    eff = _effect(K, A_cl, np.linalg.cholesky(P), stats, w)
+    eff = _effect(K, A_cl, _chol(P), stats, w)
     return LqrSolution(
         K=K,
         P=P,
         A_cl=A_cl,
-        objective=float(np.trace(Q @ P) + np.trace(R @ K @ P @ K.T) + eff.total),
+        objective=float((Q @ P).trace() + (R @ K @ P @ K.T).trace() + eff.total),
         status="Optimal",
         solver=None,
         program_id=program_id,
@@ -496,7 +496,7 @@ def baseline_y_map(d: Dataset) -> tuple[np.ndarray, np.ndarray]:
     of the projector Pi. [X0; U0] must have rank n + m, as compute_stats checks."""
     n, m = d.n, d.m
     q, r = np.linalg.qr(d.data0().T, mode="complete")
-    return np.linalg.solve(r[:n, :n], q[:, :n].T).T, np.hstack((q[:, n + m :], q[:, n : n + m]))
+    return _solve(r[:n, :n], q[:, :n].T).T, np.hstack((q[:, n + m :], q[:, n : n + m]))
 
 
 def build_baseline_gram_problem(

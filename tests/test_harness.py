@@ -1,6 +1,7 @@
 """Sweep engine, emitters, self-check pipeline, and CLI surface."""
 
 import csv
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
 
@@ -11,6 +12,7 @@ from ddlqr import synthesis
 from ddlqr.datamodel import Dataset, compute_stats, save_dataset
 from ddlqr.effects import RegWeights
 from ddlqr.errors import DimensionMismatch, NumericalError, SynthesisInfeasible, UnstableMatrix
+from ddlqr.harness import sweep
 from ddlqr.harness.cli import main
 from ddlqr.harness.emit import (
     emit_bench_csv,
@@ -142,6 +144,30 @@ def test_run_sweep_records_failures_per_row():
         assert r.K is None and r.objective is None and r.deviation is None
     with pytest.raises(DimensionMismatch):
         run_sweep(st, [reduced_case("{2}", "covariance")], [], np.eye(2), np.eye(1))
+
+
+def test_run_sweep_records_a_gain_without_a_trusted_truth_gramian(monkeypatch):
+    # A gain placing the true loop's poles at 1 - 1e-8 and 0.5 passes the
+    # stability margin, but _dlyap's residual check refuses its Gramian
+    # (NumericalError); that row fails, and the sweep goes on.
+    cfg = ReferenceExperimentConfig(seed=0)
+    st = compute_stats(gen_reference_data(cfg))
+    pm = PlantModel(A=cfg.a, B=cfg.b, Q=cfg.q, R=cfg.r)
+    k1 = 0.45 - 1e-8
+    K = np.array([[k1, (0.5 * (1.0 - 1e-8) - (0.525 + k1) * 0.525) / 0.325 + 0.325]])
+    assert abs(spectral_radius(pm.A + pm.B @ K) - (1.0 - 1e-8)) <= 1e-12
+    synth = sweep.synth_reduced
+
+    def near_unit_at_one(stats, Q, R, w):
+        sol = synth(stats, Q, R, w)
+        return dataclasses.replace(sol, K=K) if w.lambda2 == 1.0 else sol
+
+    monkeypatch.setattr(sweep, "synth_reduced", near_unit_at_one)
+    case = reduced_case("{2}", "covariance")
+    rows = run_sweep(st, [case], [0.01, 1.0, 100.0], cfg.q, cfg.r, plant=pm)
+    assert [r.status for r in rows] == ["Optimal", "NumericalError", "Optimal"]
+    assert rows[1].K is None and rows[1].h2_on_truth is None and rows[1].wall_time_s > 0.0
+    assert rows[0].truth_stable and rows[2].truth_stable
 
 
 def test_gain_path_weak_monotone_trend():

@@ -351,3 +351,95 @@ def test_spectral_radius_validates_its_input(A, error):
         matlin.spectral_radius(A)
     with pytest.raises(error):
         matlin.solve_dlyap(A)
+
+
+# -- LAPACK kernels -------------------------------------------------------------
+
+
+def same_bits(x, y) -> bool:
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+# The program's sizes: 2 x 2 to 4 x 4 Riccati and SDP blocks and (g, d, d)
+# stacks of solver blocks; the next test takes a 100 x 100 Kronecker system.
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 4), (7, 3, 3), (41, 4, 4)])
+def test_kernels_equal_numpy_bitwise(shape):
+    rng = np.random.default_rng(sum(shape))
+    A = rng.standard_normal(shape)
+    X = rng.standard_normal(shape)
+    S = X @ X.swapaxes(-1, -2) + 0.1 * np.eye(shape[-1])  # positive definite, unsymmetrized
+    B = rng.standard_normal(shape[:-1] + (5,))
+    assert same_bits(matlin._solve(A, B), np.linalg.solve(A, B))
+    assert same_bits(matlin._inv(A), np.linalg.inv(A))
+    assert same_bits(matlin._chol(S), np.linalg.cholesky(S))
+    for got, want in zip(matlin._eigh(S), np.linalg.eigh(S)):
+        assert same_bits(got, want)
+    assert same_bits(matlin._eigvalsh(S), np.linalg.eigvalsh(S))
+    for M in (A, S):  # complex and real spectra
+        assert same_bits(np.abs(matlin._eigvals(M)), np.abs(np.linalg.eigvals(M)))
+    if len(shape) == 2:
+        b = rng.standard_normal(shape[0])
+        assert same_bits(matlin._solve1(A, b), np.linalg.solve(A, b))
+        for M in (A, S):
+            assert matlin._rho(M) == np.max(np.abs(np.linalg.eigvals(M)))
+
+
+def test_kernels_equal_numpy_on_the_kronecker_system():
+    # The Gramian's system at n = 10, the largest plant-scaling draws.
+    rng = np.random.default_rng(10)
+    A = rng.standard_normal((10, 10))
+    A *= 0.9 / np.max(np.abs(np.linalg.eigvals(A)))
+    K = np.eye(100) - matlin._kron(A)
+    w = np.eye(10).ravel()
+    assert same_bits(matlin._solve1(K, w), np.linalg.solve(K, w))
+    assert same_bits(matlin._inv(K), np.linalg.inv(K))
+    assert matlin._rho(K) == np.max(np.abs(np.linalg.eigvals(K)))
+    P = matlin.sym(np.linalg.solve(K, w).reshape(10, 10))
+    assert same_bits(matlin._kron_lyap(A, np.eye(10)), P)
+
+
+SINGULAR = np.array([[1.0, 2.0], [2.0, 4.0]])
+INDEFINITE = np.array([[1.0, 2.0], [2.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "kernel, public, args",
+    [
+        (matlin._solve1, np.linalg.solve, (SINGULAR, np.ones(2))),
+        (matlin._solve, np.linalg.solve, (np.zeros((3, 2, 2)), np.ones((3, 2, 4)))),
+        (matlin._inv, np.linalg.inv, (SINGULAR,)),
+        (matlin._chol, np.linalg.cholesky, (SINGULAR,)),
+        (matlin._chol, np.linalg.cholesky, (INDEFINITE,)),
+        (matlin._chol, np.linalg.cholesky, (-np.ones((5, 3, 3)) * np.eye(3),)),
+    ],
+    ids=["solve1-singular", "solve-stack-singular", "inv-singular", "chol-singular",
+         "chol-indefinite", "chol-stack-negative"],
+)
+def test_kernels_raise_numpy_linalg_errors(kernel, public, args):
+    with pytest.raises(np.linalg.LinAlgError) as want:
+        public(*args)
+    with pytest.raises(np.linalg.LinAlgError) as got:
+        kernel(*args)
+    assert str(got.value) == str(want.value)
+    # _dare calls the kernels under errstate(all="ignore"); they still raise.
+    with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError):
+        kernel(*args)
+
+
+@pytest.mark.parametrize("M", [SINGULAR, INDEFINITE], ids=["singular", "indefinite"])
+def test_eigen_kernels_equal_numpy_off_the_definite_cone(M):
+    for got, want in zip(matlin._eigh(M), np.linalg.eigh(M)):
+        assert same_bits(got, want)
+    assert same_bits(matlin._eigvalsh(M), np.linalg.eigvalsh(M))
+    assert matlin._rho(M) == np.max(np.abs(np.linalg.eigvals(M)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_rho_refuses_a_non_finite_matrix(bad):
+    M = np.array([[0.5, bad], [0.0, 0.5]])
+    with pytest.raises(np.linalg.LinAlgError) as want:
+        np.linalg.eigvals(M)
+    with pytest.raises(np.linalg.LinAlgError, match="^Array must not contain infs or NaNs$") as got:
+        matlin._rho(M)
+    assert str(got.value) == str(want.value)

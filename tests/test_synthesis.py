@@ -1048,3 +1048,27 @@ def test_model_sdp_matches_riccati_on_random_plants(n):
     assert sdp.status == "Optimal"
     assert np.linalg.norm(K - sdp.K) <= 1e-5 * max(1.0, np.linalg.norm(sdp.K))
     assert abs(cost - sdp.objective) <= 1e-5 * (1.0 + abs(sdp.objective))
+
+
+def test_program_calls_no_public_linalg_wrapper(monkeypatch):
+    # Every factorization goes through matlin's LAPACK kernels; a call site
+    # that falls back to a numpy.linalg wrapper raises here.
+    def wrapper_called(*args, **kwargs):
+        raise AssertionError("a numpy.linalg wrapper was called")
+
+    for name in ("solve", "inv", "cholesky", "eigh", "eigvalsh", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, wrapper_called)
+    cfg = ReferenceExperimentConfig(seed=0)
+    pm = PlantModel(A=cfg.a, B=cfg.b, Q=cfg.q, R=cfg.r)
+    d = gen_reference_data(cfg)
+    stats = compute_stats(d)
+    baseline_y_map(d)
+    solve_dare(pm.A, pm.B, pm.Q, pm.R)  # the (Q, R) checks, which PlantModel caches
+    w = RegWeights(lambda1=1.0, lambda2=1.0, lambda3=1.0)
+    for sol in (
+        synth_reduced_gram(stats, cfg.q, cfg.r, w),
+        synth_reduced_covar(stats, cfg.q, cfg.r, RegWeights(0.0, 1.0, 1.0, "covariance")),
+        model_lqr_sdp(pm),
+    ):
+        assert evaluate_on_truth(sol, pm).stable
+        assert param_effect_closed(sol.K, sol.A_cl, sol.P, stats, w).total > 0.0
